@@ -8,11 +8,17 @@ returned. With N = c1*k/eps^2, M = c2/eps and 2^k trials this is the
 theoretical scheme; desk-scale runs shrink the constants and replace full
 tuple enumeration with a uniform random tuple budget.
 
-Everything is evaluated in batches of tuples: per iteration one (B, N)
-uniform block turns into B rows of N categorical draws via a row-wise
-inverse CDF, and a (B, n) min-distance cache prices all B partial center
-sets at once. Per-trial random streams are derived from (master_seed, trial),
-so results are independent of thread scheduling.
+Tuples are evaluated in batches of B <= 1024. A batch first draws all of
+its uniforms, k blocks of (B, M) in budget mode or (B, N) in exhaustive
+mode, so the random-number layout is fixed before any work starts. The
+rows are then walked in blocks of max(1, 2^16 // n) rows: each block runs
+all k iterations in three preallocated (rows, n) buffers (the per-row
+min-distance cache and scratch), drawing through an exact per-row
+inverse CDF. No work array grows with B x n: each holds at most
+max(2^16, n) values, 512 KiB of float64 up to n = 2^16, and the output
+does not depend on the block size. Per-trial random streams are derived
+from (master_seed, trial), so results are independent of thread
+scheduling.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from wkmeans.core import (
     ClusteringResult,
     WeightedPointSet,
 )
-from wkmeans.sampling import RandomSource
+from wkmeans.sampling import RandomSource, searchsorted_rows
 
 __all__ = [
     "PtasParams",
@@ -48,6 +54,9 @@ DEFAULT_C2 = 100.0
 DEFAULT_TUPLE_BUDGET = 2000
 MAX_EXHAUSTIVE_TUPLES = 10_000_000
 _CHUNK = 1024
+# Values per (rows, n) work array of the batch evaluator: 512 KiB of float64,
+# so the three work arrays fit together in a 2 MiB per-core L2 cache.
+_BLOCK_VALUES = 1 << 16
 _TUPLE_STREAM, _SAMPLE_STREAM = 0, 1
 
 
@@ -71,7 +80,6 @@ class PtasParams:
     trials: int = 1
     tuple_budget: int | str = DEFAULT_TUPLE_BUDGET
     adjust_epsilon: bool = False
-    share_samples: bool = False
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -130,7 +138,6 @@ def derive_params(
     trials: int | None = None,
     tuple_budget: int | str | None = None,
     adjust_epsilon: bool | None = None,
-    share_samples: bool | None = None,
 ) -> PtasParams:
     """Fill parameter defaults: theory constants and 2^k trials."""
     if k < 1:
@@ -143,7 +150,6 @@ def derive_params(
         trials=2**k if trials is None else trials,
         tuple_budget=DEFAULT_TUPLE_BUDGET if tuple_budget is None else tuple_budget,
         adjust_epsilon=False if adjust_epsilon is None else adjust_epsilon,
-        share_samples=False if share_samples is None else share_samples,
     )
 
 
@@ -216,70 +222,88 @@ def enumerate_or_sample_tuples(
 def _run_tuple_batch(
     coords: np.ndarray,
     weights: np.ndarray,
-    selectors: np.ndarray,
-    params: PtasParams,
-    gen: np.random.Generator,
-    shared_u: np.ndarray | None = None,
-    draw_n: int | None = None,
+    u: np.ndarray,
+    selectors: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run all k iterations for a (B, k, M) selector block.
+    """Run all k iterations for B candidate tuples in bounded memory.
 
-    Returns (costs (B,), centers (B, k, d)) on the given point set. Each
-    iteration consumes one (B, N) uniform block (or reuses the trial-shared
-    (k, N) block), converts it to categorical draws per row with an offset
-    inverse-CDF over concatenated prefix sums, gathers each row's selected
-    M-sub-multiset, and folds the new weighted centroid into a per-row
-    min-distance cache. Rows whose distribution has zero mass already sit on
-    every point; they repeat their previous center, consuming the same draws.
+    u is the (k, B, D) block of uniforms for the whole batch, drawn by the
+    caller before any work starts: row b of u[i] turns into the D
+    distance-weighted draws of tuple b in iteration i. selectors (B, k, M)
+    picks each tuple's M positions among its D draws (exhaustive mode and
+    single tuples, D = N); None means every draw is selected (budget mode,
+    D = M). Returns (costs (B,), centers (B, k, d)).
 
-    draw_n shrinks the per-row sample to that many draws. A uniform M-subset
-    of N independent draws is distributed exactly like M independent draws,
-    so the default budgeted mode passes draw_n=M with identity selectors and
-    skips the draws no selector would touch. Modes where tuples share one
-    realized sample (exhaustive, share_samples) must keep draw_n=None.
+    The rows are walked in blocks of max(1, _BLOCK_VALUES // n) rows, and
+    all k iterations finish on one block before the next starts, inside
+    three preallocated (rows, n) buffers: the per-row min-distance cache and
+    two of scratch. No array grows with B x n. Iteration 0 draws every row
+    from one shared CDF of the weights; later iterations take an in-place
+    running sum of weight times cache per row and invert it with an exact
+    per-row binary search. Squared distances come from per-coordinate
+    differences, and each row's cost is its own reduction, so no value
+    depends on the block size: the output is byte-identical for any block
+    size and thread count.
+
+    A row whose distribution has zero mass already sits on every point; it
+    repeats its previous center, consuming the same draws.
     """
-    B = selectors.shape[0]
+    k, B, _ = u.shape
     n, d = coords.shape
-    N, M, k = params.N, params.M, params.k
-    if draw_n is not None:
-        assert shared_u is None
-        N = draw_n
-    p2 = np.einsum("ij,ij->i", coords, coords)
-    row_off = (np.arange(B) * n)[:, None]
-    cache: np.ndarray | None = None
+    coords_t = np.ascontiguousarray(coords.T)
+    cum0 = np.cumsum(weights)
+    rows = max(1, _BLOCK_VALUES // n)
+    costs = np.empty(B)
     centers = np.empty((B, k, d))
-    for i in range(k):
-        if cache is None:
-            sw = np.broadcast_to(weights[None, :], (B, n))
-        else:
-            sw = weights[None, :] * cache
-        cum = np.cumsum(sw, axis=1)
-        totals = cum[:, -1]
-        dead = totals <= 0.0
-        if shared_u is not None:
-            u = np.broadcast_to(shared_u[i][None, :], (B, N))
-        else:
-            u = gen.random((B, N))
-        shift = np.concatenate(([0.0], np.cumsum(totals[:-1])))
-        # maximum.accumulate irons out one-ulp inversions at row seams so the
-        # flat array is sorted; draws land in their own row.
-        flat_cum = np.maximum.accumulate((cum + shift[:, None]).ravel())
-        targets = (u * totals[:, None] + shift[:, None]).ravel()
-        cols = np.searchsorted(flat_cum, targets, side="right").reshape(B, N)
-        cols -= row_off
-        np.clip(cols, 0, n - 1, out=cols)
-        idx = np.take_along_axis(cols, selectors[:, i, :], axis=1)
-        tw = weights[idx]
-        tot = tw.sum(axis=1)
-        ci = np.einsum("bm,bmd->bd", tw, coords[idx]) / tot[:, None]
-        if np.any(dead):
-            ci[dead] = centers[dead, i - 1]
-        centers[:, i, :] = ci
-        d2 = p2[None, :] - 2.0 * (ci @ coords.T) + np.einsum("bd,bd->b", ci, ci)[:, None]
-        np.maximum(d2, 0.0, out=d2)
-        cache = d2 if cache is None else np.minimum(cache, d2)
-    assert cache is not None
-    return cache @ weights, centers
+    work = np.empty((3, min(rows, B), n))
+    for lo in range(0, B, rows):
+        hi = min(lo + rows, B)
+        cache_b, scratch_b, diff_b = work[:, : hi - lo]
+        blk_centers = centers[lo:hi]
+        for i in range(k):
+            ui = u[i, lo:hi]
+            if i == 0:
+                cols = np.searchsorted(cum0, ui * cum0[-1], side="right")
+                dead = None
+            else:
+                np.multiply(cache_b, weights, out=scratch_b)
+                np.cumsum(scratch_b, axis=1, out=scratch_b)
+                totals = scratch_b[:, -1]
+                dead = totals <= 0.0
+                cols = searchsorted_rows(scratch_b, ui * totals[:, None])
+            np.minimum(cols, n - 1, out=cols)
+            if selectors is not None:
+                cols = np.take_along_axis(cols, selectors[lo:hi, i, :], axis=1)
+            tw = weights[cols]
+            ci = np.einsum("bm,bmd->bd", tw, coords[cols]) / tw.sum(axis=1)[:, None]
+            if dead is not None and dead.any():
+                ci[dead] = blk_centers[dead, i - 1]
+            blk_centers[:, i, :] = ci
+            d2 = cache_b if i == 0 else scratch_b
+            _sq_dist_rows(coords_t, ci, d2, diff_b)
+            if i > 0:
+                np.minimum(cache_b, d2, out=cache_b)
+        np.multiply(cache_b, weights, out=scratch_b)
+        costs[lo:hi] = scratch_b.sum(axis=1)
+    return costs, centers
+
+
+def _sq_dist_rows(
+    coords_t: np.ndarray, c: np.ndarray, out: np.ndarray, diff: np.ndarray
+) -> None:
+    """out[r, p] = ||point p - c[r]||^2 from per-coordinate differences.
+
+    coords_t is the (d, n) transposed coordinate array and diff a (rows, n)
+    scratch buffer. Differencing before squaring keeps each error relative
+    to the distance itself, whatever offset the coordinates carry; the
+    inner-product expansion loses it at geo-referenced offsets.
+    """
+    np.subtract(coords_t[0], c[:, :1], out=out)
+    np.square(out, out=out)
+    for j in range(1, coords_t.shape[0]):
+        np.subtract(coords_t[j], c[:, j : j + 1], out=diff)
+        np.square(diff, out=diff)
+        out += diff
 
 
 def run_trial(
@@ -292,64 +316,51 @@ def run_trial(
     if tup.selectors.shape != (params.k, params.M):
         raise ValueError("tuple shape does not match params (k, M)")
     rescaled, _ = rescale_weights(P)
-    gen = rng.generator()
-    shared = gen.random((params.k, params.N)) if params.share_samples else None
+    u = rng.generator().random((params.k, 1, params.N))
     _, centers = _run_tuple_batch(
-        rescaled.coords, rescaled.weights, tup.selectors[None], params, gen, shared
+        rescaled.coords, rescaled.weights, u, tup.selectors[None]
     )
     meta = {"solver": "ptas", "tuples_evaluated": 1}
     return ClusteringResult.from_centers(P, CenterSet(centers[0]), meta)
 
 
-def _identity_chunks(params: PtasParams) -> Iterator[np.ndarray]:
-    """Selector blocks for the fused budget mode: every selector is 0..M-1.
-
-    With fresh draws per tuple the selected positions of an iid sample are
-    themselves iid, so the subset choice carries no information and the
-    batch can draw exactly M points per iteration (draw_n=M).
-    """
-    ident = np.arange(params.M, dtype=np.intp)
-    remaining = int(params.tuple_budget)
-    while remaining > 0:
-        b = min(_CHUNK, remaining)
-        yield np.broadcast_to(ident, (b, params.k, params.M))
-        remaining -= b
-
-
 def _best_for_trial(
     rescaled: WeightedPointSet, params: PtasParams, master: RandomSource, t: int
 ) -> tuple[float, np.ndarray, int]:
-    """Minimum-cost candidate over the tuple stream of trial t."""
+    """Minimum-cost candidate over the tuple stream of trial t.
+
+    Budget mode draws exactly M points per iteration and selects them all:
+    with fresh draws per tuple, a uniform M-subset of N i.i.d. draws is
+    distributed exactly like M i.i.d. draws, so the subset choice carries no
+    information. Exhaustive mode draws N points per tuple and enumerates
+    the M-subsets.
+    """
     sample_gen = master.derive(_SAMPLE_STREAM, t).generator()
-    fused = params.tuple_budget != "exhaustive" and not params.share_samples
-    if fused:
-        chunks = _identity_chunks(params)
-        draw_n = params.M
-    else:
+    k = params.k
+    if params.tuple_budget == "exhaustive":
         tuple_gen = master.derive(_TUPLE_STREAM, t).generator()
-        chunks = _selector_chunks(params, tuple_gen)
-        draw_n = None
-    shared = (
-        sample_gen.random((params.k, params.N)) if params.share_samples else None
-    )
+        batches = (
+            (sample_gen.random((k, sel.shape[0], params.N)), sel)
+            for sel in _selector_chunks(params, tuple_gen)
+        )
+    else:
+        budget = int(params.tuple_budget)
+        batches = (
+            (sample_gen.random((k, min(_CHUNK, budget - lo), params.M)), None)
+            for lo in range(0, budget, _CHUNK)
+        )
     best_cost = math.inf
     best_centers: np.ndarray | None = None
     evaluated = 0
-    for selectors in chunks:
+    for u, selectors in batches:
         costs, centers = _run_tuple_batch(
-            rescaled.coords,
-            rescaled.weights,
-            selectors,
-            params,
-            sample_gen,
-            shared,
-            draw_n,
+            rescaled.coords, rescaled.weights, u, selectors
         )
         j = int(np.argmin(costs))
         if float(costs[j]) < best_cost:
             best_cost = float(costs[j])
             best_centers = centers[j].copy()
-        evaluated += selectors.shape[0]
+        evaluated += costs.shape[0]
     assert best_centers is not None
     return best_cost, best_centers, evaluated
 

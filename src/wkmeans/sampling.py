@@ -29,6 +29,7 @@ __all__ = [
     "CostAlreadyZero",
     "sample_index",
     "sample_indices",
+    "searchsorted_rows",
     "d2_weights",
     "d2_sample",
     "incremental_min_dist_update",
@@ -123,6 +124,29 @@ def sample_indices(
     cum = np.cumsum(weights.values)
     idx = np.searchsorted(cum, u * total, side="right")
     return np.minimum(idx, weights.values.size - 1).astype(np.intp)
+
+
+def searchsorted_rows(cum: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per-row `np.searchsorted(cum[r], targets[r], side="right")`.
+
+    `cum` is (b, n) with every row nondecreasing (a running sum of
+    nonnegative weights); `targets` is (b, m). Returns (b, m) indices in
+    [0, n]. A branchless binary search run on all rows at once: every row
+    takes the same halving steps, about log2(n) small numpy calls in all,
+    and each result is exact and independent of the other rows.
+    """
+    b, n = cum.shape
+    flat = cum.reshape(-1)
+    row_start = np.arange(0, b * n, n, dtype=np.intp)[:, None]
+    # pos is a flat index; the answer lies in [pos, pos + size] of its row.
+    pos = np.broadcast_to(row_start, targets.shape)
+    size = n
+    while size > 1:
+        half = size // 2
+        probe = pos + half
+        pos = np.where(flat[probe] <= targets, probe, pos)
+        size -= half
+    return pos - row_start + (flat[pos] <= targets)
 
 
 def d2_weights(P: WeightedPointSet, centers=None) -> SamplingWeights:

@@ -37,7 +37,13 @@ from wkmeans.sampling import (
     incremental_min_dist_update,
     sample_indices,
 )
-from wkmeans.sensor import SensorRegion, UniformDensity, decomposition_check, coverage_cost
+from wkmeans.sensor import (
+    GaussianMixtureDensity,
+    SensorRegion,
+    UniformDensity,
+    coverage_cost,
+    decomposition_check,
+)
 
 __all__ = ["CheckResult", "run_checks", "check_names"]
 
@@ -358,17 +364,30 @@ def _check_sensor_decomposition(rng: RandomSource, tol: float) -> CheckResult:
 
 
 def _check_quadrature_convergence(rng: RandomSource, tol: float) -> CheckResult:
-    region = _unit_square_region()
+    # A Gaussian bump: no fixed-order rule integrates it exactly, so order 2
+    # must show a real error. Each order is compared with a high-order
+    # reference rather than with the next order.
+    bump = GaussianMixtureDensity(
+        np.array([[0.6, 0.4]]), np.eye(2) * 0.25**2, np.array([1.0])
+    )
+    region = SensorRegion(_unit_square_region().polygon, bump)
     centers = np.array([[0.31, 0.47]])
-    values = [coverage_cost(region, centers, quad_order=q) for q in (2, 4, 8)]
-    errs = [abs(v - values[-1]) for v in values[:-1]]
-    ok = errs[0] >= errs[1] and errs[1] <= tol
+    reference = coverage_cost(region, centers, quad_order=32)
+    errs = [
+        abs(coverage_cost(region, centers, quad_order=q) - reference)
+        for q in (2, 4, 8, 16)
+    ]
+    ok = errs[0] > tol and errs[-1] <= tol and all(
+        hi > lo for hi, lo in zip(errs, errs[1:])
+    )
     return CheckResult(
         "quadrature-convergence",
         ok,
-        errs[1],
+        errs[-1],
         tol,
-        "order-doubling error decreases and lands under tolerance",
+        "Gaussian-bump coverage cost at orders 2, 4, 8, 16 against order 32: "
+        f"order-2 error {errs[0]:.3g} exceeds tolerance, error falls with each "
+        "doubling and order 16 lands under tolerance",
     )
 
 

@@ -138,6 +138,14 @@ def test_verify_subset_passes(capsys):
     assert all("PASS" in line for line in lines)
 
 
+def test_verify_full_suite_passes(capsys):
+    """Every invariant `verify` prints as a claim holds at the default seed."""
+    assert run(["verify", "--seed", "0"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 15
+    assert all(line.startswith("PASS") for line in lines)
+
+
 def test_verify_tolerance_hook_fails(capsys):
     assert run(["verify", "--only", "parallel-axis", "--parallel-axis-tol", "0"]) == 1
     assert "FAIL" in capsys.readouterr().out

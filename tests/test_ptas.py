@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from wkmeans import ptas
 from wkmeans.core import WeightedPointSet
-from wkmeans.instances import line4, skew12
+from wkmeans.instances import line4, oracle_instances, skew12
 from wkmeans.ptas import (
     CandidateTuple,
     EnumerationInfeasible,
@@ -185,3 +187,67 @@ def test_exhaustive_mode_evaluates_every_tuple():
     res = solve(P, 2, 0.5, ovr, master_seed=0)
     # N=8, M=2 per iteration: 28^2 tuples per trial
     assert res.meta["tuples_evaluated"] == 2 * 28**2
+
+
+def _result_bytes(res):
+    return (
+        res.centers.centers.tobytes(),
+        res.assignment.tobytes(),
+        res.cost,
+        res.meta["trial_costs"],
+    )
+
+
+def _block_invariance_cases():
+    desk = {"c1": 8.0, "c2": 4.0, "tuple_budget": 200}
+    for inst in oracle_instances():
+        yield pytest.param(inst.points, inst.k, desk, id=inst.name)
+    big = {"c1": 8.0, "c2": 4.0, "trials": 2, "tuple_budget": 40}
+    yield pytest.param(make_points(21, 3000, 2), 3, big, id="random-3000")
+    P = WeightedPointSet(np.array([[0.0], [1.0], [4.0], [5.0], [9.0]]), np.arange(1.0, 6.0))
+    exhaustive = {"c1": 1.0, "c2": 1.0, "tuple_budget": "exhaustive", "trials": 2}
+    yield pytest.param(P, 2, exhaustive, id="exhaustive")
+
+
+@pytest.mark.parametrize("P,k,ovr", list(_block_invariance_cases()))
+def test_output_bytes_do_not_depend_on_block_size(monkeypatch, P, k, ovr):
+    """One-row blocks, middle blocks and one block for the batch agree bytewise."""
+    outputs = []
+    for rows in (1, 7, 10**6):
+        monkeypatch.setattr(ptas, "_BLOCK_VALUES", rows * P.n)
+        for threads in (1, 2):
+            res = solve(P, k, 0.5, ovr, master_seed=11, threads=threads)
+            outputs.append(_result_bytes(res))
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
+def test_evaluator_memory_is_bounded_for_large_n():
+    """Peak allocation stays near the block buffers, not batch x n."""
+    gen = RandomSource(8).generator()
+    n = 50_000
+    P = WeightedPointSet(gen.random((n, 2)), 0.5 + gen.random(n))
+    ovr = {"c1": 8.0, "c2": 4.0, "trials": 1, "tuple_budget": 256}
+    tracemalloc.start()
+    try:
+        solve(P, 3, 0.5, ovr, master_seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("shift", [1e4, 1e8])
+@pytest.mark.parametrize("inst", oracle_instances(), ids=lambda inst: inst.name)
+def test_solve_is_translation_equivariant(inst, shift):
+    """solve(P + t) returns solve(P)'s assignment, centers + t and cost."""
+    P = inst.points
+    moved = WeightedPointSet(P.coords + shift, P.weights)
+    ovr = {"c1": 8.0, "c2": 4.0}
+    for seed in range(10):
+        base = solve(P, inst.k, 0.5, ovr, master_seed=seed)
+        res = solve(moved, inst.k, 0.5, ovr, master_seed=seed)
+        np.testing.assert_array_equal(res.assignment, base.assignment)
+        np.testing.assert_allclose(
+            res.centers.centers, base.centers.centers + shift, rtol=0, atol=1e-12 * shift
+        )
+        assert res.cost == pytest.approx(base.cost, rel=1e-8)

@@ -14,6 +14,7 @@ from wkmeans.sampling import (
     incremental_min_dist_update,
     sample_index,
     sample_indices,
+    searchsorted_rows,
 )
 
 from conftest import make_points
@@ -129,3 +130,47 @@ def test_sample_index_matches_inverse_cdf_partition():
         sample_indices(w, 20_000, RandomSource(5).generator()), minlength=3
     )
     assert abs(counts[1] / 20_000 - 0.5) < 0.02
+
+
+def _per_row_searchsorted(cum, targets):
+    return np.stack(
+        [np.searchsorted(c, t, side="right") for c, t in zip(cum, targets)]
+    )
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 70),
+    st.integers(1, 9),
+    st.sampled_from(["random", "ties", "zero-runs"]),
+)
+def test_searchsorted_rows_matches_per_row_searchsorted(seed, b, n, m, kind):
+    """Exact side="right" search per row, whatever the row's shape."""
+    gen = RandomSource(seed).generator()
+    if kind == "random":
+        w = gen.random((b, n))
+    elif kind == "ties":
+        w = np.floor(gen.random((b, n)) * 3.0)  # many equal CDF steps
+    else:
+        w = gen.random((b, n)) * (gen.random((b, n)) < 0.3)  # runs of zeros
+    w[0] = 0.0  # an all-zero row
+    cum = np.cumsum(w, axis=1)
+    totals = cum[:, -1:]
+    on_entries = np.take_along_axis(
+        cum, np.floor(gen.random((b, m)) * n).astype(np.intp), axis=1
+    )
+    targets = np.concatenate(
+        [gen.random((b, m)) * totals, on_entries, np.zeros((b, 1)), totals], axis=1
+    )
+    got = searchsorted_rows(cum, targets)
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, _per_row_searchsorted(cum, targets))
+
+
+def test_searchsorted_rows_on_fixed_steps():
+    cum = np.array([[0.0, 0.0, 1.0, 1.0, 3.0], [0.0, 0.0, 0.0, 0.0, 0.0]])
+    targets = np.array([[0.0, 0.5, 1.0, 2.9, 3.0], [0.0, 0.0, 0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(
+        searchsorted_rows(cum, targets), [[2, 2, 4, 4, 5], [5, 5, 5, 5, 5]]
+    )
