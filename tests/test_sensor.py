@@ -1,8 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
+from wkmeans import sensor
 from wkmeans.core import load_weighted_points
 from wkmeans.sampling import RandomSource
 from wkmeans.sensor import (
@@ -25,8 +29,13 @@ UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
+_ANGLES = np.pi + np.arange(6) * np.pi / 3.0
+HEXAGON = 0.5 + 0.5 * np.column_stack([np.cos(_ANGLES), np.sin(_ANGLES)])
+
+
 def _area(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
+    # Shoelace about the first vertex, so it also holds at large offsets.
+    x, y = (poly - poly[0]).T
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
@@ -280,3 +289,156 @@ def test_place_sensors_warns_on_coarse_grid(unit_square):
     assert report.quantization_cost == pytest.approx(0.0, abs=1e-15)
     assert any("single-cell" in w for w in report.warnings)
     assert any("inertia" in w for w in report.warnings)
+
+
+def _bumps_region() -> SensorRegion:
+    """The hexagon under a three-bump Gaussian mixture."""
+    return SensorRegion(
+        HEXAGON,
+        GaussianMixtureDensity(
+            np.array([[0.3, 0.35], [0.7, 0.4], [0.5, 0.7]]),
+            np.array([np.eye(2) * sd * sd for sd in (0.10, 0.14, 0.18)]),
+            np.array([1.0, 0.6, 1.3]),
+        ),
+    )
+
+
+def test_region_accepts_geo_referenced_offsets():
+    region = SensorRegion(UNIT + 1e8, UniformDensity())
+    assert _area(region.polygon) == 1.0
+    with pytest.raises(ValueError, match="convex"):
+        SensorRegion(
+            np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.2], [2.0, 2.0], [0.0, 2.0]]) + 1e8,
+            UniformDensity(),
+        )
+
+
+@pytest.mark.parametrize("shift", [1e5, 1e6, 5e6])
+def test_discretize_is_translation_safe(shift):
+    """Shifting the region keeps every cell; areas move only by corner rounding."""
+    grid = 0.02
+    base = discretize(SensorRegion(HEXAGON, UniformDensity()), grid)
+    moved = discretize(SensorRegion(HEXAGON + shift, UniformDensity()), grid)
+    assert len(moved.cells) == len(base.cells)
+    before = np.array([_area(c.polygon) for c in base.cells])
+    after = np.array([_area(c.polygon) for c in moved.cells])
+    # Cell corners are float64 values near the shift, so each corner (and
+    # hence each cell's area, per unit of side) moves by about ulp(shift).
+    np.testing.assert_allclose(after, before, rtol=0, atol=4 * np.spacing(shift) * grid)
+    assert moved.total_weight == pytest.approx(3.0 * math.sqrt(3.0) / 8.0, rel=1e-7)
+
+
+@pytest.mark.parametrize("shift", [1e5, 5e6])
+def test_decomposition_split_is_translation_safe(shift):
+    """The analytic 1/6 = 1/8 + 1/24 split holds to 1e-6 relative far from the origin."""
+    region = SensorRegion(UNIT + shift, UniformDensity())
+    rep = decomposition_check(region, 0.5, np.array([[0.5, 0.5]]) + shift)
+    assert rep.gap <= 1e-6 * rep.lhs
+    assert rep.lhs == pytest.approx(1.0 / 6.0, rel=1e-6)
+    assert rep.quantization_cost == pytest.approx(0.125, rel=1e-6)
+    assert rep.inertia_sum == pytest.approx(1.0 / 24.0, rel=1e-6)
+
+
+def _clip_every_square(poly: np.ndarray, grid_eps: float) -> list[np.ndarray]:
+    """Reference grid: clip_cell on every square, row-major, Nones left out."""
+    x0, y0 = float(poly[:, 0].min()), float(poly[:, 1].min())
+    nx = max(1, math.ceil((float(poly[:, 0].max()) - x0) / grid_eps - 1e-12))
+    ny = max(1, math.ceil((float(poly[:, 1].max()) - y0) / grid_eps - 1e-12))
+    out = []
+    for iy in range(ny):
+        for ix in range(nx):
+            ax, ay = x0 + ix * grid_eps, y0 + iy * grid_eps
+            square = np.array(
+                [[ax, ay], [ax + grid_eps, ay], [ax + grid_eps, ay + grid_eps], [ax, ay + grid_eps]]
+            )
+            clipped = clip_cell(square, poly)
+            if clipped is not None:
+                out.append(clipped)
+    return out
+
+
+_LATTICE = st.tuples(st.integers(0, 16), st.integers(0, 16)).map(
+    lambda p: (p[0] / 8.0, p[1] / 8.0)
+)
+# Lattice vertices nudged to just inside or just outside the clip slack
+# (1e-12 times the extent) put grid corners on either side of it.
+_NUDGE = st.sampled_from([0.0, 4e-13, -4e-13, 4e-12, -4e-12])
+_NUDGED = st.tuples(_LATTICE, _NUDGE, _NUDGE).map(
+    lambda p: (p[0][0] + p[1], p[0][1] + p[2])
+)
+_FREE = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0))
+
+
+@given(
+    st.lists(st.one_of(_LATTICE, _NUDGED, _FREE), min_size=3, max_size=10),
+    st.sampled_from([0.125, 0.1, 0.25, 0.3, 0.5, 3.0]),
+    st.sampled_from([0.0, 0.37, 1e5, 5e6]),
+)
+def test_bulk_classifier_matches_clip_cell(points, grid_eps, shift):
+    """Squares kept whole equal clip_cell's output; dropped ones clip to None."""
+    pts = np.array(points)
+    try:
+        hull = ConvexHull(pts)
+    except QhullError:
+        assume(False)
+    poly = pts[hull.vertices] + shift
+    got = sensor._clip_grid(poly, grid_eps)
+    want = _clip_every_square(poly, grid_eps)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def _discretization_bytes(disc) -> bytes:
+    return b"".join(
+        c.polygon.tobytes()
+        + c.com.tobytes()
+        + np.float64(c.weight).tobytes()
+        + np.float64(c.inertia).tobytes()
+        for c in disc.cells
+    )
+
+
+def test_output_bytes_do_not_depend_on_block_size(monkeypatch):
+    """One-polygon blocks, middle blocks, the default and one block agree bytewise."""
+    centers = np.array([[0.3, 0.3], [0.7, 0.6]])
+    outputs = []
+    for block in (1, 100, sensor._BLOCK_NODES, 1 << 40):
+        monkeypatch.setattr(sensor, "_BLOCK_NODES", block)
+        region = normalize_density(_bumps_region())
+        disc = discretize(region, 0.05)
+        outputs.append(
+            (
+                region.density_scale,
+                _discretization_bytes(disc),
+                coverage_cost(region, centers, quad_order=4, mesh=disc),
+                coverage_cost(region, centers),
+            )
+        )
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
+def test_cell_moments_match_long_double_recomputation():
+    """Mass, center of mass and inertia of every cell, boundary slivers included."""
+    region = normalize_density(_bumps_region())
+    disc = discretize(region, 0.02)
+    nodes, ref_w = sensor._tri_rule(4)
+    u, v = nodes[:, 0], nodes[:, 1]
+    for cell in disc.cells:
+        poly = cell.polygon
+        a = poly[0]
+        pts, wts = [], []
+        for b, c in zip(poly[1:-1] - a, poly[2:] - a):
+            area2 = b[0] * c[1] - b[1] * c[0]
+            if area2 > 0.0:
+                pts.append(a + (np.outer(u, b) + np.outer(v, c)))
+                wts.append(ref_w * area2)
+        pts = np.vstack(pts)
+        node_mass = np.concatenate(wts).astype(np.longdouble) * region.phi(pts)
+        pts = pts.astype(np.longdouble)
+        mass = node_mass.sum()
+        com = (node_mass[:, None] * pts).sum(axis=0) / mass
+        inertia = (node_mass * ((pts - com) ** 2).sum(axis=1)).sum()
+        assert abs(cell.weight - mass) <= 1e-12 * mass
+        assert np.all(np.abs(cell.com - com) <= 1e-12 * np.abs(com))
+        assert abs(cell.inertia - inertia) <= 1e-9 * inertia
