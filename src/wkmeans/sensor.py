@@ -32,7 +32,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import multivariate_normal
 
 from wkmeans import baselines, ptas
 from wkmeans.core import (
@@ -88,7 +87,16 @@ class UniformDensity:
 
 @dataclass(frozen=True)
 class GaussianMixtureDensity:
-    """Sum of weighted bivariate normal bumps; not normalized over the region."""
+    """Sum of weighted normal bumps; not normalized over the region.
+
+    Each covariance must be positive definite and symmetric to 1e-12 of its
+    largest entry, or construction raises ValueError naming the bump. It is
+    factored once at construction (Sigma = L L^T), and the whitening matrix
+    inv(L)^T and the bump's peak height mixing / ((2 pi)^(d/2) prod(diag L))
+    are cached, so `evaluate` costs one small matmul and an exp per bump.
+    Points are differenced against the mean before the matmul, which keeps
+    the values accurate far from the origin.
+    """
 
     means: np.ndarray
     covariances: np.ndarray
@@ -102,20 +110,47 @@ class GaussianMixtureDensity:
             covs = covs[None, :, :]
         if means.shape[0] != covs.shape[0] or means.shape[0] != mix.shape[0]:
             raise ValueError("means, covariances, mixing must align")
+        k, d = means.shape[0], means.shape[-1]
+        if means.ndim != 2 or covs.shape != (k, d, d):
+            raise ValueError(
+                f"covariances must have shape ({k}, {d}, {d}) to match the "
+                f"means, got {covs.shape}"
+            )
         if np.any(mix <= 0.0):
             raise ValueError("mixing weights must be positive")
         for arr, name in ((means, "means"), (covs, "covariances"), (mix, "mixing")):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
+        white = np.empty_like(covs)
+        height = np.empty(k)
+        for i, cov in enumerate(covs):
+            if np.abs(cov - cov.T).max() > 1e-12 * np.abs(cov).max():
+                raise ValueError(f"covariance of bump {i} is not symmetric")
+            try:
+                chol = np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                raise ValueError(
+                    f"covariance of bump {i} is not positive definite"
+                ) from None
+            white[i] = np.linalg.inv(chol).T
+            height[i] = mix[i] / ((2.0 * math.pi) ** (d / 2) * np.prod(np.diag(chol)))
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covariances", covs)
         object.__setattr__(self, "mixing", mix)
+        object.__setattr__(self, "_white", white)
+        object.__setattr__(self, "_height", height)
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
         out = np.zeros(pts.shape[0])
-        for mean, cov, mx in zip(self.means, self.covariances, self.mixing):
-            out += mx * multivariate_normal.pdf(pts, mean=mean, cov=cov)
+        for mean, white, height in zip(self.means, self._white, self._height):
+            z = (pts - mean) @ white
+            np.square(z, out=z)
+            q = z.sum(axis=1)
+            q *= -0.5
+            np.exp(q, out=q)
+            q *= height
+            out += q
         return out
 
 
@@ -419,10 +454,12 @@ def _clip_grid(poly: np.ndarray, grid_eps: float) -> list[np.ndarray]:
     # extra all-empty row of cells.
     nx = max(1, math.ceil((x1 - x0) / grid_eps - 1e-12))
     ny = max(1, math.ceil((y1 - y0) / grid_eps - 1e-12))
-    left = x0 + np.arange(nx) * grid_eps
-    right = left + grid_eps
-    bottom = y0 + np.arange(ny) * grid_eps
-    top = bottom + grid_eps
+    # Each square's sides lie on the grid lines, so neighbours share their
+    # edge coordinates bit for bit at any offset.
+    xs = x0 + np.arange(nx + 1) * grid_eps
+    ys = y0 + np.arange(ny + 1) * grid_eps
+    left, right = xs[:-1], xs[1:]
+    bottom, top = ys[:-1], ys[1:]
     edges = np.roll(poly, -1, axis=0) - poly
     slack = _inside_slack(poly, right - left)
     polygons = []
@@ -674,8 +711,8 @@ def load_region(path: str | Path) -> tuple[SensorRegion, float | None]:
         raise RegionFileError("region file must hold a JSON object")
     if "polygon" not in doc or "density" not in doc:
         raise RegionFileError("region file needs 'polygon' and 'density'")
-    density = _parse_density(doc["density"])
     try:
+        density = _parse_density(doc["density"])
         region = SensorRegion(np.asarray(doc["polygon"], dtype=np.float64), density)
     except ValueError as exc:
         raise RegionFileError(str(exc)) from None

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from wkmeans import instances
 from wkmeans.core import (
@@ -154,6 +153,10 @@ def _check_translation(rng: RandomSource, tol: float) -> CheckResult:
 
 
 def _check_d2_distribution(rng: RandomSource, alpha: float) -> CheckResult:
+    # scipy.stats is slow to import and only this check needs it, so it is
+    # loaded here rather than whenever wkmeans or its CLI is imported.
+    from scipy import stats
+
     P, center = instances.chi6()
     draws = 100_000
     idx = d2_sample(P, center, draws, rng.derive(0).generator())

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wkmeans
 from wkmeans import cli
 
 
@@ -192,3 +197,20 @@ def test_threads_do_not_change_bytes(tmp_path):
     assert run(args + ["--threads", "1", "--output", str(one)]) == 0
     assert run(args + ["--threads", "8", "--output", str(eight)]) == 0
     assert one.read_bytes() == eight.read_bytes()
+
+
+def test_import_does_not_load_scipy_stats():
+    """scipy.stats is slow to import and only `verify` needs it, so it loads lazily."""
+    src = str(Path(wkmeans.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import wkmeans, wkmeans.sensor, wkmeans.cli\n"
+        "assert wkmeans.__file__.startswith(sys.argv[1]), wkmeans.__file__\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,10 +1,12 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 from scipy.spatial import ConvexHull, QhullError
+from scipy.stats import multivariate_normal
 
 from wkmeans import sensor
 from wkmeans.core import load_weighted_points
@@ -172,6 +174,115 @@ def test_gaussian_density_peaks_at_mean():
         )
 
 
+_BUMP_MEANS = np.array([[0.3, 0.3], [0.6, 0.6]])
+
+
+@pytest.mark.parametrize(
+    "covs, message",
+    [
+        (np.full((2, 1, 1), 0.01), "shape"),
+        (np.ones((2, 2, 3)), "shape"),
+        (np.array([np.eye(2) * 0.01, [[0.02, 0.01], [0.0, 0.02]]]), "bump 1 is not symmetric"),
+        (np.array([np.eye(2) * 0.01, [[0.01, 0.02], [0.02, 0.01]]]), "bump 1 is not positive definite"),
+        (np.array([np.zeros((2, 2)), np.eye(2)]), "bump 0 is not positive definite"),
+        (np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0]]]), "bump 1 is not positive definite"),
+    ],
+    ids=["1x1", "2x3", "asymmetric", "indefinite", "zero", "singular"],
+)
+def test_gaussian_mixture_rejects_bad_covariances(tmp_path, covs, message):
+    """Each bad covariance fails at construction, and as a region file error on load."""
+    with pytest.raises(ValueError, match=message):
+        GaussianMixtureDensity(_BUMP_MEANS, covs, np.ones(2))
+    density = {
+        "type": "gaussian_mixture",
+        "means": _BUMP_MEANS.tolist(),
+        "covariances": covs.tolist(),
+        "mixing": [1.0, 1.0],
+    }
+    path = tmp_path / "region.json"
+    path.write_text(json.dumps({"polygon": UNIT.tolist(), "density": density}))
+    with pytest.raises(RegionFileError, match=message):
+        load_region(path)
+
+
+def _scipy_mixture(density: GaussianMixtureDensity, pts: np.ndarray) -> np.ndarray:
+    return sum(
+        mix * multivariate_normal.pdf(pts, mean=mean, cov=cov)
+        for mean, cov, mix in zip(density.means, density.covariances, density.mixing)
+    )
+
+
+@st.composite
+def _spd(draw):
+    """A 2x2 SPD covariance: isotropic, axis-aligned anisotropic or correlated."""
+    kind = draw(st.sampled_from(["isotropic", "anisotropic", "correlated"]))
+    sd = draw(st.floats(1e-3, 10.0))
+    if kind == "isotropic":
+        return np.eye(2) * sd * sd
+    ratio = draw(st.floats(0.1, 1.0))
+    cov = np.diag([sd * sd, (sd * ratio) ** 2])
+    if kind == "correlated":
+        angle = draw(st.floats(0.0, math.pi))
+        rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        cov = rot @ cov @ rot.T
+        cov = 0.5 * (cov + cov.T)
+    return cov
+
+
+@given(
+    st.lists(
+        st.tuples(_spd(), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.1, 10.0)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.sampled_from([0.0, 1.0, 1e3, 1e5, 1e6]),
+    st.sampled_from([1, 4096]),
+    st.integers(0, 2**32 - 1),
+)
+def test_gaussian_mixture_matches_scipy(bumps, offset, rows, seed):
+    """The cached-factor evaluator equals a sum of scipy pdfs to 1e-13 relative.
+
+    Bump means sit within a few of the first bump's standard deviations of
+    each other, up to 1e6 from the origin, and the points within three of
+    the first mean, so every point has non-negligible density.
+    """
+    cov0 = bumps[0][0]
+    scale = math.sqrt(cov0[0, 0] + cov0[1, 1])
+    base = np.array([offset, -0.5 * offset])
+    means = np.array([base + scale * np.array([dx, dy]) for _, dx, dy, _ in bumps])
+    density = GaussianMixtureDensity(
+        means, np.array([b[0] for b in bumps]), np.array([b[3] for b in bumps])
+    )
+    gen = np.random.default_rng(seed)
+    pts = means[0] + gen.uniform(-3.0, 3.0, (rows, 2)) @ np.linalg.cholesky(cov0).T
+    got = density.evaluate(pts)
+    want = _scipy_mixture(density, pts)
+    assert got.shape == (rows,)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_coverage_cost_matches_scipy_backed_density():
+    """Normalising and pricing the bump hexagon agree with a scipy density to 1e-12."""
+
+    class ScipyMixture:
+        def __init__(self, density):
+            self.density = density
+
+        def evaluate(self, pts):
+            return _scipy_mixture(self.density, np.atleast_2d(pts))
+
+    ours = _bumps_region()
+    theirs = SensorRegion(ours.polygon, ScipyMixture(ours.density))
+    ours, theirs = normalize_density(ours), normalize_density(theirs)
+    assert ours.density_scale == pytest.approx(theirs.density_scale, rel=1e-12)
+    centers = np.array([[0.3, 0.3], [0.7, 0.6]])
+    mesh = discretize(ours, 0.05)
+    for kwargs in ({}, {"quad_order": 4, "mesh": mesh}):
+        assert coverage_cost(ours, centers, **kwargs) == pytest.approx(
+            coverage_cost(theirs, centers, **kwargs), rel=1e-12
+        )
+
+
 def test_raster_density_lookup():
     ras = RasterDensity((0.0, 0.0), 0.5, np.array([[1.0, 2.0], [3.0, 4.0]]))
     pts = np.array([[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [-1.0, 0.2]])
@@ -328,6 +439,47 @@ def test_discretize_is_translation_safe(shift):
     assert moved.total_weight == pytest.approx(3.0 * math.sqrt(3.0) / 8.0, rel=1e-7)
 
 
+def _exact_area(poly: np.ndarray) -> Fraction:
+    """Shoelace area of the float vertices in exact rational arithmetic."""
+    v = [(Fraction(x), Fraction(y)) for x, y in poly.tolist()]
+    return sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(v, v[1:] + v[:1])) / 2
+
+
+# Relative excess of the summed cell areas over 3*sqrt(3)/8 at grid 0.02
+# when each square's right and top sides were built as left + grid_eps.
+_SEPARATE_SIDES_EXCESS = {1e5: 4.0e-10, 1e6: 2.0e-9, 5e6: 4.6e-8}
+
+
+@pytest.mark.parametrize("shift", sorted(_SEPARATE_SIDES_EXCESS))
+def test_grid_squares_share_edges_at_offsets(shift):
+    """Neighbouring squares share edges bit for bit, so cell areas add up."""
+    grid = 0.02
+    poly = HEXAGON + shift
+    disc = discretize(SensorRegion(poly, UniformDensity()), grid)
+    x0, y0 = poly.min(axis=0)
+    whole = {}
+    for cell in disc.cells:
+        (l, b), (r, t) = cell.polygon[0], cell.polygon[2]
+        if np.array_equal(cell.polygon, [[l, b], [r, b], [r, t], [l, t]]):
+            whole[round((l - x0) / grid), round((b - y0) / grid)] = (l, b, r, t)
+    assert len(whole) > 1000
+    pairs = 0
+    for (ix, iy), (l, b, r, t) in whole.items():
+        if (ix + 1, iy) in whole:
+            assert whole[ix + 1, iy][0] == r
+            pairs += 1
+        if (ix, iy + 1) in whole:
+            assert whole[ix, iy + 1][1] == t
+            pairs += 1
+    assert pairs > 2000
+    total = math.fsum(_area(c.polygon) for c in disc.cells)
+    exact = 3.0 * math.sqrt(3.0) / 8.0
+    assert abs(total - exact) <= 0.1 * _SEPARATE_SIDES_EXCESS[shift] * exact
+    # Against the shifted hexagon's own (rounded-vertex) area, the cells miss
+    # by less than one ulp(shift) wide strip along the perimeter.
+    assert abs(Fraction(total) - _exact_area(poly)) <= 3.0 * np.spacing(shift)
+
+
 @pytest.mark.parametrize("shift", [1e5, 5e6])
 def test_decomposition_split_is_translation_safe(shift):
     """The analytic 1/6 = 1/8 + 1/24 split holds to 1e-6 relative far from the origin."""
@@ -344,13 +496,13 @@ def _clip_every_square(poly: np.ndarray, grid_eps: float) -> list[np.ndarray]:
     x0, y0 = float(poly[:, 0].min()), float(poly[:, 1].min())
     nx = max(1, math.ceil((float(poly[:, 0].max()) - x0) / grid_eps - 1e-12))
     ny = max(1, math.ceil((float(poly[:, 1].max()) - y0) / grid_eps - 1e-12))
+    xs = x0 + np.arange(nx + 1) * grid_eps
+    ys = y0 + np.arange(ny + 1) * grid_eps
     out = []
     for iy in range(ny):
         for ix in range(nx):
-            ax, ay = x0 + ix * grid_eps, y0 + iy * grid_eps
-            square = np.array(
-                [[ax, ay], [ax + grid_eps, ay], [ax + grid_eps, ay + grid_eps], [ax, ay + grid_eps]]
-            )
+            (ax, bx), (ay, by) = xs[ix : ix + 2], ys[iy : iy + 2]
+            square = np.array([[ax, ay], [bx, ay], [bx, by], [ax, by]])
             clipped = clip_cell(square, poly)
             if clipped is not None:
                 out.append(clipped)
