@@ -11,7 +11,6 @@ from wkmeans.core import (
     CenterSet,
     ClusteringResult,
     PointFileError,
-    WeightedPoint,
     WeightedPointSet,
     load_weighted_points,
     save_weighted_points,
@@ -25,7 +24,6 @@ __all__ = [
     "CenterSet",
     "ClusteringResult",
     "PointFileError",
-    "WeightedPoint",
     "WeightedPointSet",
     "load_weighted_points",
     "save_weighted_points",

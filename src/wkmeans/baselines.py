@@ -18,14 +18,10 @@ from wkmeans.core import (
     ClusteringResult,
     WeightedPointSet,
     assign_to_centers,
+    min_squared_distances,
     weighted_cost,
 )
-from wkmeans.sampling import (
-    RandomSource,
-    SamplingWeights,
-    incremental_min_dist_update,
-    sample_index,
-)
+from wkmeans.sampling import RandomSource, SamplingWeights, sample_indices
 
 __all__ = ["LloydParams", "kmeanspp_seed", "lloyd_descend", "kmeanspp_lloyd"]
 
@@ -53,11 +49,9 @@ def kmeanspp_seed(P: WeightedPointSet, k: int, rng: RandomSource) -> CenterSet:
     if k < 1:
         raise ValueError("k must be positive")
     gen = rng.generator()
-    first = sample_index(SamplingWeights(P.weights), gen)
+    first = int(sample_indices(SamplingWeights(P.weights), 1, gen)[0])
     chosen = [first]
-    cache = incremental_min_dist_update(
-        np.full(P.n, np.inf), P.coords, P.coords[first]
-    )
+    cache = min_squared_distances(P.coords, P.coords[first])
     while len(chosen) < k:
         sw = SamplingWeights(P.weights * cache)
         if sw.is_degenerate:
@@ -66,9 +60,9 @@ def kmeanspp_seed(P: WeightedPointSet, k: int, rng: RandomSource) -> CenterSet:
             while len(chosen) < k:
                 chosen.append(chosen[len(chosen) % base])
             break
-        idx = sample_index(sw, gen)
+        idx = int(sample_indices(sw, 1, gen)[0])
         chosen.append(idx)
-        cache = incremental_min_dist_update(cache, P.coords, P.coords[idx])
+        np.minimum(cache, min_squared_distances(P.coords, P.coords[idx]), out=cache)
     return CenterSet(P.coords[np.array(chosen, dtype=np.intp)])
 
 

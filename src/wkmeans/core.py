@@ -13,17 +13,15 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "WeightedPoint",
     "WeightedPointSet",
     "CenterSet",
     "ClusteringResult",
     "PointFileError",
-    "nearest_center",
     "min_squared_distances",
     "weighted_cost",
     "weighted_centroid",
@@ -37,22 +35,6 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.asarray(arr, dtype=np.float64)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class WeightedPoint:
-    """A single point with a positive, finite weight."""
-
-    coords: tuple[float, ...]
-    weight: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
-        object.__setattr__(self, "weight", float(self.weight))
-        if not math.isfinite(self.weight) or self.weight <= 0.0:
-            raise ValueError(f"weight must be positive and finite, got {self.weight}")
-        if not all(math.isfinite(c) for c in self.coords):
-            raise ValueError("coordinates must be finite")
 
 
 @dataclass(frozen=True)
@@ -82,19 +64,6 @@ class WeightedPointSet:
         object.__setattr__(self, "coords", _readonly(coords))
         object.__setattr__(self, "weights", _readonly(weights))
 
-    @classmethod
-    def from_points(cls, points: Iterable[WeightedPoint]) -> "WeightedPointSet":
-        pts = list(points)
-        if not pts:
-            raise ValueError("empty subset")
-        dims = {len(p.coords) for p in pts}
-        if len(dims) != 1:
-            raise ValueError("all points must share one dimension")
-        return cls(
-            np.array([p.coords for p in pts]),
-            np.array([p.weight for p in pts]),
-        )
-
     @property
     def n(self) -> int:
         return self.coords.shape[0]
@@ -107,9 +76,6 @@ class WeightedPointSet:
     def total_weight(self) -> float:
         return math.fsum(self.weights.tolist())
 
-    def point(self, i: int) -> WeightedPoint:
-        return WeightedPoint(tuple(self.coords[i]), float(self.weights[i]))
-
     def subset(self, indices: Sequence[int]) -> "WeightedPointSet":
         """Sub-multiset by index; repeated indices contribute repeatedly."""
         idx = np.asarray(indices, dtype=np.intp)
@@ -117,9 +83,6 @@ class WeightedPointSet:
             raise ValueError("empty subset")
         return WeightedPointSet(self.coords[idx], self.weights[idx])
 
-    @property
-    def n_distinct(self) -> int:
-        return np.unique(self.coords, axis=0).shape[0]
 
 
 @dataclass(frozen=True)
@@ -163,59 +126,64 @@ def _check_dims(d_points: int, centers: np.ndarray) -> None:
         )
 
 
-def nearest_center(p, centers) -> tuple[int, float]:
-    """Index of the closest center to `p` and the squared distance to it.
+# Values per (k, m) block of the distance kernel: 512 KiB of float64.
+_BLOCK_VALUES = 1 << 16
 
-    Exact ties are broken toward the lowest center index.
+
+def _sq_dist_rows(
+    coords_t: np.ndarray, c: np.ndarray, out: np.ndarray, diff: np.ndarray
+) -> None:
+    """out[r, p] = ||point p - c[r]||^2 from per-coordinate differences.
+
+    coords_t is the (d, m) transposed coordinate block, c is (k, d), out is
+    (k, m) and diff a (k, m) scratch buffer. The squares are summed over
+    coordinates left to right. Differencing before squaring keeps each error
+    relative to the distance itself, whatever offset the coordinates carry;
+    the inner-product expansion loses it at geo-referenced offsets. Every
+    entry depends only on its own point and center, so no value changes
+    with k, the block size or the caller.
+    """
+    np.subtract(coords_t[0], c[:, :1], out=out)
+    np.square(out, out=out)
+    for j in range(1, coords_t.shape[0]):
+        np.subtract(coords_t[j], c[:, j : j + 1], out=diff)
+        np.square(diff, out=diff)
+        out += diff
+
+
+def _nearest(points, centers, index: bool) -> np.ndarray:
+    """Per point, the nearest center's index or its squared distance, (n,).
+
+    Ties go to the lowest center index. The points are walked in (k, m)
+    kernel blocks of at most max(k, _BLOCK_VALUES) values.
     """
     c = as_center_array(centers)
     if c.shape[0] == 0:
         raise ValueError("no centers")
-    point = np.asarray(p, dtype=np.float64).ravel()
-    _check_dims(point.shape[0], c)
-    diffs = c - point
-    d2 = np.einsum("ij,ij->i", diffs, diffs)
-    idx = int(np.argmin(d2))
-    return idx, float(d2[idx])
-
-
-_POINT_CHUNK = 8192
-
-
-def _pairwise_d2(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Exact (n, k) squared distances, chunked to bound the (n, k, d) buffer.
-
-    Computed from coordinate differences, not the inner-product expansion, so
-    each entry is the correctly rounded square norm of the exact-ish diff;
-    incremental caches recompute to bit-identical values.
-    """
-    n = pts.shape[0]
-    out = np.empty((n, c.shape[0]))
-    for lo in range(0, n, _POINT_CHUNK):
-        hi = min(lo + _POINT_CHUNK, n)
-        diffs = pts[lo:hi, None, :] - c[None, :, :]
-        out[lo:hi] = np.einsum("nkd,nkd->nk", diffs, diffs)
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    _check_dims(pts.shape[1], c)
+    n, k = pts.shape[0], c.shape[0]
+    coords_t = np.ascontiguousarray(pts.T)
+    cols = max(1, _BLOCK_VALUES // k)
+    out = np.empty(n, dtype=np.intp if index else np.float64)
+    reduce = np.argmin if index else np.min
+    work = np.empty((2, k, min(cols, n)))
+    for lo in range(0, n, cols):
+        hi = min(lo + cols, n)
+        d2, diff = work[:, :, : hi - lo]
+        _sq_dist_rows(coords_t[:, lo:hi], c, d2, diff)
+        reduce(d2, axis=0, out=out[lo:hi])
     return out
 
 
 def min_squared_distances(points: np.ndarray, centers) -> np.ndarray:
     """Per-point squared distance to the nearest center, shape (n,)."""
-    c = as_center_array(centers)
-    if c.shape[0] == 0:
-        raise ValueError("no centers")
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    _check_dims(pts.shape[1], c)
-    return _pairwise_d2(pts, c).min(axis=1)
+    return _nearest(points, centers, index=False)
 
 
 def assign_to_centers(points: np.ndarray, centers) -> np.ndarray:
     """Nearest-center index per point (lowest index on ties), shape (n,)."""
-    c = as_center_array(centers)
-    if c.shape[0] == 0:
-        raise ValueError("no centers")
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    _check_dims(pts.shape[1], c)
-    return _pairwise_d2(pts, c).argmin(axis=1)
+    return _nearest(points, centers, index=True)
 
 
 def weighted_cost(P: WeightedPointSet, centers) -> float:
@@ -224,11 +192,7 @@ def weighted_cost(P: WeightedPointSet, centers) -> float:
     Accumulated with math.fsum, so the value is the correctly rounded sum of
     the per-point terms and independent of their order.
     """
-    c = as_center_array(centers)
-    if c.shape[0] == 0:
-        raise ValueError("no centers")
-    _check_dims(P.dim, c)
-    d2 = _pairwise_d2(P.coords, c).min(axis=1)
+    d2 = _nearest(P.coords, centers, index=False)
     return math.fsum((P.weights * d2).tolist())
 
 
@@ -245,6 +209,8 @@ def weighted_centroid(points, weights=None) -> np.ndarray:
         if weights is None:
             raise ValueError("weights required when passing raw coordinates")
         w = np.asarray(weights, dtype=np.float64).ravel()
+        if w.shape[0] != coords.shape[0]:
+            raise ValueError(f"{w.shape[0]} weights for {coords.shape[0]} points")
     if coords.shape[0] == 0 or w.shape[0] == 0:
         raise ValueError("empty subset")
     total = math.fsum(w.tolist())

@@ -35,17 +35,14 @@ from wkmeans.core import (
     CenterSet,
     ClusteringResult,
     WeightedPointSet,
+    _sq_dist_rows,
 )
 from wkmeans.sampling import RandomSource, searchsorted_rows
 
 __all__ = [
     "PtasParams",
-    "CandidateTuple",
     "EnumerationInfeasible",
     "derive_params",
-    "rescale_weights",
-    "enumerate_or_sample_tuples",
-    "run_trial",
     "solve",
 ]
 
@@ -113,23 +110,6 @@ class PtasParams:
         return math.ceil(self.c2 / self.epsilon_eff)
 
 
-@dataclass(frozen=True)
-class CandidateTuple:
-    """k subset selectors, each M strictly increasing positions into [0, N)."""
-
-    selectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        sel = np.atleast_2d(np.asarray(self.selectors, dtype=np.intp))
-        if sel.ndim != 2:
-            raise ValueError("selectors must be a (k, M) index array")
-        if np.any(sel[:, 0] < 0) or np.any(np.diff(sel, axis=1) <= 0):
-            raise ValueError("each selector must be strictly increasing")
-        sel = sel.copy()
-        sel.setflags(write=False)
-        object.__setattr__(self, "selectors", sel)
-
-
 def derive_params(
     k: int,
     epsilon: float,
@@ -151,19 +131,6 @@ def derive_params(
         tuple_budget=DEFAULT_TUPLE_BUDGET if tuple_budget is None else tuple_budget,
         adjust_epsilon=False if adjust_epsilon is None else adjust_epsilon,
     )
-
-
-def rescale_weights(P: WeightedPointSet) -> tuple[WeightedPointSet, float]:
-    """Divide all weights by the minimum so every weight is >= 1.
-
-    Returns the rescaled set and the scale; costs on the rescaled set times
-    the scale recover costs on the original. Sampling probabilities, argmins,
-    and centroids are unaffected.
-    """
-    scale = float(P.weights.min())
-    if scale == 1.0:
-        return P, 1.0
-    return WeightedPointSet(P.coords, P.weights / scale), scale
 
 
 def _exhaustive_count(params: PtasParams) -> int:
@@ -209,16 +176,6 @@ def _selector_chunks(
         remaining -= b
 
 
-def enumerate_or_sample_tuples(
-    params: PtasParams, rng: RandomSource
-) -> Iterator[CandidateTuple]:
-    """Stream candidate tuples: all of them, or a budget of random ones."""
-    gen = None if params.tuple_budget == "exhaustive" else rng.generator()
-    for block in _selector_chunks(params, gen):
-        for row in block:
-            yield CandidateTuple(row)
-
-
 def _run_tuple_batch(
     coords: np.ndarray,
     weights: np.ndarray,
@@ -230,9 +187,9 @@ def _run_tuple_batch(
     u is the (k, B, D) block of uniforms for the whole batch, drawn by the
     caller before any work starts: row b of u[i] turns into the D
     distance-weighted draws of tuple b in iteration i. selectors (B, k, M)
-    picks each tuple's M positions among its D draws (exhaustive mode and
-    single tuples, D = N); None means every draw is selected (budget mode,
-    D = M). Returns (costs (B,), centers (B, k, d)).
+    picks each tuple's M positions among its D draws (exhaustive mode,
+    D = N); None means every draw is selected (budget mode, D = M).
+    Returns (costs (B,), centers (B, k, d)).
 
     The rows are walked in blocks of max(1, _BLOCK_VALUES // n) rows, and
     all k iterations finish on one block before the next starts, inside
@@ -240,10 +197,10 @@ def _run_tuple_batch(
     two of scratch. No array grows with B x n. Iteration 0 draws every row
     from one shared CDF of the weights; later iterations take an in-place
     running sum of weight times cache per row and invert it with an exact
-    per-row binary search. Squared distances come from per-coordinate
-    differences, and each row's cost is its own reduction, so no value
-    depends on the block size: the output is byte-identical for any block
-    size and thread count.
+    per-row binary search. Squared distances come from the per-coordinate
+    difference kernel `core._sq_dist_rows`, and each row's cost is its own
+    reduction, so no value depends on the block size: the output is
+    byte-identical for any block size and thread count.
 
     A row whose distribution has zero mass already sits on every point; it
     repeats its previous center, consuming the same draws.
@@ -288,44 +245,8 @@ def _run_tuple_batch(
     return costs, centers
 
 
-def _sq_dist_rows(
-    coords_t: np.ndarray, c: np.ndarray, out: np.ndarray, diff: np.ndarray
-) -> None:
-    """out[r, p] = ||point p - c[r]||^2 from per-coordinate differences.
-
-    coords_t is the (d, n) transposed coordinate array and diff a (rows, n)
-    scratch buffer. Differencing before squaring keeps each error relative
-    to the distance itself, whatever offset the coordinates carry; the
-    inner-product expansion loses it at geo-referenced offsets.
-    """
-    np.subtract(coords_t[0], c[:, :1], out=out)
-    np.square(out, out=out)
-    for j in range(1, coords_t.shape[0]):
-        np.subtract(coords_t[j], c[:, j : j + 1], out=diff)
-        np.square(diff, out=diff)
-        out += diff
-
-
-def run_trial(
-    P: WeightedPointSet,
-    tup: CandidateTuple,
-    params: PtasParams,
-    rng: RandomSource,
-) -> ClusteringResult:
-    """Build one k-center candidate from a single tuple and fresh samples."""
-    if tup.selectors.shape != (params.k, params.M):
-        raise ValueError("tuple shape does not match params (k, M)")
-    rescaled, _ = rescale_weights(P)
-    u = rng.generator().random((params.k, 1, params.N))
-    _, centers = _run_tuple_batch(
-        rescaled.coords, rescaled.weights, u, tup.selectors[None]
-    )
-    meta = {"solver": "ptas", "tuples_evaluated": 1}
-    return ClusteringResult.from_centers(P, CenterSet(centers[0]), meta)
-
-
 def _best_for_trial(
-    rescaled: WeightedPointSet, params: PtasParams, master: RandomSource, t: int
+    P: WeightedPointSet, params: PtasParams, master: RandomSource, t: int
 ) -> tuple[float, np.ndarray, int]:
     """Minimum-cost candidate over the tuple stream of trial t.
 
@@ -353,9 +274,7 @@ def _best_for_trial(
     best_centers: np.ndarray | None = None
     evaluated = 0
     for u, selectors in batches:
-        costs, centers = _run_tuple_batch(
-            rescaled.coords, rescaled.weights, u, selectors
-        )
+        costs, centers = _run_tuple_batch(P.coords, P.weights, u, selectors)
         j = int(np.argmin(costs))
         if float(costs[j]) < best_cost:
             best_cost = float(costs[j])
@@ -378,8 +297,10 @@ def solve(
     Trials run as independent tasks on streams derived from
     (master_seed, trial), and the reduction scans trials in index order with
     a strict minimum, so the result is bit-identical for any thread count.
-    When k is at least the number of distinct points the exact zero-cost
-    placement on the distinct points is returned directly.
+    meta["trial_costs"] holds each trial's best candidate cost in the
+    input's weight units. When k is at least the number of distinct points
+    the exact zero-cost placement on the distinct points is returned
+    directly.
     """
     params = derive_params(k, epsilon, **(overrides or {}))
     distinct = np.unique(P.coords, axis=0)
@@ -395,11 +316,10 @@ def solve(
         if _exhaustive_count(params) > MAX_EXHAUSTIVE_TUPLES:
             raise EnumerationInfeasible("enumeration infeasible; set tuple_budget")
 
-    rescaled, _ = rescale_weights(P)
     master = RandomSource(master_seed)
 
     def worker(t: int) -> tuple[float, np.ndarray, int]:
-        return _best_for_trial(rescaled, params, master, t)
+        return _best_for_trial(P, params, master, t)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -27,12 +27,10 @@ __all__ = [
     "SamplingWeights",
     "DegenerateDistribution",
     "CostAlreadyZero",
-    "sample_index",
     "sample_indices",
     "searchsorted_rows",
     "d2_weights",
     "d2_sample",
-    "incremental_min_dist_update",
 ]
 
 
@@ -92,23 +90,6 @@ class SamplingWeights:
     @property
     def is_degenerate(self) -> bool:
         return self.total == 0.0
-
-
-def sample_index(weights: SamplingWeights, gen: np.random.Generator) -> int:
-    """One categorical draw, index i with probability values[i] / total.
-
-    Consumes exactly one uniform double. Inverse-CDF: the first index whose
-    cumulative weight exceeds u * total.
-    """
-    total = weights.total
-    if total <= 0.0:
-        raise DegenerateDistribution("all sampling weights are zero")
-    u = gen.random()
-    cum = np.cumsum(weights.values)
-    # Scale the uniform rather than the weights; cum[-1] may differ from the
-    # fsum total by round-off, so clamp to the last index.
-    idx = int(np.searchsorted(cum, u * total, side="right"))
-    return min(idx, weights.values.size - 1)
 
 
 def sample_indices(
@@ -181,15 +162,3 @@ def d2_sample(
             "all points lie on current centers; cost is already zero"
         ) from None
 
-
-def incremental_min_dist_update(
-    cache: np.ndarray, points: np.ndarray, new_center: np.ndarray
-) -> np.ndarray:
-    """Fold one more center into a per-point min squared-distance cache.
-
-    Returns elementwise min(cache, ||p - new_center||^2); does not mutate
-    the cache.
-    """
-    diffs = np.atleast_2d(points) - np.asarray(new_center, dtype=np.float64)
-    d2 = np.einsum("ij,ij->i", diffs, diffs)
-    return np.minimum(cache, d2)

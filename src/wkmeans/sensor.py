@@ -18,8 +18,7 @@ on the fan triangulation of each convex polygon (exact for polynomial
 integrands up to degree 2q-2, so cell masses, centers of mass, and inertias
 are quadrature-exact for uniform density), with the density evaluated in
 blocks of at most `_BLOCK_NODES` nodes and each cell's moments taken about
-its own first vertex, so results hold at geo-referenced offsets. A seeded
-Monte-Carlo mode exists for rough densities.
+its own first vertex, so results hold at geo-referenced offsets.
 """
 
 from __future__ import annotations
@@ -503,8 +502,8 @@ def discretize(
     w_i, center of mass x_i and inertia J_i about x_i. Cells with mass under
     the drop threshold are discarded.
     """
-    if grid_eps <= 0.0:
-        raise ValueError("grid_eps must be positive")
+    if not (math.isfinite(grid_eps) and grid_eps > 0.0):
+        raise ValueError("grid_eps must be positive and finite")
     polygons = _clip_grid(region.polygon, grid_eps)
     mass, com, inertia, _ = _integrate_cells(region, polygons, quad_order)
     keep = np.flatnonzero(mass >= DROP_WEIGHT).tolist()
@@ -520,58 +519,19 @@ def coverage_cost(
     centers,
     quad_order: int = 6,
     mesh: Discretization | None = None,
-    mc_samples: int | None = None,
-    rng: RandomSource | None = None,
 ) -> float:
     """Integral of phi(z) * squared distance from z to the nearest center.
 
-    Quadrature mode integrates over the whole polygon, or cell by cell when a
+    Integrates by quadrature over the whole polygon, or cell by cell when a
     mesh is given (nodes then never straddle cell boundaries, which makes
-    grid-aligned center configurations exact). Monte-Carlo mode instead
-    averages over uniform area samples; it needs an rng and is the fallback
-    for densities too rough for the fixed-order rule.
+    grid-aligned center configurations exact).
     """
     c = as_center_array(centers)
     if c.shape[0] == 0:
         raise ValueError("no centers")
-    if mc_samples is not None:
-        if rng is None:
-            raise ValueError("Monte-Carlo mode needs an rng")
-        return _coverage_cost_mc(region, c, mc_samples, rng)
     polys = [cell.polygon for cell in mesh.cells] if mesh else [region.polygon]
     cost = _integrate_cells(region, polys, quad_order, c)[3]
     return math.fsum(cost.tolist())
-
-
-def _coverage_cost_mc(
-    region: SensorRegion, centers: np.ndarray, samples: int, rng: RandomSource
-) -> float:
-    """Area-uniform sampling over the fan triangulation of the region."""
-    poly = region.polygon
-    a = poly[0]
-    tris = []
-    areas = []
-    for i in range(1, poly.shape[0] - 1):
-        b, c = poly[i], poly[i + 1]
-        area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if area2 > 0.0:
-            tris.append((a, b, c))
-            areas.append(0.5 * area2)
-    areas = np.array(areas)
-    gen = rng.generator()
-    cum = np.cumsum(areas)
-    pick = np.searchsorted(cum, gen.random(samples) * cum[-1], side="right")
-    pick = np.minimum(pick, len(tris) - 1)
-    # Square-root warp gives uniform points in each triangle.
-    r1 = np.sqrt(gen.random(samples))
-    r2 = gen.random(samples)
-    abc = np.array(tris)
-    pa, pb, pc = abc[pick, 0], abc[pick, 1], abc[pick, 2]
-    pts = pa * (1.0 - r1)[:, None] + pb * (r1 * (1.0 - r2))[:, None] + pc * (
-        r1 * r2
-    )[:, None]
-    vals = region.phi(pts) * min_squared_distances(pts, centers)
-    return float(areas.sum() * vals.mean())
 
 
 @dataclass(frozen=True)
@@ -645,17 +605,15 @@ def place_sensors(
     if len(disc.cells) == 1:
         notes.append("grid coarser than region: single-cell discretization")
     X = disc.as_point_set
-    rescaled, _ = ptas.rescale_weights(X)
     if solver == "ptas":
         result = ptas.solve(
-            rescaled, k, epsilon, overrides, master_seed=master_seed, threads=threads
+            X, k, epsilon, overrides, master_seed=master_seed, threads=threads
         )
     elif solver == "kmeanspp-lloyd":
-        result = baselines.kmeanspp_lloyd(rescaled, k, RandomSource(master_seed))
+        result = baselines.kmeanspp_lloyd(X, k, RandomSource(master_seed))
     else:
         raise ValueError(f"unsupported solver for sensor placement: {solver}")
     centers = result.centers
-    quant = weighted_cost(X, centers)
     inertia = disc.inertia_sum
     coverage = coverage_cost(normalized, centers, quad_order=quad_order, mesh=disc)
     if coverage > 0.0 and inertia > INERTIA_WARN_FRACTION * coverage:
@@ -668,10 +626,9 @@ def place_sensors(
     meta = dict(result.meta)
     meta["grid_eps"] = grid_eps
     meta["n_cells"] = len(disc.cells)
-    # Re-price on the un-rescaled mass units so cost components agree.
-    final = ClusteringResult.from_centers(X, centers, meta)
+    final = ClusteringResult(centers, result.assignment, result.cost, meta)
     return PlacementReport(
-        centers, coverage, quant, inertia, disc, final, tuple(notes)
+        centers, coverage, result.cost, inertia, disc, final, tuple(notes)
     )
 
 

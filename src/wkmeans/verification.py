@@ -33,7 +33,6 @@ from wkmeans.sampling import (
     SamplingWeights,
     d2_sample,
     d2_weights,
-    incremental_min_dist_update,
     sample_indices,
 )
 from wkmeans.sensor import (
@@ -222,7 +221,7 @@ def _check_cache_coherence(rng: RandomSource, tol: float) -> CheckResult:
         centers = gen.random((5, P.dim))
         cache = np.full(P.n, np.inf)
         for j in range(centers.shape[0]):
-            cache = incremental_min_dist_update(cache, P.coords, centers[j])
+            np.minimum(cache, min_squared_distances(P.coords, centers[j]), out=cache)
             direct = min_squared_distances(P.coords, centers[: j + 1])
             worst = max(worst, float(np.abs(cache - direct).max()))
     return CheckResult(

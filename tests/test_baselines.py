@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from wkmeans.baselines import LloydParams, kmeanspp_lloyd, kmeanspp_seed, lloyd_descend
 from wkmeans.core import CenterSet, WeightedPointSet, weighted_cost
-from wkmeans.instances import kpp20, line4, random_instance
+from wkmeans.instances import kpp20, line4, oracle_instances, random_instance
 from wkmeans.sampling import RandomSource
 
 from conftest import make_points
@@ -88,3 +88,25 @@ def test_end_to_end_baseline_on_separated_groups():
     assert res.meta["solver"] == "kmeanspp-lloyd"
     factor = 8.0 * (np.log(inst.k) + 2.0)
     assert res.cost <= factor * inst.opt_cost
+
+
+def _weight_scaling_cases():
+    for inst in oracle_instances():
+        yield pytest.param(inst.points, inst.k, id=inst.name)
+    gen = RandomSource(9).generator()
+    P = WeightedPointSet(gen.random((300, 3)), np.exp(gen.standard_normal(300)))
+    yield pytest.param(P, 3, id="lognormal-3d")
+
+
+@pytest.mark.parametrize("j", [-20, 30])
+@pytest.mark.parametrize("P,k", list(_weight_scaling_cases()))
+def test_kmeanspp_lloyd_is_weight_scale_equivariant(P, k, j):
+    """Weights times 2^j: the same centers, assignment and history up to 2^j."""
+    scaled = WeightedPointSet(P.coords, P.weights * 2.0**j)
+    for seed in range(3):
+        base = kmeanspp_lloyd(P, k, RandomSource(seed))
+        res = kmeanspp_lloyd(scaled, k, RandomSource(seed))
+        assert res.centers.centers.tobytes() == base.centers.centers.tobytes()
+        np.testing.assert_array_equal(res.assignment, base.assignment)
+        assert res.cost == base.cost * 2.0**j
+        assert res.meta["cost_history"] == [c * 2.0**j for c in base.meta["cost_history"]]

@@ -136,6 +136,12 @@ def test_sensor_bad_region(tmp_path):
     assert run(["sensor", "--region", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("grid_eps", ["nan", "inf"])
+def test_sensor_rejects_non_finite_grid_eps(capsys, grid_eps):
+    assert run(["sensor", "--grid-eps", grid_eps]) == 2
+    assert "grid_eps must be positive and finite" in capsys.readouterr().err
+
+
 def test_verify_subset_passes(capsys):
     assert run(["verify", "--only", "parallel-axis,centroid-optimality"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

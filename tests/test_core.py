@@ -8,17 +8,16 @@ from wkmeans.core import (
     CenterSet,
     ClusteringResult,
     PointFileError,
-    WeightedPoint,
     WeightedPointSet,
     assign_to_centers,
     load_weighted_points,
     min_squared_distances,
-    nearest_center,
     parallel_axis_rhs,
     save_weighted_points,
     weighted_centroid,
     weighted_cost,
 )
+from wkmeans import core
 from wkmeans.sampling import RandomSource
 
 from conftest import make_points
@@ -26,8 +25,8 @@ from conftest import make_points
 
 def test_weighted_point_rejects_bad_weights():
     for w in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            WeightedPoint(np.array([0.0]), w)
+        with pytest.raises(ValueError, match="weights must be positive"):
+            WeightedPointSet(np.array([[0.0]]), np.array([w]))
 
 
 def test_point_set_shape_validation():
@@ -47,14 +46,6 @@ def test_point_set_arrays_are_frozen():
         P.weights[0] = 99.0
 
 
-def test_from_points_roundtrip():
-    pts = [WeightedPoint(np.array([0.0, 1.0]), 2.0), WeightedPoint(np.array([3.0, 4.0]), 0.5)]
-    P = WeightedPointSet.from_points(pts)
-    assert P.n == 2 and P.dim == 2
-    back = P.point(1)
-    assert np.array_equal(back.coords, [3.0, 4.0]) and back.weight == 0.5
-
-
 def test_total_weight_is_order_independent():
     w = np.full(10, 0.1)
     P = WeightedPointSet(np.zeros((10, 1)), w)
@@ -70,21 +61,16 @@ def test_subset_allows_repeats_and_rejects_empty():
         P.subset([])
 
 
-def test_n_distinct_collapses_duplicates():
-    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-    P = WeightedPointSet(coords, np.ones(3))
-    assert P.n_distinct == 2
-
-
 def test_center_set_requires_centers():
     with pytest.raises(ValueError, match="no centers"):
         CenterSet(np.zeros((0, 2)))
 
 
 def test_nearest_center_breaks_ties_toward_lower_index():
-    centers = np.array([[-1.0], [1.0]])
-    idx, d2 = nearest_center(np.array([0.0]), centers)
-    assert idx == 0 and d2 == 1.0
+    point = np.array([[0.0]])
+    for centers, idx in (([[-1.0], [1.0]], 0), ([[5.0], [1.0], [-1.0]], 1)):
+        assert assign_to_centers(point, np.array(centers)).tolist() == [idx]
+        assert min_squared_distances(point, np.array(centers)).tolist() == [1.0]
 
 
 def test_weighted_cost_small_example():
@@ -97,14 +83,51 @@ def test_weighted_centroid_empty_error():
         weighted_centroid(np.zeros((0, 2)), np.zeros(0))
 
 
+def test_weighted_centroid_rejects_mismatched_weights():
+    coords = np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 4.0]])
+    for w in ([2.0], [1.0, 1.0], [1.0] * 4):
+        with pytest.raises(ValueError, match="weights for 3 points"):
+            weighted_centroid(coords, np.array(w))
+    np.testing.assert_array_equal(weighted_centroid(coords, np.ones(3)), [2.0, 2.0])
+
+
 def test_assignment_consistent_with_min_distances():
     P = make_points(3, 40, 3)
     centers = P.coords[:4]
     assign = assign_to_centers(P.coords, centers)
     d2 = min_squared_distances(P.coords, centers)
     diffs = P.coords - centers[assign]
-    direct = np.einsum("nd,nd->n", diffs, diffs)
+    direct = diffs[:, 0] ** 2
+    for j in range(1, P.dim):  # left to right over coordinates
+        direct = direct + diffs[:, j] ** 2
     np.testing.assert_array_equal(direct, d2)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e2, 1e5, 1e8])
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_distance_kernel_matches_long_double(monkeypatch, d, shift):
+    """Each squared distance is within (d + 2) roundings of the exact value.
+
+    Every entry depends only on its own point and center: folding the
+    centers one at a time and any block size give the same bytes.
+    """
+    gen = RandomSource(d).generator()
+    pts = shift + gen.random((300, d)) * gen.choice([1e-3, 1.0, 10.0], (300, 1))
+    centers = shift + gen.random((5, d))
+    diffs = pts.astype(np.longdouble)[:, None, :] - centers.astype(np.longdouble)
+    exact = (diffs * diffs).sum(axis=2).min(axis=1)
+    got = min_squared_distances(pts, centers)
+    err = np.abs(got.astype(np.longdouble) - exact)
+    assert np.all(err <= (d + 2) * 2.0**-53 * exact)
+    folded = np.full(pts.shape[0], np.inf)
+    for c in centers:
+        np.minimum(folded, min_squared_distances(pts, c), out=folded)
+    np.testing.assert_array_equal(folded, got)
+    assign = assign_to_centers(pts, centers)
+    for values in (1, 7, 5 * 64):
+        monkeypatch.setattr(core, "_BLOCK_VALUES", values)
+        np.testing.assert_array_equal(min_squared_distances(pts, centers), got)
+        np.testing.assert_array_equal(assign_to_centers(pts, centers), assign)
 
 
 @given(st.integers(0, 10_000), st.integers(1, 50), st.integers(1, 5))

@@ -8,13 +8,11 @@ from wkmeans import ptas
 from wkmeans.core import WeightedPointSet
 from wkmeans.instances import line4, oracle_instances, skew12
 from wkmeans.ptas import (
-    CandidateTuple,
     EnumerationInfeasible,
     PtasParams,
+    _run_tuple_batch,
+    _selector_chunks,
     derive_params,
-    enumerate_or_sample_tuples,
-    rescale_weights,
-    run_trial,
     solve,
 )
 from wkmeans.sampling import RandomSource
@@ -55,24 +53,27 @@ def test_params_validation():
         PtasParams(k=1, epsilon=0.5, c1=0.1, c2=100.0)
 
 
+def _tuples(params, gen=None):
+    return [row for block in _selector_chunks(params, gen) for row in block]
+
+
 def test_exhaustive_enumeration_is_lexicographic():
     p = PtasParams(k=1, epsilon=0.5, c1=0.75, c2=1.0, tuple_budget="exhaustive")
     assert (p.N, p.M) == (3, 2)
-    tuples = [t.selectors[0].tolist() for t in enumerate_or_sample_tuples(p, RandomSource(0))]
+    tuples = [t[0].tolist() for t in _tuples(p)]
     assert tuples == [[0, 1], [0, 2], [1, 2]]
 
 
 def test_exhaustive_enumeration_counts_pairs():
     p = PtasParams(k=2, epsilon=0.5, c1=0.5, c2=1.0, tuple_budget="exhaustive")
     assert (p.N, p.M) == (4, 2)
-    assert sum(1 for _ in enumerate_or_sample_tuples(p, RandomSource(0))) == 36
+    assert len(_tuples(p)) == 36
 
 
 def test_budget_mode_yields_exactly_budget_tuples():
     p = PtasParams(k=3, epsilon=0.5, c1=8.0, c2=4.0, tuple_budget=500)
     seen = 0
-    for t in enumerate_or_sample_tuples(p, RandomSource(12)):
-        sel = t.selectors
+    for sel in _tuples(p, RandomSource(12).generator()):
         assert sel.shape == (3, 8)
         assert np.all(np.diff(sel, axis=1) > 0)
         assert sel.min() >= 0 and sel.max() < p.N
@@ -83,50 +84,47 @@ def test_budget_mode_yields_exactly_budget_tuples():
 def test_exhaustive_infeasible_raises():
     p = PtasParams(k=3, epsilon=0.5, c1=8.0, c2=4.0, tuple_budget="exhaustive")
     with pytest.raises(EnumerationInfeasible):
-        list(enumerate_or_sample_tuples(p, RandomSource(0)))
+        list(_selector_chunks(p, None))
     with pytest.raises(EnumerationInfeasible):
         solve(skew12().points, 3, 0.5, {"c1": 8.0, "c2": 4.0, "tuple_budget": "exhaustive"})
 
 
 def test_candidate_tuple_must_increase():
-    with pytest.raises(ValueError):
-        CandidateTuple(np.array([[0, 0, 1]]))
-    with pytest.raises(ValueError):
-        CandidateTuple(np.array([[2, 1, 3]]))
+    """Every tuple, enumerated or drawn, is k rows of M increasing positions."""
+    exhaustive = PtasParams(k=2, epsilon=0.5, c1=0.5, c2=1.0, tuple_budget="exhaustive")
+    budget = PtasParams(k=2, epsilon=0.5, c1=8.0, c2=4.0, tuple_budget=1500)
+    for p, gen in ((exhaustive, None), (budget, RandomSource(3).generator())):
+        for block in _selector_chunks(p, gen):
+            assert block.dtype == np.intp and block.shape[1:] == (p.k, p.M)
+            assert np.all(np.diff(block, axis=2) > 0)
+            assert block.min() >= 0 and block.max() < p.N
 
 
-def test_rescale_weights_normalizes_minimum():
-    P = WeightedPointSet(np.zeros((3, 1)), np.array([2.0, 4.0, 6.0]))
-    Q, scale = rescale_weights(P)
-    assert scale == 2.0
-    np.testing.assert_array_equal(Q.weights, [1.0, 2.0, 3.0])
-    R, scale1 = rescale_weights(Q)
-    assert scale1 == 1.0 and R is Q
-
-
-def test_run_trial_single_location_collapses_to_zero_cost():
+def test_tuple_batch_single_location_collapses_to_zero_cost():
     """Every draw is the same location, so the one centroid lands on it.
 
-    With several distinct points a single trial may select a mixed subset
+    With several distinct points a single tuple may select a mixed subset
     whose centroid sits between them; only the solve-level shortcut promises
     zero cost for k >= distinct points.
     """
     P = WeightedPointSet(np.array([[2.0, 2.0]] * 3), np.array([1.0, 2.0, 0.5]))
     params = derive_params(1, 0.5, c1=8.0, c2=4.0)
-    tup = next(iter(enumerate_or_sample_tuples(params, RandomSource(1))))
-    res = run_trial(P, tup, params, RandomSource(2))
-    assert res.cost == 0.0
-    np.testing.assert_array_equal(res.centers.centers, [[2.0, 2.0]])
+    sel = next(_selector_chunks(params, RandomSource(1).generator()))[:1]
+    u = RandomSource(2).generator().random((params.k, 1, params.N))
+    costs, centers = _run_tuple_batch(P.coords, P.weights, u, sel)
+    assert costs.tolist() == [0.0]
+    np.testing.assert_array_equal(centers[0], [[2.0, 2.0]])
 
 
-def test_run_trial_two_point_instance_lands_on_support():
+def test_tuple_batch_two_point_instance_lands_on_support():
     P = WeightedPointSet(np.array([[0.0], [10.0]]), np.ones(2))
     params = PtasParams(k=1, epsilon=0.5, c1=0.5, c2=1.0)  # N = M = 2
-    tup = CandidateTuple(np.array([[0, 1]]))
+    sel = np.array([[[0, 1]]])
     seen = set()
     for seed in range(12):
-        res = run_trial(P, tup, params, RandomSource(seed))
-        c = float(res.centers.centers[0, 0])
+        u = RandomSource(seed).generator().random((params.k, 1, params.N))
+        _, centers = _run_tuple_batch(P.coords, P.weights, u, sel)
+        c = float(centers[0, 0, 0])
         assert c in (0.0, 5.0, 10.0)
         seen.add(c)
     assert len(seen) > 1
@@ -167,10 +165,44 @@ def test_solve_is_deterministic_and_thread_invariant():
 def test_retained_cost_is_best_over_trials():
     inst = skew12()
     res = solve(inst.points, inst.k, 0.5, {"c1": 8.0, "c2": 4.0, "tuple_budget": 200}, master_seed=5)
-    rescaled_cost = res.meta["trial_costs"]
-    assert len(rescaled_cost) == res.meta["trials"]
-    # trial costs are reported on the weight-rescaled set; weights here are 1
-    assert res.cost <= min(rescaled_cost) + 1e-12
+    trial_costs = res.meta["trial_costs"]
+    assert len(trial_costs) == res.meta["trials"]
+    assert min(trial_costs) == pytest.approx(res.cost, rel=1e-12)
+
+
+def _lognormal_points(seed, n, d):
+    gen = RandomSource(seed).generator()
+    return WeightedPointSet(gen.random((n, d)), np.exp(gen.standard_normal(n)))
+
+
+def test_trial_costs_are_in_input_weight_units():
+    """The best trial's cost is the reported cost, whatever the weights' scale."""
+    P = _lognormal_points(4, 300, 2)
+    assert P.weights.min() < 0.1
+    ovr = {"c1": 8.0, "c2": 4.0, "trials": 2, "tuple_budget": 100}
+    res = solve(P, 3, 0.5, ovr, master_seed=2)
+    assert min(res.meta["trial_costs"]) == pytest.approx(res.cost, rel=1e-12)
+
+
+def _weight_scaling_cases():
+    for inst in oracle_instances():
+        yield pytest.param(inst.points, inst.k, id=inst.name)
+    yield pytest.param(_lognormal_points(9, 300, 3), 3, id="lognormal-3d")
+
+
+@pytest.mark.parametrize("j", [-20, 30])
+@pytest.mark.parametrize("P,k", list(_weight_scaling_cases()))
+def test_solve_is_weight_scale_equivariant(P, k, j):
+    """Weights times 2^j: the same centers and assignment, cost times 2^j."""
+    scaled = WeightedPointSet(P.coords, P.weights * 2.0**j)
+    ovr = {"c1": 8.0, "c2": 4.0, "trials": 4, "tuple_budget": 200}
+    for seed in range(3):
+        base = solve(P, k, 0.5, ovr, master_seed=seed)
+        res = solve(scaled, k, 0.5, ovr, master_seed=seed)
+        assert res.centers.centers.tobytes() == base.centers.centers.tobytes()
+        np.testing.assert_array_equal(res.assignment, base.assignment)
+        assert res.cost == base.cost * 2.0**j
+        assert res.meta["trial_costs"] == [c * 2.0**j for c in base.meta["trial_costs"]]
 
 
 def test_centers_stay_in_the_coordinate_box():

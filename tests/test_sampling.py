@@ -11,8 +11,6 @@ from wkmeans.sampling import (
     SamplingWeights,
     d2_sample,
     d2_weights,
-    incremental_min_dist_update,
-    sample_index,
     sample_indices,
     searchsorted_rows,
 )
@@ -31,7 +29,7 @@ def test_zero_total_is_allowed_but_degenerate():
     w = SamplingWeights(np.zeros(4))
     assert w.total == 0.0 and w.is_degenerate
     with pytest.raises(DegenerateDistribution):
-        sample_index(w, RandomSource(0).generator())
+        sample_indices(w, 1, RandomSource(0).generator())
 
 
 def test_identical_streams_replay_identically():
@@ -114,13 +112,13 @@ def test_normalized_probabilities_are_scale_invariant():
 
 @given(st.integers(0, 5_000), st.integers(1, 6))
 def test_incremental_cache_matches_direct_recomputation(seed, rounds):
-    """Folding centers one at a time reproduces the direct minimum exactly."""
+    """Folding centers in one at a time, as seeding does, is exact."""
     P = make_points(seed, 25, 2)
     gen = RandomSource(seed ^ 0xABC).generator()
     centers = gen.random((rounds, 2))
     cache = np.full(P.n, np.inf)
     for c in centers:
-        cache = incremental_min_dist_update(cache, P.coords, c)
+        np.minimum(cache, min_squared_distances(P.coords, c), out=cache)
     np.testing.assert_array_equal(cache, min_squared_distances(P.coords, centers))
 
 

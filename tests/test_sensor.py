@@ -10,7 +10,6 @@ from scipy.stats import multivariate_normal
 
 from wkmeans import sensor
 from wkmeans.core import load_weighted_points
-from wkmeans.sampling import RandomSource
 from wkmeans.sensor import (
     GaussianMixtureDensity,
     RasterDensity,
@@ -125,19 +124,15 @@ def test_coverage_cost_split_pair_exact_on_mesh(unit_square):
     assert val == pytest.approx(5.0 / 48.0, abs=1e-12)
 
 
-def test_coverage_cost_monte_carlo(unit_square):
-    exact = 1.0 / 6.0
-    mc = coverage_cost(
-        unit_square,
-        np.array([[0.5, 0.5]]),
-        mc_samples=20000,
-        rng=RandomSource(3),
-    )
-    assert mc == pytest.approx(exact, rel=0.05)
-    with pytest.raises(ValueError, match="rng"):
-        coverage_cost(unit_square, np.array([[0.5, 0.5]]), mc_samples=100)
+def test_coverage_cost_requires_centers(unit_square):
     with pytest.raises(ValueError, match="centers"):
         coverage_cost(unit_square, np.empty((0, 2)))
+
+
+def test_discretize_rejects_non_finite_grid_eps(unit_square):
+    for grid_eps in (math.nan, math.inf, -math.inf, -0.5):
+        with pytest.raises(ValueError, match="grid_eps must be positive and finite"):
+            discretize(unit_square, grid_eps)
 
 
 def test_decomposition_aligned_is_exact(unit_square):
