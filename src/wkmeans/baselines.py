@@ -17,9 +17,9 @@ from wkmeans.core import (
     CenterSet,
     ClusteringResult,
     WeightedPointSet,
-    assign_to_centers,
+    _cost,
+    _nearest,
     min_squared_distances,
-    weighted_cost,
 )
 from wkmeans.sampling import RandomSource, SamplingWeights, sample_indices
 
@@ -75,21 +75,27 @@ def lloyd_descend(
     keeps its previous center. Stops when relative improvement drops below
     the tolerance or after max_iters rounds. The cost history (including the
     initial cost) lands in meta["cost_history"].
+
+    Each round makes one kernel pass over the new centers: it prices them
+    and gives the assignment for the next centroids, and the last pass is
+    the result's. Centroids are per-cluster sums from `np.bincount`.
     """
     params = params or LloydParams()
     centers = init.centers.copy()
-    history = [weighted_cost(P, centers)]
+    k = centers.shape[0]
+    weighted_t = (P.coords * P.weights[:, None]).T.copy()
+    assignment, d2 = _nearest(P.coords, centers)
+    history = [_cost(P.weights, d2)]
     iterations = 0
     for _ in range(params.max_iters):
-        assignment = assign_to_centers(P.coords, centers)
+        mass = np.bincount(assignment, weights=P.weights, minlength=k)
+        live = mass > 0.0
         new_centers = centers.copy()
-        for g in range(centers.shape[0]):
-            mask = assignment == g
-            if not np.any(mask):
-                continue
-            w = P.weights[mask]
-            new_centers[g] = (w[:, None] * P.coords[mask]).sum(axis=0) / w.sum()
-        cost = weighted_cost(P, new_centers)
+        for j, column in enumerate(weighted_t):
+            sums = np.bincount(assignment, weights=column, minlength=k)
+            new_centers[live, j] = sums[live] / mass[live]
+        assignment, d2 = _nearest(P.coords, new_centers)
+        cost = _cost(P.weights, d2)
         centers = new_centers
         history.append(cost)
         iterations += 1
@@ -97,7 +103,7 @@ def lloyd_descend(
         if prev <= 0.0 or (prev - cost) < params.rel_improvement_tol * prev:
             break
     meta = {"solver": "lloyd", "iterations": iterations, "cost_history": history}
-    return ClusteringResult.from_centers(P, CenterSet(centers), meta)
+    return ClusteringResult(CenterSet(centers), assignment, history[-1], meta)
 
 
 def kmeanspp_lloyd(

@@ -151,11 +151,16 @@ def _sq_dist_rows(
         out += diff
 
 
-def _nearest(points, centers, index: bool) -> np.ndarray:
-    """Per point, the nearest center's index or its squared distance, (n,).
+def _nearest(
+    points, centers, index: bool = True
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Per point, the nearest center's index and its squared distance, (n,).
 
-    Ties go to the lowest center index. The points are walked in (k, m)
-    kernel blocks of at most max(k, _BLOCK_VALUES) values.
+    The index is None when not asked for. Ties go to the lowest center
+    index: rows are scanned from last to first, and each one whose distance
+    equals the column minimum overwrites the index, which is about twice as
+    fast as `np.argmin` over the (k, m) block. The points are walked in
+    (k, m) kernel blocks of at most max(k, _BLOCK_VALUES) values.
     """
     c = as_center_array(centers)
     if c.shape[0] == 0:
@@ -165,25 +170,35 @@ def _nearest(points, centers, index: bool) -> np.ndarray:
     n, k = pts.shape[0], c.shape[0]
     coords_t = np.ascontiguousarray(pts.T)
     cols = max(1, _BLOCK_VALUES // k)
-    out = np.empty(n, dtype=np.intp if index else np.float64)
-    reduce = np.argmin if index else np.min
+    dist = np.empty(n)
+    idx = np.full(n, k - 1, dtype=np.intp) if index else None
     work = np.empty((2, k, min(cols, n)))
+    hit = np.empty(min(cols, n), dtype=bool)
     for lo in range(0, n, cols):
         hi = min(lo + cols, n)
         d2, diff = work[:, :, : hi - lo]
         _sq_dist_rows(coords_t[:, lo:hi], c, d2, diff)
-        reduce(d2, axis=0, out=out[lo:hi])
-    return out
+        np.min(d2, axis=0, out=dist[lo:hi])
+        if index:
+            for g in range(k - 2, -1, -1):
+                np.equal(d2[g], dist[lo:hi], out=hit[: hi - lo])
+                np.putmask(idx[lo:hi], hit[: hi - lo], g)
+    return idx, dist
 
 
 def min_squared_distances(points: np.ndarray, centers) -> np.ndarray:
     """Per-point squared distance to the nearest center, shape (n,)."""
-    return _nearest(points, centers, index=False)
+    return _nearest(points, centers, index=False)[1]
 
 
 def assign_to_centers(points: np.ndarray, centers) -> np.ndarray:
     """Nearest-center index per point (lowest index on ties), shape (n,)."""
-    return _nearest(points, centers, index=True)
+    return _nearest(points, centers)[0]
+
+
+def _cost(weights: np.ndarray, d2: np.ndarray) -> float:
+    """Correctly rounded sum of w_p * d2_p."""
+    return math.fsum((weights * d2).tolist())
 
 
 def weighted_cost(P: WeightedPointSet, centers) -> float:
@@ -192,8 +207,7 @@ def weighted_cost(P: WeightedPointSet, centers) -> float:
     Accumulated with math.fsum, so the value is the correctly rounded sum of
     the per-point terms and independent of their order.
     """
-    d2 = _nearest(P.coords, centers, index=False)
-    return math.fsum((P.weights * d2).tolist())
+    return _cost(P.weights, _nearest(P.coords, centers, index=False)[1])
 
 
 def weighted_centroid(points, weights=None) -> np.ndarray:
@@ -258,8 +272,8 @@ class ClusteringResult:
     ) -> "ClusteringResult":
         """Build a result with the assignment and cost recomputed from scratch."""
         cs = centers if isinstance(centers, CenterSet) else CenterSet(centers)
-        assignment = assign_to_centers(P.coords, cs)
-        return cls(cs, assignment, weighted_cost(P, cs), dict(meta or {}))
+        assignment, d2 = _nearest(P.coords, cs)
+        return cls(cs, assignment, _cost(P.weights, d2), dict(meta or {}))
 
 
 class PointFileError(ValueError):

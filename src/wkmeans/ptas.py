@@ -13,12 +13,18 @@ its uniforms, k blocks of (B, M) in budget mode or (B, N) in exhaustive
 mode, so the random-number layout is fixed before any work starts. The
 rows are then walked in blocks of max(1, 2^16 // n) rows: each block runs
 all k iterations in three preallocated (rows, n) buffers (the per-row
-min-distance cache and scratch), drawing through an exact per-row
-inverse CDF. No work array grows with B x n: each holds at most
-max(2^16, n) values, 512 KiB of float64 up to n = 2^16, and the output
-does not depend on the block size. Per-trial random streams are derived
-from (master_seed, trial), so results are independent of thread
-scheduling.
+min-distance cache and scratch). Each row draws through an exact inverse
+CDF of its own. A row of up to 2 * D blocks of 128 points, for D = M
+draws per row in budget mode and N in exhaustive mode (every desk-scale
+instance), takes one running sum and a per-row binary search. A longer
+row takes two levels: a running sum over its block sums picks each
+draw's block, and only the D drawn blocks are running-summed to find the
+point, so no running sum spans the row. No work array grows with B x n:
+each holds about max(2^16, n) values (512 KiB of float64 up to n = 2^16;
+padding adds under 128 per row), the gathered blocks fewer than half as
+many, and the output does not depend on the block size. Per-trial random
+streams are derived from (master_seed, trial), so results are
+independent of thread scheduling.
 """
 
 from __future__ import annotations
@@ -54,6 +60,8 @@ _CHUNK = 1024
 # Values per (rows, n) work array of the batch evaluator: 512 KiB of float64,
 # so the three work arrays fit together in a 2 MiB per-core L2 cache.
 _BLOCK_VALUES = 1 << 16
+# Points per block of the evaluator's two-level inverse CDF.
+_CDF_BLOCK = 128
 _TUPLE_STREAM, _SAMPLE_STREAM = 0, 1
 
 
@@ -133,6 +141,36 @@ def derive_params(
     )
 
 
+def _distinct_points(coords: np.ndarray, limit: int) -> np.ndarray:
+    """The first `limit` distinct rows of coords, in lexicographic order.
+
+    Rows are distinct when some coordinate differs, by exact equality as
+    `np.unique` decides (a squared difference can underflow to zero). The
+    scan marks every row equal to the latest distinct row and takes the
+    first unmarked row as the next one, so it makes at most limit - 1
+    passes over the points. With fewer than `limit` distinct rows the
+    result is `np.unique(coords, axis=0)`.
+    """
+    coords_t = np.ascontiguousarray(coords.T)
+    seen = np.zeros(coords.shape[0], dtype=bool)
+    hit = np.empty_like(seen)
+    same = np.empty_like(seen)
+    found = [0]
+    while len(found) < limit:
+        p = coords[found[-1]]
+        np.equal(coords_t[0], p[0], out=hit)
+        for j in range(1, coords_t.shape[0]):
+            np.equal(coords_t[j], p[j], out=same)
+            hit &= same
+        seen |= hit
+        nxt = int(np.argmin(seen))
+        if seen[nxt]:
+            break
+        found.append(nxt)
+    pts = coords[found]
+    return pts[np.lexsort(pts.T[::-1])]
+
+
 def _exhaustive_count(params: PtasParams) -> int:
     return math.comb(params.N, params.M) ** params.k
 
@@ -176,6 +214,77 @@ def _selector_chunks(
         remaining -= b
 
 
+def _cdf_blocks(n: int, draws: int) -> int:
+    """Blocks of the two-level inverse CDF over n points; 0 means one level.
+
+    The two-level draw gathers and running-sums one block per draw, so it
+    pays only when a row holds more than 2 * draws blocks' worth of points.
+    """
+    return -(-n // _CDF_BLOCK) if n > 2 * draws * _CDF_BLOCK else 0
+
+
+def _last_positive(v: np.ndarray) -> np.ndarray:
+    """Index of the last entry > 0 along the last axis (the last one if none)."""
+    return v.shape[-1] - 1 - np.argmax(v[..., ::-1] > 0.0, axis=-1)
+
+
+def _inverse_cdf_rows(
+    v: np.ndarray, u: np.ndarray, cum: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row r, the points drawn by the uniforms u[r] from the masses v[r].
+
+    v is (rows, w) and nonnegative, u is (rows, D) in [0, 1) and cum a
+    (rows, w) scratch buffer; v is left unchanged. Returns the (rows, D)
+    drawn indices and the (rows,) mask of zero-mass rows. Draw u lands on
+    the point whose running-sum interval holds u times the row total, so
+    point p is drawn with probability v[r, p] / total up to summation
+    rounding. A target that rounding pushes to or past the last entry of
+    the running sum it searches lands on the last positive-mass point
+    there, never on a zero-mass one.
+
+    When `_cdf_blocks(w, D)` is 0 the row is one block: one running sum,
+    searched per row by `searchsorted_rows`. Otherwise w must be that many
+    whole blocks of _CDF_BLOCK values, zero-padded past the last point. The
+    running sum of the block sums gives each draw its block and residual
+    target, and only the D drawn blocks are gathered and running-summed to
+    find the point, so no running sum spans the row. Both levels count the
+    entries at or below the target, which is searchsorted(side="right") on
+    a nondecreasing row.
+    """
+    rows, w = v.shape
+    nb = _cdf_blocks(w, u.shape[1])
+    if nb == 0:
+        np.cumsum(v, axis=1, out=cum)
+        totals = cum[:, -1]
+        cols = searchsorted_rows(cum, u * totals[:, None])
+        over = cols == w
+        if over.any():
+            cols[over] = _last_positive(v[np.nonzero(over)[0]])
+        return cols, totals <= 0.0
+    blocks = v.reshape(rows, nb, _CDF_BLOCK)
+    sums = blocks.sum(axis=2)
+    # bcum[:, j] is the mass before block j; bcum[:, -1] the row total.
+    bcum = np.zeros((rows, nb + 1))
+    np.cumsum(sums, axis=1, out=bcum[:, 1:])
+    totals = bcum[:, -1]
+    target = u * totals[:, None]
+    blk = (bcum[:, None, 1:] <= target[:, :, None]).sum(axis=2)
+    over = blk == nb
+    if over.any():
+        blk[over] = _last_positive(sums[np.nonzero(over)[0]])
+        target[over] = np.inf
+    r = np.arange(rows)[:, None]
+    target -= bcum[r, blk]
+    inner = blocks[r, blk]
+    np.cumsum(inner, axis=2, out=inner)
+    pos = (inner <= target[:, :, None]).sum(axis=2)
+    over = pos == _CDF_BLOCK
+    if over.any():
+        r, m = np.nonzero(over)
+        pos[over] = _last_positive(blocks[r, blk[r, m]])
+    return blk * _CDF_BLOCK + pos, totals <= 0.0
+
+
 def _run_tuple_batch(
     coords: np.ndarray,
     weights: np.ndarray,
@@ -194,28 +303,34 @@ def _run_tuple_batch(
     The rows are walked in blocks of max(1, _BLOCK_VALUES // n) rows, and
     all k iterations finish on one block before the next starts, inside
     three preallocated (rows, n) buffers: the per-row min-distance cache and
-    two of scratch. No array grows with B x n. Iteration 0 draws every row
-    from one shared CDF of the weights; later iterations take an in-place
-    running sum of weight times cache per row and invert it with an exact
-    per-row binary search. Squared distances come from the per-coordinate
-    difference kernel `core._sq_dist_rows`, and each row's cost is its own
-    reduction, so no value depends on the block size: the output is
-    byte-identical for any block size and thread count.
+    two of scratch, one of them zero-padded to whole CDF blocks. No array
+    grows with B x n. Iteration 0 draws every row from one shared CDF of
+    the weights. Later iterations draw from weight times cache per row
+    through `_inverse_cdf_rows`: one running sum over the row when n is at
+    most 2 * D * _CDF_BLOCK, else a running sum over the block sums and
+    then over the D drawn blocks only. Squared distances come from the
+    per-coordinate difference kernel `core._sq_dist_rows`, and every draw
+    and cost is computed within its own row, so no value depends on the
+    block size: the output is byte-identical for any block size and thread
+    count.
 
     A row whose distribution has zero mass already sits on every point; it
     repeats its previous center, consuming the same draws.
     """
-    k, B, _ = u.shape
+    k, B, D = u.shape
     n, d = coords.shape
     coords_t = np.ascontiguousarray(coords.T)
     cum0 = np.cumsum(weights)
     rows = max(1, _BLOCK_VALUES // n)
+    width = _cdf_blocks(n, D) * _CDF_BLOCK or n
     costs = np.empty(B)
     centers = np.empty((B, k, d))
-    work = np.empty((3, min(rows, B), n))
+    # The mass rows keep zeros past column n, padding them to whole blocks.
+    work = np.zeros((3, min(rows, B), width))
     for lo in range(0, B, rows):
         hi = min(lo + rows, B)
-        cache_b, scratch_b, diff_b = work[:, : hi - lo]
+        mass_b = work[1, : hi - lo]
+        cache_b, scratch_b, diff_b = work[:, : hi - lo, :n]
         blk_centers = centers[lo:hi]
         for i in range(k):
             ui = u[i, lo:hi]
@@ -224,10 +339,8 @@ def _run_tuple_batch(
                 dead = None
             else:
                 np.multiply(cache_b, weights, out=scratch_b)
-                np.cumsum(scratch_b, axis=1, out=scratch_b)
-                totals = scratch_b[:, -1]
-                dead = totals <= 0.0
-                cols = searchsorted_rows(scratch_b, ui * totals[:, None])
+                cols, dead = _inverse_cdf_rows(mass_b, ui, diff_b)
+            # Only a zero-mass row, whose draw is discarded, lands past n - 1.
             np.minimum(cols, n - 1, out=cols)
             if selectors is not None:
                 cols = np.take_along_axis(cols, selectors[lo:hi, i, :], axis=1)
@@ -303,7 +416,7 @@ def solve(
     directly.
     """
     params = derive_params(k, epsilon, **(overrides or {}))
-    distinct = np.unique(P.coords, axis=0)
+    distinct = _distinct_points(P.coords, k + 1)
     if k >= distinct.shape[0]:
         meta = {
             "solver": "ptas",

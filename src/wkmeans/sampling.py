@@ -8,9 +8,17 @@ Two policies keep every run bit-reproducible:
 * Samplers consume uniform doubles only (`Generator.random`), never integer
   or bounded draws, so the consumed stream layout is fixed and easy to audit.
 
-Categorical draws are inverse-CDF over the running sum of the (unnormalized)
-weights. With `fsum` totals, a draw is a deterministic function of the weight
-vector and one uniform.
+Categorical draws are inverse-CDF: one uniform u lands on the point whose
+interval of the running sum of the (unnormalized) weights holds u times the
+total, found by `searchsorted(side="right")`, so a zero weight is never
+drawn. `sample_indices` searches one running sum with an `fsum` total, so a
+draw is a deterministic function of the weight vector and one uniform. The
+PTAS batch evaluator draws many rows at once: a row of up to 2 * D blocks
+of 128 points (D draws per row) takes one running sum and
+`searchsorted_rows`; a longer row first searches the running sum of its
+block sums, then running-sums only the blocks drawn. Where rounding puts a
+target at or past the end of the running sum it searches, both land on the
+last positive weight there.
 """
 
 from __future__ import annotations
@@ -104,7 +112,10 @@ def sample_indices(
     u = gen.random(count)
     cum = np.cumsum(weights.values)
     idx = np.searchsorted(cum, u * total, side="right")
-    return np.minimum(idx, weights.values.size - 1).astype(np.intp)
+    # The fsum total can exceed cum[-1], so a target may pass the last entry;
+    # it lands on the last positive weight. Any other draw is at or before it.
+    last = np.flatnonzero(weights.values)[-1]
+    return np.minimum(idx, last).astype(np.intp)
 
 
 def searchsorted_rows(cum: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wkmeans.baselines import LloydParams, kmeanspp_lloyd, kmeanspp_seed, lloyd_descend
-from wkmeans.core import CenterSet, WeightedPointSet, weighted_cost
+from wkmeans.core import CenterSet, WeightedPointSet, assign_to_centers, weighted_cost
 from wkmeans.instances import kpp20, line4, oracle_instances, random_instance
 from wkmeans.sampling import RandomSource
 
@@ -71,6 +71,41 @@ def test_lloyd_history_is_monotone():
         hist = res.meta["cost_history"]
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
         assert res.cost == hist[-1]
+
+
+def _mask_loop_centroids(P, centers, assignment):
+    out = centers.copy()
+    for g in range(centers.shape[0]):
+        mask = assignment == g
+        if np.any(mask):
+            w = P.weights[mask]
+            out[g] = (w[:, None] * P.coords[mask]).sum(axis=0) / w.sum()
+    return out
+
+
+@pytest.mark.parametrize("offset", [0.0, 5e6])
+def test_lloyd_round_matches_mask_loop_centroids(offset):
+    """Each round's bincount centroids, assignment and cost, one at a time.
+
+    The fourth start center is far away, so its cluster starts empty and
+    must keep its place.
+    """
+    for seed in range(5):
+        base = make_points(seed, 400, 2)
+        P = WeightedPointSet(base.coords + offset, base.weights)
+        centers = kmeanspp_seed(P, 3, RandomSource(seed)).centers
+        centers = np.vstack([centers, [offset + 1e3, offset]])
+        for _ in range(4):
+            res = lloyd_descend(P, CenterSet(centers), LloydParams(max_iters=1))
+            ref = _mask_loop_centroids(P, centers, assign_to_centers(P.coords, centers))
+            np.testing.assert_allclose(res.centers.centers, ref, rtol=1e-12, atol=0)
+            assert res.centers.centers[3].tolist() == [offset + 1e3, offset]
+            np.testing.assert_array_equal(
+                res.assignment, assign_to_centers(P.coords, res.centers)
+            )
+            assert res.cost == weighted_cost(P, res.centers)
+            assert res.cost == res.meta["cost_history"][-1]
+            centers = res.centers.centers
 
 
 @given(st.integers(0, 2_000))

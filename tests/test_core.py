@@ -73,6 +73,16 @@ def test_nearest_center_breaks_ties_toward_lower_index():
         assert min_squared_distances(point, np.array(centers)).tolist() == [1.0]
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.integers(1, 9))
+def test_assignment_is_first_argmin_on_tie_heavy_grids(seed, n, k):
+    """Grid points and centers tie often; the lowest tying index wins."""
+    gen = RandomSource(seed).generator()
+    pts = np.floor(gen.random((n, 2)) * 4.0)
+    centers = np.floor(gen.random((k, 2)) * 4.0)
+    d2 = ((pts[None, :, :] - centers[:, None, :]) ** 2).sum(axis=2)
+    np.testing.assert_array_equal(assign_to_centers(pts, centers), np.argmin(d2, axis=0))
+
+
 def test_weighted_cost_small_example():
     P = WeightedPointSet(np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([1.0, 3.0]))
     assert weighted_cost(P, np.array([[0.0, 0.0]])) == 12.0

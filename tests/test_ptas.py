@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wkmeans import ptas
 from wkmeans.core import WeightedPointSet
@@ -10,6 +11,10 @@ from wkmeans.instances import line4, oracle_instances, skew12
 from wkmeans.ptas import (
     EnumerationInfeasible,
     PtasParams,
+    _CDF_BLOCK,
+    _cdf_blocks,
+    _distinct_points,
+    _inverse_cdf_rows,
     _run_tuple_batch,
     _selector_chunks,
     derive_params,
@@ -130,6 +135,122 @@ def test_tuple_batch_two_point_instance_lands_on_support():
     assert len(seen) > 1
 
 
+def _draw(v, u):
+    """_inverse_cdf_rows on v zero-padded as the evaluator pads it."""
+    rows, n = v.shape
+    width = _cdf_blocks(n, u.shape[1]) * _CDF_BLOCK or n
+    padded = np.zeros((rows, width))
+    padded[:, :n] = v
+    before = padded.copy()
+    cols, dead = _inverse_cdf_rows(padded, u, np.empty_like(padded))
+    np.testing.assert_array_equal(padded, before)
+    assert cols.shape == u.shape and cols.dtype == np.intp
+    return cols, dead
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.integers(0, 10),
+    st.sampled_from([0, 1, 2, 37, _CDF_BLOCK - 1]),
+    st.integers(1, 4),
+    st.sampled_from(["random", "ties", "zero-runs", "spread"]),
+)
+def test_inverse_cdf_matches_one_running_sum(seed, rows, blocks, tail, D, kind):
+    """Each draw is searchsorted(cumsum(v), u * total, "right") on its row.
+
+    The one exception is a target within summation rounding of a running-sum
+    boundary, which the two-level sum may place on the other side. Row
+    lengths run from under one block to ten blocks plus a ragged tail, so
+    both the one-level and the two-level path are taken. No draw lands on a
+    zero-mass point; an all-zero row is reported dead.
+    """
+    n = blocks * _CDF_BLOCK + tail
+    if n == 0:
+        n = 1
+    gen = RandomSource(seed).generator()
+    if kind == "random":
+        v = gen.random((rows, n))
+    elif kind == "ties":
+        v = np.floor(gen.random((rows, n)) * 3.0)
+    elif kind == "zero-runs":
+        v = gen.random((rows, n)) * (gen.random((rows, n)) < 0.05)
+    else:
+        v = np.exp(60.0 * (gen.random((rows, n)) - 0.5))
+    v[0] = 0.0
+    u = np.concatenate(
+        [gen.random((rows, D - 1)), np.full((rows, 1), 1.0 - 2.0**-53)], axis=1
+    )
+    u[:, 0] = 0.0
+    cols, dead = _draw(v, u)
+    for r in range(rows):
+        cum = np.cumsum(v[r])
+        total = cum[-1]
+        assert bool(dead[r]) == (total == 0.0)
+        if total == 0.0:
+            continue
+        t = u[r] * total
+        ref = np.searchsorted(cum, t, side="right")
+        tol = 4.0 * n * 2.0**-53 * total
+        for got, want, target in zip(cols[r], ref, t):
+            assert 0 <= got < n and v[r, got] > 0.0
+            lo, hi = sorted((int(got), int(want)))
+            assert np.all(np.abs(cum[lo:hi] - target) <= tol)
+
+
+@pytest.mark.parametrize("n,D", [(100, 64), (20_037, 64), (1_024, 1), (1_037, 1)])
+def test_inverse_cdf_is_exact_on_integer_masses(n, D):
+    """Integer masses and dyadic uniforms make every sum exact.
+
+    Each draw is then exactly searchsorted(cumsum(v), u * total, "right"),
+    also for a target on a block boundary: row 0 is all ones, so at
+    n = 1024 every eighth target ends a block.
+    """
+    gen = RandomSource(n).generator()
+    rows = 64 // D
+    v = np.floor(gen.random((rows, n)) * 4.0)
+    v[0] = 1.0
+    u = (np.arange(64.0) / 64.0).reshape(rows, D)
+    cols, _ = _draw(v, u)
+    for r in range(rows):
+        cum = np.cumsum(v[r])
+        want = np.searchsorted(cum, u[r] * cum[-1], side="right")
+        np.testing.assert_array_equal(cols[r], want)
+
+
+def test_inverse_cdf_overshoot_skips_trailing_zeros():
+    """A block sum above its own running sum sends a target past that sum.
+
+    Block 0 holds 1 and then tiny masses that its sequential running sum
+    absorbs but the block sum keeps, then zeros. A target between the
+    running sum's end and the block sum lands on the last tiny mass, not
+    on the zeros after it.
+    """
+    n = 3 * 2 * _CDF_BLOCK
+    v = np.ones((1, n))
+    v[0, :_CDF_BLOCK] = 0.0
+    v[0, 0] = 1.0
+    v[0, 1:100] = 2.0**-53
+    assert _cdf_blocks(n, 1) == 6
+    inner_end = np.cumsum(v[0, :_CDF_BLOCK])[-1]
+    block_sum = v[0, :_CDF_BLOCK].sum()
+    assert inner_end == 1.0 < block_sum
+    total = np.cumsum(v.reshape(6, _CDF_BLOCK).sum(axis=1))[-1]
+    u = np.array([[(1.0 + block_sum) / 2.0 / total]])
+    assert inner_end <= u[0, 0] * total < block_sum
+    cols, dead = _draw(v, u)
+    assert cols.tolist() == [[99]] and not dead[0]
+
+
+def test_inverse_cdf_one_level_overshoot_skips_trailing_zeros():
+    """A subnormal total rounds u * total up to it; the draw skips zeros."""
+    v = np.array([[0.0, 5e-324, 5e-324, 0.0, 0.0]])
+    u = np.array([[1.0 - 2.0**-53]])
+    assert u[0, 0] * 1e-323 == 1e-323
+    cols, dead = _draw(v, u)
+    assert cols.tolist() == [[2]] and not dead[0]
+
+
 def test_solve_rejects_nonpositive_k():
     with pytest.raises(ValueError):
         solve(line4().points, 0, 0.5)
@@ -140,6 +261,43 @@ def test_solve_covers_distinct_points_exactly():
     res = solve(P, 2, 0.5)
     assert res.cost == 0.0
     assert sorted(res.centers.centers[:, 0].tolist()) == [0.0, 3.0]
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 60),
+    st.integers(1, 3),
+    st.integers(1, 5),
+    st.integers(1, 12),
+)
+def test_distinct_points_match_np_unique(seed, n, d, values, limit):
+    """Sets with many duplicates: the first `limit` distinct rows, sorted.
+
+    With at most `limit` - 1 distinct rows the scan returns np.unique's
+    rows bytewise; otherwise it stops at `limit` of them.
+    """
+    gen = RandomSource(seed).generator()
+    coords = np.floor(gen.random((n, d)) * values) * 0.1 + 5e6
+    unique = np.unique(coords, axis=0)
+    got = _distinct_points(coords, limit)
+    if unique.shape[0] < limit:
+        assert got.tobytes() == unique.tobytes()
+    else:
+        assert got.shape == (limit, d)
+        assert np.unique(got, axis=0).tobytes() == got.tobytes()
+        assert all(np.any(np.all(coords == p, axis=1)) for p in got)
+
+
+def test_distinct_points_use_exact_equality():
+    """1e-200 apart: the squared difference underflows, the points differ."""
+    coords = np.array([[0.0], [1e-200], [0.0]])
+    assert (coords[1, 0] - coords[0, 0]) ** 2 == 0.0
+    assert _distinct_points(coords, 3).tolist() == [[0.0], [1e-200]]
+    P = WeightedPointSet(coords, np.ones(3))
+    assert solve(P, 1, 0.5, {"c1": 8.0, "c2": 4.0}).meta.get("note") is None
+    res = solve(P, 2, 0.5)
+    assert res.cost == 0.0
+    assert res.centers.centers.tolist() == [[0.0], [1e-200]]
 
 
 def test_solve_line_instance_within_half_of_optimal():
@@ -236,6 +394,9 @@ def _block_invariance_cases():
         yield pytest.param(inst.points, inst.k, desk, id=inst.name)
     big = {"c1": 8.0, "c2": 4.0, "trials": 2, "tuple_budget": 40}
     yield pytest.param(make_points(21, 3000, 2), 3, big, id="random-3000")
+    # 17 whole CDF blocks and a one-point tail: the two-level draw.
+    ragged = make_points(22, 17 * _CDF_BLOCK + 1, 3)
+    yield pytest.param(ragged, 4, big, id="random-2177")
     P = WeightedPointSet(np.array([[0.0], [1.0], [4.0], [5.0], [9.0]]), np.arange(1.0, 6.0))
     exhaustive = {"c1": 1.0, "c2": 1.0, "tuple_budget": "exhaustive", "trials": 2}
     yield pytest.param(P, 2, exhaustive, id="exhaustive")

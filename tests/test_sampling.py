@@ -122,6 +122,25 @@ def test_incremental_cache_matches_direct_recomputation(seed, rounds):
     np.testing.assert_array_equal(cache, min_squared_distances(P.coords, centers))
 
 
+class _StubGenerator:
+    """Returns one fixed uniform for every draw."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, count):
+        return np.full(count, self.u)
+
+
+def test_sample_indices_overshoot_lands_on_last_positive_weight():
+    """The fsum total exceeds the running sum's last entry, 1e16 here."""
+    w = SamplingWeights(np.array([1e16, 1.0, 1.0, 0.0]))
+    assert w.total > np.cumsum(w.values)[-1]
+    idx = sample_indices(w, 3, _StubGenerator(1.0 - 2.0**-53))
+    assert idx.tolist() == [2, 2, 2]
+    assert sample_indices(w, 1, _StubGenerator(0.0)).tolist() == [0]
+
+
 def test_sample_index_matches_inverse_cdf_partition():
     w = SamplingWeights(np.array([0.25, 0.5, 0.25]))
     counts = np.bincount(
