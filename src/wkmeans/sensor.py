@@ -19,6 +19,16 @@ integrands up to degree 2q-2, so cell masses, centers of mass, and inertias
 are quadrature-exact for uniform density), with the density evaluated in
 blocks of at most `_BLOCK_NODES` nodes and each cell's moments taken about
 its own first vertex, so results hold at geo-referenced offsets.
+
+A `Discretization` holds its cells on arrays: one tuple of polygon arrays
+plus weight, center-of-mass and inertia arrays. `coverage_cost` on a mesh
+integrates only the cells that a Voronoi boundary cuts. It assigns every
+cell vertex to its nearest center in one kernel call. A cell whose vertices
+all go to one center c lies inside c's closed Voronoi cell, because both
+are convex, so c is a nearest center of every quadrature node in it. The
+quadrature coverage of that cell is then w |x - c|^2 + J (the parallel-axis
+identity above, which holds exactly for the quadrature measure), priced
+from the arrays without evaluating the density.
 """
 
 from __future__ import annotations
@@ -37,9 +47,9 @@ from wkmeans.core import (
     CenterSet,
     ClusteringResult,
     WeightedPointSet,
+    _nearest,
     as_center_array,
     min_squared_distances,
-    save_weighted_points,
     weighted_cost,
 )
 from wkmeans.sampling import RandomSource
@@ -49,7 +59,6 @@ __all__ = [
     "GaussianMixtureDensity",
     "RasterDensity",
     "SensorRegion",
-    "Cell",
     "Discretization",
     "DecompositionReport",
     "PlacementReport",
@@ -256,34 +265,45 @@ class RegionFileError(ValueError):
 
 
 @dataclass(frozen=True)
-class Cell:
-    """One grid square clipped to the region, with its integrated summaries."""
-
-    polygon: np.ndarray
-    weight: float
-    com: np.ndarray
-    inertia: float
-
-
-@dataclass(frozen=True)
 class Discretization:
-    cells: tuple[Cell, ...]
+    """Grid cells clipped to a region, held on arrays.
+
+    cells[i] is the (m_i, 2) CCW polygon of cell i. weights and inertias,
+    shape (n,), are its mass w_i and its inertia J_i about its center of
+    mass x_i. com_offsets, shape (n, 2), is x_i minus the cell's first
+    vertex as integrated; coms = first vertex + com_offsets is x_i rounded
+    to the coordinates' magnitude, so coverage_cost differences centers
+    against the offsets to keep full precision at geo-referenced offsets.
+    All moments come from the product Gauss rule of order quad_order, and
+    coverage_cost prices the mesh with that same order. as_point_set (the
+    centers of mass weighted by mass) is built once, and so is the stack
+    of all cell vertices for coverage_cost's nearest-center pass.
+    """
+
+    cells: tuple[np.ndarray, ...]
+    weights: np.ndarray
+    com_offsets: np.ndarray
+    inertias: np.ndarray
     grid_eps: float
+    quad_order: int
+    coms: np.ndarray = field(init=False, repr=False)
+    as_point_set: WeightedPointSet = field(init=False, repr=False)
 
-    @property
-    def as_point_set(self) -> WeightedPointSet:
-        return WeightedPointSet(
-            np.array([c.com for c in self.cells]),
-            np.array([c.weight for c in self.cells]),
-        )
-
-    @property
-    def total_weight(self) -> float:
-        return math.fsum(c.weight for c in self.cells)
+    def __post_init__(self) -> None:
+        sizes = np.array([p.shape[0] for p in self.cells])
+        starts = np.cumsum(sizes) - sizes
+        vertices = np.concatenate(self.cells)
+        coms = vertices[starts] + self.com_offsets
+        for arr in (self.weights, self.com_offsets, self.inertias, coms):
+            arr.setflags(write=False)
+        object.__setattr__(self, "coms", coms)
+        object.__setattr__(self, "as_point_set", WeightedPointSet(coms, self.weights))
+        object.__setattr__(self, "_vertices", vertices)
+        object.__setattr__(self, "_starts", starts)
 
     @property
     def inertia_sum(self) -> float:
-        return math.fsum(c.inertia for c in self.cells)
+        return math.fsum(self.inertias.tolist())
 
 
 @functools.lru_cache(maxsize=16)
@@ -312,7 +332,7 @@ def _integrate_cells(
     order: int,
     centers: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per convex polygon: mass, center of mass, inertia and coverage cost.
+    """Per convex polygon: mass, center-of-mass offset, inertia and coverage cost.
 
     This is the module's one quadrature path. Polygons are grouped by vertex
     count and each group is fan-triangulated from its first vertex, the
@@ -320,16 +340,22 @@ def _integrate_cells(
     polygons are taken in blocks of about _BLOCK_NODES nodes, phi is
     evaluated once per block, and every sum runs over one polygon's nodes in
     a fixed order, so no result depends on the block size. Moments are taken
-    about the anchor: the center of mass is the anchor plus the mean node
-    offset and the inertia is the second moment about that center, so
-    neither loses precision far from the origin. The coverage cost (phi
-    times the squared distance to the nearest of `centers`) stays zero
-    unless centers are given.
+    about the anchor: the returned offset is the mean node offset from the
+    anchor (the center of mass is the anchor plus it) and the inertia is the
+    second moment about that center, so neither loses precision far from
+    the origin. The coverage cost (phi times the squared distance to the
+    nearest of `centers`) stays zero unless centers are given. Nodes and
+    centers meet as offsets from the region's first vertex, so node
+    coordinates are never rounded to the magnitude of a geo-referenced
+    offset before they are differenced.
     """
     ref_nodes, ref_w = _tri_rule(order)
+    origin = region.polygon[0]
+    if centers is not None:
+        centers = centers - origin
     n = len(polygons)
     mass = np.zeros(n)
-    com = np.zeros((n, 2))
+    offset = np.zeros((n, 2))
     inertia = np.zeros(n)
     cost = np.zeros(n)
     sizes = np.array([p.shape[0] for p in polygons])
@@ -358,12 +384,13 @@ def _integrate_cells(
             ) / np.where(w > 0.0, w, 1.0)[:, None]
             off = local - mean[:, None, :]
             mass[idx] = w
-            com[idx] = anchor + mean
+            offset[idx] = mean
             inertia[idx] = (node_mass * (off[..., 0] ** 2 + off[..., 1] ** 2)).sum(axis=1)
             if centers is not None:
-                d2 = min_squared_distances(pts, centers).reshape(-1, per_poly)
-                cost[idx] = (node_mass * d2).sum(axis=1)
-    return mass, com, inertia, cost
+                rel = (anchor - origin)[:, None, :] + local
+                d2 = min_squared_distances(rel.reshape(-1, 2), centers)
+                cost[idx] = (node_mass * d2.reshape(-1, per_poly)).sum(axis=1)
+    return mass, offset, inertia, cost
 
 
 def normalize_density(region: SensorRegion, quad_order: int = 4) -> SensorRegion:
@@ -505,33 +532,63 @@ def discretize(
     if not (math.isfinite(grid_eps) and grid_eps > 0.0):
         raise ValueError("grid_eps must be positive and finite")
     polygons = _clip_grid(region.polygon, grid_eps)
-    mass, com, inertia, _ = _integrate_cells(region, polygons, quad_order)
-    keep = np.flatnonzero(mass >= DROP_WEIGHT).tolist()
-    if not keep:
+    mass, offset, inertia, _ = _integrate_cells(region, polygons, quad_order)
+    keep = np.flatnonzero(mass >= DROP_WEIGHT)
+    if keep.size == 0:
         raise ValueError("grid too coarse or density degenerate")
-    weights, inertias = mass.tolist(), inertia.tolist()
-    cells = tuple(Cell(polygons[i], weights[i], com[i], inertias[i]) for i in keep)
-    return Discretization(cells, grid_eps)
+    cells = tuple(polygons[i] for i in keep.tolist())
+    return Discretization(
+        cells, mass[keep], offset[keep], inertia[keep], grid_eps, quad_order
+    )
 
 
 def coverage_cost(
     region: SensorRegion,
     centers,
-    quad_order: int = 6,
+    quad_order: int | None = None,
     mesh: Discretization | None = None,
 ) -> float:
     """Integral of phi(z) * squared distance from z to the nearest center.
 
-    Integrates by quadrature over the whole polygon, or cell by cell when a
-    mesh is given (nodes then never straddle cell boundaries, which makes
-    grid-aligned center configurations exact).
+    Without a mesh, integrates over the whole polygon with a rule of
+    quad_order (6 when None). With a mesh, integrates cell by cell with the
+    mesh's own quad_order, so quadrature nodes never straddle cell
+    boundaries and grid-aligned center configurations are exact; an
+    explicit quad_order that differs from the mesh's raises ValueError,
+    since the mesh's moments were taken with its order. Every cell vertex
+    is assigned to its nearest center in one pass. A cell whose vertices
+    all go to center c lies inside c's closed Voronoi cell (both are
+    convex), so its quadrature value is exactly w |x - c|^2 + J and is
+    taken from the mesh arrays; only cells with vertices on more than one
+    center are integrated. All terms go into one exactly rounded sum.
     """
     c = as_center_array(centers)
     if c.shape[0] == 0:
         raise ValueError("no centers")
-    polys = [cell.polygon for cell in mesh.cells] if mesh else [region.polygon]
-    cost = _integrate_cells(region, polys, quad_order, c)[3]
-    return math.fsum(cost.tolist())
+    if mesh is None:
+        order = 6 if quad_order is None else quad_order
+        cost = _integrate_cells(region, [region.polygon], order, c)[3]
+        return math.fsum(cost.tolist())
+    if quad_order is not None and quad_order != mesh.quad_order:
+        raise ValueError(
+            f"quad_order {quad_order} differs from the mesh's quad_order "
+            f"{mesh.quad_order}"
+        )
+    owner = _nearest(mesh._vertices, c)[0]
+    starts = mesh._starts
+    cut = np.minimum.reduceat(owner, starts) != np.maximum.reduceat(owner, starts)
+    whole = np.flatnonzero(~cut)
+    first = starts[whole]
+    d = (mesh._vertices[first] - c[owner[first]]) + mesh.com_offsets[whole]
+    terms = [
+        mesh.weights[whole] * (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]),
+        mesh.inertias[whole],
+    ]
+    split = np.flatnonzero(cut).tolist()
+    if split:
+        polys = [mesh.cells[i] for i in split]
+        terms.append(_integrate_cells(region, polys, mesh.quad_order, c)[3])
+    return math.fsum(np.concatenate(terms).tolist())
 
 
 @dataclass(frozen=True)
@@ -563,7 +620,7 @@ def decomposition_check(
     quant = weighted_cost(X, centers)
     inertia = disc.inertia_sum
     rhs = quant + inertia
-    lhs = coverage_cost(region, centers, quad_order=quad_order, mesh=disc)
+    lhs = coverage_cost(region, centers, mesh=disc)
     return DecompositionReport(lhs, rhs, abs(lhs - rhs), quant, inertia)
 
 
@@ -595,7 +652,10 @@ def place_sensors(
 
     The reported coverage cost is the cell-by-cell quadrature value for the
     returned centers (not the clustering objective), so the inertia floor and
-    any cell-splitting error are included honestly.
+    any cell-splitting error are included honestly. The result meta records
+    that cell-splitting error as decomposition_gap (coverage minus
+    quantization cost minus inertia sum) and decomposition_gap_rel (the gap
+    over the coverage).
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -615,7 +675,7 @@ def place_sensors(
         raise ValueError(f"unsupported solver for sensor placement: {solver}")
     centers = result.centers
     inertia = disc.inertia_sum
-    coverage = coverage_cost(normalized, centers, quad_order=quad_order, mesh=disc)
+    coverage = coverage_cost(normalized, centers, mesh=disc)
     if coverage > 0.0 and inertia > INERTIA_WARN_FRACTION * coverage:
         msg = (
             f"cell inertia is {inertia / coverage:.1%} of the coverage cost; "
@@ -626,6 +686,9 @@ def place_sensors(
     meta = dict(result.meta)
     meta["grid_eps"] = grid_eps
     meta["n_cells"] = len(disc.cells)
+    gap = coverage - result.cost - inertia
+    meta["decomposition_gap"] = gap
+    meta["decomposition_gap_rel"] = gap / coverage if coverage > 0.0 else 0.0
     final = ClusteringResult(centers, result.assignment, result.cost, meta)
     return PlacementReport(
         centers, coverage, result.cost, inertia, disc, final, tuple(notes)
@@ -675,8 +738,3 @@ def load_region(path: str | Path) -> tuple[SensorRegion, float | None]:
         raise RegionFileError(str(exc)) from None
     grid_eps = doc.get("grid_eps")
     return region, (float(grid_eps) if grid_eps is not None else None)
-
-
-def export_discretization(path: str | Path, disc: Discretization) -> None:
-    """Write the discretized cells as the standard weighted-point CSV."""
-    save_weighted_points(path, disc.as_point_set)

@@ -116,6 +116,10 @@ def test_sensor_default_region(tmp_path):
     assert payload["n_cells"] == 16
     assert payload["coverage_cost"] == pytest.approx(1.0 / 6.0, abs=1e-9)
     assert payload["centers"][0] == pytest.approx([0.5, 0.5], abs=1e-9)
+    gap = payload["coverage_cost"] - payload["quantization_cost"] - payload["inertia_sum"]
+    assert payload["meta"]["decomposition_gap"] == gap
+    assert payload["meta"]["decomposition_gap_rel"] == gap / payload["coverage_cost"]
+    assert abs(gap) <= 1e-12
     rows = pts.read_text().splitlines()
     assert rows[0] == "x1,x2,weight"
     assert len(rows) == 17

@@ -8,8 +8,8 @@ from hypothesis import assume, given, strategies as st
 from scipy.spatial import ConvexHull, QhullError
 from scipy.stats import multivariate_normal
 
-from wkmeans import sensor
-from wkmeans.core import load_weighted_points
+from wkmeans import core, sensor
+from wkmeans.core import load_weighted_points, save_weighted_points
 from wkmeans.sensor import (
     GaussianMixtureDensity,
     RasterDensity,
@@ -20,7 +20,6 @@ from wkmeans.sensor import (
     coverage_cost,
     decomposition_check,
     discretize,
-    export_discretization,
     load_region,
     normalize_density,
     place_sensors,
@@ -81,7 +80,7 @@ def test_normalize_density_unit_mass():
     region = normalize_density(SensorRegion(TRI, UniformDensity()))
     assert region.density_scale == pytest.approx(2.0, rel=1e-12)
     disc = discretize(region, 1.0)
-    assert disc.total_weight == pytest.approx(1.0, rel=1e-12)
+    assert disc.as_point_set.total_weight == pytest.approx(1.0, rel=1e-12)
 
 
 def test_normalize_density_zero_mass():
@@ -94,11 +93,9 @@ def test_discretize_unit_square_half_grid(unit_square):
     disc = discretize(unit_square, 0.5)
     assert len(disc.cells) == 4
     assert disc.grid_eps == 0.5
-    weights = np.array([c.weight for c in disc.cells])
-    assert weights == pytest.approx(np.full(4, 0.25), rel=1e-12)
-    coms = np.array([c.com for c in disc.cells])
+    assert disc.weights == pytest.approx(np.full(4, 0.25), rel=1e-12)
     expected = {(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)}
-    assert {tuple(np.round(c, 12)) for c in coms} == expected
+    assert {tuple(np.round(c, 12)) for c in disc.coms} == expected
     # Per-cell inertia of a uniform square of side s is s^4/6.
     assert disc.inertia_sum == pytest.approx(1.0 / 24.0, rel=1e-12)
     with pytest.raises(ValueError, match="positive"):
@@ -110,9 +107,21 @@ def test_coverage_cost_low_order_exact(unit_square):
     # already exact through degree 2.
     val = coverage_cost(unit_square, np.array([[0.5, 0.5]]), quad_order=2)
     assert val == pytest.approx(1.0 / 6.0, abs=1e-14)
-    mesh = discretize(unit_square, 0.5)
+    mesh = discretize(unit_square, 0.5, quad_order=2)
     val_mesh = coverage_cost(unit_square, np.array([[0.5, 0.5]]), quad_order=2, mesh=mesh)
     assert val_mesh == pytest.approx(1.0 / 6.0, abs=1e-14)
+
+
+def test_coverage_cost_mesh_uses_the_mesh_quadrature_order(unit_square):
+    """quad_order=None means the mesh's order; any other order is refused."""
+    centers = np.array([[0.31, 0.47], [0.69, 0.58]])
+    mesh = discretize(unit_square, 0.25, quad_order=3)
+    assert mesh.quad_order == 3
+    assert coverage_cost(unit_square, centers, mesh=mesh) == coverage_cost(
+        unit_square, centers, quad_order=3, mesh=mesh
+    )
+    with pytest.raises(ValueError, match="quad_order 4 differs"):
+        coverage_cost(unit_square, centers, quad_order=4, mesh=mesh)
 
 
 def test_coverage_cost_split_pair_exact_on_mesh(unit_square):
@@ -343,7 +352,7 @@ def test_load_region_roundtrip(tmp_path):
 def test_export_discretization_roundtrip(tmp_path, unit_square):
     disc = discretize(unit_square, 0.5)
     path = tmp_path / "cells.csv"
-    export_discretization(path, disc)
+    save_weighted_points(path, disc.as_point_set)
     loaded = load_weighted_points(path)
     np.testing.assert_allclose(loaded.coords, disc.as_point_set.coords)
     np.testing.assert_allclose(loaded.weights, disc.as_point_set.weights)
@@ -360,7 +369,12 @@ def test_place_sensors_lloyd_single_center(unit_square):
         report.quantization_cost + report.inertia_sum, abs=1e-12
     )
     assert report.warnings == ()
-    assert report.result.meta["n_cells"] == 16
+    meta = report.result.meta
+    assert meta["n_cells"] == 16
+    gap = report.coverage - report.quantization_cost - report.inertia_sum
+    assert meta["decomposition_gap"] == gap
+    assert meta["decomposition_gap_rel"] == gap / report.coverage
+    assert abs(meta["decomposition_gap_rel"]) <= 1e-12
 
 
 def test_place_sensors_ptas_stays_near_optimal(unit_square):
@@ -426,12 +440,14 @@ def test_discretize_is_translation_safe(shift):
     base = discretize(SensorRegion(HEXAGON, UniformDensity()), grid)
     moved = discretize(SensorRegion(HEXAGON + shift, UniformDensity()), grid)
     assert len(moved.cells) == len(base.cells)
-    before = np.array([_area(c.polygon) for c in base.cells])
-    after = np.array([_area(c.polygon) for c in moved.cells])
+    before = np.array([_area(p) for p in base.cells])
+    after = np.array([_area(p) for p in moved.cells])
     # Cell corners are float64 values near the shift, so each corner (and
     # hence each cell's area, per unit of side) moves by about ulp(shift).
     np.testing.assert_allclose(after, before, rtol=0, atol=4 * np.spacing(shift) * grid)
-    assert moved.total_weight == pytest.approx(3.0 * math.sqrt(3.0) / 8.0, rel=1e-7)
+    assert moved.as_point_set.total_weight == pytest.approx(
+        3.0 * math.sqrt(3.0) / 8.0, rel=1e-7
+    )
 
 
 def _exact_area(poly: np.ndarray) -> Fraction:
@@ -454,8 +470,8 @@ def test_grid_squares_share_edges_at_offsets(shift):
     x0, y0 = poly.min(axis=0)
     whole = {}
     for cell in disc.cells:
-        (l, b), (r, t) = cell.polygon[0], cell.polygon[2]
-        if np.array_equal(cell.polygon, [[l, b], [r, b], [r, t], [l, t]]):
+        (l, b), (r, t) = cell[0], cell[2]
+        if np.array_equal(cell, [[l, b], [r, b], [r, t], [l, t]]):
             whole[round((l - x0) / grid), round((b - y0) / grid)] = (l, b, r, t)
     assert len(whole) > 1000
     pairs = 0
@@ -467,7 +483,7 @@ def test_grid_squares_share_edges_at_offsets(shift):
             assert whole[ix, iy + 1][1] == t
             pairs += 1
     assert pairs > 2000
-    total = math.fsum(_area(c.polygon) for c in disc.cells)
+    total = math.fsum(_area(p) for p in disc.cells)
     exact = 3.0 * math.sqrt(3.0) / 8.0
     assert abs(total - exact) <= 0.1 * _SEPARATE_SIDES_EXCESS[shift] * exact
     # Against the shifted hexagon's own (rounded-vertex) area, the cells miss
@@ -538,11 +554,8 @@ def test_bulk_classifier_matches_clip_cell(points, grid_eps, shift):
 
 def _discretization_bytes(disc) -> bytes:
     return b"".join(
-        c.polygon.tobytes()
-        + c.com.tobytes()
-        + np.float64(c.weight).tobytes()
-        + np.float64(c.inertia).tobytes()
-        for c in disc.cells
+        [p.tobytes() for p in disc.cells]
+        + [a.tobytes() for a in (disc.weights, disc.com_offsets, disc.coms, disc.inertias)]
     )
 
 
@@ -571,8 +584,9 @@ def test_cell_moments_match_long_double_recomputation():
     disc = discretize(region, 0.02)
     nodes, ref_w = sensor._tri_rule(4)
     u, v = nodes[:, 0], nodes[:, 1]
-    for cell in disc.cells:
-        poly = cell.polygon
+    for poly, weight, com_i, inertia_i in zip(
+        disc.cells, disc.weights, disc.coms, disc.inertias
+    ):
         a = poly[0]
         pts, wts = [], []
         for b, c in zip(poly[1:-1] - a, poly[2:] - a):
@@ -586,6 +600,126 @@ def test_cell_moments_match_long_double_recomputation():
         mass = node_mass.sum()
         com = (node_mass[:, None] * pts).sum(axis=0) / mass
         inertia = (node_mass * ((pts - com) ** 2).sum(axis=1)).sum()
-        assert abs(cell.weight - mass) <= 1e-12 * mass
-        assert np.all(np.abs(cell.com - com) <= 1e-12 * np.abs(com))
-        assert abs(cell.inertia - inertia) <= 1e-9 * inertia
+        assert abs(weight - mass) <= 1e-12 * mass
+        assert np.all(np.abs(com_i - com) <= 1e-12 * np.abs(com))
+        assert abs(inertia_i - inertia) <= 1e-9 * inertia
+
+
+def _integrated_coverage(region, mesh, centers) -> float:
+    """Coverage of the mesh with every cell integrated, none priced in closed form."""
+    cost = sensor._integrate_cells(region, list(mesh.cells), mesh.quad_order, centers)[3]
+    return math.fsum(cost.tolist())
+
+
+def _mesh_centers(kind: str, mesh, free: np.ndarray, pick: int) -> np.ndarray:
+    """Centers of one kind for a mesh; free is a few random points near it."""
+    verts = np.concatenate(mesh.cells)
+    if kind == "single":
+        return free[:1]
+    if kind == "free":
+        return free
+    if kind == "grid-vertex":
+        # Centers on grid and polygon vertices put cell vertices at distance 0.
+        return verts[np.arange(pick, pick + 3) % verts.shape[0]]
+    if kind == "mirror":
+        # Two centers mirrored about the grid line x = x0 + i * grid_eps: every
+        # vertex on that line ties, and the tie goes to the lower index.
+        x0 = float(verts[:, 0].min())
+        line = x0 + (pick % 4 + 1) * mesh.grid_eps
+        mid = free[0].copy()
+        mid[0] = line
+        step = np.array([0.3 * mesh.grid_eps, 0.0])
+        return np.array([mid + step, mid - step])
+    if kind == "duplicate":
+        return np.concatenate([free, free[::-1], free[:1]])
+    # "every-vertex": each vertex owns itself, so every cell is cut.
+    return np.unique(verts, axis=0)
+
+
+@given(
+    st.lists(st.one_of(_LATTICE, _FREE), min_size=3, max_size=8),
+    st.sampled_from(["uniform", "gaussian"]),
+    st.sampled_from([0.05, 0.1, 0.3]),
+    st.sampled_from([0.0, 0.37, 1e5]),
+    st.sampled_from(["single", "free", "grid-vertex", "mirror", "duplicate", "every-vertex"]),
+    st.lists(_FREE, min_size=3, max_size=3),
+    st.integers(0, 1000),
+)
+def test_mesh_coverage_matches_integrating_every_cell(
+    points, density, grid_eps, shift, kind, free, pick
+):
+    """Pricing uncut cells from their moments equals integrating every cell to 1e-12."""
+    pts = np.array(points)
+    try:
+        hull = ConvexHull(pts)
+    except QhullError:
+        assume(False)
+    # Slivers leave no cell above DROP_WEIGHT, so discretize rightly refuses them.
+    assume(hull.volume > 0.01)
+    poly = pts[hull.vertices] + shift
+    if density == "uniform":
+        phi = UniformDensity(2.5)
+    else:
+        phi = GaussianMixtureDensity(
+            np.array([[1.0, 0.8]]) + shift, np.eye(2)[None] * 0.4, np.array([1.0])
+        )
+    region = SensorRegion(poly, phi)
+    mesh = discretize(region, grid_eps)
+    centers = _mesh_centers(kind, mesh, np.array(free) + shift, pick)
+    got = coverage_cost(region, centers, mesh=mesh)
+    want = _integrated_coverage(region, mesh, centers)
+    assert abs(got - want) <= 1e-12 * want
+
+
+class _CountingDensity:
+    """Uniform density that counts the points it is evaluated at."""
+
+    def __init__(self) -> None:
+        self.points = 0
+
+    def evaluate(self, pts):
+        pts = np.atleast_2d(pts)
+        self.points += pts.shape[0]
+        return np.ones(pts.shape[0])
+
+
+def test_mesh_coverage_evaluates_phi_only_at_cut_cell_nodes(unit_square):
+    density = _CountingDensity()
+    region = SensorRegion(unit_square.polygon, density)
+    mesh = discretize(region, 0.1)
+    nodes_per_triangle = sensor._tri_rule(mesh.quad_order)[1].shape[0]
+    counts = []
+    for centers in (np.array([[0.43, 0.52]]), np.array([[0.31, 0.47], [0.69, 0.58]])):
+        cut = [
+            p for p in mesh.cells if np.unique(core.assign_to_centers(p, centers)).size > 1
+        ]
+        density.points = 0
+        got = coverage_cost(region, centers, mesh=mesh)
+        counts.append((len(cut), density.points))
+        assert density.points == sum((p.shape[0] - 2) * nodes_per_triangle for p in cut)
+        assert got == pytest.approx(_integrated_coverage(region, mesh, centers), rel=1e-12)
+    # One center cuts nothing; the bisector of the pair crosses a few cells.
+    assert counts[0] == (0, 0)
+    assert 0 < counts[1][0] < len(mesh.cells) // 4
+
+
+def test_dropped_cells_stay_out_of_both_sides_of_the_split(unit_square):
+    """Cells under zero and sub-threshold raster pixels leave the mesh and the split."""
+    values = np.ones((4, 4))
+    values[:, 0] = 0.0
+    values[2, 2] = 0.0
+    values[0, 3] = 1e-13  # each of its cells weighs 1.6e-15, under DROP_WEIGHT
+    region = SensorRegion(unit_square.polygon, RasterDensity((0.0, 0.0), 0.25, values))
+    mesh = discretize(region, 0.125)
+    # Each pixel holds four cells; 6 of the 16 pixels are dropped.
+    assert len(mesh.cells) == 4 * (16 - 6)
+    assert np.all(mesh.weights >= sensor.DROP_WEIGHT)
+    for centers in (np.array([[0.55, 0.45]]), np.array([[0.31, 0.47], [0.69, 0.58]])):
+        rep = decomposition_check(region, 0.125, centers)
+        assert rep.lhs == pytest.approx(
+            _integrated_coverage(region, mesh, centers), rel=1e-12
+        )
+        assert rep.quantization_cost == core.weighted_cost(mesh.as_point_set, centers)
+        assert rep.inertia_sum == mesh.inertia_sum
+        if len(centers) == 1:
+            assert rep.gap <= 1e-12 * rep.lhs
