@@ -12,13 +12,15 @@ reported, never hidden.
 The grid is classified in bulk: every square corner is tested against every
 polygon edge's half-plane on arrays, squares wholly inside are kept as they
 are, squares wholly outside one edge are dropped, and only the
-O(perimeter / grid_eps) boundary squares go through `clip_cell`, one call
-each. All integrals use one batched path: a fixed-order product Gauss rule
-on the fan triangulation of each convex polygon (exact for polynomial
-integrands up to degree 2q-2, so cell masses, centers of mass, and inertias
-are quadrature-exact for uniform density), with the density evaluated in
-blocks of at most `_BLOCK_NODES` nodes and each cell's moments taken about
-its own first vertex, so results hold at geo-referenced offsets.
+O(perimeter / grid_eps) boundary squares are clipped, all in one
+`_clip_squares` call that runs Sutherland-Hodgman on arrays (`clip_cell` is
+its one-square case). All integrals use one batched path: a fixed-order
+product Gauss rule on the fan triangulation of each convex polygon (exact
+for polynomial integrands up to degree 2q-2, so cell masses, centers of
+mass, and inertias are quadrature-exact for uniform density), with node
+offsets built one coordinate at a time, the density evaluated in blocks of
+at most `_BLOCK_NODES` nodes and each cell's moments taken about its own
+first vertex, so results hold at geo-referenced offsets.
 
 A `Discretization` holds its cells on arrays: one tuple of polygon arrays
 plus weight, center-of-mass and inertia arrays. `coverage_cost` on a mesh
@@ -150,11 +152,21 @@ class GaussianMixtureDensity:
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
+        d = self.means.shape[1]
+        if pts.shape[1] != d:
+            raise ValueError(
+                f"dimension mismatch: points are {pts.shape[1]}-d, the mixture "
+                f"is {d}-d"
+            )
         out = np.zeros(pts.shape[0])
         for mean, white, height in zip(self.means, self._white, self._height):
             z = (pts - mean) @ white
             np.square(z, out=z)
-            q = z.sum(axis=1)
+            # Column adds, left to right: numpy's own order for a row of
+            # fewer than 8 values, without the per-row cost of a reduction.
+            q = z[:, 0].copy()
+            for j in range(1, d):
+                q += z[:, j]
             q *= -0.5
             np.exp(q, out=q)
             q *= height
@@ -185,6 +197,10 @@ class RasterDensity:
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
+        if pts.shape[1] != 2:
+            raise ValueError(
+                f"dimension mismatch: points are {pts.shape[1]}-d, the raster is 2-d"
+            )
         ny, nx = self.values.shape
         ix = np.floor((pts[:, 0] - self.origin[0]) / self.pixel_size).astype(np.intp)
         iy = np.floor((pts[:, 1] - self.origin[1]) / self.pixel_size).astype(np.intp)
@@ -275,7 +291,8 @@ class Discretization:
     to the coordinates' magnitude, so coverage_cost differences centers
     against the offsets to keep full precision at geo-referenced offsets.
     All moments come from the product Gauss rule of order quad_order, and
-    coverage_cost prices the mesh with that same order. as_point_set (the
+    coverage_cost prices the mesh with that same order. n_clipped counts
+    the cells that clipping changed from their grid square. as_point_set (the
     centers of mass weighted by mass) is built once, and so is the stack
     of all cell vertices for coverage_cost's nearest-center pass.
     """
@@ -286,6 +303,7 @@ class Discretization:
     inertias: np.ndarray
     grid_eps: float
     quad_order: int
+    n_clipped: int
     coms: np.ndarray = field(init=False, repr=False)
     as_point_set: WeightedPointSet = field(init=False, repr=False)
 
@@ -350,6 +368,7 @@ def _integrate_cells(
     offset before they are differenced.
     """
     ref_nodes, ref_w = _tri_rule(order)
+    u, v = ref_nodes[:, 0], ref_nodes[:, 1]
     origin = region.polygon[0]
     if centers is not None:
         centers = centers - origin
@@ -371,23 +390,29 @@ def _integrate_cells(
             c = group[:, 2:] - anchor[:, None]
             area2 = b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0]
             area2[area2 < 0.0] = 0.0
-            local = (
-                ref_nodes[:, 0, None] * b[:, :, None, :]
-                + ref_nodes[:, 1, None] * c[:, :, None, :]
-            ).reshape(-1, per_poly, 2)
-            pts = (anchor[:, None, :] + local).reshape(-1, 2)
+            # Node offsets from the anchor, one contiguous (polygons,
+            # per_poly) array per coordinate: u * b + v * c.
+            local = [
+                (b[..., j, None] * u + c[..., j, None] * v).reshape(-1, per_poly)
+                for j in range(2)
+            ]
+            pts = np.empty((idx.shape[0], per_poly, 2))
+            for j in range(2):
+                np.add(anchor[:, j, None], local[j], out=pts[..., j])
             node_mass = (area2[:, :, None] * ref_w).reshape(-1, per_poly)
-            node_mass *= region.phi(pts).reshape(-1, per_poly)
+            node_mass *= region.phi(pts.reshape(-1, 2)).reshape(-1, per_poly)
             w = node_mass.sum(axis=1)
             mean = np.column_stack(
-                [(node_mass * local[..., j]).sum(axis=1) for j in range(2)]
+                [(node_mass * local[j]).sum(axis=1) for j in range(2)]
             ) / np.where(w > 0.0, w, 1.0)[:, None]
-            off = local - mean[:, None, :]
+            off = [local[j] - mean[:, j, None] for j in range(2)]
             mass[idx] = w
             offset[idx] = mean
-            inertia[idx] = (node_mass * (off[..., 0] ** 2 + off[..., 1] ** 2)).sum(axis=1)
+            inertia[idx] = (node_mass * (off[0] ** 2 + off[1] ** 2)).sum(axis=1)
             if centers is not None:
-                rel = (anchor - origin)[:, None, :] + local
+                rel = pts  # phi is done with the node coordinates
+                for j in range(2):
+                    np.add(anchor[:, j, None] - origin[j], local[j], out=rel[..., j])
                 d2 = min_squared_distances(rel.reshape(-1, 2), centers)
                 cost[idx] = (node_mass * d2.reshape(-1, per_poly)).sum(axis=1)
     return mass, offset, inertia, cost
@@ -407,72 +432,103 @@ def normalize_density(region: SensorRegion, quad_order: int = 4) -> SensorRegion
     return replace(region, density_scale=region.density_scale / mass)
 
 
+def _clip_squares(
+    squares: np.ndarray, polygon: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clip S squares (S, 4, 2) to a convex polygon at once.
+
+    Sutherland-Hodgman, one polygon edge at a time, on a padded (S, width,
+    2) vertex array with a vertex count per square. Each vertex emits the
+    crossing point with the edge's line when its predecessor lies on the
+    other side, then itself when it is inside; a running sum of these emit
+    counts places the output. Inside tests are inclusive within
+    `_inside_slack`, which scales with edge length and cell side, so shared
+    edges survive at any offset. The cleanup then runs square by square in
+    sequence, vectorised over squares: drop each vertex within `tiny` of the
+    last one kept, drop closing vertices within `tiny` of the first, and
+    drop results with under 3 vertices or a shoelace area under 1e-12 side^2.
+
+    Returns (vertices, counts): square i clips to vertices[i, :counts[i]],
+    CCW, and counts[i] == 0 means the overlap is empty or degenerate. The
+    vertex array is at least 4 wide, so it lines up with the squares.
+    """
+    n_sq = squares.shape[0]
+    side = squares[:, :, 0].max(axis=1) - squares[:, :, 0].min(axis=1)
+    slack = _inside_slack(polygon, side)
+    tiny = 1e-14 * np.maximum(_extent(polygon), side)
+    verts, count = squares, np.full(n_sq, 4)
+    for (ax, ay), (bx, by), eps in zip(polygon, np.roll(polygon, -1, axis=0), slack):
+        ex, ey = bx - ax, by - ay
+        pos = np.arange(verts.shape[1])
+        valid = pos < count[:, None]
+        s = ex * (verts[..., 1] - ay) - ey * (verts[..., 0] - ax)
+        inside = s >= -eps[:, None]
+        prev = np.where(pos == 0, count[:, None] - 1, pos - 1)
+        s_prev = np.take_along_axis(s, prev, axis=1)
+        # Sides differ exactly when the in/out tests do, so s_prev - s != 0.
+        cross = valid & (inside != np.take_along_axis(inside, prev, axis=1))
+        keep = valid & inside
+        end = np.cumsum(cross.astype(np.intp) + keep, axis=1)
+        count = end[:, -1]
+        out = np.zeros((n_sq, max(4, int(count.max(initial=0))), 2))
+        r, j = np.nonzero(cross)
+        p = verts[r, prev[r, j]]
+        t = s_prev[r, j] / (s_prev[r, j] - s[r, j])
+        out[r, end[r, j] - 1 - keep[r, j]] = p + t[:, None] * (verts[r, j] - p)
+        r, j = np.nonzero(keep)
+        out[r, end[r, j] - 1] = verts[r, j]
+        verts = out
+    width = verts.shape[1]
+    kept = np.zeros((n_sq, width), dtype=bool)
+    kept[:, 0] = count > 0
+    last = verts[:, 0].copy()
+    for j in range(1, width):
+        far = (np.abs(verts[:, j] - last) > tiny[:, None]).any(axis=1)
+        far &= j < count
+        kept[:, j] = far
+        last[far] = verts[far, j]
+    count = kept.sum(axis=1)
+    order = np.argsort(~kept, axis=1, kind="stable")
+    verts = np.take_along_axis(verts, order[..., None], axis=1)
+    rows = np.arange(n_sq)
+    while True:
+        close = (np.abs(verts[rows, count - 1] - verts[:, 0]) <= tiny[:, None]).all(axis=1)
+        close &= count > 1
+        if not close.any():
+            break
+        count[close] -= 1
+    count[count < 3] = 0
+    d = verts[:, 1:] - verts[:, :1]
+    terms = d[:, :-1, 0] * d[:, 1:, 1] - d[:, 1:, 0] * d[:, :-1, 1]
+    area2 = np.zeros(n_sq)
+    # The terms of one square are summed as one contiguous row, in numpy's
+    # own order for that length, so the threshold matches _polygon_area.
+    for m in np.unique(count[count > 0]).tolist():
+        group = count == m
+        area2[group] = terms[group, : m - 2].sum(axis=1)
+    count[0.5 * area2 < 1e-12 * side * side] = 0
+    return verts, count
+
+
 def clip_cell(square: np.ndarray, polygon: np.ndarray) -> np.ndarray | None:
     """Intersect an axis-aligned square with a convex polygon.
 
-    Standard convex clipping (cut the square by each polygon edge's
-    half-plane); returns CCW vertices or None when the overlap is empty or
-    degenerate. Inside tests are inclusive within `_inside_slack`, which
-    scales with edge length and cell size, so shared edges survive at any
-    offset.
+    The one-square case of `_clip_squares`: returns CCW vertices, or None
+    when the overlap is empty or degenerate.
     """
-    square = np.asarray(square, dtype=np.float64)
-    side_len = float(square[:, 0].max() - square[:, 0].min())
-    slack = _inside_slack(polygon, side_len).tolist()
-    tiny = 1e-14 * max(_extent(polygon), side_len)
-    verts = polygon.tolist()
-    subject = [tuple(v) for v in square.tolist()]
-    for i, (ax, ay) in enumerate(verts):
-        if not subject:
-            return None
-        bx, by = verts[(i + 1) % len(verts)]
-        ex, ey = bx - ax, by - ay
-        sides = [ex * (p[1] - ay) - ey * (p[0] - ax) for p in subject]
-        clipped: list[tuple[float, float]] = []
-        for j, cur in enumerate(subject):
-            prev = subject[j - 1]
-            s_cur, s_prev = sides[j], sides[j - 1]
-            cur_in = s_cur >= -slack[i]
-            prev_in = s_prev >= -slack[i]
-            if cur_in != prev_in:
-                denom = s_prev - s_cur
-                if abs(denom) > 0.0:
-                    t = s_prev / denom
-                    clipped.append(
-                        (
-                            prev[0] + t * (cur[0] - prev[0]),
-                            prev[1] + t * (cur[1] - prev[1]),
-                        )
-                    )
-            if cur_in:
-                clipped.append(cur)
-        subject = clipped
-    if len(subject) < 3:
-        return None
-    out = [subject[0]]
-    for v in subject[1:]:
-        if abs(v[0] - out[-1][0]) > tiny or abs(v[1] - out[-1][1]) > tiny:
-            out.append(v)
-    while len(out) > 1 and (
-        abs(out[0][0] - out[-1][0]) <= tiny and abs(out[0][1] - out[-1][1]) <= tiny
-    ):
-        out.pop()
-    if len(out) < 3:
-        return None
-    poly = np.array(out)
-    if _polygon_area(poly) < 1e-12 * side_len * side_len:
-        return None
-    return poly
+    verts, count = _clip_squares(np.asarray(square, dtype=np.float64)[None], polygon)
+    return verts[0, : count[0]].copy() if count[0] else None
 
 
-def _clip_grid(poly: np.ndarray, grid_eps: float) -> list[np.ndarray]:
+def _clip_grid(poly: np.ndarray, grid_eps: float) -> tuple[list[np.ndarray], np.ndarray]:
     """The grid squares clipped to the polygon, nonempty ones in row-major order.
 
-    Blocks of rows are classified on arrays with clip_cell's own side test
+    Blocks of rows are classified on arrays with the clipper's own side test
     and slack: a square whose corners all pass every edge is kept as is
-    (clip_cell would return it unchanged), one whose corners all fail some
-    edge is dropped (clip_cell would return None), and only the boundary
-    squares left over go through clip_cell.
+    (clipping would return it unchanged), one whose corners all fail some
+    edge is dropped (clipping would return None), and the boundary squares
+    left over from every block go through one `_clip_squares` call. Also
+    returns, per polygon, whether clipping changed it from its square.
     """
     x0, y0 = float(poly[:, 0].min()), float(poly[:, 1].min())
     x1, y1 = float(poly[:, 0].max()), float(poly[:, 1].max())
@@ -488,7 +544,7 @@ def _clip_grid(poly: np.ndarray, grid_eps: float) -> list[np.ndarray]:
     bottom, top = ys[:-1], ys[1:]
     edges = np.roll(poly, -1, axis=0) - poly
     slack = _inside_slack(poly, right - left)
-    polygons = []
+    blocks, on_boundary = [], []
     rows = max(1, _BLOCK_NODES // nx)
     for lo in range(0, ny, rows):
         bot, tp = bottom[lo : lo + rows], top[lo : lo + rows]
@@ -497,7 +553,7 @@ def _clip_grid(poly: np.ndarray, grid_eps: float) -> list[np.ndarray]:
         for (ax, ay), (ex, ey), eps in zip(poly, edges, slack):
             sb, st = ex * (bot - ay), ex * (tp - ay)
             sl, sr = ey * (left - ax), ey * (right - ax)
-            # Corners in clip_cell's order: (l, b), (r, b), (r, t), (l, t).
+            # Corners in the clipper's order: (l, b), (r, b), (r, t), (l, t).
             corner_in = [
                 (sy[:, None] - sx) >= -eps
                 for sy, sx in ((sb, sl), (sb, sr), (st, sr), (st, sl))
@@ -505,18 +561,25 @@ def _clip_grid(poly: np.ndarray, grid_eps: float) -> list[np.ndarray]:
             inside &= np.logical_and.reduce(corner_in)
             outside |= ~np.logical_or.reduce(corner_in)
         iy, ix = np.nonzero(~outside)
-        boundary = np.flatnonzero(~inside[iy, ix])
+        on_boundary.append(~inside[iy, ix])
         iy += lo
         squares = np.empty((iy.shape[0], 4, 2))
         squares[:, [0, 3], 0] = left[ix, None]
         squares[:, [1, 2], 0] = right[ix, None]
         squares[:, :2, 1] = bottom[iy, None]
         squares[:, 2:, 1] = top[iy, None]
-        block = list(squares)
-        for j in boundary:
-            block[j] = clip_cell(squares[j], poly)
-        polygons.extend(p for p in block if p is not None)
-    return polygons
+        blocks.append(squares)
+    squares = np.concatenate(blocks)
+    boundary = np.flatnonzero(np.concatenate(on_boundary))
+    verts, count = _clip_squares(squares[boundary], poly)
+    changed = (count != 4) | (verts[:, :4] != squares[boundary]).any(axis=(1, 2))
+    polygons: list[np.ndarray | None] = list(squares)
+    clipped = np.zeros(len(polygons), dtype=bool)
+    clipped[boundary] = changed
+    for j, v, m in zip(boundary.tolist(), verts, count.tolist()):
+        polygons[j] = v[:m] if m else None
+    kept = [i for i, p in enumerate(polygons) if p is not None]
+    return [polygons[i] for i in kept], clipped[kept]
 
 
 def discretize(
@@ -531,14 +594,20 @@ def discretize(
     """
     if not (math.isfinite(grid_eps) and grid_eps > 0.0):
         raise ValueError("grid_eps must be positive and finite")
-    polygons = _clip_grid(region.polygon, grid_eps)
+    polygons, clipped = _clip_grid(region.polygon, grid_eps)
     mass, offset, inertia, _ = _integrate_cells(region, polygons, quad_order)
     keep = np.flatnonzero(mass >= DROP_WEIGHT)
     if keep.size == 0:
         raise ValueError("grid too coarse or density degenerate")
     cells = tuple(polygons[i] for i in keep.tolist())
     return Discretization(
-        cells, mass[keep], offset[keep], inertia[keep], grid_eps, quad_order
+        cells,
+        mass[keep],
+        offset[keep],
+        inertia[keep],
+        grid_eps,
+        quad_order,
+        int(np.count_nonzero(clipped[keep])),
     )
 
 
@@ -686,6 +755,7 @@ def place_sensors(
     meta = dict(result.meta)
     meta["grid_eps"] = grid_eps
     meta["n_cells"] = len(disc.cells)
+    meta["n_clipped_cells"] = disc.n_clipped
     gap = coverage - result.cost - inertia
     meta["decomposition_gap"] = gap
     meta["decomposition_gap_rel"] = gap / coverage if coverage > 0.0 else 0.0

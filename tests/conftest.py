@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -6,8 +8,10 @@ from wkmeans.core import WeightedPointSet
 from wkmeans.sampling import RandomSource
 from wkmeans.sensor import SensorRegion, UniformDensity
 
+# HYPOTHESIS_PROFILE=deep runs a thousand examples per property test.
 settings.register_profile("suite", deadline=None, max_examples=50)
-settings.load_profile("suite")
+settings.register_profile("deep", deadline=None, max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
 
 
 @pytest.fixture

@@ -265,6 +265,80 @@ def test_gaussian_mixture_matches_scipy(bumps, offset, rows, seed):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
+def _row_sum_mixture(density: GaussianMixtureDensity, pts: np.ndarray) -> np.ndarray:
+    """The mixture with each exponent taken as a numpy row sum, z.sum(axis=1)."""
+    out = np.zeros(pts.shape[0])
+    for mean, white, height in zip(density.means, density._white, density._height):
+        z = (pts - mean) @ white
+        np.square(z, out=z)
+        q = z.sum(axis=1)
+        q *= -0.5
+        np.exp(q, out=q)
+        q *= height
+        out += q
+    return out
+
+
+@given(
+    st.lists(
+        st.tuples(_spd(), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.1, 10.0)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.sampled_from([0.0, 1e5, 5e6]),
+    st.integers(1, 4096),
+    st.integers(0, 2**32 - 1),
+)
+def test_gaussian_mixture_bytes_match_row_sum(bumps, offset, rows, seed):
+    """In the plane, the column-add exponent gives the row sum's bytes exactly."""
+    cov0 = bumps[0][0]
+    scale = math.sqrt(cov0[0, 0] + cov0[1, 1])
+    base = np.array([offset, -0.5 * offset])
+    means = np.array([base + scale * np.array([dx, dy]) for _, dx, dy, _ in bumps])
+    density = GaussianMixtureDensity(
+        means, np.array([b[0] for b in bumps]), np.array([b[3] for b in bumps])
+    )
+    gen = np.random.default_rng(seed)
+    pts = means[0] + gen.uniform(-4.0, 4.0, (rows, 2)) @ np.linalg.cholesky(cov0).T
+    assert density.evaluate(pts).tobytes() == _row_sum_mixture(density, pts).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 8, 12])
+def test_gaussian_mixture_in_other_dimensions(d):
+    """Under 8 coordinates the row sum's bytes; from 8 on, within 1e-13 of it.
+
+    numpy sums a row of 8 or more values pairwise, the column adds go left
+    to right, so there the two differ only by rounding.
+    """
+    gen = np.random.default_rng(d)
+    means = gen.uniform(-1.0, 1.0, (2, d)) + 1e5
+    factors = gen.uniform(-0.3, 0.3, (2, d, d)) + np.eye(d)
+    density = GaussianMixtureDensity(
+        means, factors @ factors.transpose(0, 2, 1), np.array([1.0, 0.5])
+    )
+    pts = means[0] + gen.uniform(-1.5, 1.5, (2000, d))
+    got, want = density.evaluate(pts), _row_sum_mixture(density, pts)
+    if d < 8:
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_densities_refuse_points_of_another_dimension():
+    bump = GaussianMixtureDensity(
+        np.array([[0.5, 0.5]]), np.array([[[0.01, 0.0], [0.0, 0.01]]]), np.array([1.0])
+    )
+    with pytest.raises(ValueError, match="points are 1-d, the mixture is 2-d"):
+        bump.evaluate(np.array([[0.5], [0.0]]))
+    with pytest.raises(ValueError, match="points are 3-d, the mixture is 2-d"):
+        bump.evaluate(np.zeros((2, 3)))
+    ras = RasterDensity((0.0, 0.0), 0.5, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="points are 3-d, the raster is 2-d"):
+        ras.evaluate(np.array([[0.25, 0.25, 7.0]]))
+    with pytest.raises(ValueError, match="points are 1-d, the raster is 2-d"):
+        ras.evaluate(np.array([[0.25], [0.75]]))
+
+
 def test_coverage_cost_matches_scipy_backed_density():
     """Normalising and pricing the bump hexagon agree with a scipy density to 1e-12."""
 
@@ -371,6 +445,7 @@ def test_place_sensors_lloyd_single_center(unit_square):
     assert report.warnings == ()
     meta = report.result.meta
     assert meta["n_cells"] == 16
+    assert meta["n_clipped_cells"] == 0
     gap = report.coverage - report.quantization_cost - report.inertia_sum
     assert meta["decomposition_gap"] == gap
     assert meta["decomposition_gap_rel"] == gap / report.coverage
@@ -502,8 +577,75 @@ def test_decomposition_split_is_translation_safe(shift):
     assert rep.inertia_sum == pytest.approx(1.0 / 24.0, rel=1e-6)
 
 
-def _clip_every_square(poly: np.ndarray, grid_eps: float) -> list[np.ndarray]:
-    """Reference grid: clip_cell on every square, row-major, Nones left out."""
+def _reference_clip(
+    square: np.ndarray, polygon: np.ndarray, paths: set | None = None
+) -> np.ndarray | None:
+    """Scalar Sutherland-Hodgman on Python lists, one square at a time.
+
+    The oracle for the batched clipper: the same side test, slack, crossing
+    formula and cleanup, written vertex by vertex. When `paths` is given it
+    collects the cleanup rules that fired: "empty" (an edge cut everything
+    away), "near-duplicate", "wrap" (a closing vertex popped) and "area".
+    """
+    square = np.asarray(square, dtype=np.float64)
+    side_len = float(square[:, 0].max() - square[:, 0].min())
+    slack = sensor._inside_slack(polygon, side_len).tolist()
+    tiny = 1e-14 * max(sensor._extent(polygon), side_len)
+    paths = set() if paths is None else paths
+    verts = polygon.tolist()
+    subject = [tuple(v) for v in square.tolist()]
+    for i, (ax, ay) in enumerate(verts):
+        if not subject:
+            paths.add("empty")
+            return None
+        bx, by = verts[(i + 1) % len(verts)]
+        ex, ey = bx - ax, by - ay
+        sides = [ex * (p[1] - ay) - ey * (p[0] - ax) for p in subject]
+        clipped = []
+        for j, cur in enumerate(subject):
+            prev = subject[j - 1]
+            s_cur, s_prev = sides[j], sides[j - 1]
+            cur_in = s_cur >= -slack[i]
+            prev_in = s_prev >= -slack[i]
+            if cur_in != prev_in:
+                denom = s_prev - s_cur
+                if abs(denom) > 0.0:
+                    t = s_prev / denom
+                    clipped.append(
+                        (
+                            prev[0] + t * (cur[0] - prev[0]),
+                            prev[1] + t * (cur[1] - prev[1]),
+                        )
+                    )
+            if cur_in:
+                clipped.append(cur)
+        subject = clipped
+    if not subject:
+        paths.add("empty")
+    if len(subject) < 3:
+        return None
+    out = [subject[0]]
+    for v in subject[1:]:
+        if abs(v[0] - out[-1][0]) > tiny or abs(v[1] - out[-1][1]) > tiny:
+            out.append(v)
+        else:
+            paths.add("near-duplicate")
+    while len(out) > 1 and (
+        abs(out[0][0] - out[-1][0]) <= tiny and abs(out[0][1] - out[-1][1]) <= tiny
+    ):
+        paths.add("wrap")
+        out.pop()
+    if len(out) < 3:
+        return None
+    poly = np.array(out)
+    if sensor._polygon_area(poly) < 1e-12 * side_len * side_len:
+        paths.add("area")
+        return None
+    return poly
+
+
+def _clip_every_square(poly: np.ndarray, grid_eps: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Reference grid: (square, piece) for every square, row-major, empty ones left out."""
     x0, y0 = float(poly[:, 0].min()), float(poly[:, 1].min())
     nx = max(1, math.ceil((float(poly[:, 0].max()) - x0) / grid_eps - 1e-12))
     ny = max(1, math.ceil((float(poly[:, 1].max()) - y0) / grid_eps - 1e-12))
@@ -514,10 +656,14 @@ def _clip_every_square(poly: np.ndarray, grid_eps: float) -> list[np.ndarray]:
         for ix in range(nx):
             (ax, bx), (ay, by) = xs[ix : ix + 2], ys[iy : iy + 2]
             square = np.array([[ax, ay], [bx, ay], [bx, by], [ax, by]])
-            clipped = clip_cell(square, poly)
-            if clipped is not None:
-                out.append(clipped)
+            piece = _reference_clip(square, poly)
+            if piece is not None:
+                out.append((square, piece))
     return out
+
+
+def _is_changed(square: np.ndarray, piece: np.ndarray) -> bool:
+    return piece.shape != square.shape or not np.array_equal(piece, square)
 
 
 _LATTICE = st.tuples(st.integers(0, 16), st.integers(0, 16)).map(
@@ -538,18 +684,97 @@ _FREE = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0))
     st.sampled_from([0.0, 0.37, 1e5, 5e6]),
 )
 def test_bulk_classifier_matches_clip_cell(points, grid_eps, shift):
-    """Squares kept whole equal clip_cell's output; dropped ones clip to None."""
+    """The classified and batch-clipped grid equals the scalar oracle on every square.
+
+    Squares kept whole equal their clip, dropped ones clip to None, and the
+    boundary squares' pieces and changed flags match bytewise.
+    """
     pts = np.array(points)
     try:
         hull = ConvexHull(pts)
     except QhullError:
         assume(False)
     poly = pts[hull.vertices] + shift
-    got = sensor._clip_grid(poly, grid_eps)
+    got, changed = sensor._clip_grid(poly, grid_eps)
     want = _clip_every_square(poly, grid_eps)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
+    assert len(got) == len(want) == changed.shape[0]
+    for g, (square, w), flag in zip(got, want, changed.tolist()):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert flag == _is_changed(square, w)
+
+
+_NEEDLE_A, _NEEDLE_B = 2.0**-28, 2.0**-12
+# (polygon, square) pairs whose scalar clips reach every cleanup rule at
+# shifts 0, 0.37, 1e5 and 5e6:
+# - the square's first corner lies beyond the triangle's long edge and its
+#   last corner on it, so the first crossing repeats the last vertex
+#   (near-duplicate and wrap);
+# - the needle triangle leaves the unit square a corner piece of area
+#   2^-41 < 1e-12 (area);
+# - the square lies off the unit square (empty).
+_PATH_CASES = (
+    (
+        np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+        np.array([[0.5, 0.0], [1.0, 0.0], [1.0, 0.5], [0.5, 0.5]]),
+    ),
+    (
+        np.array(
+            [[1.0 + _NEEDLE_A, 2.0 * _NEEDLE_B], [1.0 - 2.0 * _NEEDLE_A, -_NEEDLE_B], [3.0, 0.0]]
+        ),
+        UNIT,
+    ),
+    (UNIT, UNIT + 5.0),
+)
+_SIDES = st.sampled_from([0.125, 0.1, 0.3, 1.0, 1e-6])
+
+
+@given(
+    st.lists(st.one_of(_LATTICE, _NUDGED, _FREE), min_size=3, max_size=10),
+    st.lists(st.tuples(st.one_of(_LATTICE, _NUDGED, _FREE), _SIDES), min_size=1, max_size=40),
+    st.sampled_from([0.0, 0.37, 1e5, 5e6]),
+)
+def test_clip_squares_matches_reference_clip(points, corners, shift):
+    """A batch clips to the scalar oracle's bytes square by square, every rule reached.
+
+    The random squares go against a random hull and against each path
+    case's polygon, with that case's square at the head of the batch.
+    """
+    pts = np.array(points)
+    try:
+        hull = ConvexHull(pts)
+    except QhullError:
+        assume(False)
+    squares = np.array(
+        [[[x, y], [x + s, y], [x + s, y + s], [x, y + s]] for (x, y), s in corners]
+    )
+    paths = set()
+    runs = [(pts[hull.vertices], squares)]
+    runs += [(poly, np.concatenate([square[None], squares])) for poly, square in _PATH_CASES]
+    for poly, batch in runs:
+        poly, batch = poly + shift, batch + shift
+        verts, count = sensor._clip_squares(batch, poly)
+        assert count.shape == (batch.shape[0],)
+        for square, v, m in zip(batch, verts, count.tolist()):
+            want = _reference_clip(square, poly, paths)
+            if want is None:
+                assert m == 0
+            else:
+                got = v[:m]
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert paths >= {"empty", "near-duplicate", "wrap", "area"}
+
+
+def test_place_sensors_counts_clipped_cells():
+    """meta's n_clipped_cells is the oracle's count of cells clipping changed."""
+    region = normalize_density(_bumps_region())
+    grid = 0.05
+    report = place_sensors(region, 3, 0.5, grid, solver="kmeanspp-lloyd", master_seed=2)
+    pairs = _clip_every_square(region.polygon, grid)
+    # Every piece is kept, so the oracle counts over the mesh's own cells.
+    assert len(report.discretization.cells) == len(pairs)
+    want = sum(_is_changed(square, piece) for square, piece in pairs)
+    assert 0 < want < len(pairs)
+    assert report.result.meta["n_clipped_cells"] == report.discretization.n_clipped == want
 
 
 def _discretization_bytes(disc) -> bytes:
