@@ -196,16 +196,53 @@ def assign_to_centers(points: np.ndarray, centers) -> np.ndarray:
     return _nearest(points, centers)[0]
 
 
+# Terms per `_exact_sum` chunk: below 2^26, each exponent bucket's sum of
+# mantissa parts (at most 27 bits each) stays under 2^53, so float64 holds
+# it exactly.
+_EXACT_CHUNK = (1 << 26) - 1
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """Correctly rounded sum of nonnegative float64 terms; equals math.fsum.
+
+    Each term is split by `np.frexp` into a 53-bit integer mantissa and an
+    exponent, and the mantissa's high 27 and low 26 bits are summed per
+    exponent with `np.bincount`. Those sums are exact integers below 2^53,
+    so `np.ldexp` turns each into an exact float, subnormals included, and
+    `math.fsum` rounds their sum (at most 4,198 partials per chunk) once.
+    Non-finite terms, and sums that overflow, go to `math.fsum` itself.
+    """
+    x = np.ravel(terms)
+    if np.isfinite(x).all():
+        parts = []
+        for lo in range(0, x.size, _EXACT_CHUNK):
+            m, e = np.frexp(x[lo : lo + _EXACT_CHUNK])
+            mant = (m * 2.0**53).astype(np.int64)
+            # frexp exponents of nonzero doubles run from -1073 to 1024.
+            e += 1074
+            hi = np.bincount(e, weights=mant >> 26)
+            low = np.bincount(e, weights=mant & ((1 << 26) - 1))
+            scale = np.arange(hi.size) - (1074 + 53)
+            with np.errstate(over="ignore"):
+                parts += [np.ldexp(hi, scale + 26), np.ldexp(low, scale)]
+        p = np.concatenate(parts)
+        # An infinite partial means the sum overflows: math.fsum raises.
+        if np.isfinite(p).all():
+            return math.fsum(p[p != 0.0].tolist())
+    return math.fsum(x.tolist())
+
+
 def _cost(weights: np.ndarray, d2: np.ndarray) -> float:
     """Correctly rounded sum of w_p * d2_p."""
-    return math.fsum((weights * d2).tolist())
+    return _exact_sum(weights * d2)
 
 
 def weighted_cost(P: WeightedPointSet, centers) -> float:
     """Total cost sum_p w_p * min_c ||p - c||^2.
 
-    Accumulated with math.fsum, so the value is the correctly rounded sum of
-    the per-point terms and independent of their order.
+    Accumulated exactly (`_exact_sum`, equal to math.fsum), so the value is
+    the correctly rounded sum of the per-point terms and independent of
+    their order.
     """
     return _cost(P.weights, _nearest(P.coords, centers, index=False)[1])
 

@@ -10,21 +10,30 @@ tuple enumeration with a uniform random tuple budget.
 
 Tuples are evaluated in batches of B <= 1024. A batch first draws all of
 its uniforms, k blocks of (B, M) in budget mode or (B, N) in exhaustive
-mode, so the random-number layout is fixed before any work starts. The
-rows are then walked in blocks of max(1, 2^16 // n) rows: each block runs
-all k iterations in three preallocated (rows, n) buffers (the per-row
-min-distance cache and scratch). Each row draws through an exact inverse
-CDF of its own. A row of up to 2 * D blocks of 128 points, for D = M
-draws per row in budget mode and N in exhaustive mode (every desk-scale
-instance), takes one running sum and a per-row binary search. A longer
-row takes two levels: a running sum over its block sums picks each
-draw's block, and only the D drawn blocks are running-summed to find the
-point, so no running sum spans the row. No work array grows with B x n:
-each holds about max(2^16, n) values (512 KiB of float64 up to n = 2^16;
-padding adds under 128 per row), the gathered blocks fewer than half as
-many, and the output does not depend on the block size. Per-trial random
-streams are derived from (master_seed, trial), so results are
-independent of thread scheduling.
+mode, so the random-number layout is fixed before any work starts. Each
+row draws through an exact inverse CDF of its own; D is its draw count (M
+in budget mode, N in exhaustive mode). The rows are walked in two tiers:
+per-point passes (distances, running minimum, block sums) in sub-blocks of
+max(1, 2^16 // n) rows, and draws and centroids once per outer block.
+
+- A row of up to 2 * D blocks of 128 points (every desk-scale instance)
+  takes one running sum and a per-row binary search. An outer block is
+  one sub-block, held in three (rows, n) buffers: the min-distance cache,
+  the mass array weights * cache and a running sum.
+- A longer row takes two levels, and its outer blocks hold
+  max(1, 2^18 // n) rows of the cache, zero-padded to whole blocks. One
+  einsum pass reads each sub-block's new cache against the zero-padded
+  weights into 128-point block sums, with no mass array. A running sum
+  over the block sums picks each draw's block, and only the D drawn
+  blocks' masses are formed and running-summed to find the point. A
+  candidate's cost is the pairwise sum of its final block sums.
+
+No work array grows with B x n: the cache holds about max(2^18, n) values
+(2 MiB of float64 up to n = 2^18) plus under 128 of padding per row, two
+scratch arrays max(2^16, n) values each, and the gathered blocks fewer
+than the cache. The output does not depend on either block size.
+Per-trial random streams are derived from (master_seed, trial), so
+results are independent of thread scheduling.
 """
 
 from __future__ import annotations
@@ -57,9 +66,13 @@ DEFAULT_C2 = 100.0
 DEFAULT_TUPLE_BUDGET = 2000
 MAX_EXHAUSTIVE_TUPLES = 10_000_000
 _CHUNK = 1024
-# Values per (rows, n) work array of the batch evaluator: 512 KiB of float64,
-# so the three work arrays fit together in a 2 MiB per-core L2 cache.
+# Values per (rows, n) scratch array of the batch evaluator's per-point
+# passes: 512 KiB of float64, so a sub-block's scratch and cache rows fit
+# together in a 2 MiB per-core L2 cache.
 _BLOCK_VALUES = 1 << 16
+# Cache values per outer row block of the two-level path, whose draws and
+# centroids run once per outer block: 2 MiB of float64.
+_DRAW_VALUES = 1 << 18
 # Points per block of the evaluator's two-level inverse CDF.
 _CDF_BLOCK = 128
 _TUPLE_STREAM, _SAMPLE_STREAM = 0, 1
@@ -233,36 +246,42 @@ def _inverse_cdf_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per row r, the points drawn by the uniforms u[r] from the masses v[r].
 
-    v is (rows, w) and nonnegative, u is (rows, D) in [0, 1) and cum a
-    (rows, w) scratch buffer; v is left unchanged. Returns the (rows, D)
+    v is (rows, n) and nonnegative, u is (rows, D) in [0, 1) and cum a
+    (rows, n) scratch buffer; v is left unchanged. Returns the (rows, D)
     drawn indices and the (rows,) mask of zero-mass rows. Draw u lands on
     the point whose running-sum interval holds u times the row total, so
     point p is drawn with probability v[r, p] / total up to summation
-    rounding. A target that rounding pushes to or past the last entry of
-    the running sum it searches lands on the last positive-mass point
-    there, never on a zero-mass one.
-
-    When `_cdf_blocks(w, D)` is 0 the row is one block: one running sum,
-    searched per row by `searchsorted_rows`. Otherwise w must be that many
-    whole blocks of _CDF_BLOCK values, zero-padded past the last point. The
-    running sum of the block sums gives each draw its block and residual
-    target, and only the D drawn blocks are gathered and running-summed to
-    find the point, so no running sum spans the row. Both levels count the
-    entries at or below the target, which is searchsorted(side="right") on
-    a nondecreasing row.
+    rounding. The row takes one running sum, searched per row by
+    `searchsorted_rows` (searchsorted(side="right")). A target that
+    rounding pushes to or past the end of the running sum lands on the
+    last positive-mass point, never on a zero-mass one.
     """
-    rows, w = v.shape
-    nb = _cdf_blocks(w, u.shape[1])
-    if nb == 0:
-        np.cumsum(v, axis=1, out=cum)
-        totals = cum[:, -1]
-        cols = searchsorted_rows(cum, u * totals[:, None])
-        over = cols == w
-        if over.any():
-            cols[over] = _last_positive(v[np.nonzero(over)[0]])
-        return cols, totals <= 0.0
-    blocks = v.reshape(rows, nb, _CDF_BLOCK)
-    sums = blocks.sum(axis=2)
+    w = v.shape[1]
+    np.cumsum(v, axis=1, out=cum)
+    totals = cum[:, -1]
+    cols = searchsorted_rows(cum, u * totals[:, None])
+    over = cols == w
+    if over.any():
+        cols[over] = _last_positive(v[np.nonzero(over)[0]])
+    return cols, totals <= 0.0
+
+
+def _inverse_cdf_blocks(
+    sums: np.ndarray, cache: np.ndarray, w_blocks: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_inverse_cdf_rows` in two levels, for masses w_blocks * cache[r].
+
+    cache is (rows, nb, _CDF_BLOCK), w_blocks (nb, _CDF_BLOCK), both
+    zero-padded past the last point, and sums (rows, nb) holds the block
+    sums of the masses. The running sum of the block sums gives each draw
+    its block and residual target; only the D drawn blocks' masses are
+    formed and running-summed to find the point, so no mass array or
+    running sum spans the row. Both levels count the entries at or below
+    the target, which is searchsorted(side="right") on a nondecreasing
+    row, and a target past the end of either running sum lands on the last
+    positive-mass point there.
+    """
+    rows, nb = sums.shape
     # bcum[:, j] is the mass before block j; bcum[:, -1] the row total.
     bcum = np.zeros((rows, nb + 1))
     np.cumsum(sums, axis=1, out=bcum[:, 1:])
@@ -275,13 +294,15 @@ def _inverse_cdf_rows(
         target[over] = np.inf
     r = np.arange(rows)[:, None]
     target -= bcum[r, blk]
-    inner = blocks[r, blk]
+    inner = cache[r, blk]
+    inner *= w_blocks[blk]
     np.cumsum(inner, axis=2, out=inner)
     pos = (inner <= target[:, :, None]).sum(axis=2)
     over = pos == _CDF_BLOCK
     if over.any():
         r, m = np.nonzero(over)
-        pos[over] = _last_positive(blocks[r, blk[r, m]])
+        b = blk[r, m]
+        pos[over] = _last_positive(cache[r, b] * w_blocks[b])
     return blk * _CDF_BLOCK + pos, totals <= 0.0
 
 
@@ -300,19 +321,31 @@ def _run_tuple_batch(
     D = N); None means every draw is selected (budget mode, D = M).
     Returns (costs (B,), centers (B, k, d)).
 
-    The rows are walked in blocks of max(1, _BLOCK_VALUES // n) rows, and
-    all k iterations finish on one block before the next starts, inside
-    three preallocated (rows, n) buffers: the per-row min-distance cache and
-    two of scratch, one of them zero-padded to whole CDF blocks. No array
-    grows with B x n. Iteration 0 draws every row from one shared CDF of
-    the weights. Later iterations draw from weight times cache per row
-    through `_inverse_cdf_rows`: one running sum over the row when n is at
-    most 2 * D * _CDF_BLOCK, else a running sum over the block sums and
-    then over the D drawn blocks only. Squared distances come from the
-    per-coordinate difference kernel `core._sq_dist_rows`, and every draw
-    and cost is computed within its own row, so no value depends on the
-    block size: the output is byte-identical for any block size and thread
-    count.
+    Rows are walked in two tiers. The per-point passes (the distance
+    kernel `core._sq_dist_rows`, the running minimum and, on the two-level
+    path, the block sums) take sub-blocks of max(1, _BLOCK_VALUES // n)
+    rows through two (rows, n) scratch buffers. The draws and centroids
+    run once per outer block, and all k iterations finish on an outer block
+    before the next starts. The outer block's rows share one min-distance
+    cache. Iteration 0 draws every row from one shared CDF of the weights.
+
+    - n at most 2 * D * _CDF_BLOCK (every desk-scale instance): one level.
+      An outer block is one sub-block; its draws form the mass array
+      weights * cache in a scratch buffer and take one running sum per row
+      (`_inverse_cdf_rows`), and a cost is that array's row sum.
+    - Longer rows: two levels. Outer blocks hold max(1, _DRAW_VALUES // n)
+      rows of the cache, zero-padded to whole CDF blocks. Each per-point
+      pass ends with one `einsum` read of the new cache against the
+      zero-padded weights, giving every row's block sums of weights * cache
+      with no mass array; `_inverse_cdf_blocks` draws from them and forms
+      only the drawn blocks' masses. A cost is the pairwise sum of its
+      row's last block sums.
+
+    The buffers hold at most max(2^18, n) cache values (2 MiB of float64
+    while n <= 2^18) plus 2 x max(2^16, n) scratch values and padding under
+    128 per row, so no array grows with B x n. Every draw and cost is
+    computed within its own row, so no value depends on either block size:
+    the output is byte-identical for any block sizes and thread count.
 
     A row whose distribution has zero mass already sits on every point; it
     repeats its previous center, consuming the same draws.
@@ -321,25 +354,39 @@ def _run_tuple_batch(
     n, d = coords.shape
     coords_t = np.ascontiguousarray(coords.T)
     cum0 = np.cumsum(weights)
-    rows = max(1, _BLOCK_VALUES // n)
-    width = _cdf_blocks(n, D) * _CDF_BLOCK or n
+    nb = _cdf_blocks(n, D)
+    sub = max(1, _BLOCK_VALUES // n)
+    outer = max(1, _DRAW_VALUES // n) if nb else sub
+    sub = min(sub, outer, B)
     costs = np.empty(B)
     centers = np.empty((B, k, d))
-    # The mass rows keep zeros past column n, padding them to whole blocks.
-    work = np.zeros((3, min(rows, B), width))
-    for lo in range(0, B, rows):
-        hi = min(lo + rows, B)
-        mass_b = work[1, : hi - lo]
-        cache_b, scratch_b, diff_b = work[:, : hi - lo, :n]
+    # The cache keeps zeros past column n, padding its rows to whole blocks.
+    cache_buf = np.zeros((min(outer, B), nb * _CDF_BLOCK or n))
+    scratch = np.empty((2, sub, n))
+    if nb:
+        w_blocks = np.zeros(nb * _CDF_BLOCK)
+        w_blocks[:n] = weights
+        w_blocks = w_blocks.reshape(nb, _CDF_BLOCK)
+        sums_buf = np.empty((cache_buf.shape[0], nb))
+    for lo in range(0, B, outer):
+        hi = min(lo + outer, B)
+        rows = hi - lo
+        cache = cache_buf[:rows]
         blk_centers = centers[lo:hi]
+        if nb:
+            sums = sums_buf[:rows]
+            cache_blocks = cache.reshape(rows, nb, _CDF_BLOCK)
         for i in range(k):
             ui = u[i, lo:hi]
             if i == 0:
                 cols = np.searchsorted(cum0, ui * cum0[-1], side="right")
                 dead = None
+            elif nb:
+                cols, dead = _inverse_cdf_blocks(sums, cache_blocks, w_blocks, ui)
             else:
-                np.multiply(cache_b, weights, out=scratch_b)
-                cols, dead = _inverse_cdf_rows(mass_b, ui, diff_b)
+                mass, cum = scratch[:, :rows]
+                np.multiply(cache, weights, out=mass)
+                cols, dead = _inverse_cdf_rows(mass, ui, cum)
             # Only a zero-mass row, whose draw is discarded, lands past n - 1.
             np.minimum(cols, n - 1, out=cols)
             if selectors is not None:
@@ -349,19 +396,31 @@ def _run_tuple_batch(
             if dead is not None and dead.any():
                 ci[dead] = blk_centers[dead, i - 1]
             blk_centers[:, i, :] = ci
-            d2 = cache_b if i == 0 else scratch_b
-            _sq_dist_rows(coords_t, ci, d2, diff_b)
-            if i > 0:
-                np.minimum(cache_b, d2, out=cache_b)
-        np.multiply(cache_b, weights, out=scratch_b)
-        costs[lo:hi] = scratch_b.sum(axis=1)
+            for s in range(0, rows, sub):
+                e = min(s + sub, rows)
+                d2, diff = scratch[:, : e - s]
+                cache_s = cache[s:e, :n]
+                _sq_dist_rows(coords_t, ci[s:e], cache_s if i == 0 else d2, diff)
+                if i > 0:
+                    np.minimum(cache_s, d2, out=cache_s)
+                if nb:
+                    np.einsum("rjp,jp->rj", cache_blocks[s:e], w_blocks, out=sums[s:e])
+        if nb:
+            costs[lo:hi] = sums.sum(axis=1)
+        else:
+            mass = scratch[0, :rows]
+            np.multiply(cache, weights, out=mass)
+            costs[lo:hi] = mass.sum(axis=1)
     return costs, centers
 
 
 def _best_for_trial(
     P: WeightedPointSet, params: PtasParams, master: RandomSource, t: int
-) -> tuple[float, np.ndarray, int]:
+) -> tuple[float, np.ndarray, int, int]:
     """Minimum-cost candidate over the tuple stream of trial t.
+
+    Returns its cost, its centers, the number of tuples evaluated and the
+    candidate's index in the trial's tuple stream (the first on ties).
 
     Budget mode draws exactly M points per iteration and selects them all:
     with fresh draws per tuple, a uniform M-subset of N i.i.d. draws is
@@ -385,6 +444,7 @@ def _best_for_trial(
         )
     best_cost = math.inf
     best_centers: np.ndarray | None = None
+    best_tuple = 0
     evaluated = 0
     for u, selectors in batches:
         costs, centers = _run_tuple_batch(P.coords, P.weights, u, selectors)
@@ -392,9 +452,10 @@ def _best_for_trial(
         if float(costs[j]) < best_cost:
             best_cost = float(costs[j])
             best_centers = centers[j].copy()
+            best_tuple = evaluated + j
         evaluated += costs.shape[0]
     assert best_centers is not None
-    return best_cost, best_centers, evaluated
+    return best_cost, best_centers, evaluated, best_tuple
 
 
 def solve(
@@ -411,7 +472,9 @@ def solve(
     (master_seed, trial), and the reduction scans trials in index order with
     a strict minimum, so the result is bit-identical for any thread count.
     meta["trial_costs"] holds each trial's best candidate cost in the
-    input's weight units. When k is at least the number of distinct points
+    input's weight units; meta["best_trial"] is the winning trial and
+    meta["best_tuple"] the winning candidate's index in that trial's tuple
+    stream. When k is at least the number of distinct points
     the exact zero-cost placement on the distinct points is returned
     directly.
     """
@@ -431,7 +494,7 @@ def solve(
 
     master = RandomSource(master_seed)
 
-    def worker(t: int) -> tuple[float, np.ndarray, int]:
+    def worker(t: int) -> tuple[float, np.ndarray, int, int]:
         return _best_for_trial(P, params, master, t)
 
     if threads > 1:
@@ -442,14 +505,16 @@ def solve(
 
     best_cost = math.inf
     best_centers: np.ndarray | None = None
+    best_trial = best_tuple = 0
     trial_costs = []
     evaluated = 0
-    for cost, centers, count in outcomes:
+    for t, (cost, centers, count, tuple_index) in enumerate(outcomes):
         trial_costs.append(cost)
         evaluated += count
         if cost < best_cost:
             best_cost = cost
             best_centers = centers
+            best_trial, best_tuple = t, tuple_index
     assert best_centers is not None
     meta = {
         "solver": "ptas",
@@ -462,5 +527,7 @@ def solve(
         "tuples_evaluated": evaluated,
         "master_seed": master_seed,
         "trial_costs": trial_costs,
+        "best_trial": best_trial,
+        "best_tuple": best_tuple,
     }
     return ClusteringResult.from_centers(P, CenterSet(best_centers), meta)

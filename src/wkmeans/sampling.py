@@ -11,7 +11,7 @@ Two policies keep every run bit-reproducible:
 Categorical draws are inverse-CDF: one uniform u lands on the point whose
 interval of the running sum of the (unnormalized) weights holds u times the
 total, found by `searchsorted(side="right")`, so a zero weight is never
-drawn. `sample_indices` searches one running sum with an `fsum` total, so a
+drawn. `sample_indices` searches one running sum with an exact total, so a
 draw is a deterministic function of the weight vector and one uniform. The
 PTAS batch evaluator draws many rows at once: a row of up to 2 * D blocks
 of 128 points (D draws per row) takes one running sum and
@@ -23,12 +23,16 @@ last positive weight there.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from wkmeans.core import WeightedPointSet, as_center_array, min_squared_distances
+from wkmeans.core import (
+    WeightedPointSet,
+    _exact_sum,
+    as_center_array,
+    min_squared_distances,
+)
 
 __all__ = [
     "RandomSource",
@@ -76,10 +80,12 @@ class SamplingWeights:
     """Nonnegative, finite weight vector for categorical draws.
 
     A zero total is representable (`is_degenerate`); callers that need a draw
-    must check or catch `DegenerateDistribution`.
+    must check or catch `DegenerateDistribution`. `total`, the correctly
+    rounded sum of the values, is computed once at construction.
     """
 
     values: np.ndarray
+    total: float = field(init=False)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64).ravel()
@@ -90,10 +96,7 @@ class SamplingWeights:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self.values.tolist())
+        object.__setattr__(self, "total", _exact_sum(vals))
 
     @property
     def is_degenerate(self) -> bool:
@@ -112,7 +115,7 @@ def sample_indices(
     u = gen.random(count)
     cum = np.cumsum(weights.values)
     idx = np.searchsorted(cum, u * total, side="right")
-    # The fsum total can exceed cum[-1], so a target may pass the last entry;
+    # The exact total can exceed cum[-1], so a target may pass the last entry;
     # it lands on the last positive weight. Any other draw is at or before it.
     last = np.flatnonzero(weights.values)[-1]
     return np.minimum(idx, last).astype(np.intp)

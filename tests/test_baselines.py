@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from wkmeans import sampling
 from wkmeans.baselines import LloydParams, kmeanspp_lloyd, kmeanspp_seed, lloyd_descend
 from wkmeans.core import CenterSet, WeightedPointSet, assign_to_centers, weighted_cost
 from wkmeans.instances import kpp20, line4, oracle_instances, random_instance
@@ -37,6 +38,21 @@ def test_seeding_is_reproducible():
     a = kmeanspp_seed(P, 3, RandomSource(8)).centers
     b = kmeanspp_seed(P, 3, RandomSource(8)).centers
     assert np.array_equal(a, b)
+
+
+def test_seeding_sums_each_draw_distribution_once(monkeypatch):
+    """k draws take k exact totals: one per D^2 distribution, none repeated."""
+    calls = []
+    exact_sum = sampling._exact_sum
+
+    def counted(terms):
+        calls.append(len(terms))
+        return exact_sum(terms)
+
+    monkeypatch.setattr(sampling, "_exact_sum", counted)
+    P = make_points(4, 30, 2)
+    kmeanspp_seed(P, 4, RandomSource(8))
+    assert calls == [30] * 4
 
 
 def test_lloyd_params_validation():

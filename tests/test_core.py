@@ -18,7 +18,7 @@ from wkmeans.core import (
     weighted_cost,
 )
 from wkmeans import core
-from wkmeans.sampling import RandomSource
+from wkmeans.sampling import RandomSource, SamplingWeights
 
 from conftest import make_points
 
@@ -50,6 +50,68 @@ def test_total_weight_is_order_independent():
     w = np.full(10, 0.1)
     P = WeightedPointSet(np.zeros((10, 1)), w)
     assert P.total_weight == 1.0
+
+
+def _sum_outcome(f):
+    try:
+        return f().hex()
+    except OverflowError:
+        return "overflow"
+
+
+_EXACT_SUM_TERMS = st.one_of(
+    st.floats(0.0, 1e300),
+    st.floats(0.0, 1e-300),
+    st.floats(0.0, 1.7976931348623157e308),
+    st.sampled_from([0.0, 5e-324, 2.0**-1022, 1.0, 2.0**-53, 2.0**-54, 3.0 * 2.0**-53]),
+)
+
+
+@given(
+    st.lists(_EXACT_SUM_TERMS, min_size=1, max_size=200),
+    st.integers(1, 3),
+    st.sampled_from([core._EXACT_CHUNK, 1, 7]),
+)
+def test_exact_sum_equals_fsum(terms, copies, chunk):
+    """The exponent-bucket sum is math.fsum bit for bit, overflow included.
+
+    Terms span zeros, subnormals, 1e-300 to 1e300 and values near the
+    largest double, whose sums overflow. Repeated copies and terms of 1,
+    2^-53 and 2^-54 put exact sums on rounding ties. Chunks of 1 and 7
+    terms take the path that inputs past 2^26 - 1 terms take.
+    """
+    x = np.array(terms * copies)
+    want = _sum_outcome(lambda: math.fsum(x.tolist()))
+    old = core._EXACT_CHUNK
+    core._EXACT_CHUNK = chunk
+    try:
+        assert _sum_outcome(lambda: core._exact_sum(x)) == want
+    finally:
+        core._EXACT_CHUNK = old
+    if want != "overflow":
+        assert SamplingWeights(x).total.hex() == want
+        w = np.ones_like(x)
+        assert core._cost(w, x).hex() == want
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [1.0, 2.0**-53],
+        [1.0, 2.0**-53, 2.0**-106],
+        [1.0 + 2.0**-52, 2.0**-53],
+        [5e-324] * 3 + [2.0**-1022],
+        [1e300, 1.0, 1e-300],
+        [np.inf, 1.0],
+        [np.nan, 1.0],
+    ],
+)
+def test_exact_sum_ties_and_non_finite_terms(terms):
+    """Round-half-even ties, a subnormal carry and non-finite terms."""
+    x = np.array(terms)
+    assert _sum_outcome(lambda: core._exact_sum(x)) == _sum_outcome(
+        lambda: math.fsum(x.tolist())
+    )
 
 
 def test_subset_allows_repeats_and_rejects_empty():

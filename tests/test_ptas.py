@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wkmeans import ptas
-from wkmeans.core import WeightedPointSet
+from wkmeans.core import WeightedPointSet, _sq_dist_rows
 from wkmeans.instances import line4, oracle_instances, skew12
 from wkmeans.ptas import (
     EnumerationInfeasible,
@@ -14,7 +14,9 @@ from wkmeans.ptas import (
     _CDF_BLOCK,
     _cdf_blocks,
     _distinct_points,
+    _inverse_cdf_blocks,
     _inverse_cdf_rows,
+    _last_positive,
     _run_tuple_batch,
     _selector_chunks,
     derive_params,
@@ -136,14 +138,26 @@ def test_tuple_batch_two_point_instance_lands_on_support():
 
 
 def _draw(v, u):
-    """_inverse_cdf_rows on v zero-padded as the evaluator pads it."""
+    """The evaluator's draw from masses v: one level, or two over v as cache.
+
+    On the two-level path v is zero-padded to whole blocks as the evaluator
+    pads its cache, the weights are ones, and the block sums come from the
+    evaluator's einsum.
+    """
     rows, n = v.shape
-    width = _cdf_blocks(n, u.shape[1]) * _CDF_BLOCK or n
-    padded = np.zeros((rows, width))
-    padded[:, :n] = v
-    before = padded.copy()
-    cols, dead = _inverse_cdf_rows(padded, u, np.empty_like(padded))
-    np.testing.assert_array_equal(padded, before)
+    nb = _cdf_blocks(n, u.shape[1])
+    before = v.copy()
+    if nb == 0:
+        cols, dead = _inverse_cdf_rows(v, u, np.empty_like(v))
+    else:
+        cache = np.zeros((rows, nb, _CDF_BLOCK))
+        cache.reshape(rows, -1)[:, :n] = v
+        w = np.zeros((nb, _CDF_BLOCK))
+        w.reshape(-1)[:n] = 1.0
+        sums = np.einsum("rjp,jp->rj", cache, w)
+        cols, dead = _inverse_cdf_blocks(sums, cache, w, u)
+        np.testing.assert_array_equal(cache.reshape(rows, -1)[:, :n], v)
+    np.testing.assert_array_equal(v, before)
     assert cols.shape == u.shape and cols.dtype == np.intp
     return cols, dead
 
@@ -222,9 +236,9 @@ def test_inverse_cdf_overshoot_skips_trailing_zeros():
     """A block sum above its own running sum sends a target past that sum.
 
     Block 0 holds 1 and then tiny masses that its sequential running sum
-    absorbs but the block sum keeps, then zeros. A target between the
-    running sum's end and the block sum lands on the last tiny mass, not
-    on the zeros after it.
+    absorbs but its pairwise block sum keeps, then zeros. A target between
+    the running sum's end and the block sum lands on the last tiny mass,
+    not on the zeros after it.
     """
     n = 3 * 2 * _CDF_BLOCK
     v = np.ones((1, n))
@@ -235,10 +249,12 @@ def test_inverse_cdf_overshoot_skips_trailing_zeros():
     inner_end = np.cumsum(v[0, :_CDF_BLOCK])[-1]
     block_sum = v[0, :_CDF_BLOCK].sum()
     assert inner_end == 1.0 < block_sum
-    total = np.cumsum(v.reshape(6, _CDF_BLOCK).sum(axis=1))[-1]
+    blocks = v.reshape(1, 6, _CDF_BLOCK)
+    sums = blocks.sum(axis=2)
+    total = np.cumsum(sums)[-1]
     u = np.array([[(1.0 + block_sum) / 2.0 / total]])
     assert inner_end <= u[0, 0] * total < block_sum
-    cols, dead = _draw(v, u)
+    cols, dead = _inverse_cdf_blocks(sums, blocks, np.ones((6, _CDF_BLOCK)), u)
     assert cols.tolist() == [[99]] and not dead[0]
 
 
@@ -249,6 +265,125 @@ def test_inverse_cdf_one_level_overshoot_skips_trailing_zeros():
     assert u[0, 0] * 1e-323 == 1e-323
     cols, dead = _draw(v, u)
     assert cols.tolist() == [[2]] and not dead[0]
+
+
+def _reference_inverse_cdf_rows(v, u, cum):
+    """The single-pass evaluator's draw: masses v padded to whole blocks.
+
+    Two-level rows take block sums of the mass array by a pairwise
+    reshape-sum and running-sum the drawn blocks of it.
+    """
+    rows, w = v.shape
+    nb = _cdf_blocks(w, u.shape[1])
+    if nb == 0:
+        return _inverse_cdf_rows(v, u, cum)
+    blocks = v.reshape(rows, nb, _CDF_BLOCK)
+    sums = blocks.sum(axis=2)
+    bcum = np.zeros((rows, nb + 1))
+    np.cumsum(sums, axis=1, out=bcum[:, 1:])
+    totals = bcum[:, -1]
+    target = u * totals[:, None]
+    blk = (bcum[:, None, 1:] <= target[:, :, None]).sum(axis=2)
+    over = blk == nb
+    if over.any():
+        blk[over] = _last_positive(sums[np.nonzero(over)[0]])
+        target[over] = np.inf
+    r = np.arange(rows)[:, None]
+    target -= bcum[r, blk]
+    inner = blocks[r, blk]
+    np.cumsum(inner, axis=2, out=inner)
+    pos = (inner <= target[:, :, None]).sum(axis=2)
+    over = pos == _CDF_BLOCK
+    if over.any():
+        r, m = np.nonzero(over)
+        pos[over] = _last_positive(blocks[r, blk[r, m]])
+    return blk * _CDF_BLOCK + pos, totals <= 0.0
+
+
+def _reference_run_tuple_batch(coords, weights, u, selectors=None):
+    """The single-tier evaluator: blocks of max(1, 2^16 // n) rows.
+
+    Every iteration writes the whole mass array cache * weights and draws
+    from it, and a cost is that array's row sum.
+    """
+    k, B, D = u.shape
+    n, d = coords.shape
+    coords_t = np.ascontiguousarray(coords.T)
+    cum0 = np.cumsum(weights)
+    rows = max(1, 2**16 // n)
+    width = _cdf_blocks(n, D) * _CDF_BLOCK or n
+    costs = np.empty(B)
+    centers = np.empty((B, k, d))
+    work = np.zeros((3, min(rows, B), width))
+    for lo in range(0, B, rows):
+        hi = min(lo + rows, B)
+        mass_b = work[1, : hi - lo]
+        cache_b, scratch_b, diff_b = work[:, : hi - lo, :n]
+        blk_centers = centers[lo:hi]
+        for i in range(k):
+            ui = u[i, lo:hi]
+            if i == 0:
+                cols = np.searchsorted(cum0, ui * cum0[-1], side="right")
+                dead = None
+            else:
+                np.multiply(cache_b, weights, out=scratch_b)
+                cols, dead = _reference_inverse_cdf_rows(mass_b, ui, diff_b)
+            np.minimum(cols, n - 1, out=cols)
+            if selectors is not None:
+                cols = np.take_along_axis(cols, selectors[lo:hi, i, :], axis=1)
+            tw = weights[cols]
+            ci = np.einsum("bm,bmd->bd", tw, coords[cols]) / tw.sum(axis=1)[:, None]
+            if dead is not None and dead.any():
+                ci[dead] = blk_centers[dead, i - 1]
+            blk_centers[:, i, :] = ci
+            d2 = cache_b if i == 0 else scratch_b
+            _sq_dist_rows(coords_t, ci, d2, diff_b)
+            if i > 0:
+                np.minimum(cache_b, d2, out=cache_b)
+        np.multiply(cache_b, weights, out=scratch_b)
+        costs[lo:hi] = scratch_b.sum(axis=1)
+    return costs, centers
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(0, 5),
+    st.integers(1, _CDF_BLOCK),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(1, 40),
+    st.sampled_from(["random", "few-locations", "geo"]),
+    st.booleans(),
+)
+def test_run_tuple_batch_matches_reference(seed, D, extra, tail, k, d, B, kind, subsets):
+    """Two-level rows: the same centers bytewise, costs to summation rounding.
+
+    n > 2 * D * 128, so every row draws in two levels. The evaluator forms
+    block sums by einsum and costs from them; the reference sums the mass
+    array pairwise. Only a target within rounding of a block boundary could
+    draw differently, so the centers agree bytewise, and each cost agrees
+    within 4 n 2^-53 of the reference (a bound on both summation errors).
+    Points on a few locations give rows whose mass runs out (dead rows).
+    """
+    n = (2 * D + extra) * _CDF_BLOCK + tail
+    assert _cdf_blocks(n, D) > 0
+    gen = RandomSource(seed).generator()
+    if kind == "few-locations":
+        coords = np.floor(gen.random((n, d)) * 2.0)
+    else:
+        coords = gen.random((n, d)) * 1e3 + (5e6 if kind == "geo" else 0.0)
+    weights = np.exp(2.0 * gen.standard_normal(n))
+    u = gen.random((k, B, D))
+    selectors = None
+    if subsets:
+        m = int(gen.integers(1, D + 1))
+        keys = gen.random((B, k, D))
+        selectors = np.sort(np.argpartition(keys, m - 1, axis=2)[:, :, :m], axis=2)
+    costs, centers = _run_tuple_batch(coords, weights, u, selectors)
+    ref_costs, ref_centers = _reference_run_tuple_batch(coords, weights, u, selectors)
+    assert centers.tobytes() == ref_centers.tobytes()
+    np.testing.assert_allclose(costs, ref_costs, rtol=4 * n * 2.0**-53, atol=0.0)
 
 
 def test_solve_rejects_nonpositive_k():
@@ -328,6 +463,37 @@ def test_retained_cost_is_best_over_trials():
     assert min(trial_costs) == pytest.approx(res.cost, rel=1e-12)
 
 
+def test_meta_names_the_winning_trial_and_tuple():
+    """best_trial is the first trial of least cost; best_tuple indexes its stream.
+
+    Replaying the winning trial's sample stream batch by batch through the
+    evaluator puts the winning candidate, with the trial's cost and the
+    returned centers, at index best_tuple of the whole stream (the first of
+    the least-cost ones). Two full batches per trial, so some winners sit
+    in the second batch.
+    """
+    P = make_points(31, 2500, 2)
+    ovr = {"c1": 8.0, "c2": 4.0, "trials": 2, "tuple_budget": 2 * ptas._CHUNK}
+    params = derive_params(2, 0.5, **ovr)
+    winners = []
+    for seed in range(4):
+        res = solve(P, 2, 0.5, ovr, master_seed=seed)
+        t, j = res.meta["best_trial"], res.meta["best_tuple"]
+        trial_costs = res.meta["trial_costs"]
+        assert trial_costs.index(min(trial_costs)) == t
+        gen = RandomSource(seed).derive(ptas._SAMPLE_STREAM, t).generator()
+        batches = [
+            _run_tuple_batch(P.coords, P.weights, gen.random((2, ptas._CHUNK, params.M)))
+            for _ in range(2)
+        ]
+        costs = np.concatenate([c for c, _ in batches])
+        centers = np.concatenate([c for _, c in batches])
+        assert int(np.argmin(costs)) == j and costs[j] == trial_costs[t]
+        assert centers[j].tobytes() == res.centers.centers.tobytes()
+        winners.append(j)
+    assert any(j >= ptas._CHUNK for j in winners)
+
+
 def _lognormal_points(seed, n, d):
     gen = RandomSource(seed).generator()
     return WeightedPointSet(gen.random((n, d)), np.exp(gen.standard_normal(n)))
@@ -383,8 +549,10 @@ def _result_bytes(res):
     return (
         res.centers.centers.tobytes(),
         res.assignment.tobytes(),
-        res.cost,
-        res.meta["trial_costs"],
+        np.float64(res.cost).tobytes(),
+        np.array(res.meta["trial_costs"]).tobytes(),
+        res.meta.get("best_trial"),
+        res.meta.get("best_tuple"),
     )
 
 
@@ -404,10 +572,17 @@ def _block_invariance_cases():
 
 @pytest.mark.parametrize("P,k,ovr", list(_block_invariance_cases()))
 def test_output_bytes_do_not_depend_on_block_size(monkeypatch, P, k, ovr):
-    """One-row blocks, middle blocks and one block for the batch agree bytewise."""
+    """Sub-block and outer draw block sizes leave every output byte alone.
+
+    Each pair is (sub-block rows, outer block rows): one-row blocks, outer
+    blocks that are not a multiple of the sub-block, an outer block smaller
+    than the sub-block, and one block for the whole batch. Desk instances
+    take one level, where an outer block is one sub-block.
+    """
     outputs = []
-    for rows in (1, 7, 10**6):
-        monkeypatch.setattr(ptas, "_BLOCK_VALUES", rows * P.n)
+    for sub, outer in ((1, 1), (1, 5), (3, 7), (7, 3), (10**6, 10**6)):
+        monkeypatch.setattr(ptas, "_BLOCK_VALUES", sub * P.n)
+        monkeypatch.setattr(ptas, "_DRAW_VALUES", outer * P.n)
         for threads in (1, 2):
             res = solve(P, k, 0.5, ovr, master_seed=11, threads=threads)
             outputs.append(_result_bytes(res))
