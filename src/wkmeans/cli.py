@@ -200,7 +200,7 @@ def cmd_sensor(args: argparse.Namespace) -> int:
         "coverage_cost": report.coverage,
         "quantization_cost": report.quantization_cost,
         "inertia_sum": report.inertia_sum,
-        "n_cells": len(report.discretization.cells),
+        "n_cells": report.discretization.weights.shape[0],
         "meta": report.result.meta,
     }
     _emit(_json_document(payload), args.output)

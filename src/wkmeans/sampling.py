@@ -12,13 +12,10 @@ Categorical draws are inverse-CDF: one uniform u lands on the point whose
 interval of the running sum of the (unnormalized) weights holds u times the
 total, found by `searchsorted(side="right")`, so a zero weight is never
 drawn. `sample_indices` searches one running sum with an exact total, so a
-draw is a deterministic function of the weight vector and one uniform. The
-PTAS batch evaluator draws many rows at once: a row of up to 2 * D blocks
-of 128 points (D draws per row) takes one running sum and
-`searchsorted_rows`; a longer row first searches the running sum of its
-block sums, then running-sums only the blocks drawn. Where rounding puts a
-target at or past the end of the running sum it searches, both land on the
-last positive weight there.
+draw is a deterministic function of the weight vector and one uniform.
+Where rounding puts a target at or past the end of the running sum, the
+draw lands on the last positive weight. `searchsorted_rows` is the same
+search run on many rows of running sums at once.
 """
 
 from __future__ import annotations

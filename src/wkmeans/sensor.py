@@ -22,8 +22,9 @@ offsets built one coordinate at a time, the density evaluated in blocks of
 at most `_BLOCK_NODES` nodes and each cell's moments taken about its own
 first vertex, so results hold at geo-referenced offsets.
 
-A `Discretization` holds its cells on arrays: one tuple of polygon arrays
-plus weight, center-of-mass and inertia arrays. `coverage_cost` on a mesh
+From clipping to coverage, cell polygons live in one (V, 2) vertex array,
+cell i at vertices[starts[i]:starts[i + 1]]; a `Discretization` holds them
+with weight, center-of-mass and inertia arrays. `coverage_cost` on a mesh
 integrates only the cells that a Voronoi boundary cuts. It assigns every
 cell vertex to its nearest center in one kernel call. A cell whose vertices
 all go to one center c lies inside c's closed Voronoi cell, because both
@@ -49,6 +50,7 @@ from wkmeans.core import (
     CenterSet,
     ClusteringResult,
     WeightedPointSet,
+    _exact_sum,
     _nearest,
     as_center_array,
     min_squared_distances,
@@ -284,7 +286,8 @@ class RegionFileError(ValueError):
 class Discretization:
     """Grid cells clipped to a region, held on arrays.
 
-    cells[i] is the (m_i, 2) CCW polygon of cell i. weights and inertias,
+    Cell i is the CCW polygon vertices[starts[i]:starts[i + 1]] (`cells`
+    gives these views), with starts of shape (n + 1,). weights and inertias,
     shape (n,), are its mass w_i and its inertia J_i about its center of
     mass x_i. com_offsets, shape (n, 2), is x_i minus the cell's first
     vertex as integrated; coms = first vertex + com_offsets is x_i rounded
@@ -293,11 +296,11 @@ class Discretization:
     All moments come from the product Gauss rule of order quad_order, and
     coverage_cost prices the mesh with that same order. n_clipped counts
     the cells that clipping changed from their grid square. as_point_set (the
-    centers of mass weighted by mass) is built once, and so is the stack
-    of all cell vertices for coverage_cost's nearest-center pass.
+    centers of mass weighted by mass) is built once. All arrays are read-only.
     """
 
-    cells: tuple[np.ndarray, ...]
+    vertices: np.ndarray
+    starts: np.ndarray
     weights: np.ndarray
     com_offsets: np.ndarray
     inertias: np.ndarray
@@ -308,20 +311,20 @@ class Discretization:
     as_point_set: WeightedPointSet = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        sizes = np.array([p.shape[0] for p in self.cells])
-        starts = np.cumsum(sizes) - sizes
-        vertices = np.concatenate(self.cells)
-        coms = vertices[starts] + self.com_offsets
-        for arr in (self.weights, self.com_offsets, self.inertias, coms):
+        coms = self.vertices[self.starts[:-1]] + self.com_offsets
+        for arr in (self.vertices, self.starts, self.weights, self.com_offsets,
+                    self.inertias, coms):
             arr.setflags(write=False)
         object.__setattr__(self, "coms", coms)
         object.__setattr__(self, "as_point_set", WeightedPointSet(coms, self.weights))
-        object.__setattr__(self, "_vertices", vertices)
-        object.__setattr__(self, "_starts", starts)
+
+    @property
+    def cells(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.split(self.vertices, self.starts[1:-1]))
 
     @property
     def inertia_sum(self) -> float:
-        return math.fsum(self.inertias.tolist())
+        return _exact_sum(self.inertias)
 
 
 @functools.lru_cache(maxsize=16)
@@ -346,13 +349,16 @@ def _tri_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _integrate_cells(
     region: SensorRegion,
-    polygons: list[np.ndarray],
+    vertices: np.ndarray,
+    first: np.ndarray,
+    count: np.ndarray,
     order: int,
     centers: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per convex polygon: mass, center-of-mass offset, inertia and coverage cost.
 
-    This is the module's one quadrature path. Polygons are grouped by vertex
+    This is the module's one quadrature path. Polygon i is
+    vertices[first[i]:first[i] + count[i]]. Polygons are grouped by vertex
     count and each group is fan-triangulated from its first vertex, the
     anchor, at once; triangles of non-positive area get zero weight. Whole
     polygons are taken in blocks of about _BLOCK_NODES nodes, phi is
@@ -372,19 +378,18 @@ def _integrate_cells(
     origin = region.polygon[0]
     if centers is not None:
         centers = centers - origin
-    n = len(polygons)
+    n = first.shape[0]
     mass = np.zeros(n)
     offset = np.zeros((n, 2))
     inertia = np.zeros(n)
     cost = np.zeros(n)
-    sizes = np.array([p.shape[0] for p in polygons])
-    for m in np.unique(sizes):
-        index = np.flatnonzero(sizes == m)
+    for m in np.unique(count).tolist():
+        index = np.flatnonzero(count == m)
         per_poly = (m - 2) * ref_w.shape[0]
         step = max(1, _BLOCK_NODES // per_poly)
         for lo in range(0, index.shape[0], step):
             idx = index[lo : lo + step]
-            group = np.stack([polygons[i] for i in idx])
+            group = vertices[first[idx, None] + np.arange(m)]
             anchor = group[:, 0]
             b = group[:, 1:-1] - anchor[:, None]
             c = group[:, 2:] - anchor[:, None]
@@ -420,7 +425,8 @@ def _integrate_cells(
 
 def normalize_density(region: SensorRegion, quad_order: int = 4) -> SensorRegion:
     """Rescale the density so its integral over the region is one."""
-    mass = float(_integrate_cells(region, [region.polygon], quad_order)[0][0])
+    one_cell = np.array([0]), np.array([len(region.polygon)])
+    mass = float(_integrate_cells(region, region.polygon, *one_cell, quad_order)[0][0])
     if mass <= 0.0:
         raise ValueError("density has zero mass on the region")
     if mass < 1e-9:
@@ -520,15 +526,16 @@ def clip_cell(square: np.ndarray, polygon: np.ndarray) -> np.ndarray | None:
     return verts[0, : count[0]].copy() if count[0] else None
 
 
-def _clip_grid(poly: np.ndarray, grid_eps: float) -> tuple[list[np.ndarray], np.ndarray]:
+def _clip_grid(poly: np.ndarray, grid_eps: float) -> tuple[np.ndarray, ...]:
     """The grid squares clipped to the polygon, nonempty ones in row-major order.
 
     Blocks of rows are classified on arrays with the clipper's own side test
     and slack: a square whose corners all pass every edge is kept as is
     (clipping would return it unchanged), one whose corners all fail some
     edge is dropped (clipping would return None), and the boundary squares
-    left over from every block go through one `_clip_squares` call. Also
-    returns, per polygon, whether clipping changed it from its square.
+    left over from every block go through one `_clip_squares` call. Returns
+    the polygons' vertices end to end, each one's vertex count, and whether
+    clipping changed it from its square.
     """
     x0, y0 = float(poly[:, 0].min()), float(poly[:, 1].min())
     x1, y1 = float(poly[:, 0].max()), float(poly[:, 1].max())
@@ -572,14 +579,13 @@ def _clip_grid(poly: np.ndarray, grid_eps: float) -> tuple[list[np.ndarray], np.
     squares = np.concatenate(blocks)
     boundary = np.flatnonzero(np.concatenate(on_boundary))
     verts, count = _clip_squares(squares[boundary], poly)
-    changed = (count != 4) | (verts[:, :4] != squares[boundary]).any(axis=(1, 2))
-    polygons: list[np.ndarray | None] = list(squares)
-    clipped = np.zeros(len(polygons), dtype=bool)
-    clipped[boundary] = changed
-    for j, v, m in zip(boundary.tolist(), verts, count.tolist()):
-        polygons[j] = v[:m] if m else None
-    kept = [i for i, p in enumerate(polygons) if p is not None]
-    return [polygons[i] for i in kept], clipped[kept]
+    out = np.pad(squares, ((0, 0), (0, verts.shape[1] - 4), (0, 0)))
+    out[boundary] = verts
+    counts = np.full(squares.shape[0], 4)
+    counts[boundary] = count
+    clipped = (counts != 4) | (out[:, :4] != squares).any(axis=(1, 2))
+    kept = counts > 0
+    return out[np.arange(out.shape[1]) < counts[:, None]], counts[kept], clipped[kept]
 
 
 def discretize(
@@ -594,14 +600,15 @@ def discretize(
     """
     if not (math.isfinite(grid_eps) and grid_eps > 0.0):
         raise ValueError("grid_eps must be positive and finite")
-    polygons, clipped = _clip_grid(region.polygon, grid_eps)
-    mass, offset, inertia, _ = _integrate_cells(region, polygons, quad_order)
-    keep = np.flatnonzero(mass >= DROP_WEIGHT)
-    if keep.size == 0:
+    verts, counts, clipped = _clip_grid(region.polygon, grid_eps)
+    first = np.cumsum(counts) - counts
+    mass, offset, inertia, _ = _integrate_cells(region, verts, first, counts, quad_order)
+    keep = mass >= DROP_WEIGHT
+    if not keep.any():
         raise ValueError("grid too coarse or density degenerate")
-    cells = tuple(polygons[i] for i in keep.tolist())
     return Discretization(
-        cells,
+        verts[np.repeat(keep, counts)],
+        np.concatenate([[0], np.cumsum(counts[keep])]),
         mass[keep],
         offset[keep],
         inertia[keep],
@@ -636,28 +643,21 @@ def coverage_cost(
         raise ValueError("no centers")
     if mesh is None:
         order = 6 if quad_order is None else quad_order
-        cost = _integrate_cells(region, [region.polygon], order, c)[3]
-        return math.fsum(cost.tolist())
+        one_cell = np.array([0]), np.array([len(region.polygon)])
+        return float(_integrate_cells(region, region.polygon, *one_cell, order, c)[3][0])
     if quad_order is not None and quad_order != mesh.quad_order:
         raise ValueError(
             f"quad_order {quad_order} differs from the mesh's quad_order "
             f"{mesh.quad_order}"
         )
-    owner = _nearest(mesh._vertices, c)[0]
-    starts = mesh._starts
-    cut = np.minimum.reduceat(owner, starts) != np.maximum.reduceat(owner, starts)
-    whole = np.flatnonzero(~cut)
-    first = starts[whole]
-    d = (mesh._vertices[first] - c[owner[first]]) + mesh.com_offsets[whole]
-    terms = [
-        mesh.weights[whole] * (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]),
-        mesh.inertias[whole],
-    ]
-    split = np.flatnonzero(cut).tolist()
-    if split:
-        polys = [mesh.cells[i] for i in split]
-        terms.append(_integrate_cells(region, polys, mesh.quad_order, c)[3])
-    return math.fsum(np.concatenate(terms).tolist())
+    verts, first, counts = mesh.vertices, mesh.starts[:-1], np.diff(mesh.starts)
+    owner = _nearest(verts, c)[0]
+    cut = np.minimum.reduceat(owner, first) != np.maximum.reduceat(owner, first)
+    at = first[~cut]
+    d = (verts[at] - c[owner[at]]) + mesh.com_offsets[~cut]
+    uncut = mesh.weights[~cut] * (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    split = _integrate_cells(region, verts, first[cut], counts[cut], mesh.quad_order, c)
+    return _exact_sum(np.concatenate([uncut, mesh.inertias[~cut], split[3]]))
 
 
 @dataclass(frozen=True)
@@ -728,20 +728,20 @@ def place_sensors(
     """
     if k < 1:
         raise ValueError("k must be positive")
+    if solver not in ("ptas", "kmeanspp-lloyd"):
+        raise ValueError(f"unsupported solver for sensor placement: {solver}")
     normalized = normalize_density(region, quad_order)
     disc = discretize(normalized, grid_eps, quad_order)
     notes = []
-    if len(disc.cells) == 1:
+    if disc.weights.shape[0] == 1:
         notes.append("grid coarser than region: single-cell discretization")
     X = disc.as_point_set
     if solver == "ptas":
         result = ptas.solve(
             X, k, epsilon, overrides, master_seed=master_seed, threads=threads
         )
-    elif solver == "kmeanspp-lloyd":
-        result = baselines.kmeanspp_lloyd(X, k, RandomSource(master_seed))
     else:
-        raise ValueError(f"unsupported solver for sensor placement: {solver}")
+        result = baselines.kmeanspp_lloyd(X, k, RandomSource(master_seed))
     centers = result.centers
     inertia = disc.inertia_sum
     coverage = coverage_cost(normalized, centers, mesh=disc)
@@ -754,7 +754,7 @@ def place_sensors(
         warnings.warn(msg, stacklevel=2)
     meta = dict(result.meta)
     meta["grid_eps"] = grid_eps
-    meta["n_cells"] = len(disc.cells)
+    meta["n_cells"] = disc.weights.shape[0]
     meta["n_clipped_cells"] = disc.n_clipped
     gap = coverage - result.cost - inertia
     meta["decomposition_gap"] = gap

@@ -78,16 +78,17 @@ def test_exact_sum_equals_fsum(terms, copies, chunk):
     Terms span zeros, subnormals, 1e-300 to 1e300 and values near the
     largest double, whose sums overflow. Repeated copies and terms of 1,
     2^-53 and 2^-54 put exact sums on rounding ties. Chunks of 1 and 7
-    terms take the path that inputs past 2^26 - 1 terms take.
+    terms take the path that inputs past 2^26 - 1 terms take. The fsum
+    cut-over is lifted, so these short inputs take the bucket sum.
     """
     x = np.array(terms * copies)
     want = _sum_outcome(lambda: math.fsum(x.tolist()))
-    old = core._EXACT_CHUNK
-    core._EXACT_CHUNK = chunk
+    old = core._EXACT_CHUNK, core._EXACT_MIN_TERMS
+    core._EXACT_CHUNK, core._EXACT_MIN_TERMS = chunk, 0
     try:
         assert _sum_outcome(lambda: core._exact_sum(x)) == want
     finally:
-        core._EXACT_CHUNK = old
+        core._EXACT_CHUNK, core._EXACT_MIN_TERMS = old
     if want != "overflow":
         assert SamplingWeights(x).total.hex() == want
         w = np.ones_like(x)
@@ -112,6 +113,27 @@ def test_exact_sum_ties_and_non_finite_terms(terms):
     assert _sum_outcome(lambda: core._exact_sum(x)) == _sum_outcome(
         lambda: math.fsum(x.tolist())
     )
+
+
+@pytest.mark.parametrize("offset, bucketed", [(-1, False), (0, True)])
+def test_exact_sum_cut_over(monkeypatch, offset, bucketed):
+    """Just below the cut-over math.fsum sums alone; at it the bucket sum runs.
+
+    Both give the same bits. The terms are 1 and then 2^-53s, each of which
+    a running float sum would round away on a tie.
+    """
+    frexp_calls = []
+    frexp = np.frexp
+
+    def counted(x):
+        frexp_calls.append(x.size)
+        return frexp(x)
+
+    monkeypatch.setattr(core.np, "frexp", counted)
+    x = np.full(core._EXACT_MIN_TERMS + offset, 2.0**-53)
+    x[0] = 1.0
+    assert core._exact_sum(x).hex() == math.fsum(x.tolist()).hex()
+    assert bool(frexp_calls) == bucketed
 
 
 def test_subset_allows_repeats_and_rejects_empty():

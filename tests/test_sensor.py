@@ -92,6 +92,9 @@ def test_normalize_density_zero_mass():
 def test_discretize_unit_square_half_grid(unit_square):
     disc = discretize(unit_square, 0.5)
     assert len(disc.cells) == 4
+    assert disc.starts.tolist() == [0, 4, 8, 12, 16]
+    assert disc.vertices.shape == (16, 2)
+    assert not disc.vertices.flags.writeable and not disc.starts.flags.writeable
     assert disc.grid_eps == 0.5
     assert disc.weights == pytest.approx(np.full(4, 0.25), rel=1e-12)
     expected = {(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)}
@@ -471,6 +474,13 @@ def test_place_sensors_ptas_stays_near_optimal(unit_square):
 def test_place_sensors_rejects_bad_arguments(unit_square):
     with pytest.raises(ValueError, match="unsupported solver"):
         place_sensors(unit_square, 1, 0.5, 0.25, solver="agglomerative")
+    # The solver is refused before the density is normalized or discretized.
+    density = _CountingDensity()
+    with pytest.raises(ValueError, match="unsupported solver"):
+        place_sensors(
+            SensorRegion(UNIT, density), 1, 0.5, 0.25, solver="agglomerative"
+        )
+    assert density.points == 0
     with pytest.raises(ValueError, match="positive"):
         place_sensors(unit_square, 0, 0.5, 0.25)
 
@@ -496,6 +506,34 @@ def _bumps_region() -> SensorRegion:
             np.array([1.0, 0.6, 1.3]),
         ),
     )
+
+
+@pytest.mark.parametrize("solver", ["ptas", "kmeanspp-lloyd"])
+def test_place_sensors_ignores_density_scale(solver):
+    """Scaling the mixture by a power of two leaves the placement's bytes alone.
+
+    The scale is exact, and normalization divides it back out exactly, so
+    centers, assignment and every cost are unchanged bit for bit.
+    """
+    base = _bumps_region().density
+    outputs = []
+    for scale in (1.0, 4.0, 2.0**-10):
+        density = GaussianMixtureDensity(base.means, base.covariances, base.mixing * scale)
+        report = place_sensors(
+            SensorRegion(HEXAGON, density), 3, 0.5, 0.02, solver=solver,
+            master_seed=5, overrides={"tuple_budget": 64},
+        )
+        outputs.append(
+            (
+                report.centers.centers.tobytes(),
+                report.result.assignment.tobytes(),
+                report.quantization_cost.hex(),
+                report.coverage.hex(),
+                report.inertia_sum.hex(),
+            )
+        )
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 def test_region_accepts_geo_referenced_offsets():
@@ -695,7 +733,8 @@ def test_bulk_classifier_matches_clip_cell(points, grid_eps, shift):
     except QhullError:
         assume(False)
     poly = pts[hull.vertices] + shift
-    got, changed = sensor._clip_grid(poly, grid_eps)
+    vertices, counts, changed = sensor._clip_grid(poly, grid_eps)
+    got = np.split(vertices, np.cumsum(counts))[:-1]
     want = _clip_every_square(poly, grid_eps)
     assert len(got) == len(want) == changed.shape[0]
     for g, (square, w), flag in zip(got, want, changed.tolist()):
@@ -832,13 +871,15 @@ def test_cell_moments_match_long_double_recomputation():
 
 def _integrated_coverage(region, mesh, centers) -> float:
     """Coverage of the mesh with every cell integrated, none priced in closed form."""
-    cost = sensor._integrate_cells(region, list(mesh.cells), mesh.quad_order, centers)[3]
+    cost = sensor._integrate_cells(
+        region, mesh.vertices, mesh.starts[:-1], np.diff(mesh.starts), mesh.quad_order, centers
+    )[3]
     return math.fsum(cost.tolist())
 
 
 def _mesh_centers(kind: str, mesh, free: np.ndarray, pick: int) -> np.ndarray:
     """Centers of one kind for a mesh; free is a few random points near it."""
-    verts = np.concatenate(mesh.cells)
+    verts = mesh.vertices
     if kind == "single":
         return free[:1]
     if kind == "free":
