@@ -1,9 +1,11 @@
 """Sampling-based (1 + eps)-approximation for weighted k-means.
 
 One trial builds k centers iteratively: draw N points by distance-weighted
-sampling against the centers so far, pick an M-subset of the draw positions
-(the candidate tuple), and add the weighted centroid of that sub-multiset as
-the next center. The best center set over all trials and candidate tuples is
+(D^2) sampling against the centers so far, with probability proportional to
+w * d^2 (to w for the first center), pick an M-subset of the draw positions
+(the candidate tuple), and add the w-weighted mean of those drawn points as
+the next center. A point's weight therefore counts twice, once in the draw
+and once in the mean. The best center set over all trials and candidate tuples is
 returned. With N = c1*k/eps^2, M = c2/eps and 2^k trials this is the
 theoretical scheme; desk-scale runs shrink the constants and replace full
 tuple enumeration with a uniform random tuple budget.

@@ -9,18 +9,22 @@ cells' moments of inertia about their centers of mass. That identity is exact
 when no Voronoi boundary cuts through a cell, and the residual gap is
 reported, never hidden.
 
+Everything runs in the region's local frame: a `SensorRegion` fixes its
+first vertex as origin and builds, once, a `local` view as offsets from it.
+The origin is added back only where coordinates leave (placed centers,
+`as_point_set`, the CLI), so an exact shift of the input changes no bit.
+
 The grid is classified in bulk: every square corner is tested against every
 polygon edge's half-plane on arrays, squares wholly inside are kept as they
 are, squares wholly outside one edge are dropped, and only the
 O(perimeter / grid_eps) boundary squares are clipped, all in one
-`_clip_squares` call that runs Sutherland-Hodgman on arrays (`clip_cell` is
-its one-square case). All integrals use one batched path: a fixed-order
-product Gauss rule on the fan triangulation of each convex polygon (exact
-for polynomial integrands up to degree 2q-2, so cell masses, centers of
-mass, and inertias are quadrature-exact for uniform density), with node
-offsets built one coordinate at a time, the density evaluated in blocks of
-at most `_BLOCK_NODES` nodes and each cell's moments taken about its own
-first vertex, so results hold at geo-referenced offsets.
+`_clip_squares` call that runs Sutherland-Hodgman on arrays. All integrals
+use one batched path: a fixed-order product Gauss rule on the fan
+triangulation of each convex polygon (exact for polynomial integrands up to
+degree 2q-2, so cell masses, centers of mass, and inertias are quadrature-
+exact for uniform density), with node offsets built one coordinate at a
+time, the density evaluated in blocks of at most `_BLOCK_NODES` nodes and
+each cell's moments taken about its own first vertex.
 
 From clipping to coverage, cell polygons live in one (V, 2) vertex array,
 cell i at vertices[starts[i]:starts[i + 1]]; a `Discretization` holds them
@@ -36,12 +40,14 @@ from the arrays without evaluating the density.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -50,6 +56,7 @@ from wkmeans.core import (
     CenterSet,
     ClusteringResult,
     WeightedPointSet,
+    _check_dims,
     _exact_sum,
     _nearest,
     as_center_array,
@@ -68,7 +75,6 @@ __all__ = [
     "PlacementReport",
     "RegionFileError",
     "normalize_density",
-    "clip_cell",
     "discretize",
     "coverage_cost",
     "decomposition_check",
@@ -215,6 +221,22 @@ class RasterDensity:
 Density = UniformDensity | GaussianMixtureDensity | RasterDensity
 
 
+def _shifted(density, origin: np.ndarray):
+    """The density over offsets from origin. Gaussian means or a raster origin
+    move on a shallow copy that shares the validated factors and pixels; a
+    uniform density stays, and any other is evaluated at origin + offset."""
+    if isinstance(density, UniformDensity):
+        return density
+    if not isinstance(density, (GaussianMixtureDensity, RasterDensity)):
+        return SimpleNamespace(evaluate=lambda pts: density.evaluate(origin + pts))
+    shifted = copy.copy(density)
+    if isinstance(density, GaussianMixtureDensity):
+        object.__setattr__(shifted, "means", density.means - origin)
+    else:
+        object.__setattr__(shifted, "origin", tuple((density.origin - origin).tolist()))
+    return shifted
+
+
 def _polygon_area(poly: np.ndarray) -> float:
     """Signed shoelace area, taken about the first vertex so it holds at offsets."""
     d = poly[1:] - poly[0]
@@ -244,12 +266,16 @@ class SensorRegion:
     """Convex region (CCW polygon) with an importance density over it.
 
     density_scale carries the normalization factor so that densities stay
-    reusable across regions; phi() is the scaled density.
+    reusable across regions; phi() is the scaled density. origin is the
+    first vertex; local, built once with `_shifted`, is the region as
+    offsets from it (the region itself when its origin is (0, 0)).
     """
 
     polygon: np.ndarray
     density: Density
     density_scale: float = 1.0
+    origin: np.ndarray = field(init=False, repr=False)
+    local: SensorRegion = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         poly = np.atleast_2d(np.asarray(self.polygon, dtype=np.float64))
@@ -263,9 +289,8 @@ class SensorRegion:
                 raise ValueError("polygon vertices must be counter-clockwise")
             raise ValueError("polygon is degenerate (zero area)")
         edges = np.roll(poly, -1, axis=0) - poly
-        cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] - edges[:, 1] * np.roll(
-            edges, -1, axis=0
-        )[:, 0]
+        nxt = np.roll(edges, -1, axis=0)
+        cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
         if np.any(cross < -1e-12 * _extent(poly) ** 2):
             raise ValueError("region must be convex")
         if self.density_scale <= 0.0:
@@ -273,6 +298,12 @@ class SensorRegion:
         poly = poly.copy()
         poly.setflags(write=False)
         object.__setattr__(self, "polygon", poly)
+        object.__setattr__(self, "origin", poly[0])
+        local = self
+        if poly[0].any():
+            shifted = _shifted(self.density, poly[0])
+            local = SensorRegion(poly - poly[0], shifted, self.density_scale)
+        object.__setattr__(self, "local", local)
 
     def phi(self, pts: np.ndarray) -> np.ndarray:
         return self.density.evaluate(pts) * self.density_scale
@@ -284,39 +315,36 @@ class RegionFileError(ValueError):
 
 @dataclass(frozen=True)
 class Discretization:
-    """Grid cells clipped to a region, held on arrays.
+    """Grid cells clipped to a region, held on arrays in its local frame.
 
+    Every coordinate is an offset from origin, the region's first vertex.
     Cell i is the CCW polygon vertices[starts[i]:starts[i + 1]] (`cells`
-    gives these views), with starts of shape (n + 1,). weights and inertias,
-    shape (n,), are its mass w_i and its inertia J_i about its center of
-    mass x_i. com_offsets, shape (n, 2), is x_i minus the cell's first
-    vertex as integrated; coms = first vertex + com_offsets is x_i rounded
-    to the coordinates' magnitude, so coverage_cost differences centers
-    against the offsets to keep full precision at geo-referenced offsets.
-    All moments come from the product Gauss rule of order quad_order, and
-    coverage_cost prices the mesh with that same order. n_clipped counts
-    the cells that clipping changed from their grid square. as_point_set (the
-    centers of mass weighted by mass) is built once. All arrays are read-only.
+    gives these views), with starts of shape (n + 1,). weights, coms and
+    inertias are its mass w_i, its center of mass x_i, shape (n, 2), and its
+    inertia J_i about x_i. All moments come from the product Gauss rule of
+    order quad_order, and coverage_cost prices the mesh with that same
+    order. n_clipped counts the cells that clipping changed from their grid
+    square. as_point_set, the centers of mass in the region's own frame
+    (origin + coms) weighted by mass, is built once for export. All arrays
+    are read-only.
     """
 
     vertices: np.ndarray
     starts: np.ndarray
     weights: np.ndarray
-    com_offsets: np.ndarray
+    coms: np.ndarray
     inertias: np.ndarray
     grid_eps: float
     quad_order: int
     n_clipped: int
-    coms: np.ndarray = field(init=False, repr=False)
+    origin: np.ndarray
     as_point_set: WeightedPointSet = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        coms = self.vertices[self.starts[:-1]] + self.com_offsets
-        for arr in (self.vertices, self.starts, self.weights, self.com_offsets,
-                    self.inertias, coms):
+        for arr in (self.vertices, self.starts, self.weights, self.coms, self.inertias):
             arr.setflags(write=False)
-        object.__setattr__(self, "coms", coms)
-        object.__setattr__(self, "as_point_set", WeightedPointSet(coms, self.weights))
+        points = WeightedPointSet(self.origin + self.coms, self.weights)
+        object.__setattr__(self, "as_point_set", points)
 
     @property
     def cells(self) -> tuple[np.ndarray, ...]:
@@ -355,34 +383,26 @@ def _integrate_cells(
     order: int,
     centers: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per convex polygon: mass, center-of-mass offset, inertia and coverage cost.
+    """Per convex polygon: mass, center of mass, inertia and coverage cost.
 
     This is the module's one quadrature path. Polygon i is
-    vertices[first[i]:first[i] + count[i]]. Polygons are grouped by vertex
-    count and each group is fan-triangulated from its first vertex, the
-    anchor, at once; triangles of non-positive area get zero weight. Whole
-    polygons are taken in blocks of about _BLOCK_NODES nodes, phi is
-    evaluated once per block, and every sum runs over one polygon's nodes in
-    a fixed order, so no result depends on the block size. Moments are taken
-    about the anchor: the returned offset is the mean node offset from the
-    anchor (the center of mass is the anchor plus it) and the inertia is the
-    second moment about that center, so neither loses precision far from
-    the origin. The coverage cost (phi times the squared distance to the
-    nearest of `centers`) stays zero unless centers are given. Nodes and
-    centers meet as offsets from the region's first vertex, so node
-    coordinates are never rounded to the magnitude of a geo-referenced
-    offset before they are differenced.
+    vertices[first[i]:first[i] + count[i]]; the vertices, the centers and
+    region.phi share one frame, which every caller takes local. Polygons
+    are grouped by vertex count and each group is fan-triangulated from its
+    first vertex, the anchor, at once; triangles of non-positive area get
+    zero weight. Whole polygons are taken in blocks of about _BLOCK_NODES
+    nodes, phi is evaluated once per block, and every sum runs over one
+    polygon's nodes in a fixed order, so no result depends on the block
+    size. Moments are taken about the anchor: the center of mass is the
+    anchor plus the mean node offset, and the inertia is the second moment
+    about it. The coverage cost (phi times the squared distance to the
+    nearest of `centers`) stays zero unless centers are given.
     """
     ref_nodes, ref_w = _tri_rule(order)
     u, v = ref_nodes[:, 0], ref_nodes[:, 1]
-    origin = region.polygon[0]
-    if centers is not None:
-        centers = centers - origin
     n = first.shape[0]
-    mass = np.zeros(n)
-    offset = np.zeros((n, 2))
-    inertia = np.zeros(n)
-    cost = np.zeros(n)
+    mass, inertia, cost = np.zeros((3, n))
+    com = np.zeros((n, 2))
     for m in np.unique(count).tolist():
         index = np.flatnonzero(count == m)
         per_poly = (m - 2) * ref_w.shape[0]
@@ -412,21 +432,19 @@ def _integrate_cells(
             ) / np.where(w > 0.0, w, 1.0)[:, None]
             off = [local[j] - mean[:, j, None] for j in range(2)]
             mass[idx] = w
-            offset[idx] = mean
+            com[idx] = anchor + mean
             inertia[idx] = (node_mass * (off[0] ** 2 + off[1] ** 2)).sum(axis=1)
             if centers is not None:
-                rel = pts  # phi is done with the node coordinates
-                for j in range(2):
-                    np.add(anchor[:, j, None] - origin[j], local[j], out=rel[..., j])
-                d2 = min_squared_distances(rel.reshape(-1, 2), centers)
+                d2 = min_squared_distances(pts.reshape(-1, 2), centers)
                 cost[idx] = (node_mass * d2.reshape(-1, per_poly)).sum(axis=1)
-    return mass, offset, inertia, cost
+    return mass, com, inertia, cost
 
 
 def normalize_density(region: SensorRegion, quad_order: int = 4) -> SensorRegion:
     """Rescale the density so its integral over the region is one."""
-    one_cell = np.array([0]), np.array([len(region.polygon)])
-    mass = float(_integrate_cells(region, region.polygon, *one_cell, quad_order)[0][0])
+    local = region.local
+    one_cell = np.array([0]), np.array([len(local.polygon)])
+    mass = float(_integrate_cells(local, local.polygon, *one_cell, quad_order)[0][0])
     if mass <= 0.0:
         raise ValueError("density has zero mass on the region")
     if mass < 1e-9:
@@ -516,16 +534,6 @@ def _clip_squares(
     return verts, count
 
 
-def clip_cell(square: np.ndarray, polygon: np.ndarray) -> np.ndarray | None:
-    """Intersect an axis-aligned square with a convex polygon.
-
-    The one-square case of `_clip_squares`: returns CCW vertices, or None
-    when the overlap is empty or degenerate.
-    """
-    verts, count = _clip_squares(np.asarray(square, dtype=np.float64)[None], polygon)
-    return verts[0, : count[0]].copy() if count[0] else None
-
-
 def _clip_grid(poly: np.ndarray, grid_eps: float) -> tuple[np.ndarray, ...]:
     """The grid squares clipped to the polygon, nonempty ones in row-major order.
 
@@ -593,16 +601,16 @@ def discretize(
 ) -> Discretization:
     """Clip a square grid to the region and integrate per cell.
 
-    The grid anchors at the lower-left corner of the polygon's bounding box.
-    Cells are emitted in row-major order (y rows, then x), each with mass
-    w_i, center of mass x_i and inertia J_i about x_i. Cells with mass under
-    the drop threshold are discarded.
+    Works on region.local: the grid anchors at the lower-left corner of the
+    local polygon's bounding box. Cells are emitted in row-major order (y
+    rows, then x), each with mass w_i, center of mass x_i and inertia J_i
+    about x_i. Cells with mass under the drop threshold are discarded.
     """
     if not (math.isfinite(grid_eps) and grid_eps > 0.0):
         raise ValueError("grid_eps must be positive and finite")
-    verts, counts, clipped = _clip_grid(region.polygon, grid_eps)
+    verts, counts, clipped = _clip_grid(region.local.polygon, grid_eps)
     first = np.cumsum(counts) - counts
-    mass, offset, inertia, _ = _integrate_cells(region, verts, first, counts, quad_order)
+    mass, com, inertia, _ = _integrate_cells(region.local, verts, first, counts, quad_order)
     keep = mass >= DROP_WEIGHT
     if not keep.any():
         raise ValueError("grid too coarse or density degenerate")
@@ -610,11 +618,12 @@ def discretize(
         verts[np.repeat(keep, counts)],
         np.concatenate([[0], np.cumsum(counts[keep])]),
         mass[keep],
-        offset[keep],
+        com[keep],
         inertia[keep],
         grid_eps,
         quad_order,
         int(np.count_nonzero(clipped[keep])),
+        region.origin,
     )
 
 
@@ -636,15 +645,18 @@ def coverage_cost(
     all go to center c lies inside c's closed Voronoi cell (both are
     convex), so its quadrature value is exactly w |x - c|^2 + J and is
     taken from the mesh arrays; only cells with vertices on more than one
-    center are integrated. All terms go into one exactly rounded sum.
+    center are integrated. All terms go into one exactly rounded sum. A
+    mesh must come from discretizing this region or its local view.
     """
     c = as_center_array(centers)
     if c.shape[0] == 0:
         raise ValueError("no centers")
+    _check_dims(2, c)
+    c, local = c - region.origin, region.local
     if mesh is None:
         order = 6 if quad_order is None else quad_order
-        one_cell = np.array([0]), np.array([len(region.polygon)])
-        return float(_integrate_cells(region, region.polygon, *one_cell, order, c)[3][0])
+        one_cell = np.array([0]), np.array([len(local.polygon)])
+        return float(_integrate_cells(local, local.polygon, *one_cell, order, c)[3][0])
     if quad_order is not None and quad_order != mesh.quad_order:
         raise ValueError(
             f"quad_order {quad_order} differs from the mesh's quad_order "
@@ -653,10 +665,9 @@ def coverage_cost(
     verts, first, counts = mesh.vertices, mesh.starts[:-1], np.diff(mesh.starts)
     owner = _nearest(verts, c)[0]
     cut = np.minimum.reduceat(owner, first) != np.maximum.reduceat(owner, first)
-    at = first[~cut]
-    d = (verts[at] - c[owner[at]]) + mesh.com_offsets[~cut]
+    d = mesh.coms[~cut] - c[owner[first[~cut]]]
     uncut = mesh.weights[~cut] * (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-    split = _integrate_cells(region, verts, first[cut], counts[cut], mesh.quad_order, c)
+    split = _integrate_cells(local, verts, first[cut], counts[cut], mesh.quad_order, c)
     return _exact_sum(np.concatenate([uncut, mesh.inertias[~cut], split[3]]))
 
 
@@ -685,17 +696,17 @@ def decomposition_check(
     rhs overshoots and the reported gap measures the discretization error.
     """
     disc = discretize(region, grid_eps, quad_order)
-    X = disc.as_point_set
-    quant = weighted_cost(X, centers)
+    lhs = coverage_cost(region, centers, mesh=disc)
+    c = as_center_array(centers) - region.origin
+    quant = weighted_cost(WeightedPointSet(disc.coms, disc.weights), c)
     inertia = disc.inertia_sum
     rhs = quant + inertia
-    lhs = coverage_cost(region, centers, mesh=disc)
     return DecompositionReport(lhs, rhs, abs(lhs - rhs), quant, inertia)
 
 
 @dataclass(frozen=True)
 class PlacementReport:
-    """Sensor placement with every cost component itemized."""
+    """Sensor placement with every cost component itemized; centers in the region's frame."""
 
     centers: CenterSet
     coverage: float
@@ -735,16 +746,15 @@ def place_sensors(
     notes = []
     if disc.weights.shape[0] == 1:
         notes.append("grid coarser than region: single-cell discretization")
-    X = disc.as_point_set
+    X = WeightedPointSet(disc.coms, disc.weights)
     if solver == "ptas":
         result = ptas.solve(
             X, k, epsilon, overrides, master_seed=master_seed, threads=threads
         )
     else:
         result = baselines.kmeanspp_lloyd(X, k, RandomSource(master_seed))
-    centers = result.centers
     inertia = disc.inertia_sum
-    coverage = coverage_cost(normalized, centers, mesh=disc)
+    coverage = coverage_cost(normalized.local, result.centers, mesh=disc)
     if coverage > 0.0 and inertia > INERTIA_WARN_FRACTION * coverage:
         msg = (
             f"cell inertia is {inertia / coverage:.1%} of the coverage cost; "
@@ -759,6 +769,7 @@ def place_sensors(
     gap = coverage - result.cost - inertia
     meta["decomposition_gap"] = gap
     meta["decomposition_gap_rel"] = gap / coverage if coverage > 0.0 else 0.0
+    centers = CenterSet(disc.origin + result.centers.centers)
     final = ClusteringResult(centers, result.assignment, result.cost, meta)
     return PlacementReport(
         centers, coverage, result.cost, inertia, disc, final, tuple(notes)
@@ -767,26 +778,15 @@ def place_sensors(
 
 def _parse_density(spec: dict) -> Density:
     kind = spec.get("type")
-    if kind == "uniform":
-        return UniformDensity(float(spec.get("level", 1.0)))
-    if kind == "gaussian_mixture":
-        try:
-            return GaussianMixtureDensity(
-                np.asarray(spec["means"], dtype=np.float64),
-                np.asarray(spec["covariances"], dtype=np.float64),
-                np.asarray(spec["mixing"], dtype=np.float64),
-            )
-        except KeyError as exc:
-            raise RegionFileError(f"gaussian_mixture density missing {exc}") from None
-    if kind == "raster":
-        try:
-            return RasterDensity(
-                tuple(spec["origin"]),
-                float(spec["pixel_size"]),
-                np.asarray(spec["values"], dtype=np.float64),
-            )
-        except KeyError as exc:
-            raise RegionFileError(f"raster density missing {exc}") from None
+    try:
+        if kind == "uniform":
+            return UniformDensity(float(spec.get("level", 1.0)))
+        if kind == "gaussian_mixture":
+            return GaussianMixtureDensity(spec["means"], spec["covariances"], spec["mixing"])
+        if kind == "raster":
+            return RasterDensity(spec["origin"], float(spec["pixel_size"]), spec["values"])
+    except KeyError as exc:
+        raise RegionFileError(f"{kind} density missing {exc}") from None
     raise RegionFileError(f"unknown density type: {kind!r}")
 
 

@@ -5,10 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wkmeans
 from wkmeans import cli
+from wkmeans.core import load_weighted_points
+from wkmeans.sensor import load_region, place_sensors
 
 
 def run(argv):
@@ -224,3 +227,31 @@ def test_import_does_not_load_scipy_stats():
         [sys.executable, "-c", code, src], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_sensor_writes_outputs_in_the_region_files_frame(tmp_path):
+    """At a 5e6 offset the centers and the cell CSV come back in the file's coordinates."""
+    offset = 5e6
+    doc = {
+        "polygon": [[offset, offset], [offset + 1, offset], [offset + 1, offset + 1],
+                    [offset, offset + 1]],
+        "density": {"type": "gaussian_mixture", "means": [[offset + 0.3, offset + 0.6]],
+                    "covariances": [[[0.04, 0.0], [0.0, 0.04]]], "mixing": [1.0]},
+    }
+    region_path = tmp_path / "region.json"
+    region_path.write_text(json.dumps(doc))
+    out = tmp_path / "place.json"
+    argv = ["sensor", "--region", str(region_path), "--k", "2", "--grid-eps", "0.125",
+            "--solver", "kmeanspp-lloyd", "--seed", "4", "--output", str(out)]
+    assert run(argv) == 0
+    payload = json.loads(out.read_text())
+    region, _ = load_region(region_path)
+    report = place_sensors(region, 2, 0.5, 0.125, solver="kmeanspp-lloyd", master_seed=4)
+    assert payload["centers"] == report.centers.centers.tolist()
+    centers = report.centers.centers
+    assert np.all((centers > offset) & (centers < offset + 1))
+    cells = load_weighted_points(tmp_path / "place_points.csv")
+    want = report.discretization.as_point_set
+    assert cells.coords.tobytes() == want.coords.tobytes()
+    assert cells.weights.tobytes() == want.weights.tobytes()
+    assert np.all((cells.coords > offset) & (cells.coords < offset + 1))

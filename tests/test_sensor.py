@@ -16,7 +16,6 @@ from wkmeans.sensor import (
     RegionFileError,
     SensorRegion,
     UniformDensity,
-    clip_cell,
     coverage_cost,
     decomposition_check,
     discretize,
@@ -53,25 +52,31 @@ def test_region_validation():
         SensorRegion(np.array([[0.0, 0.0], [1.0, 0.0]]), UniformDensity())
 
 
+def _clip_one_square(square: np.ndarray, polygon: np.ndarray) -> np.ndarray | None:
+    """One square through the batched clipper: CCW vertices, or None when empty."""
+    verts, count = sensor._clip_squares(square[None], polygon)
+    return verts[0, : count[0]] if count[0] else None
+
+
 def test_clip_cell_cases():
     inside = np.array([[0.2, 0.2], [0.4, 0.2], [0.4, 0.4], [0.2, 0.4]])
-    clipped = clip_cell(inside, UNIT)
+    clipped = _clip_one_square(inside, UNIT)
     assert clipped is not None
     assert _area(clipped) == pytest.approx(0.04, rel=1e-12)
 
     outside = inside + 5.0
-    assert clip_cell(outside, UNIT) is None
+    assert _clip_one_square(outside, UNIT) is None
 
     # Square straddling the hypotenuse of the reference triangle: the piece
     # with x + y <= 1 is the corner triangle (0.4,0.4)-(0.6,0.4)-(0.4,0.6).
     straddle = np.array([[0.4, 0.4], [0.9, 0.4], [0.9, 0.9], [0.4, 0.9]])
-    piece = clip_cell(straddle, TRI)
+    piece = _clip_one_square(straddle, TRI)
     assert piece is not None
     assert _area(piece) == pytest.approx(0.02, rel=1e-9)
 
     # A cell sharing edges with the region keeps its full area.
     corner = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
-    kept = clip_cell(corner, UNIT)
+    kept = _clip_one_square(corner, UNIT)
     assert kept is not None
     assert _area(kept) == pytest.approx(0.25, rel=1e-12)
 
@@ -340,6 +345,17 @@ def test_densities_refuse_points_of_another_dimension():
         ras.evaluate(np.array([[0.25, 0.25, 7.0]]))
     with pytest.raises(ValueError, match="points are 1-d, the raster is 2-d"):
         ras.evaluate(np.array([[0.25], [0.75]]))
+
+
+def test_pricing_refuses_centers_of_another_dimension():
+    """Centers are checked against the plane before they are moved to the local frame."""
+    region = SensorRegion(UNIT + 3.0, UniformDensity())
+    for centers, d in (([], 0), ([[3.5, 3.5, 3.5]], 3)):
+        message = f"points are 2-d, centers are {d}-d"
+        with pytest.raises(ValueError, match=message):
+            coverage_cost(region, centers)
+        with pytest.raises(ValueError, match=message):
+            decomposition_check(region, 0.5, centers)
 
 
 def test_coverage_cost_matches_scipy_backed_density():
@@ -819,7 +835,7 @@ def test_place_sensors_counts_clipped_cells():
 def _discretization_bytes(disc) -> bytes:
     return b"".join(
         [p.tobytes() for p in disc.cells]
-        + [a.tobytes() for a in (disc.weights, disc.com_offsets, disc.coms, disc.inertias)]
+        + [a.tobytes() for a in (disc.weights, disc.coms, disc.inertias, disc.origin)]
     )
 
 
@@ -849,8 +865,9 @@ def test_cell_moments_match_long_double_recomputation():
     nodes, ref_w = sensor._tri_rule(4)
     u, v = nodes[:, 0], nodes[:, 1]
     for poly, weight, com_i, inertia_i in zip(
-        disc.cells, disc.weights, disc.coms, disc.inertias
+        disc.cells, disc.weights, disc.coms + disc.origin, disc.inertias
     ):
+        poly = poly + disc.origin
         a = poly[0]
         pts, wts = [], []
         for b, c in zip(poly[1:-1] - a, poly[2:] - a):
@@ -872,14 +889,15 @@ def test_cell_moments_match_long_double_recomputation():
 def _integrated_coverage(region, mesh, centers) -> float:
     """Coverage of the mesh with every cell integrated, none priced in closed form."""
     cost = sensor._integrate_cells(
-        region, mesh.vertices, mesh.starts[:-1], np.diff(mesh.starts), mesh.quad_order, centers
+        region.local, mesh.vertices, mesh.starts[:-1], np.diff(mesh.starts), mesh.quad_order,
+        centers - mesh.origin,
     )[3]
     return math.fsum(cost.tolist())
 
 
 def _mesh_centers(kind: str, mesh, free: np.ndarray, pick: int) -> np.ndarray:
     """Centers of one kind for a mesh; free is a few random points near it."""
-    verts = mesh.vertices
+    verts = mesh.vertices + mesh.origin
     if kind == "single":
         return free[:1]
     if kind == "free":
@@ -989,3 +1007,143 @@ def test_dropped_cells_stay_out_of_both_sides_of_the_split(unit_square):
         assert rep.inertia_sum == mesh.inertia_sum
         if len(centers) == 1:
             assert rep.gap <= 1e-12 * rep.lhs
+
+
+class _StepDensity:
+    """Duck-typed density: 1 left of the line x = anchor + 0.5, 3 right of it."""
+
+    def __init__(self, anchor: float) -> None:
+        self.anchor = anchor
+
+    def evaluate(self, pts):
+        return np.where(np.atleast_2d(pts)[:, 0] - self.anchor < 0.5, 1.0, 3.0)
+
+
+def _dyadic_density(kind: str, shift: float):
+    """A density on the unit square shifted by (shift, shift); every input is dyadic."""
+    if kind == "uniform":
+        return UniformDensity(2.0)
+    if kind == "gaussian":
+        return GaussianMixtureDensity(
+            np.array([[0.25, 0.375], [0.75, 0.5], [0.5, 0.75]]) + shift,
+            np.array([np.eye(2) * sd * sd for sd in (0.10, 0.14, 0.18)]),
+            np.array([1.0, 0.6, 1.3]),
+        )
+    if kind == "raster":
+        values = np.arange(1.0, 17.0).reshape(4, 4)
+        return RasterDensity((shift, shift), 0.25, values)
+    return _StepDensity(shift)
+
+
+def _placement_bytes(report, region) -> tuple:
+    """Everything place_sensors computes in the local frame, as bytes."""
+    disc = report.discretization
+    return (
+        report.result.assignment.tobytes(),
+        disc.vertices.tobytes(),
+        disc.weights.tobytes(),
+        disc.coms.tobytes(),
+        disc.inertias.tobytes(),
+        normalize_density(region).density_scale.hex(),
+        report.quantization_cost.hex(),
+        report.coverage.hex(),
+        report.inertia_sum.hex(),
+    )
+
+
+@pytest.mark.parametrize("solver", ["ptas", "kmeanspp-lloyd"])
+@pytest.mark.parametrize("kind", ["uniform", "gaussian", "raster", "duck"])
+def test_place_sensors_is_exact_under_dyadic_translation(kind, solver):
+    """Shifting the dyadic square by 2^17, 2^22 or 2^23 changes no bit.
+
+    Every shifted input is exact, so the local frame sees the same numbers
+    as at shift 0; the centers are the shift-0 centers plus the shift,
+    rounded once.
+    """
+    runs = {}
+    for shift in (0.0, 2.0**17, 2.0**22, 2.0**23):
+        region = SensorRegion(UNIT + shift, _dyadic_density(kind, shift))
+        report = place_sensors(
+            region, 4, 0.5, 1.0 / 64.0, solver=solver, master_seed=3,
+            overrides={"tuple_budget": 64},
+        )
+        runs[shift] = report, _placement_bytes(report, region)
+    base, base_bytes = runs.pop(0.0)
+    for shift, (report, got) in runs.items():
+        assert got == base_bytes
+        want = base.centers.centers + shift
+        assert report.centers.centers.tobytes() == want.tobytes()
+        assert report.result.centers.centers.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shift", [1e5 + 0.37, 5e6 + 0.37])
+def test_place_sensors_matches_region_re_expressed_at_its_first_vertex(shift):
+    """The bump hexagon far out and the same region written from its first vertex agree bytewise.
+
+    Rounding HEXAGON + shift itself moves the coverage by about 1e-9 at
+    5e6 + 0.37, so the comparison is with P - P[0], not with the hexagon.
+    """
+    bumps = _bumps_region().density
+    P = HEXAGON + shift
+    means = bumps.means + shift
+    far = SensorRegion(P, GaussianMixtureDensity(means, bumps.covariances, bumps.mixing))
+    near = SensorRegion(
+        P - P[0], GaussianMixtureDensity(means - P[0], bumps.covariances, bumps.mixing)
+    )
+    for solver in ("ptas", "kmeanspp-lloyd"):
+        reports = [
+            place_sensors(
+                region, 3, 0.5, 0.02, solver=solver, master_seed=5,
+                overrides={"tuple_budget": 64},
+            )
+            for region in (far, near)
+        ]
+        assert _placement_bytes(reports[0], far) == _placement_bytes(reports[1], near)
+        centers = reports[1].centers.centers + P[0]
+        assert reports[0].centers.centers.tobytes() == centers.tobytes()
+
+
+def test_patching_after_the_region_is_built_sees_every_call(monkeypatch):
+    """Class-level density and module-level pricing patches see the same calls either way.
+
+    The local view holds a shifted density object whose evaluate is looked
+    up at each call, and place_sensors prices through the public
+    coverage_cost, so wrappers installed from outside miss nothing.
+    """
+    original_evaluate = GaussianMixtureDensity.evaluate
+    original_cost = sensor.coverage_cost
+
+    def build():
+        bumps = _bumps_region().density
+        means = bumps.means + 1e5
+        return SensorRegion(
+            HEXAGON + 1e5, GaussianMixtureDensity(means, bumps.covariances, bumps.mixing)
+        )
+
+    def patch(seen):
+        def evaluate(self, pts):
+            seen["points"].append(np.atleast_2d(pts).shape[0])
+            return original_evaluate(self, pts)
+
+        def coverage_cost(*args, **kwargs):
+            seen["pricing"] += 1
+            return original_cost(*args, **kwargs)
+
+        monkeypatch.setattr(GaussianMixtureDensity, "evaluate", evaluate)
+        monkeypatch.setattr(sensor, "coverage_cost", coverage_cost)
+
+    outcomes = []
+    for patch_first in (True, False):
+        seen = {"points": [], "pricing": 0}
+        if patch_first:
+            patch(seen)
+            region = build()
+        else:
+            region = build()
+            patch(seen)
+        place_sensors(region, 3, 0.5, 0.05, master_seed=1, overrides={"tuple_budget": 16})
+        monkeypatch.undo()
+        outcomes.append(seen)
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0]["pricing"] == 1
+    assert sum(outcomes[0]["points"]) > 0
