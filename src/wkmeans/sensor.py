@@ -18,13 +18,21 @@ The grid is classified in bulk: every square corner is tested against every
 polygon edge's half-plane on arrays, squares wholly inside are kept as they
 are, squares wholly outside one edge are dropped, and only the
 O(perimeter / grid_eps) boundary squares are clipped, all in one
-`_clip_squares` call that runs Sutherland-Hodgman on arrays. All integrals
-use one batched path: a fixed-order product Gauss rule on the fan
-triangulation of each convex polygon (exact for polynomial integrands up to
-degree 2q-2, so cell masses, centers of mass, and inertias are quadrature-
-exact for uniform density), with node offsets built one coordinate at a
-time, the density evaluated in blocks of at most `_BLOCK_NODES` nodes and
-each cell's moments taken about its own first vertex.
+`_clip_squares` call that runs Sutherland-Hodgman on flat per-coordinate
+arrays. Interior squares go into the vertex array as their four corners;
+only the boundary squares are compared with their pieces. All integrals use
+one batched path: a fixed-order product Gauss rule on the fan triangulation
+of each convex polygon (exact for polynomial integrands up to degree 2q-2,
+so cell masses, centers of mass, and inertias are quadrature-exact for
+uniform density), with node offsets built one coordinate at a time, the
+density evaluated in blocks of at most `_BLOCK_NODES` nodes and each cell's
+moments taken about its own first vertex.
+
+The hot paths avoid numpy's per-row costs: a broadcast over rows of two
+coordinates, and fancy or boolean indexing of (n, 2) arrays, run row by row
+at several times the cost of `take`, `compress` or a pass per coordinate,
+which move the same bytes. So every output is bit-identical to the plain
+formulation.
 
 From clipping to coverage, cell polygons live in one (V, 2) vertex array,
 cell i at vertices[starts[i]:starts[i + 1]]; a `Discretization` holds them
@@ -45,7 +53,7 @@ import functools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -85,10 +93,13 @@ __all__ = [
 DROP_WEIGHT = 1e-12
 INERTIA_WARN_FRACTION = 0.10
 # Quadrature nodes per density call in the cell integrator; it also caps
-# the grid squares classified per block of rows in discretize. At 2^12 a
-# block's (nodes, 2) coordinate arrays are 64 KiB each; 2^16 was about 10%
-# faster on a 6.6k-cell grid but raised peak RSS by about 8 MiB.
-_BLOCK_NODES = 1 << 12
+# the grid squares classified per block of rows in discretize. At 2^14 a
+# block's (nodes, 2) coordinate arrays are 256 KiB each. On sensor-fine
+# (2-vCPU host, 5 alternating 10 s bench runs each) 2^13, 2^14 and 2^15 gave
+# op_s medians of 0.0595, 0.0583 and 0.0571 s and peak RSS of 66.8-67.1 MiB
+# alike. 2^15 was no faster per op in 10 paired runs (median ratio 0.99), so
+# the smaller block stays.
+_BLOCK_NODES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -113,7 +124,10 @@ class GaussianMixtureDensity:
     inv(L)^T and the bump's peak height mixing / ((2 pi)^(d/2) prod(diag L))
     are cached, so `evaluate` costs one small matmul and an exp per bump.
     Points are differenced against the mean before the matmul, which keeps
-    the values accurate far from the origin.
+    the values accurate far from the origin. The difference is taken one
+    coordinate at a time into a buffer reused for every bump, so the matmul
+    sees the same C-ordered values as `pts - mean` without numpy's cost of
+    broadcasting rows of d values.
     """
 
     means: np.ndarray
@@ -166,19 +180,29 @@ class GaussianMixtureDensity:
                 f"dimension mismatch: points are {pts.shape[1]}-d, the mixture "
                 f"is {d}-d"
             )
-        out = np.zeros(pts.shape[0])
-        for mean, white, height in zip(self.means, self._white, self._height):
-            z = (pts - mean) @ white
+        diff, z = np.empty((2, pts.shape[0], d))
+        out, term = np.zeros(pts.shape[0]), np.empty(pts.shape[0])
+        bumps = zip(self.means, self._white, self._height)
+        for i, (mean, white, height) in enumerate(bumps):
+            for j in range(d):
+                np.subtract(pts[:, j], mean[j], out=diff[:, j])
+            np.matmul(diff, white, out=z)
             np.square(z, out=z)
             # Column adds, left to right: numpy's own order for a row of
             # fewer than 8 values, without the per-row cost of a reduction.
-            q = z[:, 0].copy()
-            for j in range(1, d):
+            # The first bump's exponent is built in out itself (0 + x == x).
+            q = out if i == 0 else term
+            if d == 1:
+                np.copyto(q, z[:, 0])
+            else:
+                np.add(z[:, 0], z[:, 1], out=q)
+            for j in range(2, d):
                 q += z[:, j]
             q *= -0.5
             np.exp(q, out=q)
             q *= height
-            out += q
+            if i:
+                out += q
         return out
 
 
@@ -228,7 +252,16 @@ def _shifted(density, origin: np.ndarray):
     if isinstance(density, UniformDensity):
         return density
     if not isinstance(density, (GaussianMixtureDensity, RasterDensity)):
-        return SimpleNamespace(evaluate=lambda pts: density.evaluate(origin + pts))
+
+        def evaluate(pts):
+            # origin + pts a coordinate at a time, without broadcasting rows of 2.
+            pts = np.asarray(pts)
+            at = np.empty(np.broadcast_shapes(origin.shape, pts.shape))
+            for j in range(origin.shape[0]):
+                np.add(origin[j], pts[..., j], out=at[..., j])
+            return density.evaluate(at)
+
+        return SimpleNamespace(evaluate=evaluate)
     shifted = copy.copy(density)
     if isinstance(density, GaussianMixtureDensity):
         object.__setattr__(shifted, "means", density.means - origin)
@@ -307,6 +340,18 @@ class SensorRegion:
 
     def phi(self, pts: np.ndarray) -> np.ndarray:
         return self.density.evaluate(pts) * self.density_scale
+
+    def _rescaled(self, density_scale: float) -> SensorRegion:
+        """This region with another density_scale, on its local view too.
+
+        The copies share the validated polygon, origin and densities, so
+        nothing is checked or shifted again.
+        """
+        out = copy.copy(self)
+        object.__setattr__(out, "density_scale", density_scale)
+        local = out if self.local is self else self.local._rescaled(density_scale)
+        object.__setattr__(out, "local", local)
+        return out
 
 
 class RegionFileError(ValueError):
@@ -402,42 +447,46 @@ def _integrate_cells(
     u, v = ref_nodes[:, 0], ref_nodes[:, 1]
     n = first.shape[0]
     mass, inertia, cost = np.zeros((3, n))
-    com = np.zeros((n, 2))
+    com = np.zeros((2, n))
     for m in np.unique(count).tolist():
         index = np.flatnonzero(count == m)
         per_poly = (m - 2) * ref_w.shape[0]
         step = max(1, _BLOCK_NODES // per_poly)
         for lo in range(0, index.shape[0], step):
             idx = index[lo : lo + step]
-            group = vertices[first[idx, None] + np.arange(m)]
-            anchor = group[:, 0]
-            b = group[:, 1:-1] - anchor[:, None]
-            c = group[:, 2:] - anchor[:, None]
-            area2 = b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0]
+            # Vertex k of every polygon in row k (`take` copies whole rows),
+            # and per coordinate the (polygons, m - 2) fan edges b and c
+            # from the anchor.
+            group = vertices.take(first[idx] + np.arange(m)[:, None], axis=0)
+            anchor = [group[0, :, j] for j in range(2)]
+            b = [(group[1:-1, :, j] - anchor[j]).T.copy() for j in range(2)]
+            c = [(group[2:, :, j] - anchor[j]).T.copy() for j in range(2)]
+            area2 = b[0] * c[1] - b[1] * c[0]
             area2[area2 < 0.0] = 0.0
             # Node offsets from the anchor, one contiguous (polygons,
             # per_poly) array per coordinate: u * b + v * c.
             local = [
-                (b[..., j, None] * u + c[..., j, None] * v).reshape(-1, per_poly)
+                (b[j][..., None] * u + c[j][..., None] * v).reshape(-1, per_poly)
                 for j in range(2)
             ]
             pts = np.empty((idx.shape[0], per_poly, 2))
             for j in range(2):
-                np.add(anchor[:, j, None], local[j], out=pts[..., j])
+                np.add(anchor[j][:, None], local[j], out=pts[..., j])
             node_mass = (area2[:, :, None] * ref_w).reshape(-1, per_poly)
             node_mass *= region.phi(pts.reshape(-1, 2)).reshape(-1, per_poly)
             w = node_mass.sum(axis=1)
-            mean = np.column_stack(
-                [(node_mass * local[j]).sum(axis=1) for j in range(2)]
-            ) / np.where(w > 0.0, w, 1.0)[:, None]
-            off = [local[j] - mean[:, j, None] for j in range(2)]
+            safe = np.where(w > 0.0, w, 1.0)
+            off = []
+            for j in range(2):
+                mean = (node_mass * local[j]).sum(axis=1) / safe
+                com[j, idx] = anchor[j] + mean
+                off.append(local[j] - mean[:, None])
             mass[idx] = w
-            com[idx] = anchor + mean
             inertia[idx] = (node_mass * (off[0] ** 2 + off[1] ** 2)).sum(axis=1)
             if centers is not None:
                 d2 = min_squared_distances(pts.reshape(-1, 2), centers)
                 cost[idx] = (node_mass * d2.reshape(-1, per_poly)).sum(axis=1)
-    return mass, com, inertia, cost
+    return mass, com.T, inertia, cost
 
 
 def normalize_density(region: SensorRegion, quad_order: int = 4) -> SensorRegion:
@@ -453,7 +502,7 @@ def normalize_density(region: SensorRegion, quad_order: int = 4) -> SensorRegion
             "ill-conditioned",
             stacklevel=2,
         )
-    return replace(region, density_scale=region.density_scale / mass)
+    return region._rescaled(region.density_scale / mass)
 
 
 def _clip_squares(
@@ -461,16 +510,17 @@ def _clip_squares(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Clip S squares (S, 4, 2) to a convex polygon at once.
 
-    Sutherland-Hodgman, one polygon edge at a time, on a padded (S, width,
-    2) vertex array with a vertex count per square. Each vertex emits the
-    crossing point with the edge's line when its predecessor lies on the
-    other side, then itself when it is inside; a running sum of these emit
-    counts places the output. Inside tests are inclusive within
-    `_inside_slack`, which scales with edge length and cell side, so shared
-    edges survive at any offset. The cleanup then runs square by square in
-    sequence, vectorised over squares: drop each vertex within `tiny` of the
-    last one kept, drop closing vertices within `tiny` of the first, and
-    drop results with under 3 vertices or a shoelace area under 1e-12 side^2.
+    Sutherland-Hodgman, one polygon edge at a time, on all the pieces end
+    to end: one flat array per coordinate and a vertex count per square.
+    Each vertex emits the crossing point with the edge's line when its
+    predecessor lies on the other side, then itself when it is inside; one
+    running sum of these emit counts places the output. Inside tests are
+    inclusive within `_inside_slack`, which scales with edge length and cell
+    side, so shared edges survive at any offset. The cleanup then runs on a
+    padded (S, width, 2) copy, square by square in sequence, vectorised over
+    squares: drop each vertex within `tiny` of the last one kept, drop
+    closing vertices within `tiny` of the first, and drop results with
+    under 3 vertices or a shoelace area under 1e-12 side^2.
 
     Returns (vertices, counts): square i clips to vertices[i, :counts[i]],
     CCW, and counts[i] == 0 means the overlap is empty or degenerate. The
@@ -480,29 +530,41 @@ def _clip_squares(
     side = squares[:, :, 0].max(axis=1) - squares[:, :, 0].min(axis=1)
     slack = _inside_slack(polygon, side)
     tiny = 1e-14 * np.maximum(_extent(polygon), side)
-    verts, count = squares, np.full(n_sq, 4)
+    # The pieces end to end, one array per coordinate: square i holds the
+    # count[i] vertices from start[i] on.
+    x, y, count = squares[:, :, 0].ravel(), squares[:, :, 1].ravel(), np.full(n_sq, 4)
     for (ax, ay), (bx, by), eps in zip(polygon, np.roll(polygon, -1, axis=0), slack):
         ex, ey = bx - ax, by - ay
-        pos = np.arange(verts.shape[1])
-        valid = pos < count[:, None]
-        s = ex * (verts[..., 1] - ay) - ey * (verts[..., 0] - ax)
-        inside = s >= -eps[:, None]
-        prev = np.where(pos == 0, count[:, None] - 1, pos - 1)
-        s_prev = np.take_along_axis(s, prev, axis=1)
-        # Sides differ exactly when the in/out tests do, so s_prev - s != 0.
-        cross = valid & (inside != np.take_along_axis(inside, prev, axis=1))
-        keep = valid & inside
-        end = np.cumsum(cross.astype(np.intp) + keep, axis=1)
-        count = end[:, -1]
-        out = np.zeros((n_sq, max(4, int(count.max(initial=0))), 2))
-        r, j = np.nonzero(cross)
-        p = verts[r, prev[r, j]]
-        t = s_prev[r, j] / (s_prev[r, j] - s[r, j])
-        out[r, end[r, j] - 1 - keep[r, j]] = p + t[:, None] * (verts[r, j] - p)
-        r, j = np.nonzero(keep)
-        out[r, end[r, j] - 1] = verts[r, j]
-        verts = out
-    width = verts.shape[1]
+        start = np.cumsum(count) - count
+        s = ex * (y - ay) - ey * (x - ax)
+        inside = s >= -np.repeat(eps, count)
+        # Each vertex's predecessor, the last one for the head of a piece.
+        prev = np.arange(-1, s.shape[0] - 1)
+        head = start[count > 0]
+        prev[head] = head + count[count > 0] - 1
+        # Sides differ exactly when the in/out tests do, so s[p] - s != 0.
+        cross = inside != inside[prev]
+        end = np.cumsum(cross.astype(np.intp) + inside)
+        ends = np.concatenate([[0], end])
+        count = ends[start + count] - ends[start]
+        out_x, out_y = np.empty((2, ends[-1]))
+        r = np.flatnonzero(cross)
+        p = prev[r]
+        t = s[p] / (s[p] - s[r])
+        at = end[r] - 1 - inside[r]
+        out_x[at] = x[p] + t * (x[r] - x[p])
+        out_y[at] = y[p] + t * (y[r] - y[p])
+        r = np.flatnonzero(inside)
+        out_x[end[r] - 1] = x[r]
+        out_y[end[r] - 1] = y[r]
+        x, y = out_x, out_y
+    width = max(4, int(count.max(initial=0)))
+    start = np.cumsum(count) - count
+    slot = np.arange(x.shape[0]) + np.repeat(width * np.arange(n_sq) - start, count)
+    verts = np.zeros((n_sq * width, 2))
+    verts[slot, 0] = x
+    verts[slot, 1] = y
+    verts = verts.reshape(n_sq, width, 2)
     kept = np.zeros((n_sq, width), dtype=bool)
     kept[:, 0] = count > 0
     last = verts[:, 0].copy()
@@ -559,7 +621,7 @@ def _clip_grid(poly: np.ndarray, grid_eps: float) -> tuple[np.ndarray, ...]:
     bottom, top = ys[:-1], ys[1:]
     edges = np.roll(poly, -1, axis=0) - poly
     slack = _inside_slack(poly, right - left)
-    blocks, on_boundary = [], []
+    at_y, at_x, on_boundary = [], [], []
     rows = max(1, _BLOCK_NODES // nx)
     for lo in range(0, ny, rows):
         bot, tp = bottom[lo : lo + rows], top[lo : lo + rows]
@@ -568,32 +630,45 @@ def _clip_grid(poly: np.ndarray, grid_eps: float) -> tuple[np.ndarray, ...]:
         for (ax, ay), (ex, ey), eps in zip(poly, edges, slack):
             sb, st = ex * (bot - ay), ex * (tp - ay)
             sl, sr = ey * (left - ax), ey * (right - ax)
-            # Corners in the clipper's order: (l, b), (r, b), (r, t), (l, t).
-            corner_in = [
-                (sy[:, None] - sx) >= -eps
-                for sy, sx in ((sb, sl), (sb, sr), (st, sr), (st, sl))
-            ]
-            inside &= np.logical_and.reduce(corner_in)
-            outside |= ~np.logical_or.reduce(corner_in)
+            # Corner (x, y) passes when sy - sx >= -eps. Rounding is
+            # monotone, so all four corners pass exactly when the least
+            # difference does, and none passes exactly when the greatest fails.
+            low = np.minimum(sb, st)[:, None] - np.maximum(sl, sr)
+            high = np.maximum(sb, st)[:, None] - np.minimum(sl, sr)
+            inside &= low >= -eps
+            outside |= high < -eps
         iy, ix = np.nonzero(~outside)
         on_boundary.append(~inside[iy, ix])
-        iy += lo
-        squares = np.empty((iy.shape[0], 4, 2))
-        squares[:, [0, 3], 0] = left[ix, None]
-        squares[:, [1, 2], 0] = right[ix, None]
-        squares[:, :2, 1] = bottom[iy, None]
-        squares[:, 2:, 1] = top[iy, None]
-        blocks.append(squares)
-    squares = np.concatenate(blocks)
-    boundary = np.flatnonzero(np.concatenate(on_boundary))
-    verts, count = _clip_squares(squares[boundary], poly)
-    out = np.pad(squares, ((0, 0), (0, verts.shape[1] - 4), (0, 0)))
-    out[boundary] = verts
-    counts = np.full(squares.shape[0], 4)
+        at_y.append(iy + lo)
+        at_x.append(ix)
+    iy, ix, on_boundary = (np.concatenate(a) for a in (at_y, at_x, on_boundary))
+    boundary = np.flatnonzero(on_boundary)
+    by, bx = iy[boundary], ix[boundary]
+    squares = np.empty((boundary.shape[0], 4, 2))
+    squares[:, [0, 3], 0] = left[bx, None]
+    squares[:, [1, 2], 0] = right[bx, None]
+    squares[:, :2, 1] = bottom[by, None]
+    squares[:, 2:, 1] = top[by, None]
+    verts, count = _clip_squares(squares, poly)
+    counts = np.full(iy.shape[0], 4)
     counts[boundary] = count
-    clipped = (counts != 4) | (out[:, :4] != squares).any(axis=(1, 2))
+    clipped = np.zeros(iy.shape[0], dtype=bool)
+    clipped[boundary] = (count != 4) | (verts[:, :4] != squares).any(axis=(1, 2))
+    # The polygons end to end: interior squares as their four corners, one
+    # coordinate and corner at a time, and the boundary pieces in between.
+    end = np.cumsum(counts)
+    out = np.empty((int(end[-1]), 2))
+    inner = np.flatnonzero(~on_boundary)
+    at = end[inner] - 4
+    cx = left[ix[inner]], right[ix[inner]]
+    cy = bottom[iy[inner]], top[iy[inner]]
+    for corner, (jx, jy) in enumerate(((0, 0), (1, 0), (1, 1), (0, 1))):
+        out[at + corner, 0] = cx[jx]
+        out[at + corner, 1] = cy[jy]
+    r, j = np.nonzero(np.arange(verts.shape[1]) < count[:, None])
+    out[end[boundary][r] - count[r] + j] = verts[r, j]
     kept = counts > 0
-    return out[np.arange(out.shape[1]) < counts[:, None]], counts[kept], clipped[kept]
+    return out, counts[kept], clipped[kept]
 
 
 def discretize(
@@ -614,11 +689,12 @@ def discretize(
     keep = mass >= DROP_WEIGHT
     if not keep.any():
         raise ValueError("grid too coarse or density degenerate")
+    # compress, not a boolean index: it moves the (V, 2) rows whole.
     return Discretization(
-        verts[np.repeat(keep, counts)],
+        verts.compress(np.repeat(keep, counts), axis=0),
         np.concatenate([[0], np.cumsum(counts[keep])]),
         mass[keep],
-        com[keep],
+        com.compress(keep, axis=0),
         inertia[keep],
         grid_eps,
         quad_order,
@@ -665,7 +741,7 @@ def coverage_cost(
     verts, first, counts = mesh.vertices, mesh.starts[:-1], np.diff(mesh.starts)
     owner = _nearest(verts, c)[0]
     cut = np.minimum.reduceat(owner, first) != np.maximum.reduceat(owner, first)
-    d = mesh.coms[~cut] - c[owner[first[~cut]]]
+    d = mesh.coms.compress(~cut, axis=0) - c.take(owner[first[~cut]], axis=0)
     uncut = mesh.weights[~cut] * (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
     split = _integrate_cells(local, verts, first[cut], counts[cut], mesh.quad_order, c)
     return _exact_sum(np.concatenate([uncut, mesh.inertias[~cut], split[3]]))

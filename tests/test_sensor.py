@@ -858,6 +858,53 @@ def test_output_bytes_do_not_depend_on_block_size(monkeypatch):
     assert all(out == outputs[0] for out in outputs[1:])
 
 
+_BLOCK_SIZES = (1, 7, 100, 1 << 12, 1 << 14)
+
+
+@given(
+    st.one_of(st.none(), st.lists(st.one_of(_LATTICE, _FREE), min_size=3, max_size=8)),
+    st.sampled_from([0.07, 0.1, 0.3]),
+    st.sampled_from([0.0, 1e5 + 0.37, 5e6 + 0.37]),
+    st.lists(_FREE, min_size=1, max_size=4),
+)
+def test_mesh_bytes_do_not_depend_on_block_size(points, grid_eps, shift, centers):
+    """Every discretize array and the mesh coverage agree bytewise at any block size.
+
+    points None stands for the bump hexagon; otherwise their convex hull
+    carries the same three bumps. Blocks of 1 and 7 nodes hold one polygon
+    and one grid row each, 100 splits both, and 2^12 and 2^14 take many
+    polygons and rows at once.
+    """
+    if points is None:
+        poly = HEXAGON
+    else:
+        pts = np.array(points)
+        try:
+            hull = ConvexHull(pts)
+        except QhullError:
+            assume(False)
+        assume(hull.volume > 0.01)
+        poly = pts[hull.vertices]
+    bumps = _bumps_region().density
+    density = GaussianMixtureDensity(bumps.means + shift, bumps.covariances, bumps.mixing)
+    region = SensorRegion(poly + shift, density)
+    outputs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for block in _BLOCK_SIZES:
+            mp.setattr(sensor, "_BLOCK_NODES", block)
+            try:
+                mesh = discretize(region, grid_eps)
+            except ValueError as exc:  # no cell above DROP_WEIGHT, at every size alike
+                outputs.append(str(exc))
+                continue
+            arrays = (mesh.vertices, mesh.starts, mesh.weights, mesh.coms, mesh.inertias)
+            cost = coverage_cost(region, np.array(centers) + shift, mesh=mesh)
+            outputs.append(
+                (tuple(a.tobytes() for a in arrays), mesh.n_clipped, cost.hex())
+            )
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
 def test_cell_moments_match_long_double_recomputation():
     """Mass, center of mass and inertia of every cell, boundary slivers included."""
     region = normalize_density(_bumps_region())
@@ -1147,3 +1194,36 @@ def test_patching_after_the_region_is_built_sees_every_call(monkeypatch):
     assert outcomes[0] == outcomes[1]
     assert outcomes[0]["pricing"] == 1
     assert sum(outcomes[0]["points"]) > 0
+
+
+@pytest.mark.parametrize("poly, shift", [(UNIT, 0.0), (HEXAGON, 1e5 + 0.37)])
+def test_normalize_density_shares_the_region_geometry(poly, shift):
+    """Normalizing sets density_scale on the region and its local view, and nothing else.
+
+    The result holds the input's own polygon arrays and local density, and
+    places sensors bytewise as the region checked and shifted again at the
+    same scale. The unit square is its own local view, the hexagon is not.
+    """
+    bumps = _bumps_region().density
+    density = GaussianMixtureDensity(bumps.means + shift, bumps.covariances, bumps.mixing)
+    region = SensorRegion(poly + shift, density)
+    normalized = normalize_density(region)
+    assert normalized.polygon is region.polygon
+    assert normalized.local.polygon is region.local.polygon
+    assert normalized.local.density is region.local.density
+    assert normalized.local.local is normalized.local
+    assert (normalized.local is normalized) == (region.local is region)
+    assert normalized.local.density_scale == normalized.density_scale
+    assert region.density_scale == region.local.density_scale == 1.0
+    rebuilt = SensorRegion(region.polygon, region.density, normalized.density_scale)
+    for solver in ("ptas", "kmeanspp-lloyd"):
+        reports = [
+            place_sensors(
+                r, 3, 0.5, 0.02, solver=solver, master_seed=5,
+                overrides={"tuple_budget": 64},
+            )
+            for r in (normalized, rebuilt)
+        ]
+        want = _placement_bytes(reports[1], rebuilt)
+        assert _placement_bytes(reports[0], normalized) == want
+        assert reports[0].centers.centers.tobytes() == reports[1].centers.centers.tobytes()
