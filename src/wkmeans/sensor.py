@@ -181,28 +181,21 @@ class GaussianMixtureDensity:
                 f"is {d}-d"
             )
         diff, z = np.empty((2, pts.shape[0], d))
-        out, term = np.zeros(pts.shape[0]), np.empty(pts.shape[0])
-        bumps = zip(self.means, self._white, self._height)
-        for i, (mean, white, height) in enumerate(bumps):
+        out, q = np.zeros(pts.shape[0]), np.empty(pts.shape[0])
+        for mean, white, height in zip(self.means, self._white, self._height):
             for j in range(d):
                 np.subtract(pts[:, j], mean[j], out=diff[:, j])
             np.matmul(diff, white, out=z)
             np.square(z, out=z)
             # Column adds, left to right: numpy's own order for a row of
             # fewer than 8 values, without the per-row cost of a reduction.
-            # The first bump's exponent is built in out itself (0 + x == x).
-            q = out if i == 0 else term
-            if d == 1:
-                np.copyto(q, z[:, 0])
-            else:
-                np.add(z[:, 0], z[:, 1], out=q)
-            for j in range(2, d):
+            np.copyto(q, z[:, 0])
+            for j in range(1, d):
                 q += z[:, j]
             q *= -0.5
             np.exp(q, out=q)
             q *= height
-            if i:
-                out += q
+            out += q
         return out
 
 
@@ -252,16 +245,7 @@ def _shifted(density, origin: np.ndarray):
     if isinstance(density, UniformDensity):
         return density
     if not isinstance(density, (GaussianMixtureDensity, RasterDensity)):
-
-        def evaluate(pts):
-            # origin + pts a coordinate at a time, without broadcasting rows of 2.
-            pts = np.asarray(pts)
-            at = np.empty(np.broadcast_shapes(origin.shape, pts.shape))
-            for j in range(origin.shape[0]):
-                np.add(origin[j], pts[..., j], out=at[..., j])
-            return density.evaluate(at)
-
-        return SimpleNamespace(evaluate=evaluate)
+        return SimpleNamespace(evaluate=lambda pts: density.evaluate(origin + pts))
     shifted = copy.copy(density)
     if isinstance(density, GaussianMixtureDensity):
         object.__setattr__(shifted, "means", density.means - origin)
@@ -345,8 +329,10 @@ class SensorRegion:
         """This region with another density_scale, on its local view too.
 
         The copies share the validated polygon, origin and densities, so
-        nothing is checked or shifted again.
+        nothing is checked or shifted again but the new scale.
         """
+        if density_scale <= 0.0:
+            raise ValueError("density_scale must be positive")
         out = copy.copy(self)
         object.__setattr__(out, "density_scale", density_scale)
         local = out if self.local is self else self.local._rescaled(density_scale)
