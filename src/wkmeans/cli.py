@@ -25,6 +25,7 @@ from wkmeans import baselines, instances, ptas, sensor, verification
 from wkmeans.core import (
     ClusteringResult,
     PointFileError,
+    _write_rows,
     load_weighted_points,
     save_weighted_points,
 )
@@ -132,7 +133,12 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - started
 
     if args.format == "csv":
-        _emit(_cluster_csv(P, result), args.output)
+        # Written block by block, each row with its cluster label.
+        if args.output is None:
+            _write_rows(sys.stdout, P, "\n", result.assignment)
+        else:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                _write_rows(fh, P, "\n", result.assignment)
         print(
             f"cost={result.cost!r} centers={result.centers.centers.tolist()!r}",
             file=sys.stderr,
@@ -153,18 +159,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         _emit(_json_document(payload), args.output)
     print(f"solved in {elapsed:.3f}s", file=sys.stderr)
     return 0
-
-
-def _cluster_csv(P, result: ClusteringResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"x{i + 1}" for i in range(P.dim)] + ["weight", "cluster"])
-    for i in range(P.n):
-        writer.writerow(
-            [repr(float(v)) for v in P.coords[i]]
-            + [repr(float(P.weights[i])), int(result.assignment[i])]
-        )
-    return buf.getvalue()
 
 
 def cmd_sensor(args: argparse.Namespace) -> int:

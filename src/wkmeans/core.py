@@ -10,7 +10,9 @@ do not depend on summation order.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -328,48 +330,96 @@ class PointFileError(ValueError):
 
 
 def load_weighted_points(path: str | Path) -> WeightedPointSet:
-    """Read a weighted point set from CSV with header x1,...,xd,weight."""
-    rows: list[list[float]] = []
+    """Read a weighted point set from CSV with header x1,...,xd,weight.
+
+    The body goes through numpy's C reader in one pass. When it refuses the
+    file, or reads a column count other than the header's, the file is read
+    again row by row with `float`, which names the offending line and reads
+    the few spellings only `float` accepts (such as `1_000`). Blank and
+    whitespace-only lines are skipped, fields may be quoted, and `#` starts
+    no comment.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise PointFileError(1, "empty file")
-        header = [h.strip() for h in header]
-        if len(header) < 2 or header[-1] != "weight":
-            raise PointFileError(1, "header must be x1,...,xd,weight")
-        expected = [f"x{i + 1}" for i in range(len(header) - 1)]
-        if header[:-1] != expected:
-            raise PointFileError(
-                1, f"coordinate columns must be {','.join(expected)}"
-            )
-        width = len(header)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != width:
-                raise PointFileError(
-                    lineno, f"expected {width} fields, got {len(row)}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise PointFileError(lineno, f"bad number: {exc}") from None
-    if not rows:
-        raise PointFileError(2, "no data rows")
-    data = np.array(rows)
+        if not fh.seekable():
+            # A pipe: keep its text, so the row reader can start over.
+            fh = io.StringIO(fh.read(), newline="")
+        width = _read_header(csv.reader(fh))
+        try:
+            with warnings.catch_warnings():
+                # A header-only body: the row reader reports it.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        except ValueError:
+            data = None
+        if data is None or data.shape[1] != width:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            data = _read_rows(reader, width)
     try:
         return WeightedPointSet(data[:, :-1], data[:, -1])
     except ValueError as exc:
         raise PointFileError(2, str(exc)) from None
 
 
+def _read_header(reader) -> int:
+    """Check the header record x1,...,xd,weight; returns its width d + 1."""
+    header = next(reader, None)
+    if header is None:
+        raise PointFileError(1, "empty file")
+    header = [h.strip() for h in header]
+    if len(header) < 2 or header[-1] != "weight":
+        raise PointFileError(1, "header must be x1,...,xd,weight")
+    expected = [f"x{i + 1}" for i in range(len(header) - 1)]
+    if header[:-1] != expected:
+        raise PointFileError(1, f"coordinate columns must be {','.join(expected)}")
+    return len(header)
+
+
+def _read_rows(reader, width: int) -> np.ndarray:
+    """The body record by record with `float`, (n, width); errors name the line."""
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != width:
+            raise PointFileError(lineno, f"expected {width} fields, got {len(row)}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise PointFileError(lineno, f"bad number: {exc}") from None
+    if not rows:
+        raise PointFileError(2, "no data rows")
+    return np.array(rows)
+
+
+# Rows per block of `_write_rows`. Saving 20,000 2-d points raised peak RSS by
+# 0.25 MiB at 2^10 rows and 5.4 MiB at 2^14, and pymalloc keeps that memory;
+# 300,000 points saved no faster with the larger blocks.
+_WRITE_ROWS = 1 << 10
+
+
+def _write_rows(fh, P: WeightedPointSet, newline: str, labels=None) -> None:
+    """Write P as CSV rows x1,...,xd,weight[,cluster], one block at a time.
+
+    Floats are written with `repr`, the shortest string that reads back to
+    the same double, and labels with `str`; these are the fields
+    `csv.writer` would write, and none of them needs quoting.
+    """
+    header = [f"x{i + 1}" for i in range(P.dim)] + ["weight"]
+    if labels is not None:
+        header.append("cluster")
+    fh.write(",".join(header) + newline)
+    for lo in range(0, P.n, _WRITE_ROWS):
+        hi = min(lo + _WRITE_ROWS, P.n)
+        cols = [map(repr, P.coords[lo:hi, j].tolist()) for j in range(P.dim)]
+        cols.append(map(repr, P.weights[lo:hi].tolist()))
+        if labels is not None:
+            cols.append(map(str, labels[lo:hi].tolist()))
+        fh.write(newline.join(map(",".join, zip(*cols))) + newline)
+
+
 def save_weighted_points(path: str | Path, P: WeightedPointSet) -> None:
-    """Write a weighted point set as CSV; floats use shortest round-trip repr."""
+    """Write a weighted point set as CSV with CRLF line ends; floats use repr."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(P.dim)] + ["weight"])
-        for i in range(P.n):
-            writer.writerow(
-                [repr(float(v)) for v in P.coords[i]] + [repr(float(P.weights[i]))]
-            )
+        _write_rows(fh, P, "\r\n")

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -500,6 +499,10 @@ def solve(
         return _best_for_trial(P, params, master, t)
 
     if threads > 1:
+        # Imported here: concurrent.futures adds about 7.5 ms to every
+        # interpreter that imports this module.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(worker, range(params.trials)))
     else:

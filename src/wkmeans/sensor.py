@@ -502,9 +502,10 @@ def _clip_squares(
     predecessor lies on the other side, then itself when it is inside; one
     running sum of these emit counts places the output. Inside tests are
     inclusive within `_inside_slack`, which scales with edge length and cell
-    side, so shared edges survive at any offset. The cleanup then runs on a
-    padded (S, width, 2) copy, square by square in sequence, vectorised over
-    squares: drop each vertex within `tiny` of the last one kept, drop
+    side, so shared edges survive at any offset; each crossing is clamped to
+    its segment, so every piece stays in its square. The cleanup then runs
+    on a padded (S, width, 2) copy, square by square in sequence, vectorised
+    over squares: drop each vertex within `tiny` of the last one kept, drop
     closing vertices within `tiny` of the first, and drop results with
     under 3 vertices or a shoelace area under 1e-12 side^2.
 
@@ -536,7 +537,9 @@ def _clip_squares(
         out_x, out_y = np.empty((2, ends[-1]))
         r = np.flatnonzero(cross)
         p = prev[r]
-        t = s[p] / (s[p] - s[r])
+        # The slack can leave both ends on one side of the exact line, where
+        # t would reach past the segment and out of the square: clamp it.
+        t = np.clip(s[p] / (s[p] - s[r]), 0.0, 1.0)
         at = end[r] - 1 - inside[r]
         out_x[at] = x[p] + t * (x[r] - x[p])
         out_y[at] = y[p] + t * (y[r] - y[p])

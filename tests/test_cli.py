@@ -229,6 +229,23 @@ def test_import_does_not_load_scipy_stats():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_does_not_load_the_thread_pool():
+    """concurrent.futures costs every fresh interpreter ~7.5 ms; only threads > 1 needs it."""
+    src = str(Path(wkmeans.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import wkmeans.ptas, wkmeans.sensor\n"
+        "assert wkmeans.__file__.startswith(sys.argv[1]), wkmeans.__file__\n"
+        "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures was imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_sensor_writes_outputs_in_the_region_files_frame(tmp_path):
     """At a 5e6 offset the centers and the cell CSV come back in the file's coordinates."""
     offset = 5e6

@@ -638,9 +638,10 @@ def _reference_clip(
     """Scalar Sutherland-Hodgman on Python lists, one square at a time.
 
     The oracle for the batched clipper: the same side test, slack, crossing
-    formula and cleanup, written vertex by vertex. When `paths` is given it
-    collects the cleanup rules that fired: "empty" (an edge cut everything
-    away), "near-duplicate", "wrap" (a closing vertex popped) and "area".
+    formula (clamped to the segment) and cleanup, written vertex by vertex.
+    When `paths` is given it collects the cleanup rules that fired: "empty"
+    (an edge cut everything away), "near-duplicate", "wrap" (a closing vertex
+    popped) and "area".
     """
     square = np.asarray(square, dtype=np.float64)
     side_len = float(square[:, 0].max() - square[:, 0].min())
@@ -665,7 +666,7 @@ def _reference_clip(
             if cur_in != prev_in:
                 denom = s_prev - s_cur
                 if abs(denom) > 0.0:
-                    t = s_prev / denom
+                    t = min(max(s_prev / denom, 0.0), 1.0)
                     clipped.append(
                         (
                             prev[0] + t * (cur[0] - prev[0]),
@@ -738,11 +739,15 @@ _FREE = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0))
     st.sampled_from([0.125, 0.1, 0.25, 0.3, 0.5, 3.0]),
     st.sampled_from([0.0, 0.37, 1e5, 5e6]),
 )
+# Both ends of a crossing within the slack on one side of the exact line: an
+# unclamped crossing put a sliver at x = 0.25..0.3375 into [0, 0.125]^2.
+@example([(0.25, 0.125), (0.0, 4e-13), (1.125, 0.125000000004)], 0.125, 0.0)
 def test_bulk_classifier_matches_clip_cell(points, grid_eps, shift):
     """The classified and batch-clipped grid equals the scalar oracle on every square.
 
     Squares kept whole equal their clip, dropped ones clip to None, and the
-    boundary squares' pieces and changed flags match bytewise.
+    boundary squares' pieces and changed flags match bytewise. Every piece
+    lies in its square, within the side test's slack plus a few ulps.
     """
     pts = np.array(points)
     try:
@@ -754,9 +759,11 @@ def test_bulk_classifier_matches_clip_cell(points, grid_eps, shift):
     got = np.split(vertices, np.cumsum(counts))[:-1]
     want = _clip_every_square(poly, grid_eps)
     assert len(got) == len(want) == changed.shape[0]
+    tol = 1e-12 * max(sensor._extent(poly), grid_eps) + 4 * np.spacing(np.abs(poly).max())
     for g, (square, w), flag in zip(got, want, changed.tolist()):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
         assert flag == _is_changed(square, w)
+        assert (g >= square.min(axis=0) - tol).all() and (g <= square.max(axis=0) + tol).all()
 
 
 _NEEDLE_A, _NEEDLE_B = 2.0**-28, 2.0**-12
