@@ -21,7 +21,7 @@ from wkmeans.core import (
     _nearest,
     min_squared_distances,
 )
-from wkmeans.sampling import RandomSource, SamplingWeights, sample_indices
+from wkmeans.sampling import RandomSource, sample_indices
 
 __all__ = ["LloydParams", "kmeanspp_seed", "lloyd_descend", "kmeanspp_lloyd"]
 
@@ -49,18 +49,18 @@ def kmeanspp_seed(P: WeightedPointSet, k: int, rng: RandomSource) -> CenterSet:
     if k < 1:
         raise ValueError("k must be positive")
     gen = rng.generator()
-    first = int(sample_indices(SamplingWeights(P.weights), 1, gen)[0])
+    first = int(sample_indices(P.weights, 1, gen)[0])
     chosen = [first]
     cache = min_squared_distances(P.coords, P.coords[first])
     while len(chosen) < k:
-        sw = SamplingWeights(P.weights * cache)
-        if sw.is_degenerate:
+        mass = P.weights * cache
+        if not mass.any():
             # All mass covered; cycle existing picks without consuming draws.
             base = len(chosen)
             while len(chosen) < k:
                 chosen.append(chosen[len(chosen) % base])
             break
-        idx = int(sample_indices(sw, 1, gen)[0])
+        idx = int(sample_indices(mass, 1, gen)[0])
         chosen.append(idx)
         np.minimum(cache, min_squared_distances(P.coords, P.coords[idx]), out=cache)
     return CenterSet(P.coords[np.array(chosen, dtype=np.intp)])

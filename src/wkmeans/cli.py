@@ -67,10 +67,9 @@ def _ptas_overrides(args: argparse.Namespace) -> dict:
     return out
 
 
-def _add_solver_flags(p: argparse.ArgumentParser, solvers: tuple[str, ...]) -> None:
-    p.add_argument("--k", type=int, default=None, help="number of centers")
+def _add_ptas_flags(p: argparse.ArgumentParser) -> None:
+    """The PTAS, seed, thread and output flags of cluster, sensor and bench."""
     p.add_argument("--epsilon", type=float, default=0.5, help="target accuracy")
-    p.add_argument("--solver", choices=solvers, default="ptas")
     p.add_argument("--c1", type=float, default=None, help="sample-size multiplier")
     p.add_argument("--c2", type=float, default=None, help="subset-size multiplier")
     p.add_argument("--trials", type=int, default=None, help="independent trials")
@@ -88,6 +87,12 @@ def _add_solver_flags(p: argparse.ArgumentParser, solvers: tuple[str, ...]) -> N
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--threads", type=int, default=1, help="worker thread cap")
     p.add_argument("--output", type=Path, default=None, help="result file (default stdout)")
+
+
+def _add_solver_flags(p: argparse.ArgumentParser, solvers: tuple[str, ...]) -> None:
+    p.add_argument("--k", type=int, default=None, help="number of centers")
+    p.add_argument("--solver", choices=solvers, default="ptas")
+    _add_ptas_flags(p)
     p.add_argument(
         "--format",
         choices=("json", "csv"),
@@ -336,15 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="ptas,kmeanspp-lloyd,oracle",
         help="comma-separated solver subset",
     )
-    p_bench.add_argument("--epsilon", type=float, default=0.5)
-    p_bench.add_argument("--c1", type=float, default=None)
-    p_bench.add_argument("--c2", type=float, default=None)
-    p_bench.add_argument("--trials", type=int, default=None)
-    p_bench.add_argument("--tuple-budget", type=_tuple_budget, default=None)
-    p_bench.add_argument("--adjust-epsilon", action="store_true")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--threads", type=int, default=1)
-    p_bench.add_argument("--output", type=Path, default=None)
+    _add_ptas_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

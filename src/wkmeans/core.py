@@ -364,7 +364,10 @@ def load_weighted_points(path: str | Path) -> WeightedPointSet:
 
 def _read_header(reader) -> int:
     """Check the header record x1,...,xd,weight; returns its width d + 1."""
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise PointFileError(reader.line_num, str(exc)) from None
     if header is None:
         raise PointFileError(1, "empty file")
     header = [h.strip() for h in header]
@@ -379,15 +382,18 @@ def _read_header(reader) -> int:
 def _read_rows(reader, width: int) -> np.ndarray:
     """The body record by record with `float`, (n, width); errors name the line."""
     rows: list[list[float]] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != width:
-            raise PointFileError(lineno, f"expected {width} fields, got {len(row)}")
-        try:
-            rows.append([float(v) for v in row])
-        except ValueError as exc:
-            raise PointFileError(lineno, f"bad number: {exc}") from None
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != width:
+                raise PointFileError(lineno, f"expected {width} fields, got {len(row)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise PointFileError(lineno, f"bad number: {exc}") from None
+    except csv.Error as exc:
+        raise PointFileError(reader.line_num, str(exc)) from None
     if not rows:
         raise PointFileError(2, "no data rows")
     return np.array(rows)

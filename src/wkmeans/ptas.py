@@ -58,7 +58,6 @@ from wkmeans.sampling import RandomSource, searchsorted_rows
 __all__ = [
     "PtasParams",
     "EnumerationInfeasible",
-    "derive_params",
     "solve",
 ]
 
@@ -76,7 +75,9 @@ _BLOCK_VALUES = 1 << 16
 _DRAW_VALUES = 1 << 18
 # Points per block of the evaluator's two-level inverse CDF.
 _CDF_BLOCK = 128
-_TUPLE_STREAM, _SAMPLE_STREAM = 0, 1
+# Stream id of each trial's uniforms, (master_seed, _SAMPLE_STREAM, trial);
+# every seeded result depends on its value.
+_SAMPLE_STREAM = 1
 
 
 class EnumerationInfeasible(RuntimeError):
@@ -87,7 +88,8 @@ class EnumerationInfeasible(RuntimeError):
 class PtasParams:
     """Solver parameters; N and M derive from the effective accuracy.
 
-    With adjust_epsilon the working accuracy shrinks to
+    The defaults are the theory constants, and trials=None means 2^k
+    trials. With adjust_epsilon the working accuracy shrinks to
     eps / ((1 + eps/2) * k), which upgrades the guarantee from
     irreducible-instance-only to unconditional at the price of larger N, M.
     """
@@ -96,13 +98,15 @@ class PtasParams:
     epsilon: float
     c1: float = DEFAULT_C1
     c2: float = DEFAULT_C2
-    trials: int = 1
+    trials: int | None = None
     tuple_budget: int | str = DEFAULT_TUPLE_BUDGET
     adjust_epsilon: bool = False
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be positive")
+        if self.trials is None:
+            object.__setattr__(self, "trials", 2**self.k)
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
         if self.c1 <= 0.0 or self.c2 <= 0.0:
@@ -130,29 +134,6 @@ class PtasParams:
     @property
     def M(self) -> int:
         return math.ceil(self.c2 / self.epsilon_eff)
-
-
-def derive_params(
-    k: int,
-    epsilon: float,
-    c1: float | None = None,
-    c2: float | None = None,
-    trials: int | None = None,
-    tuple_budget: int | str | None = None,
-    adjust_epsilon: bool | None = None,
-) -> PtasParams:
-    """Fill parameter defaults: theory constants and 2^k trials."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    return PtasParams(
-        k=k,
-        epsilon=epsilon,
-        c1=DEFAULT_C1 if c1 is None else c1,
-        c2=DEFAULT_C2 if c2 is None else c2,
-        trials=2**k if trials is None else trials,
-        tuple_budget=DEFAULT_TUPLE_BUDGET if tuple_budget is None else tuple_budget,
-        adjust_epsilon=False if adjust_epsilon is None else adjust_epsilon,
-    )
 
 
 def _distinct_points(coords: np.ndarray, limit: int) -> np.ndarray:
@@ -185,47 +166,23 @@ def _distinct_points(coords: np.ndarray, limit: int) -> np.ndarray:
     return pts[np.lexsort(pts.T[::-1])]
 
 
-def _exhaustive_count(params: PtasParams) -> int:
-    return math.comb(params.N, params.M) ** params.k
-
-
-def _selector_chunks(
-    params: PtasParams, gen: np.random.Generator | None
-) -> Iterator[np.ndarray]:
-    """Yield (B, k, M) selector blocks, B <= _CHUNK, in a fixed order.
-
-    Exhaustive mode streams every tuple once, lexicographically. Random mode
-    draws uniform M-subsets per tuple position: the M smallest of N uniform
-    keys, a standard trick that stays inside the uniform-doubles policy.
-    """
+def _selector_chunks(params: PtasParams) -> Iterator[np.ndarray]:
+    """Yield (B, k, M) selector blocks, B <= _CHUNK: every tuple once, lexicographically."""
     N, M, k = params.N, params.M, params.k
-    if params.tuple_budget == "exhaustive":
-        if _exhaustive_count(params) > MAX_EXHAUSTIVE_TUPLES:
-            raise EnumerationInfeasible("enumeration infeasible; set tuple_budget")
-        combos = itertools.combinations(range(N), M)
-        if k == 1:
-            # product() would materialize all C(N, M) combinations; stream.
-            tuples = ((c,) for c in combos)
-        else:
-            tuples = itertools.product(combos, repeat=k)
-        buf: list = []
-        for t in tuples:
-            buf.append(t)
-            if len(buf) == _CHUNK:
-                yield np.array(buf, dtype=np.intp)
-                buf = []
-        if buf:
+    combos = itertools.combinations(range(N), M)
+    if k == 1:
+        # product() would materialize all C(N, M) combinations; stream.
+        tuples = ((c,) for c in combos)
+    else:
+        tuples = itertools.product(combos, repeat=k)
+    buf: list = []
+    for t in tuples:
+        buf.append(t)
+        if len(buf) == _CHUNK:
             yield np.array(buf, dtype=np.intp)
-        return
-    assert gen is not None
-    remaining = int(params.tuple_budget)
-    while remaining > 0:
-        b = min(_CHUNK, remaining)
-        keys = gen.random((b, k, N))
-        sel = np.argpartition(keys, M - 1, axis=2)[:, :, :M]
-        sel.sort(axis=2)
-        yield sel.astype(np.intp)
-        remaining -= b
+            buf = []
+    if buf:
+        yield np.array(buf, dtype=np.intp)
 
 
 def _cdf_blocks(n: int, draws: int) -> int:
@@ -432,10 +389,9 @@ def _best_for_trial(
     sample_gen = master.derive(_SAMPLE_STREAM, t).generator()
     k = params.k
     if params.tuple_budget == "exhaustive":
-        tuple_gen = master.derive(_TUPLE_STREAM, t).generator()
         batches = (
             (sample_gen.random((k, sel.shape[0], params.N)), sel)
-            for sel in _selector_chunks(params, tuple_gen)
+            for sel in _selector_chunks(params)
         )
     else:
         budget = int(params.tuple_budget)
@@ -479,7 +435,7 @@ def solve(
     the exact zero-cost placement on the distinct points is returned
     directly.
     """
-    params = derive_params(k, epsilon, **(overrides or {}))
+    params = PtasParams(k, epsilon, **(overrides or {}))
     distinct = _distinct_points(P.coords, k + 1)
     if k >= distinct.shape[0]:
         meta = {
@@ -488,10 +444,12 @@ def solve(
             "note": "k >= distinct points; zero-cost placement",
         }
         return ClusteringResult.from_centers(P, CenterSet(distinct), meta)
-    if params.tuple_budget == "exhaustive":
+    if (
+        params.tuple_budget == "exhaustive"
+        and math.comb(params.N, params.M) ** k > MAX_EXHAUSTIVE_TUPLES
+    ):
         # Surface infeasibility before any work is scheduled.
-        if _exhaustive_count(params) > MAX_EXHAUSTIVE_TUPLES:
-            raise EnumerationInfeasible("enumeration infeasible; set tuple_budget")
+        raise EnumerationInfeasible("enumeration infeasible; set tuple_budget")
 
     master = RandomSource(master_seed)
 

@@ -20,27 +20,13 @@ search run on many rows of running sums at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from wkmeans.core import (
-    WeightedPointSet,
-    _exact_sum,
-    as_center_array,
-    min_squared_distances,
-)
+from wkmeans.core import WeightedPointSet, _exact_sum, min_squared_distances
 
-__all__ = [
-    "RandomSource",
-    "SamplingWeights",
-    "DegenerateDistribution",
-    "CostAlreadyZero",
-    "sample_indices",
-    "searchsorted_rows",
-    "d2_weights",
-    "d2_sample",
-]
+__all__ = ["RandomSource", "sample_indices", "searchsorted_rows", "d2_weights"]
 
 
 @dataclass(frozen=True)
@@ -64,57 +50,28 @@ class RandomSource:
         return np.random.Generator(np.random.Philox(seq))
 
 
-class DegenerateDistribution(ValueError):
-    """All sampling weights are zero; no draw is defined."""
+def sample_indices(values, count: int, gen: np.random.Generator) -> np.ndarray:
+    """`count` i.i.d. categorical draws (one uniform each), shape (count,).
 
-
-class CostAlreadyZero(Exception):
-    """Every point sits on a current center, so distance sampling is moot."""
-
-
-@dataclass(frozen=True)
-class SamplingWeights:
-    """Nonnegative, finite weight vector for categorical draws.
-
-    A zero total is representable (`is_degenerate`); callers that need a draw
-    must check or catch `DegenerateDistribution`. `total`, the correctly
-    rounded sum of the values, is computed once at construction.
+    `values` are the unnormalized masses: finite, nonnegative and not all
+    zero, or ValueError is raised.
     """
-
-    values: np.ndarray
-    total: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64).ravel()
-        if vals.size == 0:
-            raise ValueError("empty weight vector")
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
-            raise ValueError("weights must be finite and nonnegative")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "total", _exact_sum(vals))
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.total == 0.0
-
-
-def sample_indices(
-    weights: SamplingWeights, count: int, gen: np.random.Generator
-) -> np.ndarray:
-    """`count` i.i.d. categorical draws (one uniform each), shape (count,)."""
-    total = weights.total
-    if total <= 0.0:
-        raise DegenerateDistribution("all sampling weights are zero")
+    vals = np.asarray(values, dtype=np.float64).ravel()
+    if vals.size == 0:
+        raise ValueError("empty weight vector")
+    if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
+        raise ValueError("weights must be finite and nonnegative")
     if count < 0:
         raise ValueError("count must be nonnegative")
+    total = _exact_sum(vals)
+    if total <= 0.0:
+        raise ValueError("all sampling weights are zero")
     u = gen.random(count)
-    cum = np.cumsum(weights.values)
+    cum = np.cumsum(vals)
     idx = np.searchsorted(cum, u * total, side="right")
     # The exact total can exceed cum[-1], so a target may pass the last entry;
     # it lands on the last positive weight. Any other draw is at or before it.
-    last = np.flatnonzero(weights.values)[-1]
+    last = np.flatnonzero(vals)[-1]
     return np.minimum(idx, last).astype(np.intp)
 
 
@@ -141,35 +98,6 @@ def searchsorted_rows(cum: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return pos - row_start + (flat[pos] <= targets)
 
 
-def d2_weights(P: WeightedPointSet, centers=None) -> SamplingWeights:
-    """Distance-weighted sampling vector against the current centers.
-
-    With no centers yet, entry p is the point weight w_p; otherwise it is
-    w_p times the squared distance from p to its nearest center.
-    """
-    c = as_center_array(centers)
-    if c.shape[0] == 0:
-        return SamplingWeights(P.weights)
-    return SamplingWeights(P.weights * min_squared_distances(P.coords, c))
-
-
-def d2_sample(
-    P: WeightedPointSet, centers, count: int, gen: np.random.Generator
-) -> np.ndarray:
-    """Draw `count` point indices distance-weighted against `centers`.
-
-    All draws are independent, with replacement, from the distribution induced
-    by the fixed center set (centers are not updated between draws). Raises
-    CostAlreadyZero when every point already coincides with a center, i.e. the
-    induced distribution has zero mass.
-    """
-    if count < 1:
-        raise ValueError("count must be positive")
-    w = d2_weights(P, centers)
-    try:
-        return sample_indices(w, count, gen)
-    except DegenerateDistribution:
-        raise CostAlreadyZero(
-            "all points lie on current centers; cost is already zero"
-        ) from None
-
+def d2_weights(P: WeightedPointSet, centers) -> np.ndarray:
+    """Distance-weighted masses: w_p times p's squared distance to its nearest center."""
+    return P.weights * min_squared_distances(P.coords, centers)

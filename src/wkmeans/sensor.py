@@ -866,10 +866,14 @@ def load_region(path: str | Path) -> tuple[SensorRegion, float | None]:
         raise RegionFileError("region file must hold a JSON object")
     if "polygon" not in doc or "density" not in doc:
         raise RegionFileError("region file needs 'polygon' and 'density'")
+    if not isinstance(doc["density"], dict):
+        raise RegionFileError("'density' must be a JSON object")
     try:
         density = _parse_density(doc["density"])
         region = SensorRegion(np.asarray(doc["polygon"], dtype=np.float64), density)
-    except ValueError as exc:
+        grid_eps = doc.get("grid_eps")
+        if grid_eps is not None:
+            grid_eps = float(grid_eps)
+    except (TypeError, ValueError, IndexError) as exc:
         raise RegionFileError(str(exc)) from None
-    grid_eps = doc.get("grid_eps")
-    return region, (float(grid_eps) if grid_eps is not None else None)
+    return region, grid_eps

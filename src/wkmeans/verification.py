@@ -28,13 +28,7 @@ from wkmeans.core import (
 from wkmeans.baselines import kmeanspp_lloyd, kmeanspp_seed, lloyd_descend
 from wkmeans.oracle import brute_force_opt, partition_count, verify_inaba, verify_null_sampling
 from wkmeans.ptas import solve
-from wkmeans.sampling import (
-    RandomSource,
-    SamplingWeights,
-    d2_sample,
-    d2_weights,
-    sample_indices,
-)
+from wkmeans.sampling import RandomSource, d2_weights, sample_indices
 from wkmeans.sensor import (
     GaussianMixtureDensity,
     SensorRegion,
@@ -119,9 +113,9 @@ def _check_weight_scaling(rng: RandomSource, tol: float) -> CheckResult:
         pr_w = d2_weights(scaled, c[:1])
         stretched = WeightedPointSet(P.coords * s, P.weights)
         pr_s = d2_weights(stretched, c[:1] * s)
-        p0 = pr.values / pr.total
-        worst = max(worst, float(np.abs(pr_w.values / pr_w.total - p0).max()))
-        worst = max(worst, float(np.abs(pr_s.values / pr_s.total - p0).max()))
+        p0 = pr / math.fsum(pr)
+        worst = max(worst, float(np.abs(pr_w / math.fsum(pr_w) - p0).max()))
+        worst = max(worst, float(np.abs(pr_s / math.fsum(pr_s) - p0).max()))
     return CheckResult(
         "weight-scaling",
         worst <= tol,
@@ -158,9 +152,9 @@ def _check_d2_distribution(rng: RandomSource, alpha: float) -> CheckResult:
 
     P, center = instances.chi6()
     draws = 100_000
-    idx = d2_sample(P, center, draws, rng.derive(0).generator())
-    expected_w = d2_weights(P, center)
-    prob = expected_w.values / expected_w.total
+    mass = d2_weights(P, center)
+    idx = sample_indices(mass, draws, rng.derive(0).generator())
+    prob = mass / math.fsum(mass)
     observed = np.bincount(idx, minlength=P.n).astype(np.float64)
     live = prob > 0.0
     zero_hits = float(observed[~live].sum())
@@ -172,10 +166,7 @@ def _check_d2_distribution(rng: RandomSource, alpha: float) -> CheckResult:
 
     freq13 = float(
         np.mean(
-            sample_indices(
-                SamplingWeights(np.array([1.0, 3.0])), draws, rng.derive(1).generator()
-            )
-            == 1
+            sample_indices(np.array([1.0, 3.0]), draws, rng.derive(1).generator()) == 1
         )
     )
     tail = float(np.mean(idx == 5))
@@ -199,9 +190,10 @@ def _check_d2_distribution(rng: RandomSource, alpha: float) -> CheckResult:
 
 def _check_reproducibility(rng: RandomSource, tol: float) -> CheckResult:
     P, center = instances.chi6()
-    a = d2_sample(P, center, 1000, rng.derive(3).generator())
-    b = d2_sample(P, center, 1000, rng.derive(3).generator())
-    sib = d2_sample(P, center, 1000, rng.derive(4).generator())
+    mass = d2_weights(P, center)
+    a = sample_indices(mass, 1000, rng.derive(3).generator())
+    b = sample_indices(mass, 1000, rng.derive(3).generator())
+    sib = sample_indices(mass, 1000, rng.derive(4).generator())
     mismatches = float(np.count_nonzero(a != b))
     distinct = bool(np.any(a != sib))
     return CheckResult(

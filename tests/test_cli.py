@@ -11,7 +11,7 @@ import pytest
 import wkmeans
 from wkmeans import cli
 from wkmeans.core import load_weighted_points
-from wkmeans.sensor import load_region, place_sensors
+from wkmeans.sensor import RegionFileError, load_region, place_sensors
 
 
 def run(argv):
@@ -143,6 +143,30 @@ def test_sensor_bad_region(tmp_path):
     assert run(["sensor", "--region", str(bad)]) == 2
 
 
+_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"density": 3},
+        {"grid_eps": [1]},
+        {"density": {"type": "raster", "origin": 5, "pixel_size": 0.5, "values": [[1.0]]}},
+        {"density": {"type": "uniform", "level": None}},
+        {"density": {"type": "gaussian_mixture", "means": 3, "covariances": 1, "mixing": 1}},
+    ],
+    ids=["density-number", "grid-eps-list", "raster-origin-number", "level-null", "means-number"],
+)
+def test_malformed_region_file_is_a_region_file_error(tmp_path, capsys, changes):
+    """Wrongly typed fields fail as region file errors: exit 2, not a traceback."""
+    path = tmp_path / "region.json"
+    path.write_text(json.dumps({"polygon": _SQUARE, "density": {"type": "uniform"}, **changes}))
+    with pytest.raises(RegionFileError):
+        load_region(path)
+    assert run(["sensor", "--region", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("grid_eps", ["nan", "inf"])
 def test_sensor_rejects_non_finite_grid_eps(capsys, grid_eps):
     assert run(["sensor", "--grid-eps", grid_eps]) == 2
@@ -186,6 +210,21 @@ def test_bench_matrix(tmp_path):
     for row in rows[1:]:
         assert float(row[4]) == pytest.approx(1.0, abs=1e-12)
         assert float(row[5]) >= 0.0
+
+
+def test_bench_ptas_matrix(tmp_path):
+    """The bench's PTAS flags reach the solver; no cost falls below the optimum."""
+    out = tmp_path / "bench.csv"
+    flags = ["--repeat", "1", "--solvers", "ptas,kmeanspp-lloyd", "--trials", "1"]
+    code = run(["bench", *flags, "--tuple-budget", "64", "--output", str(out)])
+    assert code == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[0][4] == "ratio_to_oracle"
+    assert len(rows) == 1 + 5 * 2
+    assert {row[1] for row in rows[1:]} == {"ptas", "kmeanspp-lloyd"}
+    for row in rows[1:]:
+        assert float(row[4]) >= 1.0 - 1e-12
+    assert run(["bench", *flags, "--tuple-budget", "exhaustive"]) == 3
 
 
 def test_bench_usage_errors():

@@ -18,7 +18,7 @@ from wkmeans.core import (
     weighted_cost,
 )
 from wkmeans import core
-from wkmeans.sampling import RandomSource, SamplingWeights
+from wkmeans.sampling import RandomSource
 
 from conftest import make_points
 
@@ -90,7 +90,7 @@ def test_exact_sum_equals_fsum(terms, copies, chunk):
     finally:
         core._EXACT_CHUNK, core._EXACT_MIN_TERMS = old
     if want != "overflow":
-        assert SamplingWeights(x).total.hex() == want
+        assert core._exact_sum(x).hex() == want
         w = np.ones_like(x)
         assert core._cost(w, x).hex() == want
 

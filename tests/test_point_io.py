@@ -202,6 +202,31 @@ def test_point_file_error_messages(tmp_path, body, message):
     assert str(err.value) == message
 
 
+# 200,000 characters, past the csv module's default field limit of 131,072.
+_LONG_NUMBER = "1." + "0" * 199_998
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("x1," + "w" * 200_000 + "\n1,1\n", 1),
+        # The C reader takes the long number; the `1_000` row sends the file
+        # to the row reader, which meets the long field first.
+        (f"x1,weight\n2,1\n{_LONG_NUMBER},1\n1_000,1\n", 3),
+    ],
+    ids=["header", "body"],
+)
+def test_oversized_field_is_a_point_file_error(tmp_path, capsys, text, line):
+    """The csv module's field limit names the line, in the library and the CLI."""
+    path = tmp_path / "pts.csv"
+    path.write_text(text)
+    with pytest.raises(PointFileError) as err:
+        load_weighted_points(path)
+    assert str(err.value).startswith(f"line {line}: field larger than field limit")
+    assert cli.main(["cluster", "--input", str(path), "--k", "1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}: field larger")
+
+
 def test_plain_files_skip_the_row_reader(tmp_path, monkeypatch):
     """Ordinary files are parsed by the C reader alone; `1_000` needs the row reader."""
     path = tmp_path / "pts.csv"

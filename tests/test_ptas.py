@@ -19,7 +19,6 @@ from wkmeans.ptas import (
     _last_positive,
     _run_tuple_batch,
     _selector_chunks,
-    derive_params,
     solve,
 )
 from wkmeans.sampling import RandomSource
@@ -27,21 +26,21 @@ from wkmeans.sampling import RandomSource
 from conftest import make_points
 
 
-def test_derive_params_theory_constants():
-    p = derive_params(2, 0.5)
+def test_params_default_to_theory_constants():
+    p = PtasParams(2, 0.5)
     assert p.N == math.ceil(800 * 2 / 0.25) == 6400
     assert p.M == math.ceil(100 / 0.5) == 200
     assert p.trials == 4
     assert not p.adjust_epsilon
 
 
-def test_derive_params_reduced_constants():
-    p = derive_params(1, 0.5, c1=8.0, c2=4.0)
+def test_params_reduced_constants():
+    p = PtasParams(1, 0.5, c1=8.0, c2=4.0)
     assert (p.N, p.M) == (32, 8)
 
 
 def test_adjusted_epsilon_shrinks_accuracy():
-    p = derive_params(2, 0.5, adjust_epsilon=True)
+    p = PtasParams(2, 0.5, adjust_epsilon=True)
     assert p.epsilon_eff == pytest.approx(0.2)
     assert p.N == math.ceil(800 * 2 / 0.2**2) == 40000
     assert p.M == 500
@@ -60,8 +59,8 @@ def test_params_validation():
         PtasParams(k=1, epsilon=0.5, c1=0.1, c2=100.0)
 
 
-def _tuples(params, gen=None):
-    return [row for block in _selector_chunks(params, gen) for row in block]
+def _tuples(params):
+    return [row for block in _selector_chunks(params) for row in block]
 
 
 def test_exhaustive_enumeration_is_lexicographic():
@@ -77,34 +76,18 @@ def test_exhaustive_enumeration_counts_pairs():
     assert len(_tuples(p)) == 36
 
 
-def test_budget_mode_yields_exactly_budget_tuples():
-    p = PtasParams(k=3, epsilon=0.5, c1=8.0, c2=4.0, tuple_budget=500)
-    seen = 0
-    for sel in _tuples(p, RandomSource(12).generator()):
-        assert sel.shape == (3, 8)
-        assert np.all(np.diff(sel, axis=1) > 0)
-        assert sel.min() >= 0 and sel.max() < p.N
-        seen += 1
-    assert seen == 500
-
-
 def test_exhaustive_infeasible_raises():
-    p = PtasParams(k=3, epsilon=0.5, c1=8.0, c2=4.0, tuple_budget="exhaustive")
-    with pytest.raises(EnumerationInfeasible):
-        list(_selector_chunks(p, None))
     with pytest.raises(EnumerationInfeasible):
         solve(skew12().points, 3, 0.5, {"c1": 8.0, "c2": 4.0, "tuple_budget": "exhaustive"})
 
 
 def test_candidate_tuple_must_increase():
-    """Every tuple, enumerated or drawn, is k rows of M increasing positions."""
-    exhaustive = PtasParams(k=2, epsilon=0.5, c1=0.5, c2=1.0, tuple_budget="exhaustive")
-    budget = PtasParams(k=2, epsilon=0.5, c1=8.0, c2=4.0, tuple_budget=1500)
-    for p, gen in ((exhaustive, None), (budget, RandomSource(3).generator())):
-        for block in _selector_chunks(p, gen):
-            assert block.dtype == np.intp and block.shape[1:] == (p.k, p.M)
-            assert np.all(np.diff(block, axis=2) > 0)
-            assert block.min() >= 0 and block.max() < p.N
+    """Every enumerated tuple is k rows of M increasing positions."""
+    p = PtasParams(k=2, epsilon=0.5, c1=0.5, c2=1.0, tuple_budget="exhaustive")
+    for block in _selector_chunks(p):
+        assert block.dtype == np.intp and block.shape[1:] == (p.k, p.M)
+        assert np.all(np.diff(block, axis=2) > 0)
+        assert block.min() >= 0 and block.max() < p.N
 
 
 def test_tuple_batch_single_location_collapses_to_zero_cost():
@@ -115,8 +98,8 @@ def test_tuple_batch_single_location_collapses_to_zero_cost():
     zero cost for k >= distinct points.
     """
     P = WeightedPointSet(np.array([[2.0, 2.0]] * 3), np.array([1.0, 2.0, 0.5]))
-    params = derive_params(1, 0.5, c1=8.0, c2=4.0)
-    sel = next(_selector_chunks(params, RandomSource(1).generator()))[:1]
+    params = PtasParams(1, 0.5, c1=8.0, c2=4.0, tuple_budget="exhaustive")
+    sel = next(_selector_chunks(params))[:1]
     u = RandomSource(2).generator().random((params.k, 1, params.N))
     costs, centers = _run_tuple_batch(P.coords, P.weights, u, sel)
     assert costs.tolist() == [0.0]
@@ -474,7 +457,7 @@ def test_meta_names_the_winning_trial_and_tuple():
     """
     P = make_points(31, 2500, 2)
     ovr = {"c1": 8.0, "c2": 4.0, "trials": 2, "tuple_budget": 2 * ptas._CHUNK}
-    params = derive_params(2, 0.5, **ovr)
+    params = PtasParams(2, 0.5, **ovr)
     winners = []
     for seed in range(4):
         res = solve(P, 2, 0.5, ovr, master_seed=seed)

@@ -1,39 +1,31 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from wkmeans.core import WeightedPointSet, min_squared_distances
 from wkmeans.instances import chi6
-from wkmeans.sampling import (
-    CostAlreadyZero,
-    DegenerateDistribution,
-    RandomSource,
-    SamplingWeights,
-    d2_sample,
-    d2_weights,
-    sample_indices,
-    searchsorted_rows,
-)
+from wkmeans.sampling import RandomSource, d2_weights, sample_indices, searchsorted_rows
 
 from conftest import make_points
 
 
 def test_sampling_weights_reject_negative_and_nonfinite():
+    gen = RandomSource(0).generator()
     with pytest.raises(ValueError):
-        SamplingWeights(np.array([1.0, -0.5]))
+        sample_indices(np.array([1.0, -0.5]), 1, gen)
     with pytest.raises(ValueError):
-        SamplingWeights(np.array([np.inf, 1.0]))
+        sample_indices(np.array([np.inf, 1.0]), 1, gen)
 
 
-def test_zero_total_is_allowed_but_degenerate():
-    w = SamplingWeights(np.zeros(4))
-    assert w.total == 0.0 and w.is_degenerate
-    with pytest.raises(DegenerateDistribution):
-        sample_indices(w, 1, RandomSource(0).generator())
+def test_zero_total_is_rejected():
+    with pytest.raises(ValueError, match="all sampling weights are zero"):
+        sample_indices(np.zeros(4), 1, RandomSource(0).generator())
 
 
 def test_identical_streams_replay_identically():
-    w = SamplingWeights(np.array([1.0, 2.0, 3.0]))
+    w = np.array([1.0, 2.0, 3.0])
     a = sample_indices(w, 100, RandomSource(9, (4,)).generator())
     b = sample_indices(w, 100, RandomSource(9, (4,)).generator())
     sib = sample_indices(w, 100, RandomSource(9, (5,)).generator())
@@ -51,7 +43,7 @@ def test_derive_chains_give_distinct_streams():
 
 
 def test_each_draw_consumes_one_uniform():
-    w = SamplingWeights(np.array([2.0, 1.0, 1.0]))
+    w = np.array([2.0, 1.0, 1.0])
     g1 = RandomSource(77).generator()
     sample_indices(w, 13, g1)
     g2 = RandomSource(77).generator()
@@ -59,37 +51,31 @@ def test_each_draw_consumes_one_uniform():
     assert g1.random() == g2.random()
 
 
-def test_d2_weights_without_centers_is_weight_proportional():
-    P = make_points(11, 9, 2)
-    w = d2_weights(P, None)
-    assert np.array_equal(w.values, P.weights)
-
-
 def test_d2_weights_vector_on_fixed_instance():
     P, center = chi6()
     w = d2_weights(P, center)
-    np.testing.assert_array_equal(w.values, [4.0, 2.0, 0.0, 0.5, 13.5, 90.0])
+    np.testing.assert_array_equal(w, [4.0, 2.0, 0.0, 0.5, 13.5, 90.0])
 
 
-def test_d2_sample_zero_coverage_raises():
+def test_d2_draw_with_zero_coverage_raises():
     P = WeightedPointSet(np.array([[0.0, 0.0], [1.0, 1.0]]), np.ones(2))
-    with pytest.raises(CostAlreadyZero):
-        d2_sample(P, P.coords, 5, RandomSource(0).generator())
+    with pytest.raises(ValueError, match="all sampling weights are zero"):
+        sample_indices(d2_weights(P, P.coords), 5, RandomSource(0).generator())
 
 
-def test_d2_sample_never_picks_zero_mass_points():
+def test_d2_draws_never_pick_zero_mass_points():
     P, center = chi6()
-    idx = d2_sample(P, center, 5000, RandomSource(13).generator())
+    idx = sample_indices(d2_weights(P, center), 5000, RandomSource(13).generator())
     assert not np.any(idx == 2)
 
 
-def test_d2_sample_frequencies_roughly_match():
+def test_d2_draw_frequencies_roughly_match():
     P, center = chi6()
     draws = 40_000
-    idx = d2_sample(P, center, draws, RandomSource(99).generator())
-    freq = np.bincount(idx, minlength=P.n) / draws
     w = d2_weights(P, center)
-    expect = w.values / w.total
+    idx = sample_indices(w, draws, RandomSource(99).generator())
+    freq = np.bincount(idx, minlength=P.n) / draws
+    expect = w / math.fsum(w)
     sigma = np.sqrt(np.maximum(expect * (1.0 - expect), 1e-12) / draws)
     assert np.all(np.abs(freq - expect) <= 5.0 * sigma)
 
@@ -98,16 +84,16 @@ def test_normalized_probabilities_are_scale_invariant():
     P = make_points(21, 12, 3)
     centers = P.coords[:2] + 0.05
     base = d2_weights(P, centers)
-    p0 = base.values / base.total
+    p0 = base / math.fsum(base)
 
     lam = WeightedPointSet(P.coords, P.weights * 7.5)
     w1 = d2_weights(lam, centers)
-    np.testing.assert_allclose(w1.values / w1.total, p0, rtol=1e-12)
+    np.testing.assert_allclose(w1 / math.fsum(w1), p0, rtol=1e-12)
 
     s = 3.0
     scaled = WeightedPointSet(P.coords * s, P.weights)
     w2 = d2_weights(scaled, centers * s)
-    np.testing.assert_allclose(w2.values / w2.total, p0, rtol=1e-12)
+    np.testing.assert_allclose(w2 / math.fsum(w2), p0, rtol=1e-12)
 
 
 @given(st.integers(0, 5_000), st.integers(1, 6))
@@ -134,15 +120,15 @@ class _StubGenerator:
 
 def test_sample_indices_overshoot_lands_on_last_positive_weight():
     """The fsum total exceeds the running sum's last entry, 1e16 here."""
-    w = SamplingWeights(np.array([1e16, 1.0, 1.0, 0.0]))
-    assert w.total > np.cumsum(w.values)[-1]
+    w = np.array([1e16, 1.0, 1.0, 0.0])
+    assert math.fsum(w) > np.cumsum(w)[-1]
     idx = sample_indices(w, 3, _StubGenerator(1.0 - 2.0**-53))
     assert idx.tolist() == [2, 2, 2]
     assert sample_indices(w, 1, _StubGenerator(0.0)).tolist() == [0]
 
 
 def test_sample_index_matches_inverse_cdf_partition():
-    w = SamplingWeights(np.array([0.25, 0.5, 0.25]))
+    w = np.array([0.25, 0.5, 0.25])
     counts = np.bincount(
         sample_indices(w, 20_000, RandomSource(5).generator()), minlength=3
     )
