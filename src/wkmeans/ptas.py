@@ -19,9 +19,11 @@ per-point passes (distances, running minimum, block sums) in sub-blocks of
 max(1, 2^16 // n) rows, and draws and centroids once per outer block.
 
 - A row of up to 2 * D blocks of 128 points (every desk-scale instance)
-  takes one running sum and a per-row binary search. An outer block is
-  one sub-block, held in three (rows, n) buffers: the min-distance cache,
-  the mass array weights * cache and a running sum.
+  takes one running sum, searched per row by `searchsorted_rows`: a short
+  row (every desk-scale one) by counting the entries at or below each
+  target, a longer one by a binary search. An outer block is one
+  sub-block, held in three (rows, n) buffers: the min-distance cache, the
+  mass array weights * cache and a running sum.
 - A longer row takes two levels, and its outer blocks hold
   max(1, 2^18 // n) rows of the cache, zero-padded to whole blocks. One
   einsum pass reads each sub-block's new cache against the zero-padded
@@ -34,8 +36,11 @@ No work array grows with B x n: the cache holds about max(2^18, n) values
 (2 MiB of float64 up to n = 2^18) plus under 128 of padding per row, two
 scratch arrays max(2^16, n) values each, and the gathered blocks fewer
 than the cache. The output does not depend on either block size.
-Per-trial random streams are derived from (master_seed, trial), so
-results are independent of thread scheduling.
+Every row's first draw searches the shared running sum of the weights
+through `searchsorted_rows` too. A centroid gathers its drawn weights and
+points with `take`, which on a small (n, d) array costs a small fraction
+of fancy indexing. Per-trial random streams are derived from
+(master_seed, trial), so results are independent of thread scheduling.
 """
 
 from __future__ import annotations
@@ -210,9 +215,9 @@ def _inverse_cdf_rows(
     the point whose running-sum interval holds u times the row total, so
     point p is drawn with probability v[r, p] / total up to summation
     rounding. The row takes one running sum, searched per row by
-    `searchsorted_rows` (searchsorted(side="right")). A target that
-    rounding pushes to or past the end of the running sum lands on the
-    last positive-mass point, never on a zero-mass one.
+    `searchsorted_rows` (searchsorted(side="right"), by counting on short
+    rows). A target that rounding pushes to or past the end of the running
+    sum lands on the last positive-mass point, never on a zero-mass one.
     """
     w = v.shape[1]
     np.cumsum(v, axis=1, out=cum)
@@ -285,7 +290,8 @@ def _run_tuple_batch(
     rows through two (rows, n) scratch buffers. The draws and centroids
     run once per outer block, and all k iterations finish on an outer block
     before the next starts. The outer block's rows share one min-distance
-    cache. Iteration 0 draws every row from one shared CDF of the weights.
+    cache. Iteration 0 draws every row from one shared CDF of the weights,
+    searched by `searchsorted_rows` as a single row.
 
     - n at most 2 * D * _CDF_BLOCK (every desk-scale instance): one level.
       An outer block is one sub-block; its draws form the mass array
@@ -337,7 +343,7 @@ def _run_tuple_batch(
         for i in range(k):
             ui = u[i, lo:hi]
             if i == 0:
-                cols = np.searchsorted(cum0, ui * cum0[-1], side="right")
+                cols = searchsorted_rows(cum0[None], ui * cum0[-1])
                 dead = None
             elif nb:
                 cols, dead = _inverse_cdf_blocks(sums, cache_blocks, w_blocks, ui)
@@ -349,8 +355,9 @@ def _run_tuple_batch(
             np.minimum(cols, n - 1, out=cols)
             if selectors is not None:
                 cols = np.take_along_axis(cols, selectors[lo:hi, i, :], axis=1)
-            tw = weights[cols]
-            ci = np.einsum("bm,bmd->bd", tw, coords[cols]) / tw.sum(axis=1)[:, None]
+            tw = weights.take(cols)
+            drawn = coords.take(cols, axis=0)
+            ci = np.einsum("bm,bmd->bd", tw, drawn) / tw.sum(axis=1)[:, None]
             if dead is not None and dead.any():
                 ci[dead] = blk_centers[dead, i - 1]
             blk_centers[:, i, :] = ci

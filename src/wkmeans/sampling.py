@@ -15,7 +15,8 @@ drawn. `sample_indices` searches one running sum with an exact total, so a
 draw is a deterministic function of the weight vector and one uniform.
 Where rounding puts a target at or past the end of the running sum, the
 draw lands on the last positive weight. `searchsorted_rows` is the same
-search run on many rows of running sums at once.
+search run on many rows of running sums at once; it counts entries on
+short rows and halves the range on longer ones, with identical results.
 """
 
 from __future__ import annotations
@@ -27,6 +28,16 @@ import numpy as np
 from wkmeans.core import WeightedPointSet, _exact_sum, min_squared_distances
 
 __all__ = ["RandomSource", "sample_indices", "searchsorted_rows", "d2_weights"]
+
+# Running sums of at most this many entries are searched by counting, not
+# halving (see `searchsorted_rows`). Measured by
+# scripts/searchsorted_crossover.py on 1024 rows, 2-vCPU host, count against
+# binary search in us per call: at 3 targets per row 96 vs 129 at n = 24,
+# 123 vs 125 at 28 and 217 vs 174 at 48; at 8 targets 229 vs 387 at 24 and
+# 696 vs 474 at 64. With one target per row the binary search wins from
+# n = 12 (66 vs 57 us); desk-scale PTAS runs (c2 = 4, epsilon = 0.5) draw
+# 8 per row.
+_COUNT_MAX_TERMS = 24
 
 
 @dataclass(frozen=True)
@@ -78,13 +89,33 @@ def sample_indices(values, count: int, gen: np.random.Generator) -> np.ndarray:
 def searchsorted_rows(cum: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per-row `np.searchsorted(cum[r], targets[r], side="right")`.
 
-    `cum` is (b, n) with every row nondecreasing (a running sum of
-    nonnegative weights); `targets` is (b, m). Returns (b, m) indices in
-    [0, n]. A branchless binary search run on all rows at once: every row
-    takes the same halving steps, about log2(n) small numpy calls in all,
-    and each result is exact and independent of the other rows.
+    `targets` is (b, m) and `cum` (b, n), or (1, n) for one row shared by
+    all b rows of targets; every row of `cum` is nondecreasing (a running
+    sum of nonnegative weights). Returns (b, m) indices in [0, n], each
+    exact and independent of the other rows.
+
+    A row of at most `_COUNT_MAX_TERMS` entries is searched by counting
+    the entries at or below each target, one column at a time: n
+    compare-and-add passes over the (b, m) targets. On a nondecreasing row
+    that count is the side="right" position. A longer shared row takes
+    `np.searchsorted`, and longer rows run a branchless binary search on
+    all rows at once: every row takes the same halving steps, about
+    log2(n) small numpy calls in all.
     """
     b, n = cum.shape
+    if n <= _COUNT_MAX_TERMS:
+        # Targets are walked transposed, so each pass's inner loop runs
+        # over the b rows rather than the m targets of one row.
+        targets_t = np.ascontiguousarray(targets.T)
+        # The narrowest unsigned type that holds n: uint8 up to 255.
+        count = np.zeros(targets_t.shape, dtype=np.min_scalar_type(n))
+        hit = np.empty(targets_t.shape, dtype=bool)
+        for col in np.ascontiguousarray(cum.T):
+            np.less_equal(col, targets_t, out=hit)
+            count += hit.view(np.uint8)
+        return count.T.astype(np.intp)
+    if b == 1:
+        return np.searchsorted(cum[0], targets, side="right")
     flat = cum.reshape(-1)
     row_start = np.arange(0, b * n, n, dtype=np.intp)[:, None]
     # pos is a flat index; the answer lies in [pos, pos + size] of its row.

@@ -841,18 +841,59 @@ def place_sensors(
     )
 
 
+def _floats(*ndims: int):
+    """Parser of a float array with one of these dimension counts (any if none)."""
+
+    def parse(value) -> np.ndarray:
+        arr = np.asarray(value, dtype=np.float64)
+        if ndims and arr.ndim not in ndims:
+            allowed = " or ".join(f"{d}-D" for d in ndims)
+            raise ValueError(f"expected a {allowed} array, got {arr.ndim}-D")
+        return arr
+
+    return parse
+
+
+def _origin(value) -> tuple[float, float]:
+    return float(value[0]), float(value[1])
+
+
+# Per density type: its class and each field's parser; a field that is
+# absent takes the default when one is listed.
+_DENSITY_FIELDS = {
+    "uniform": (UniformDensity, {"level": (float, 1.0)}),
+    "gaussian_mixture": (
+        GaussianMixtureDensity,
+        {"means": (_floats(1, 2),), "covariances": (_floats(2, 3),), "mixing": (_floats(),)},
+    ),
+    "raster": (
+        RasterDensity,
+        {"origin": (_origin,), "pixel_size": (float,), "values": (_floats(),)},
+    ),
+}
+
+
 def _parse_density(spec: dict) -> Density:
+    """The density a region file describes; errors name the type and field."""
     kind = spec.get("type")
+    if not isinstance(kind, str) or kind not in _DENSITY_FIELDS:
+        raise RegionFileError(f"unknown density type: {kind!r}")
+    cls, fields = _DENSITY_FIELDS[kind]
+    args = {}
+    for name, (parse, *default) in fields.items():
+        if name not in spec:
+            if not default:
+                raise RegionFileError(f"{kind} density missing {name!r}")
+            args[name] = default[0]
+            continue
+        try:
+            args[name] = parse(spec[name])
+        except (TypeError, ValueError, IndexError) as exc:
+            raise RegionFileError(f"{kind} density {name!r}: {exc}") from None
     try:
-        if kind == "uniform":
-            return UniformDensity(float(spec.get("level", 1.0)))
-        if kind == "gaussian_mixture":
-            return GaussianMixtureDensity(spec["means"], spec["covariances"], spec["mixing"])
-        if kind == "raster":
-            return RasterDensity(spec["origin"], float(spec["pixel_size"]), spec["values"])
-    except KeyError as exc:
-        raise RegionFileError(f"{kind} density missing {exc}") from None
-    raise RegionFileError(f"unknown density type: {kind!r}")
+        return cls(**args)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise RegionFileError(f"{kind} density: {exc}") from None
 
 
 def load_region(path: str | Path) -> tuple[SensorRegion, float | None]:
@@ -868,12 +909,19 @@ def load_region(path: str | Path) -> tuple[SensorRegion, float | None]:
         raise RegionFileError("region file needs 'polygon' and 'density'")
     if not isinstance(doc["density"], dict):
         raise RegionFileError("'density' must be a JSON object")
+    density = _parse_density(doc["density"])
     try:
-        density = _parse_density(doc["density"])
-        region = SensorRegion(np.asarray(doc["polygon"], dtype=np.float64), density)
-        grid_eps = doc.get("grid_eps")
-        if grid_eps is not None:
-            grid_eps = float(grid_eps)
+        polygon = np.asarray(doc["polygon"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise RegionFileError(f"'polygon': {exc}") from None
+    try:
+        region = SensorRegion(polygon, density)
     except (TypeError, ValueError, IndexError) as exc:
         raise RegionFileError(str(exc)) from None
+    grid_eps = doc.get("grid_eps")
+    if grid_eps is not None:
+        try:
+            grid_eps = float(grid_eps)
+        except (TypeError, ValueError) as exc:
+            raise RegionFileError(f"'grid_eps': {exc}") from None
     return region, grid_eps

@@ -147,24 +147,34 @@ _SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
 
 @pytest.mark.parametrize(
-    "changes",
+    "changes, field",
     [
-        {"density": 3},
-        {"grid_eps": [1]},
-        {"density": {"type": "raster", "origin": 5, "pixel_size": 0.5, "values": [[1.0]]}},
-        {"density": {"type": "uniform", "level": None}},
-        {"density": {"type": "gaussian_mixture", "means": 3, "covariances": 1, "mixing": 1}},
+        ({"density": 3}, "'density'"),
+        ({"grid_eps": [1]}, "'grid_eps'"),
+        (
+            {"density": {"type": "raster", "origin": 5, "pixel_size": 0.5, "values": [[1.0]]}},
+            "raster density 'origin'",
+        ),
+        ({"density": {"type": "uniform", "level": None}}, "uniform density 'level'"),
+        (
+            {"density": {"type": "gaussian_mixture", "means": 3, "covariances": 1, "mixing": 1}},
+            "gaussian_mixture density 'means'",
+        ),
     ],
     ids=["density-number", "grid-eps-list", "raster-origin-number", "level-null", "means-number"],
 )
-def test_malformed_region_file_is_a_region_file_error(tmp_path, capsys, changes):
-    """Wrongly typed fields fail as region file errors: exit 2, not a traceback."""
+def test_malformed_region_file_is_a_region_file_error(tmp_path, capsys, changes, field):
+    """Wrongly typed fields fail as region file errors that name the field.
+
+    The CLI exits 2 with an error line, not a traceback.
+    """
     path = tmp_path / "region.json"
     path.write_text(json.dumps({"polygon": _SQUARE, "density": {"type": "uniform"}, **changes}))
     with pytest.raises(RegionFileError):
         load_region(path)
     assert run(["sensor", "--region", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
 
 
 @pytest.mark.parametrize("grid_eps", ["nan", "inf"])

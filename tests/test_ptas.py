@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wkmeans import ptas
+from wkmeans import ptas, sampling
 from wkmeans.core import WeightedPointSet, _sq_dist_rows
 from wkmeans.instances import line4, oracle_instances, skew12
 from wkmeans.ptas import (
@@ -21,7 +21,7 @@ from wkmeans.ptas import (
     _selector_chunks,
     solve,
 )
-from wkmeans.sampling import RandomSource
+from wkmeans.sampling import _COUNT_MAX_TERMS, RandomSource
 
 from conftest import make_points
 
@@ -250,16 +250,27 @@ def test_inverse_cdf_one_level_overshoot_skips_trailing_zeros():
     assert cols.tolist() == [[2]] and not dead[0]
 
 
-def _reference_inverse_cdf_rows(v, u, cum):
+def _reference_inverse_cdf_rows(v, u):
     """The single-pass evaluator's draw: masses v padded to whole blocks.
 
-    Two-level rows take block sums of the mass array by a pairwise
-    reshape-sum and running-sum the drawn blocks of it.
+    One-level rows search each row's own running sum with np.searchsorted;
+    a target past its end lands on the last positive mass (the last point
+    of an all-zero row). Two-level rows take block sums of the mass array
+    by a pairwise reshape-sum and running-sum the drawn blocks of it.
     """
     rows, w = v.shape
     nb = _cdf_blocks(w, u.shape[1])
     if nb == 0:
-        return _inverse_cdf_rows(v, u, cum)
+        cols = np.empty(u.shape, dtype=np.intp)
+        totals = np.empty(rows)
+        for r in range(rows):
+            cum = np.cumsum(v[r])
+            totals[r] = cum[-1]
+            positive = np.flatnonzero(v[r])
+            last = positive[-1] if positive.size else w - 1
+            found = np.searchsorted(cum, u[r] * cum[-1], side="right")
+            cols[r] = np.minimum(found, last)
+        return cols, totals <= 0.0
     blocks = v.reshape(rows, nb, _CDF_BLOCK)
     sums = blocks.sum(axis=2)
     bcum = np.zeros((rows, nb + 1))
@@ -310,7 +321,7 @@ def _reference_run_tuple_batch(coords, weights, u, selectors=None):
                 dead = None
             else:
                 np.multiply(cache_b, weights, out=scratch_b)
-                cols, dead = _reference_inverse_cdf_rows(mass_b, ui, diff_b)
+                cols, dead = _reference_inverse_cdf_rows(mass_b, ui)
             np.minimum(cols, n - 1, out=cols)
             if selectors is not None:
                 cols = np.take_along_axis(cols, selectors[lo:hi, i, :], axis=1)
@@ -328,6 +339,26 @@ def _reference_run_tuple_batch(coords, weights, u, selectors=None):
     return costs, centers
 
 
+def _batch_case(seed, n, D, k, d, B, kind, subsets):
+    """Points, weights, uniforms and (when subsets) selectors for one batch."""
+    gen = RandomSource(seed).generator()
+    if kind == "few-locations":
+        coords = np.floor(gen.random((n, d)) * 2.0)
+    else:
+        coords = gen.random((n, d)) * 1e3 + (5e6 if kind == "geo" else 0.0)
+    weights = np.exp(2.0 * gen.standard_normal(n))
+    u = gen.random((k, B, D))
+    selectors = None
+    if subsets:
+        m = int(gen.integers(1, D + 1))
+        keys = gen.random((B, k, D))
+        selectors = np.sort(np.argpartition(keys, m - 1, axis=2)[:, :, :m], axis=2)
+    return coords, weights, u, selectors
+
+
+_BATCH_KINDS = st.sampled_from(["random", "few-locations", "geo"])
+
+
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(1, 3),
@@ -336,7 +367,7 @@ def _reference_run_tuple_batch(coords, weights, u, selectors=None):
     st.integers(1, 4),
     st.integers(1, 3),
     st.integers(1, 40),
-    st.sampled_from(["random", "few-locations", "geo"]),
+    _BATCH_KINDS,
     st.booleans(),
 )
 def test_run_tuple_batch_matches_reference(seed, D, extra, tail, k, d, B, kind, subsets):
@@ -351,22 +382,47 @@ def test_run_tuple_batch_matches_reference(seed, D, extra, tail, k, d, B, kind, 
     """
     n = (2 * D + extra) * _CDF_BLOCK + tail
     assert _cdf_blocks(n, D) > 0
-    gen = RandomSource(seed).generator()
-    if kind == "few-locations":
-        coords = np.floor(gen.random((n, d)) * 2.0)
-    else:
-        coords = gen.random((n, d)) * 1e3 + (5e6 if kind == "geo" else 0.0)
-    weights = np.exp(2.0 * gen.standard_normal(n))
-    u = gen.random((k, B, D))
-    selectors = None
-    if subsets:
-        m = int(gen.integers(1, D + 1))
-        keys = gen.random((B, k, D))
-        selectors = np.sort(np.argpartition(keys, m - 1, axis=2)[:, :, :m], axis=2)
+    coords, weights, u, selectors = _batch_case(seed, n, D, k, d, B, kind, subsets)
     costs, centers = _run_tuple_batch(coords, weights, u, selectors)
     ref_costs, ref_centers = _reference_run_tuple_batch(coords, weights, u, selectors)
     assert centers.tobytes() == ref_centers.tobytes()
     np.testing.assert_allclose(costs, ref_costs, rtol=4 * n * 2.0**-53, atol=0.0)
+
+
+@st.composite
+def _one_level_shape(draw):
+    """(D, n) with n from 1 to the one-level limit 2 * D * 128."""
+    D = draw(st.integers(1, 3))
+    top = 2 * D * _CDF_BLOCK
+    edges = [1, _COUNT_MAX_TERMS, _COUNT_MAX_TERMS + 1, top]
+    return D, draw(st.one_of(st.sampled_from(edges), st.integers(1, top)))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    _one_level_shape(),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(1, 40),
+    _BATCH_KINDS,
+    st.booleans(),
+)
+def test_run_tuple_batch_one_level_matches_reference(seed, shape, k, d, B, kind, subsets):
+    """One-level rows: centers and costs byte for byte.
+
+    n <= 2 * D * 128, on both sides of the count's cutoff. The reference
+    draws with a per-row np.searchsorted and gathers by fancy indexing;
+    its masses and costs are summed as the evaluator's are, so every byte
+    agrees. Points on a few locations give dead rows, and n = 1 makes every
+    row dead after the first center.
+    """
+    D, n = shape
+    assert _cdf_blocks(n, D) == 0
+    coords, weights, u, selectors = _batch_case(seed, n, D, k, d, B, kind, subsets)
+    costs, centers = _run_tuple_batch(coords, weights, u, selectors)
+    ref_costs, ref_centers = _reference_run_tuple_batch(coords, weights, u, selectors)
+    assert centers.tobytes() == ref_centers.tobytes()
+    assert costs.tobytes() == ref_costs.tobytes()
 
 
 def test_solve_rejects_nonpositive_k():
@@ -555,17 +611,23 @@ def _block_invariance_cases():
 
 @pytest.mark.parametrize("P,k,ovr", list(_block_invariance_cases()))
 def test_output_bytes_do_not_depend_on_block_size(monkeypatch, P, k, ovr):
-    """Sub-block and outer draw block sizes leave every output byte alone.
+    """Block sizes and the count's cutoff leave every output byte alone.
 
     Each pair is (sub-block rows, outer block rows): one-row blocks, outer
     blocks that are not a multiple of the sub-block, an outer block smaller
     than the sub-block, and one block for the whole batch. Desk instances
-    take one level, where an outer block is one sub-block.
+    take one level, where an outer block is one sub-block. A cutoff of 0
+    sends every search to the binary search or np.searchsorted, and one of
+    2^20 counts every running sum, the first center's over all n points too.
     """
     outputs = []
-    for sub, outer in ((1, 1), (1, 5), (3, 7), (7, 3), (10**6, 10**6)):
+    blocks = ((1, 1), (1, 5), (3, 7), (7, 3), (10**6, 10**6))
+    cases = [(sub, outer, _COUNT_MAX_TERMS) for sub, outer in blocks]
+    cases += [(3, 7, 0), (3, 7, 1 << 20)]
+    for sub, outer, cutoff in cases:
         monkeypatch.setattr(ptas, "_BLOCK_VALUES", sub * P.n)
         monkeypatch.setattr(ptas, "_DRAW_VALUES", outer * P.n)
+        monkeypatch.setattr(sampling, "_COUNT_MAX_TERMS", cutoff)
         for threads in (1, 2):
             res = solve(P, k, 0.5, ovr, master_seed=11, threads=threads)
             outputs.append(_result_bytes(res))

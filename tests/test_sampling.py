@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from wkmeans import sampling
 from wkmeans.core import WeightedPointSet, min_squared_distances
 from wkmeans.instances import chi6
-from wkmeans.sampling import RandomSource, d2_weights, sample_indices, searchsorted_rows
+from wkmeans.sampling import (
+    _COUNT_MAX_TERMS,
+    RandomSource,
+    d2_weights,
+    sample_indices,
+    searchsorted_rows,
+)
 
 from conftest import make_points
 
@@ -144,12 +151,20 @@ def _per_row_searchsorted(cum, targets):
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(1, 6),
-    st.integers(1, 70),
+    st.one_of(
+        st.sampled_from([_COUNT_MAX_TERMS, _COUNT_MAX_TERMS + 1]),
+        st.integers(1, 3 * _COUNT_MAX_TERMS),
+    ),
     st.integers(1, 9),
     st.sampled_from(["random", "ties", "zero-runs"]),
+    st.booleans(),
 )
-def test_searchsorted_rows_matches_per_row_searchsorted(seed, b, n, m, kind):
-    """Exact side="right" search per row, whatever the row's shape."""
+def test_searchsorted_rows_matches_per_row_searchsorted(seed, b, n, m, kind, shared):
+    """Exact side="right" search per row, whatever the row's shape.
+
+    Row lengths fall on both sides of the count's cutoff. A shared (1, n)
+    running sum is searched by every row of targets.
+    """
     gen = RandomSource(seed).generator()
     if kind == "random":
         w = gen.random((b, n))
@@ -166,9 +181,31 @@ def test_searchsorted_rows_matches_per_row_searchsorted(seed, b, n, m, kind):
     targets = np.concatenate(
         [gen.random((b, m)) * totals, on_entries, np.zeros((b, 1)), totals], axis=1
     )
+    if shared:
+        cum = cum[-1:]
+        want = _per_row_searchsorted(np.broadcast_to(cum, (b, n)), targets)
+    else:
+        want = _per_row_searchsorted(cum, targets)
     got = searchsorted_rows(cum, targets)
     assert got.dtype == np.intp
-    np.testing.assert_array_equal(got, _per_row_searchsorted(cum, targets))
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("cutoff", [0, _COUNT_MAX_TERMS, 1 << 20])
+@pytest.mark.parametrize("n", [1, _COUNT_MAX_TERMS, _COUNT_MAX_TERMS + 1, 300])
+def test_searchsorted_rows_shared_row_over_many_targets(monkeypatch, cutoff, n):
+    """One running sum searched by 1000 rows of targets, by either search.
+
+    n = 300 counts past 255, beyond a uint8 count, when the cutoff is 2^20.
+    """
+    monkeypatch.setattr(sampling, "_COUNT_MAX_TERMS", cutoff)
+    gen = RandomSource(n).generator()
+    cum = np.cumsum(np.floor(gen.random((1, n)) * 3.0), axis=1)
+    # Whole and half steps: targets on the entries, between them and past the end.
+    targets = np.floor(gen.random((1000, 4)) * 2.0 * (cum[0, -1] + 2.0)) / 2.0
+    got = searchsorted_rows(cum, targets)
+    assert got.dtype == np.intp and got.shape == targets.shape
+    np.testing.assert_array_equal(got, np.searchsorted(cum[0], targets, side="right"))
 
 
 def test_searchsorted_rows_on_fixed_steps():
