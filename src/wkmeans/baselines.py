@@ -17,6 +17,7 @@ from wkmeans.core import (
     CenterSet,
     ClusteringResult,
     WeightedPointSet,
+    _check_weight_total,
     _cost,
     _nearest,
     min_squared_distances,
@@ -113,6 +114,7 @@ def kmeanspp_lloyd(
     params: LloydParams | None = None,
 ) -> ClusteringResult:
     """Seed with distance-weighted sampling, refine with Lloyd descent."""
+    _check_weight_total(P)
     init = kmeanspp_seed(P, k, rng)
     result = lloyd_descend(P, init, params)
     meta = dict(result.meta)

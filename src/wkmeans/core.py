@@ -240,6 +240,26 @@ def _exact_sum(terms: np.ndarray) -> float:
     return math.fsum(x.tolist())
 
 
+def _check_weight_total(P: WeightedPointSet) -> None:
+    """Raise ValueError when the total of P's weights overflows float64.
+
+    The solvers draw, average and price with weight sums, which then turn
+    inf and every cost nan. The message gives the total, summed exactly at
+    a scale of 2^-64.
+    """
+    try:
+        P.total_weight
+    except OverflowError:
+        # Imported here: decimal adds about 1.5 ms to every interpreter
+        # that imports this module.
+        from decimal import Decimal
+
+        total = Decimal(_exact_sum(np.ldexp(P.weights, -64))) * 2**64
+        raise ValueError(
+            f"weight total {total:.3g} overflows float64; scale the weights down"
+        ) from None
+
+
 def _cost(weights: np.ndarray, d2: np.ndarray) -> float:
     """Correctly rounded sum of w_p * d2_p."""
     return _exact_sum(weights * d2)

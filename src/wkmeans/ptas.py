@@ -56,6 +56,7 @@ from wkmeans.core import (
     CenterSet,
     ClusteringResult,
     WeightedPointSet,
+    _check_weight_total,
     _sq_dist_rows,
 )
 from wkmeans.sampling import RandomSource, searchsorted_rows
@@ -418,7 +419,11 @@ def _best_for_trial(
             best_centers = centers[j].copy()
             best_tuple = evaluated + j
         evaluated += costs.shape[0]
-    assert best_centers is not None
+    if best_centers is None:
+        # Every cost is inf or nan, which only an overflow leaves.
+        raise ValueError(
+            "no candidate has a finite cost: the weighted costs overflow float64"
+        )
     return best_cost, best_centers, evaluated, best_tuple
 
 
@@ -443,6 +448,7 @@ def solve(
     directly.
     """
     params = PtasParams(k, epsilon, **(overrides or {}))
+    _check_weight_total(P)
     distinct = _distinct_points(P.coords, k + 1)
     if k >= distinct.shape[0]:
         meta = {

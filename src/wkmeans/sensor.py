@@ -20,13 +20,21 @@ are, squares wholly outside one edge are dropped, and only the
 O(perimeter / grid_eps) boundary squares are clipped, all in one
 `_clip_squares` call that runs Sutherland-Hodgman on flat per-coordinate
 arrays. Interior squares go into the vertex array as their four corners;
-only the boundary squares are compared with their pieces. All integrals use
-one batched path: a fixed-order product Gauss rule on the fan triangulation
-of each convex polygon (exact for polynomial integrands up to degree 2q-2,
-so cell masses, centers of mass, and inertias are quadrature-exact for
-uniform density), with node offsets built one coordinate at a time, the
-density evaluated in blocks of at most `_BLOCK_NODES` nodes and each cell's
-moments taken about its own first vertex.
+only the boundary squares are compared with their pieces, and a cell that
+clipping left unchanged is flagged a whole square. All integrals go through
+one batched function, `_integrate_cells`, with two rules of one order q
+(`quad_order`): a whole grid square takes the q x q Gauss-Legendre product
+rule on its own sides (q^2 density nodes, exact to degree 2q-1 in each
+variable), and every other convex polygon, a clipped piece or a whole
+region, a fan of collapsed Gauss rules on the triangles from its first
+vertex (q^2 nodes per triangle, exact to total degree 2q-2). Either way
+cell masses, centers of mass and, from q = 2 on, inertias are
+quadrature-exact for uniform density. Node offsets are built one coordinate
+at a time, the density is evaluated in blocks of at most `_BLOCK_NODES`
+nodes, and each cell's moments are taken about its own first vertex. On
+sensor-fine (6,652 cells, 6,332 of them whole squares, q = 4) a
+`place_sensors` call evaluates the density at about 115,000 points, against
+220,000 when every square took the fan of two triangles.
 
 The hot paths avoid numpy's per-row costs: a broadcast over rows of two
 coordinates, and fancy or boolean indexing of (n, 2) arrays, run row by row
@@ -352,12 +360,14 @@ class Discretization:
     Cell i is the CCW polygon vertices[starts[i]:starts[i + 1]] (`cells`
     gives these views), with starts of shape (n + 1,). weights, coms and
     inertias are its mass w_i, its center of mass x_i, shape (n, 2), and its
-    inertia J_i about x_i. All moments come from the product Gauss rule of
-    order quad_order, and coverage_cost prices the mesh with that same
-    order. n_clipped counts the cells that clipping changed from their grid
-    square. as_point_set, the centers of mass in the region's own frame
-    (origin + coms) weighted by mass, is built once for export. All arrays
-    are read-only.
+    inertia J_i about x_i. clipped[i] is set when clipping changed cell i
+    from its grid square, and n_clipped counts those cells. All moments come
+    from Gauss rules of order quad_order: a whole square (clipped unset)
+    from the quad_order x quad_order product rule on the square, a clipped
+    piece from the fan of triangle rules. coverage_cost prices the mesh with
+    the same order and the same rule per cell. as_point_set, the centers of
+    mass in the region's own frame (origin + coms) weighted by mass, is
+    built once for export. All arrays are read-only.
     """
 
     vertices: np.ndarray
@@ -367,19 +377,24 @@ class Discretization:
     inertias: np.ndarray
     grid_eps: float
     quad_order: int
-    n_clipped: int
+    clipped: np.ndarray
     origin: np.ndarray
     as_point_set: WeightedPointSet = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for arr in (self.vertices, self.starts, self.weights, self.coms, self.inertias):
             arr.setflags(write=False)
+        self.clipped.setflags(write=False)
         points = WeightedPointSet(self.origin + self.coms, self.weights)
         object.__setattr__(self, "as_point_set", points)
 
     @property
     def cells(self) -> tuple[np.ndarray, ...]:
         return tuple(np.split(self.vertices, self.starts[1:-1]))
+
+    @property
+    def n_clipped(self) -> int:
+        return int(np.count_nonzero(self.clipped))
 
     @property
     def inertia_sum(self) -> float:
@@ -406,6 +421,63 @@ def _tri_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=16)
+def _square_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre product rule on the unit square [0, 1]^2.
+
+    order x order nodes; the weights sum to the area 1. Exact for
+    polynomials of degree <= 2*order - 1 in each variable.
+    """
+    if order < 1:
+        raise ValueError("order must be positive")
+    x, w = np.polynomial.legendre.leggauss(order)
+    u = 0.5 * (x + 1.0)
+    wu = 0.5 * w
+    uu, vv = np.meshgrid(u, u, indexing="ij")
+    nodes = np.column_stack([uu.ravel(), vv.ravel()])
+    weights = np.outer(wu, wu).ravel()
+    return nodes, weights
+
+
+def _fan_nodes(vertices: np.ndarray, first: np.ndarray, m: int, order: int):
+    """Anchor, node offsets and node weights of convex m-gons, fan-triangulated.
+
+    Per coordinate, the anchors (polygons,) and the node offsets from them
+    (polygons, (m - 2) * order^2): u * b + v * c over the fan edges b and c
+    from the first vertex. Triangles of non-positive area get zero weight.
+    """
+    ref_nodes, ref_w = _tri_rule(order)
+    u, v = ref_nodes[:, 0], ref_nodes[:, 1]
+    per_poly = (m - 2) * ref_w.shape[0]
+    # Vertex k of every polygon in row k (`take` copies whole rows).
+    group = vertices.take(first + np.arange(m)[:, None], axis=0)
+    anchor = [group[0, :, j] for j in range(2)]
+    b = [(group[1:-1, :, j] - anchor[j]).T.copy() for j in range(2)]
+    c = [(group[2:, :, j] - anchor[j]).T.copy() for j in range(2)]
+    area2 = b[0] * c[1] - b[1] * c[0]
+    area2[area2 < 0.0] = 0.0
+    local = [
+        (b[j][..., None] * u + c[j][..., None] * v).reshape(-1, per_poly)
+        for j in range(2)
+    ]
+    return anchor, local, (area2[:, :, None] * ref_w).reshape(-1, per_poly)
+
+
+def _square_nodes(vertices: np.ndarray, first: np.ndarray, order: int):
+    """Anchor, node offsets and node weights of whole grid squares.
+
+    A square's nodes are anchor + (hx u, hy v) over the unit-square rule,
+    with the anchor its first vertex, the lower-left corner, and hx, hy its
+    own sides, taken from its opposite corner, vertex 2.
+    """
+    ref_nodes, ref_w = _square_rule(order)
+    corner = vertices.take(first + np.array([[0], [2]]), axis=0)
+    anchor = [corner[0, :, j] for j in range(2)]
+    side = [corner[1, :, j] - anchor[j] for j in range(2)]
+    local = [np.multiply.outer(side[j], ref_nodes[:, j]) for j in range(2)]
+    return anchor, local, np.multiply.outer(side[0] * side[1], ref_w)
+
+
 def _integrate_cells(
     region: SensorRegion,
     vertices: np.ndarray,
@@ -413,52 +485,50 @@ def _integrate_cells(
     count: np.ndarray,
     order: int,
     centers: np.ndarray | None = None,
+    square: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per convex polygon: mass, center of mass, inertia and coverage cost.
 
-    This is the module's one quadrature path. Polygon i is
-    vertices[first[i]:first[i] + count[i]]; the vertices, the centers and
-    region.phi share one frame, which every caller takes local. Polygons
-    are grouped by vertex count and each group is fan-triangulated from its
-    first vertex, the anchor, at once; triangles of non-positive area get
-    zero weight. Whole polygons are taken in blocks of about _BLOCK_NODES
-    nodes, phi is evaluated once per block, and every sum runs over one
-    polygon's nodes in a fixed order, so no result depends on the block
-    size. Moments are taken about the anchor: the center of mass is the
-    anchor plus the mean node offset, and the inertia is the second moment
-    about it. The coverage cost (phi times the squared distance to the
-    nearest of `centers`) stays zero unless centers are given.
+    Every integral of the module goes through here, with one of two rules
+    of order q = `order`. Polygon i is vertices[first[i]:first[i] + count[i]];
+    the vertices, the centers and region.phi share one frame, which every
+    caller takes local. Where square[i] is set, polygon i is a whole grid
+    square listed CCW from its lower-left corner, and takes the q x q
+    Gauss-Legendre product rule (`_square_nodes`: q^2 nodes, exact to degree
+    2q - 1 in each variable). Every other polygon is grouped by vertex count
+    and each group is fan-triangulated from its first vertex at once
+    (`_fan_nodes`: q^2 nodes per triangle, exact to total degree 2q - 2).
+    Square is None means no polygon is a square. Whole polygons are taken in
+    blocks of about _BLOCK_NODES nodes, phi is evaluated once per block, and
+    every sum runs over one polygon's nodes in a fixed order, so no result
+    depends on the block size. Moments are taken about the anchor, the first
+    vertex: the center of mass is the anchor plus the mean node offset, and
+    the inertia is the second moment about it. The coverage cost (phi times
+    the squared distance to the nearest of `centers`) stays zero unless
+    centers are given.
     """
-    ref_nodes, ref_w = _tri_rule(order)
-    u, v = ref_nodes[:, 0], ref_nodes[:, 1]
     n = first.shape[0]
     mass, inertia, cost = np.zeros((3, n))
     com = np.zeros((2, n))
-    for m in np.unique(count).tolist():
-        index = np.flatnonzero(count == m)
-        per_poly = (m - 2) * ref_w.shape[0]
+    fan = np.ones(n, dtype=bool) if square is None else ~square
+    # (polygons, vertex count) per group; count 0 marks the squares.
+    groups = [
+        (np.flatnonzero(fan & (count == m)), m) for m in np.unique(count[fan]).tolist()
+    ]
+    if square is not None:
+        groups.append((np.flatnonzero(square), 0))
+    for index, m in groups:
+        per_poly = (m - 2 if m else 1) * order * order
         step = max(1, _BLOCK_NODES // per_poly)
         for lo in range(0, index.shape[0], step):
             idx = index[lo : lo + step]
-            # Vertex k of every polygon in row k (`take` copies whole rows),
-            # and per coordinate the (polygons, m - 2) fan edges b and c
-            # from the anchor.
-            group = vertices.take(first[idx] + np.arange(m)[:, None], axis=0)
-            anchor = [group[0, :, j] for j in range(2)]
-            b = [(group[1:-1, :, j] - anchor[j]).T.copy() for j in range(2)]
-            c = [(group[2:, :, j] - anchor[j]).T.copy() for j in range(2)]
-            area2 = b[0] * c[1] - b[1] * c[0]
-            area2[area2 < 0.0] = 0.0
-            # Node offsets from the anchor, one contiguous (polygons,
-            # per_poly) array per coordinate: u * b + v * c.
-            local = [
-                (b[j][..., None] * u + c[j][..., None] * v).reshape(-1, per_poly)
-                for j in range(2)
-            ]
+            if m:
+                anchor, local, node_mass = _fan_nodes(vertices, first[idx], m, order)
+            else:
+                anchor, local, node_mass = _square_nodes(vertices, first[idx], order)
             pts = np.empty((idx.shape[0], per_poly, 2))
             for j in range(2):
                 np.add(anchor[j][:, None], local[j], out=pts[..., j])
-            node_mass = (area2[:, :, None] * ref_w).reshape(-1, per_poly)
             node_mass *= region.phi(pts.reshape(-1, 2)).reshape(-1, per_poly)
             w = node_mass.sum(axis=1)
             safe = np.where(w > 0.0, w, 1.0)
@@ -674,7 +744,9 @@ def discretize(
         raise ValueError("grid_eps must be positive and finite")
     verts, counts, clipped = _clip_grid(region.local.polygon, grid_eps)
     first = np.cumsum(counts) - counts
-    mass, com, inertia, _ = _integrate_cells(region.local, verts, first, counts, quad_order)
+    mass, com, inertia, _ = _integrate_cells(
+        region.local, verts, first, counts, quad_order, square=~clipped
+    )
     keep = mass >= DROP_WEIGHT
     if not keep.any():
         raise ValueError("grid too coarse or density degenerate")
@@ -687,7 +759,7 @@ def discretize(
         inertia[keep],
         grid_eps,
         quad_order,
-        int(np.count_nonzero(clipped[keep])),
+        clipped.compress(keep),
         region.origin,
     )
 
@@ -700,18 +772,21 @@ def coverage_cost(
 ) -> float:
     """Integral of phi(z) * squared distance from z to the nearest center.
 
-    Without a mesh, integrates over the whole polygon with a rule of
-    quad_order (6 when None). With a mesh, integrates cell by cell with the
-    mesh's own quad_order, so quadrature nodes never straddle cell
-    boundaries and grid-aligned center configurations are exact; an
-    explicit quad_order that differs from the mesh's raises ValueError,
-    since the mesh's moments were taken with its order. Every cell vertex
-    is assigned to its nearest center in one pass. A cell whose vertices
-    all go to center c lies inside c's closed Voronoi cell (both are
-    convex), so its quadrature value is exactly w |x - c|^2 + J and is
+    Without a mesh, integrates over the whole polygon with the fan of
+    triangle rules of quad_order (6 when None). With a mesh, integrates cell
+    by cell with the mesh's own quad_order and rules, so quadrature nodes
+    never straddle cell boundaries and grid-aligned center configurations
+    are exact; an explicit quad_order that differs from the mesh's raises
+    ValueError, since the mesh's moments were taken with its order. Every
+    cell vertex is assigned to its nearest center in one pass. A cell whose
+    vertices all go to center c lies inside c's closed Voronoi cell (both
+    are convex), so its quadrature value is exactly w |x - c|^2 + J and is
     taken from the mesh arrays; only cells with vertices on more than one
-    center are integrated. All terms go into one exactly rounded sum. A
-    mesh must come from discretizing this region or its local view.
+    center are integrated, a whole square with the product rule and a
+    clipped piece with the fan, as when the mesh was built, since that
+    identity holds only for the rule that gave w, x and J. All terms go into
+    one exactly rounded sum. A mesh must come from discretizing this region
+    or its local view.
     """
     c = as_center_array(centers)
     if c.shape[0] == 0:
@@ -732,7 +807,9 @@ def coverage_cost(
     cut = np.minimum.reduceat(owner, first) != np.maximum.reduceat(owner, first)
     d = mesh.coms.compress(~cut, axis=0) - c.take(owner[first[~cut]], axis=0)
     uncut = mesh.weights[~cut] * (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-    split = _integrate_cells(local, verts, first[cut], counts[cut], mesh.quad_order, c)
+    split = _integrate_cells(
+        local, verts, first[cut], counts[cut], mesh.quad_order, c, ~mesh.clipped[cut]
+    )
     return _exact_sum(np.concatenate([uncut, mesh.inertias[~cut], split[3]]))
 
 

@@ -24,6 +24,13 @@ def test_seeding_rejects_bad_k():
         kmeanspp_seed(make_points(0, 5, 2), 0, RandomSource(0))
 
 
+def test_kmeanspp_lloyd_refuses_weight_totals_that_overflow():
+    """Four weights of 1e308 sum past float64: a ValueError names the total."""
+    P = WeightedPointSet(np.array([[0.0], [1.0], [4.0], [5.0]]), np.full(4, 1e308))
+    with pytest.raises(ValueError, match=r"weight total 4\.00e\+308 overflows float64"):
+        kmeanspp_lloyd(P, 2, RandomSource(0))
+
+
 def test_seeding_cycles_when_support_is_exhausted():
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     P = WeightedPointSet(coords, np.ones(4))

@@ -10,7 +10,7 @@ import pytest
 
 import wkmeans
 from wkmeans import cli
-from wkmeans.core import load_weighted_points
+from wkmeans.core import WeightedPointSet, load_weighted_points, save_weighted_points
 from wkmeans.sensor import RegionFileError, load_region, place_sensors
 
 
@@ -87,6 +87,14 @@ def test_cluster_usage_errors(tmp_path):
 def test_cluster_exhaustive_infeasible():
     # comb(6400, 200)^2 candidate tuples is far past the cutoff.
     assert run(["cluster", "--tuple-budget", "exhaustive"]) == 3
+
+
+@pytest.mark.parametrize("solver", ["ptas", "kmeanspp-lloyd"])
+def test_cluster_refuses_weight_totals_that_overflow(tmp_path, capsys, solver):
+    path = tmp_path / "huge.csv"
+    save_weighted_points(path, WeightedPointSet([[0.0], [1.0], [4.0], [5.0]], [1e308] * 4))
+    assert run(["cluster", "--input", str(path), "--solver", solver]) == 2
+    assert "error: weight total 4.00e+308 overflows float64" in capsys.readouterr().err
 
 
 def test_bad_solver_choice_is_argparse_error():

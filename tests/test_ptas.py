@@ -430,6 +430,21 @@ def test_solve_rejects_nonpositive_k():
         solve(line4().points, 0, 0.5)
 
 
+def test_solve_refuses_weight_totals_that_overflow():
+    """Four weights of 1e308 sum past float64: a ValueError names the total.
+
+    Weights of 4e307 have a finite total, but every candidate's sums of
+    drawn weights overflow, so no cost is finite; 1e300 solves.
+    """
+    coords = [[0.0], [1.0], [4.0], [5.0]]
+    overrides = {"c1": 8, "c2": 4, "tuple_budget": 50}
+    with pytest.raises(ValueError, match=r"weight total 4\.00e\+308 overflows float64"):
+        solve(WeightedPointSet(coords, [1e308] * 4), 2, 0.5, overrides)
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="no candidate"):
+        solve(WeightedPointSet(coords, [4e307] * 4), 2, 0.5, overrides)
+    assert math.isfinite(solve(WeightedPointSet(coords, [1e300] * 4), 2, 0.5, overrides).cost)
+
+
 def test_solve_covers_distinct_points_exactly():
     P = WeightedPointSet(np.array([[0.0], [3.0], [3.0]]), np.ones(3))
     res = solve(P, 2, 0.5)

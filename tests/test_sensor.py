@@ -900,22 +900,32 @@ def test_output_bytes_do_not_depend_on_block_size(points, grid_eps, shift, cente
 
 
 def test_cell_moments_match_long_double_recomputation():
-    """Mass, center of mass and inertia of every cell, boundary slivers included."""
+    """Mass, center of mass and inertia of every cell, boundary slivers included.
+
+    Whole grid squares take the product rule on their own sides, clipped
+    pieces the fan of triangle rules.
+    """
     region = normalize_density(_bumps_region())
     disc = discretize(region, 0.02)
+    assert 0 < disc.n_clipped < disc.weights.shape[0]
     nodes, ref_w = sensor._tri_rule(4)
     u, v = nodes[:, 0], nodes[:, 1]
-    for poly, weight, com_i, inertia_i in zip(
-        disc.cells, disc.weights, disc.coms + disc.origin, disc.inertias
+    square_nodes, square_w = sensor._square_rule(4)
+    for poly, clipped, weight, com_i, inertia_i in zip(
+        disc.cells, disc.clipped, disc.weights, disc.coms + disc.origin, disc.inertias
     ):
         poly = poly + disc.origin
         a = poly[0]
-        pts, wts = [], []
-        for b, c in zip(poly[1:-1] - a, poly[2:] - a):
-            area2 = b[0] * c[1] - b[1] * c[0]
-            if area2 > 0.0:
-                pts.append(a + (np.outer(u, b) + np.outer(v, c)))
-                wts.append(ref_w * area2)
+        if clipped:
+            pts, wts = [], []
+            for b, c in zip(poly[1:-1] - a, poly[2:] - a):
+                area2 = b[0] * c[1] - b[1] * c[0]
+                if area2 > 0.0:
+                    pts.append(a + (np.outer(u, b) + np.outer(v, c)))
+                    wts.append(ref_w * area2)
+        else:
+            side = poly[2] - a
+            pts, wts = [a + square_nodes * side], [square_w * (side[0] * side[1])]
         pts = np.vstack(pts)
         node_mass = np.concatenate(wts).astype(np.longdouble) * region.phi(pts)
         pts = pts.astype(np.longdouble)
@@ -927,11 +937,66 @@ def test_cell_moments_match_long_double_recomputation():
         assert abs(inertia_i - inertia) <= 1e-9 * inertia
 
 
+class _MonomialDensity:
+    """Duck-typed density x^a y^b."""
+
+    def __init__(self, a: int, b: int) -> None:
+        self.a, self.b = a, b
+
+    def evaluate(self, pts):
+        pts = np.atleast_2d(pts)
+        return pts[:, 0] ** self.a * pts[:, 1] ** self.b
+
+
+@given(
+    st.integers(1, 6),
+    st.sampled_from([0.0, 0.37, 1e5 + 0.37]),
+    st.floats(0.01, 1.0),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.integers(1, 3),
+    st.integers(1, 3),
+)
+def test_square_rule_is_exact_on_grid_rectangles(q, shift, grid_eps, i, j, nx, ny):
+    """The q x q rule integrates every x^a y^b, a, b <= 2q - 1, about the anchor.
+
+    The rectangle spans nx x ny cells between the grid lines shift + k *
+    grid_eps, and is integrated in its local frame, as discretize sees a
+    region: its sides are taken from its vertices, so at a shift they are
+    not multiples of grid_eps. Mass and center of mass of a uniform density
+    are exact at every q; its inertia hx hy (hx^2 + hy^2) / 12 needs degree
+    2, so q >= 2 (one node has none).
+    """
+    lines = shift + np.arange(12) * grid_eps
+    x0, x1, y0, y1 = lines[i], lines[i + nx], lines[j], lines[j + ny]
+    rect = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+    local = rect - rect[0]
+    hx, hy = local[2]
+    one = np.array([0]), np.array([4]), q
+
+    def integrate(density):
+        region = SensorRegion(local, density)
+        return sensor._integrate_cells(region, local, *one, square=np.array([True]))
+
+    for a in range(2 * q):
+        for b in range(2 * q):
+            mass = integrate(_MonomialDensity(a, b))[0][0]
+            want = hx ** (a + 1) * hy ** (b + 1) / ((a + 1) * (b + 1))
+            assert abs(mass - want) <= 1e-12 * want, (a, b)
+    mass, com, inertia, _ = integrate(UniformDensity())
+    assert abs(mass[0] - hx * hy) <= 1e-12 * hx * hy
+    assert np.all(np.abs(com[0] - [hx / 2, hy / 2]) <= 1e-12 * np.array([hx, hy]) / 2)
+    if q >= 2:
+        want = hx * hy * (hx * hx + hy * hy) / 12.0
+        assert abs(inertia[0] - want) <= 1e-12 * want
+
+
 def _integrated_coverage(region, mesh, centers) -> float:
-    """Coverage of the mesh with every cell integrated, none priced in closed form."""
+    """Coverage of the mesh with every cell integrated by its own rule, none
+    priced in closed form."""
     cost = sensor._integrate_cells(
         region.local, mesh.vertices, mesh.starts[:-1], np.diff(mesh.starts), mesh.quad_order,
-        centers - mesh.origin,
+        centers - mesh.origin, ~mesh.clipped,
     )[3]
     return math.fsum(cost.tolist())
 
@@ -1008,24 +1073,39 @@ class _CountingDensity:
         return np.ones(pts.shape[0])
 
 
-def test_mesh_coverage_evaluates_phi_only_at_cut_cell_nodes(unit_square):
+def test_discretize_evaluates_q_squared_nodes_per_grid_square():
+    """The unit square at grid 0.1 is 100 whole squares of q^2 nodes each."""
     density = _CountingDensity()
-    region = SensorRegion(unit_square.polygon, density)
-    mesh = discretize(region, 0.1)
-    nodes_per_triangle = sensor._tri_rule(mesh.quad_order)[1].shape[0]
-    counts = []
-    for centers in (np.array([[0.43, 0.52]]), np.array([[0.31, 0.47], [0.69, 0.58]])):
-        cut = [
-            p for p in mesh.cells if np.unique(core.assign_to_centers(p, centers)).size > 1
-        ]
-        density.points = 0
-        got = coverage_cost(region, centers, mesh=mesh)
-        counts.append((len(cut), density.points))
-        assert density.points == sum((p.shape[0] - 2) * nodes_per_triangle for p in cut)
-        assert got == pytest.approx(_integrated_coverage(region, mesh, centers), rel=1e-12)
-    # One center cuts nothing; the bisector of the pair crosses a few cells.
-    assert counts[0] == (0, 0)
-    assert 0 < counts[1][0] < len(mesh.cells) // 4
+    mesh = discretize(SensorRegion(UNIT, density), 0.1, quad_order=4)
+    assert mesh.weights.shape[0] == 100 and mesh.n_clipped == 0
+    assert density.points == 100 * 4**2
+
+
+def test_mesh_coverage_evaluates_phi_only_at_cut_cell_nodes():
+    """Only cut cells are integrated: q^2 nodes per whole square, (m - 2) q^2
+    per clipped m-gon piece. The unit square has whole squares only, the
+    hexagon clipped pieces on its rim too."""
+    for poly in (UNIT, HEXAGON):
+        density = _CountingDensity()
+        region = SensorRegion(poly, density)
+        mesh = discretize(region, 0.1)
+        q2 = mesh.quad_order**2
+        counts = []
+        for centers in (np.array([[0.43, 0.52]]), np.array([[0.31, 0.47], [0.69, 0.58]])):
+            cut = [
+                (p, clipped)
+                for p, clipped in zip(mesh.cells, mesh.clipped)
+                if np.unique(core.assign_to_centers(p + mesh.origin, centers)).size > 1
+            ]
+            density.points = 0
+            got = coverage_cost(region, centers, mesh=mesh)
+            counts.append((len(cut), sum(clipped for _, clipped in cut), density.points))
+            assert density.points == sum((p.shape[0] - 2 if c else 1) * q2 for p, c in cut)
+            assert got == pytest.approx(_integrated_coverage(region, mesh, centers), rel=1e-12)
+        # One center cuts nothing; the bisector of the pair crosses a few cells.
+        assert counts[0] == (0, 0, 0)
+        assert 0 < counts[1][0] < len(mesh.cells) // 4
+        assert (counts[1][1] > 0) == (poly is HEXAGON)
 
 
 def test_dropped_cells_stay_out_of_both_sides_of_the_split(unit_square):
