@@ -17,6 +17,7 @@ from wkmeans.core import (
     CenterSet,
     ClusteringResult,
     WeightedPointSet,
+    _check_positive_int,
     _check_weight_total,
     _cost,
     _nearest,
@@ -26,6 +27,11 @@ from wkmeans.sampling import RandomSource, sample_indices
 
 __all__ = ["LloydParams", "kmeanspp_seed", "lloyd_descend", "kmeanspp_lloyd"]
 
+_MASS_OVERFLOW = (
+    "the products of weights and squared distances, or their sum, overflow"
+    " float64; scale the weights down"
+)
+
 
 @dataclass(frozen=True)
 class LloydParams:
@@ -33,8 +39,7 @@ class LloydParams:
     rel_improvement_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        _check_positive_int("max_iters", self.max_iters)
         if self.rel_improvement_tol < 0.0:
             raise ValueError("rel_improvement_tol must be nonnegative")
 
@@ -45,23 +50,29 @@ def kmeanspp_seed(P: WeightedPointSet, k: int, rng: RandomSource) -> CenterSet:
     The first draw is weight-proportional; each later draw is proportional to
     weight times squared distance to the chosen set. Once every point lies on
     a chosen center the remaining slots cycle through the existing centers
-    (the zero-cost situation; duplicates are harmless).
+    (the zero-cost situation; duplicates are harmless). Masses w * d^2 or
+    their total past float64 raise ValueError.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_positive_int("k", k)
     gen = rng.generator()
     first = int(sample_indices(P.weights, 1, gen)[0])
     chosen = [first]
     cache = min_squared_distances(P.coords, P.coords[first])
     while len(chosen) < k:
-        mass = P.weights * cache
+        with np.errstate(over="ignore"):
+            mass = P.weights * cache
         if not mass.any():
             # All mass covered; cycle existing picks without consuming draws.
             base = len(chosen)
             while len(chosen) < k:
                 chosen.append(chosen[len(chosen) % base])
             break
-        idx = int(sample_indices(mass, 1, gen)[0])
+        if not np.isfinite(mass).all():
+            raise ValueError(_MASS_OVERFLOW)
+        try:
+            idx = int(sample_indices(mass, 1, gen)[0])
+        except OverflowError:
+            raise ValueError(_MASS_OVERFLOW) from None
         chosen.append(idx)
         np.minimum(cache, min_squared_distances(P.coords, P.coords[idx]), out=cache)
     return CenterSet(P.coords[np.array(chosen, dtype=np.intp)])
@@ -79,12 +90,14 @@ def lloyd_descend(
 
     Each round makes one kernel pass over the new centers: it prices them
     and gives the assignment for the next centroids, and the last pass is
-    the result's. Centroids are per-cluster sums from `np.bincount`.
+    the result's. Centroids are per-cluster sums from `np.bincount`; sums
+    of weights times coordinates past float64 raise ValueError.
     """
     params = params or LloydParams()
     centers = init.centers.copy()
     k = centers.shape[0]
-    weighted_t = (P.coords * P.weights[:, None]).T.copy()
+    with np.errstate(over="ignore"):
+        weighted_t = (P.coords * P.weights[:, None]).T.copy()
     assignment, d2 = _nearest(P.coords, centers)
     history = [_cost(P.weights, d2)]
     iterations = 0
@@ -95,6 +108,11 @@ def lloyd_descend(
         for j, column in enumerate(weighted_t):
             sums = np.bincount(assignment, weights=column, minlength=k)
             new_centers[live, j] = sums[live] / mass[live]
+        if not np.isfinite(new_centers).all():
+            raise ValueError(
+                "the sums of weights times coordinates overflow float64;"
+                " scale the weights down"
+            )
         assignment, d2 = _nearest(P.coords, new_centers)
         cost = _cost(P.weights, d2)
         centers = new_centers

@@ -260,6 +260,12 @@ def _check_weight_total(P: WeightedPointSet) -> None:
         ) from None
 
 
+def _check_positive_int(name: str, value) -> None:
+    """Raise ValueError unless value is an int >= 1 (a bool or float is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _cost(weights: np.ndarray, d2: np.ndarray) -> float:
     """Correctly rounded sum of w_p * d2_p."""
     return _exact_sum(weights * d2)

@@ -1,6 +1,6 @@
 """Fixed benchmark instances with known optima, plus random-instance helpers.
 
-The five oracle instances are small enough for exhaustive search and have
+The five oracle instances are small enough for a brute-force search and have
 hand-derived optimal costs; they anchor both the test suite and the bench
 command. Optima marked "by separation" additionally rely on the two-point
 bound: any cluster containing points p, q costs at least

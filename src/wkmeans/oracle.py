@@ -39,7 +39,7 @@ class InstanceTooLarge(ValueError):
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Optimal clustering found by exhaustive search."""
+    """Optimal clustering found by brute-force search over set partitions."""
 
     cost: float
     groups: tuple[tuple[int, ...], ...]

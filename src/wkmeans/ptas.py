@@ -1,24 +1,30 @@
 """Sampling-based (1 + eps)-approximation for weighted k-means.
 
-One trial builds k centers iteratively: draw N points by distance-weighted
-(D^2) sampling against the centers so far, with probability proportional to
-w * d^2 (to w for the first center), pick an M-subset of the draw positions
-(the candidate tuple), and add the w-weighted mean of those drawn points as
-the next center. A point's weight therefore counts twice, once in the draw
-and once in the mean. The best center set over all trials and candidate tuples is
-returned. With N = c1*k/eps^2, M = c2/eps and 2^k trials this is the
-theoretical scheme; desk-scale runs shrink the constants and replace full
-tuple enumeration with a uniform random tuple budget.
+A candidate tuple builds k centers iteratively: draw M points by
+distance-weighted (D^2) sampling against the centers so far, with
+probability proportional to w * d^2 (to w for the first center), and add
+the w-weighted mean of those drawn points as the next center. A point's
+weight therefore counts twice, once in the draw and once in the mean. Each
+trial evaluates `tuple_budget` tuples, every one on fresh draws, and the
+best center set over all trials and tuples is returned. With N = c1*k/eps^2, M = c2/eps and 2^k trials the constants are
+the theory's; desk-scale runs shrink them.
+
+The analysis (Jaiswal, Kumar and Sen, Algorithmica 2014) draws N points per
+step and branches on every M-subset of them. A tuple here draws M points
+and keeps them all: with fresh draws per tuple, a uniform M-subset of N
+i.i.d. draws is distributed exactly like M i.i.d. draws, which is why N
+stays a parameter. Enumerating all C(N, M)^k subsets is not offered; it is
+out of reach at any useful constants: C(32, 8) is about 1.05e7 at k = 1
+with c1 = 8, c2 = 4 and eps = 0.5.
 
 Tuples are evaluated in batches of B <= 1024. A batch first draws all of
-its uniforms, k blocks of (B, M) in budget mode or (B, N) in exhaustive
-mode, so the random-number layout is fixed before any work starts. Each
-row draws through an exact inverse CDF of its own; D is its draw count (M
-in budget mode, N in exhaustive mode). The rows are walked in two tiers:
-per-point passes (distances, running minimum, block sums) in sub-blocks of
-max(1, 2^16 // n) rows, and draws and centroids once per outer block.
+its uniforms, k blocks of (B, M), so the random-number layout is fixed
+before any work starts. Each row draws its M points through an exact
+inverse CDF of its own. The rows are walked in two tiers: per-point passes
+(distances, running minimum, block sums) in sub-blocks of max(1, 2^16 // n)
+rows, and draws and centroids once per outer block.
 
-- A row of up to 2 * D blocks of 128 points (every desk-scale instance)
+- A row of up to 2 * M blocks of 128 points (every desk-scale instance)
   takes one running sum, searched per row by `searchsorted_rows`: a short
   row (every desk-scale one) by counting the entries at or below each
   target, a longer one by a binary search. An outer block is one
@@ -28,7 +34,7 @@ max(1, 2^16 // n) rows, and draws and centroids once per outer block.
   max(1, 2^18 // n) rows of the cache, zero-padded to whole blocks. One
   einsum pass reads each sub-block's new cache against the zero-padded
   weights into 128-point block sums, with no mass array. A running sum
-  over the block sums picks each draw's block, and only the D drawn
+  over the block sums picks each draw's block, and only the M drawn
   blocks' masses are formed and running-summed to find the point. A
   candidate's cost is the pairwise sum of its final block sums.
 
@@ -45,10 +51,8 @@ of fancy indexing. Per-trial random streams are derived from
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -56,6 +60,7 @@ from wkmeans.core import (
     CenterSet,
     ClusteringResult,
     WeightedPointSet,
+    _check_positive_int,
     _check_weight_total,
     _sq_dist_rows,
 )
@@ -63,14 +68,12 @@ from wkmeans.sampling import RandomSource, searchsorted_rows
 
 __all__ = [
     "PtasParams",
-    "EnumerationInfeasible",
     "solve",
 ]
 
 DEFAULT_C1 = 800.0
 DEFAULT_C2 = 100.0
 DEFAULT_TUPLE_BUDGET = 2000
-MAX_EXHAUSTIVE_TUPLES = 10_000_000
 _CHUNK = 1024
 # Values per (rows, n) scratch array of the batch evaluator's per-point
 # passes: 512 KiB of float64, so a sub-block's scratch and cache rows fit
@@ -84,10 +87,6 @@ _CDF_BLOCK = 128
 # Stream id of each trial's uniforms, (master_seed, _SAMPLE_STREAM, trial);
 # every seeded result depends on its value.
 _SAMPLE_STREAM = 1
-
-
-class EnumerationInfeasible(RuntimeError):
-    """Exhaustive tuple enumeration exceeds the feasibility cutoff."""
 
 
 @dataclass(frozen=True)
@@ -105,25 +104,19 @@ class PtasParams:
     c1: float = DEFAULT_C1
     c2: float = DEFAULT_C2
     trials: int | None = None
-    tuple_budget: int | str = DEFAULT_TUPLE_BUDGET
+    tuple_budget: int = DEFAULT_TUPLE_BUDGET
     adjust_epsilon: bool = False
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be positive")
+        _check_positive_int("k", self.k)
         if self.trials is None:
             object.__setattr__(self, "trials", 2**self.k)
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
         if self.c1 <= 0.0 or self.c2 <= 0.0:
             raise ValueError("c1 and c2 must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
-        if isinstance(self.tuple_budget, str):
-            if self.tuple_budget != "exhaustive":
-                raise ValueError("tuple_budget must be a positive int or 'exhaustive'")
-        elif self.tuple_budget < 1:
-            raise ValueError("tuple_budget must be a positive int or 'exhaustive'")
+        _check_positive_int("trials", self.trials)
+        _check_positive_int("tuple_budget", self.tuple_budget)
         if not self.N >= self.M >= 1:
             raise ValueError("derived N must be at least derived M (and M >= 1)")
 
@@ -170,25 +163,6 @@ def _distinct_points(coords: np.ndarray, limit: int) -> np.ndarray:
         found.append(nxt)
     pts = coords[found]
     return pts[np.lexsort(pts.T[::-1])]
-
-
-def _selector_chunks(params: PtasParams) -> Iterator[np.ndarray]:
-    """Yield (B, k, M) selector blocks, B <= _CHUNK: every tuple once, lexicographically."""
-    N, M, k = params.N, params.M, params.k
-    combos = itertools.combinations(range(N), M)
-    if k == 1:
-        # product() would materialize all C(N, M) combinations; stream.
-        tuples = ((c,) for c in combos)
-    else:
-        tuples = itertools.product(combos, repeat=k)
-    buf: list = []
-    for t in tuples:
-        buf.append(t)
-        if len(buf) == _CHUNK:
-            yield np.array(buf, dtype=np.intp)
-            buf = []
-    if buf:
-        yield np.array(buf, dtype=np.intp)
 
 
 def _cdf_blocks(n: int, draws: int) -> int:
@@ -274,16 +248,13 @@ def _run_tuple_batch(
     coords: np.ndarray,
     weights: np.ndarray,
     u: np.ndarray,
-    selectors: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run all k iterations for B candidate tuples in bounded memory.
 
-    u is the (k, B, D) block of uniforms for the whole batch, drawn by the
-    caller before any work starts: row b of u[i] turns into the D
-    distance-weighted draws of tuple b in iteration i. selectors (B, k, M)
-    picks each tuple's M positions among its D draws (exhaustive mode,
-    D = N); None means every draw is selected (budget mode, D = M).
-    Returns (costs (B,), centers (B, k, d)).
+    u is the (k, B, M) block of uniforms for the whole batch, drawn by the
+    caller before any work starts: row b of u[i] turns into the M
+    distance-weighted draws of tuple b in iteration i, whose w-weighted
+    mean is the tuple's i-th center. Returns (costs (B,), centers (B, k, d)).
 
     Rows are walked in two tiers. The per-point passes (the distance
     kernel `core._sq_dist_rows`, the running minimum and, on the two-level
@@ -294,7 +265,7 @@ def _run_tuple_batch(
     cache. Iteration 0 draws every row from one shared CDF of the weights,
     searched by `searchsorted_rows` as a single row.
 
-    - n at most 2 * D * _CDF_BLOCK (every desk-scale instance): one level.
+    - n at most 2 * M * _CDF_BLOCK (every desk-scale instance): one level.
       An outer block is one sub-block; its draws form the mass array
       weights * cache in a scratch buffer and take one running sum per row
       (`_inverse_cdf_rows`), and a cost is that array's row sum.
@@ -315,11 +286,11 @@ def _run_tuple_batch(
     A row whose distribution has zero mass already sits on every point; it
     repeats its previous center, consuming the same draws.
     """
-    k, B, D = u.shape
+    k, B, M = u.shape
     n, d = coords.shape
     coords_t = np.ascontiguousarray(coords.T)
     cum0 = np.cumsum(weights)
-    nb = _cdf_blocks(n, D)
+    nb = _cdf_blocks(n, M)
     sub = max(1, _BLOCK_VALUES // n)
     outer = max(1, _DRAW_VALUES // n) if nb else sub
     sub = min(sub, outer, B)
@@ -354,8 +325,6 @@ def _run_tuple_batch(
                 cols, dead = _inverse_cdf_rows(mass, ui, cum)
             # Only a zero-mass row, whose draw is discarded, lands past n - 1.
             np.minimum(cols, n - 1, out=cols)
-            if selectors is not None:
-                cols = np.take_along_axis(cols, selectors[lo:hi, i, :], axis=1)
             tw = weights.take(cols)
             drawn = coords.take(cols, axis=0)
             ci = np.einsum("bm,bmd->bd", tw, drawn) / tw.sum(axis=1)[:, None]
@@ -382,49 +351,39 @@ def _run_tuple_batch(
 
 def _best_for_trial(
     P: WeightedPointSet, params: PtasParams, master: RandomSource, t: int
-) -> tuple[float, np.ndarray, int, int]:
+) -> tuple[float, np.ndarray, int]:
     """Minimum-cost candidate over the tuple stream of trial t.
 
-    Returns its cost, its centers, the number of tuples evaluated and the
-    candidate's index in the trial's tuple stream (the first on ties).
+    Returns its cost, its centers and its index in the trial's stream of
+    `tuple_budget` tuples (the first on ties). Every tuple draws M fresh
+    points per center (see the module docstring).
 
-    Budget mode draws exactly M points per iteration and selects them all:
-    with fresh draws per tuple, a uniform M-subset of N i.i.d. draws is
-    distributed exactly like M i.i.d. draws, so the subset choice carries no
-    information. Exhaustive mode draws N points per tuple and enumerates
-    the M-subsets.
+    Weights near the top of float64 can overflow a candidate's sums, which
+    leaves its cost inf or nan; such a candidate loses to every finite one,
+    and a trial in which none is finite raises ValueError.
     """
     sample_gen = master.derive(_SAMPLE_STREAM, t).generator()
-    k = params.k
-    if params.tuple_budget == "exhaustive":
-        batches = (
-            (sample_gen.random((k, sel.shape[0], params.N)), sel)
-            for sel in _selector_chunks(params)
-        )
-    else:
-        budget = int(params.tuple_budget)
-        batches = (
-            (sample_gen.random((k, min(_CHUNK, budget - lo), params.M)), None)
-            for lo in range(0, budget, _CHUNK)
-        )
+    budget = params.tuple_budget
     best_cost = math.inf
     best_centers: np.ndarray | None = None
     best_tuple = 0
-    evaluated = 0
-    for u, selectors in batches:
-        costs, centers = _run_tuple_batch(P.coords, P.weights, u, selectors)
-        j = int(np.argmin(costs))
-        if float(costs[j]) < best_cost:
-            best_cost = float(costs[j])
-            best_centers = centers[j].copy()
-            best_tuple = evaluated + j
-        evaluated += costs.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, budget, _CHUNK):
+            u = sample_gen.random((params.k, min(_CHUNK, budget - lo), params.M))
+            costs, centers = _run_tuple_batch(P.coords, P.weights, u)
+            # argmin would pick a nan cost over every finite one.
+            j = int(np.argmin(np.where(np.isnan(costs), np.inf, costs)))
+            if float(costs[j]) < best_cost:
+                best_cost = float(costs[j])
+                best_centers = centers[j].copy()
+                best_tuple = lo + j
     if best_centers is None:
-        # Every cost is inf or nan, which only an overflow leaves.
         raise ValueError(
-            "no candidate has a finite cost: the weighted costs overflow float64"
+            "no candidate has a finite cost: the sums of drawn weights, or of"
+            " weights times coordinates or squared distances, overflow float64;"
+            " scale the weights down"
         )
-    return best_cost, best_centers, evaluated, best_tuple
+    return best_cost, best_centers, best_tuple
 
 
 def solve(
@@ -448,6 +407,7 @@ def solve(
     directly.
     """
     params = PtasParams(k, epsilon, **(overrides or {}))
+    _check_positive_int("threads", threads)
     _check_weight_total(P)
     distinct = _distinct_points(P.coords, k + 1)
     if k >= distinct.shape[0]:
@@ -457,16 +417,9 @@ def solve(
             "note": "k >= distinct points; zero-cost placement",
         }
         return ClusteringResult.from_centers(P, CenterSet(distinct), meta)
-    if (
-        params.tuple_budget == "exhaustive"
-        and math.comb(params.N, params.M) ** k > MAX_EXHAUSTIVE_TUPLES
-    ):
-        # Surface infeasibility before any work is scheduled.
-        raise EnumerationInfeasible("enumeration infeasible; set tuple_budget")
-
     master = RandomSource(master_seed)
 
-    def worker(t: int) -> tuple[float, np.ndarray, int, int]:
+    def worker(t: int) -> tuple[float, np.ndarray, int]:
         return _best_for_trial(P, params, master, t)
 
     if threads > 1:
@@ -483,10 +436,8 @@ def solve(
     best_centers: np.ndarray | None = None
     best_trial = best_tuple = 0
     trial_costs = []
-    evaluated = 0
-    for t, (cost, centers, count, tuple_index) in enumerate(outcomes):
+    for t, (cost, centers, tuple_index) in enumerate(outcomes):
         trial_costs.append(cost)
-        evaluated += count
         if cost < best_cost:
             best_cost = cost
             best_centers = centers
@@ -500,7 +451,7 @@ def solve(
         "M": params.M,
         "trials": params.trials,
         "tuple_budget": params.tuple_budget,
-        "tuples_evaluated": evaluated,
+        "tuples_evaluated": params.trials * params.tuple_budget,
         "master_seed": master_seed,
         "trial_costs": trial_costs,
         "best_trial": best_trial,

@@ -20,14 +20,37 @@ def test_seeding_picks_input_points():
 
 
 def test_seeding_rejects_bad_k():
-    with pytest.raises(ValueError):
-        kmeanspp_seed(make_points(0, 5, 2), 0, RandomSource(0))
+    for k in (0, 2.5, True):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            kmeanspp_seed(make_points(0, 5, 2), k, RandomSource(0))
 
 
 def test_kmeanspp_lloyd_refuses_weight_totals_that_overflow():
     """Four weights of 1e308 sum past float64: a ValueError names the total."""
     P = WeightedPointSet(np.array([[0.0], [1.0], [4.0], [5.0]]), np.full(4, 1e308))
     with pytest.raises(ValueError, match=r"weight total 4\.00e\+308 overflows float64"):
+        kmeanspp_lloyd(P, 2, RandomSource(0))
+
+
+@pytest.mark.parametrize(
+    "xs,cause",
+    [
+        # One mass overflows: 4e307 * 25 at x = 5.
+        ([0.0, 1.0, 4.0, 5.0], "products of weights and squared distances"),
+        # Each mass is finite (at most 4e307 * 4.41), their total 4.8e308 is not.
+        ([0.0, 1.9, 2.0, 2.1], "products of weights and squared distances, or their sum"),
+        # The masses stay small, but a cluster's sum of w * x passes 8e308.
+        ([10.0, 10.1, 10.4, 10.5], "sums of weights times coordinates"),
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_kmeanspp_lloyd_names_overflowing_products(xs, cause):
+    """Four weights of 4e307 (finite total): ValueError names the overflow, no warning.
+
+    Seed 0 picks the first point first, so the masses are 4e307 * (x - xs[0])^2.
+    """
+    P = WeightedPointSet(np.array(xs)[:, None], np.full(4, 4e307))
+    with pytest.raises(ValueError, match=f"{cause}.*scale the weights down"):
         kmeanspp_lloyd(P, 2, RandomSource(0))
 
 
@@ -64,9 +87,13 @@ def test_seeding_sums_each_draw_distribution_once(monkeypatch):
 
 def test_lloyd_params_validation():
     with pytest.raises(ValueError):
-        LloydParams(max_iters=0)
-    with pytest.raises(ValueError):
         LloydParams(rel_improvement_tol=-1.0)
+
+
+@pytest.mark.parametrize("max_iters", [0, -3, 2.5, 2.0, True, "5"])
+def test_lloyd_params_reject_bad_iteration_counts(max_iters):
+    with pytest.raises(ValueError, match="max_iters must be a positive integer"):
+        LloydParams(max_iters=max_iters)
 
 
 def test_lloyd_keeps_optimal_centers_fixed():

@@ -37,7 +37,7 @@ def test_cluster_default_json(tmp_path):
 
 
 def test_cluster_desk_constants_near_optimal(tmp_path):
-    # The theory sample sizes need exhaustive subset search to pay off; with
+    # The theory sample sizes need branching on every subset to pay off; with
     # a random tuple budget the small bench constants are the accurate ones.
     out = tmp_path / "desk.json"
     args = ["cluster", "--c1", "8", "--c2", "4", "--seed", "7", "--output", str(out)]
@@ -84,9 +84,25 @@ def test_cluster_usage_errors(tmp_path):
     assert run(["cluster", "--input", str(bad)]) == 2
 
 
-def test_cluster_exhaustive_infeasible():
-    # comb(6400, 200)^2 candidate tuples is far past the cutoff.
-    assert run(["cluster", "--tuple-budget", "exhaustive"]) == 3
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--tuple-budget", "exhaustive"],
+        ["--tuple-budget", "2.5"],
+        ["--tuple-budget", "0"],
+        ["--trials", "2.5"],
+        ["--threads", "-3"],
+        ["--threads", "0"],
+    ],
+    ids=lambda flags: f"{flags[0].lstrip('-')}={flags[1]}",
+)
+def test_cluster_rejects_bad_integer_flags(capsys, flags):
+    """Counts are positive integers; there is no exhaustive tuple mode."""
+    for solver in ("ptas", "kmeanspp-lloyd"):
+        with pytest.raises(SystemExit) as exc:
+            run(["cluster", "--solver", solver, *flags])
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("solver", ["ptas", "kmeanspp-lloyd"])
@@ -95,6 +111,28 @@ def test_cluster_refuses_weight_totals_that_overflow(tmp_path, capsys, solver):
     save_weighted_points(path, WeightedPointSet([[0.0], [1.0], [4.0], [5.0]], [1e308] * 4))
     assert run(["cluster", "--input", str(path), "--solver", solver]) == 2
     assert "error: weight total 4.00e+308 overflows float64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "solver,cause",
+    [
+        ("ptas", "no candidate has a finite cost: the sums of drawn weights"),
+        ("kmeanspp-lloyd", "the products of weights and squared distances"),
+    ],
+    ids=["ptas", "kmeanspp-lloyd"],
+)
+@pytest.mark.filterwarnings("error")
+def test_cluster_names_overflowing_weight_products(tmp_path, capsys, solver, cause):
+    """Four weights of 4e307 have a finite total; one error line names the overflow.
+
+    Warnings are errors here, so a numpy RuntimeWarning on the way fails the test.
+    """
+    path = tmp_path / "heavy.csv"
+    save_weighted_points(path, WeightedPointSet([[0.0], [1.0], [4.0], [5.0]], [4e307] * 4))
+    assert run(["cluster", "--input", str(path), "--solver", solver]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cause}")
+    assert err[0].endswith("scale the weights down")
 
 
 def test_bad_solver_choice_is_argparse_error():
@@ -242,7 +280,6 @@ def test_bench_ptas_matrix(tmp_path):
     assert {row[1] for row in rows[1:]} == {"ptas", "kmeanspp-lloyd"}
     for row in rows[1:]:
         assert float(row[4]) >= 1.0 - 1e-12
-    assert run(["bench", *flags, "--tuple-budget", "exhaustive"]) == 3
 
 
 def test_bench_usage_errors():

@@ -67,6 +67,7 @@ _EXACT_SUM_TERMS = st.one_of(
 )
 
 
+@pytest.mark.deep
 @given(
     st.lists(_EXACT_SUM_TERMS, min_size=1, max_size=200),
     st.integers(1, 3),

@@ -84,6 +84,7 @@ def _point_sets(draw):
     return WeightedPointSet(np.array(coords), np.array(weights))
 
 
+@pytest.mark.deep
 @given(_point_sets(), st.sampled_from([core._WRITE_ROWS, 1, 3]))
 def test_point_file_round_trip_is_bit_identical(tmp_path_factory, P, block):
     """save -> load gives the same doubles bit for bit, and the bytes csv.writer wrote.
@@ -100,6 +101,7 @@ def test_point_file_round_trip_is_bit_identical(tmp_path_factory, P, block):
     assert Q.weights.tobytes() == P.weights.tobytes()
 
 
+@pytest.mark.deep
 @given(_point_sets(), st.data())
 def test_cluster_rows_match_the_csv_writer(P, data):
     """The `--format csv` rows, labels included, equal the old csv.writer output."""
@@ -162,6 +164,7 @@ def _point_files(draw):
     return text
 
 
+@pytest.mark.deep
 @given(_point_files())
 @example("x1,weight\n1.0,2.0\n")
 @example("x1,weight\r\n1.0,2.0\r\n\r\n   \r\n3.0,4.0")

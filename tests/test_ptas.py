@@ -9,7 +9,6 @@ from wkmeans import ptas, sampling
 from wkmeans.core import WeightedPointSet, _sq_dist_rows
 from wkmeans.instances import line4, oracle_instances, skew12
 from wkmeans.ptas import (
-    EnumerationInfeasible,
     PtasParams,
     _CDF_BLOCK,
     _cdf_blocks,
@@ -18,7 +17,6 @@ from wkmeans.ptas import (
     _inverse_cdf_rows,
     _last_positive,
     _run_tuple_batch,
-    _selector_chunks,
     solve,
 )
 from wkmeans.sampling import _COUNT_MAX_TERMS, RandomSource
@@ -53,41 +51,48 @@ def test_params_validation():
         PtasParams(k=2, epsilon=1.0)
     with pytest.raises(ValueError):
         PtasParams(k=2, epsilon=0.5, trials=0)
-    with pytest.raises(ValueError):
-        PtasParams(k=2, epsilon=0.5, tuple_budget="sometimes")
     with pytest.raises(ValueError, match="N must be at least"):
         PtasParams(k=1, epsilon=0.5, c1=0.1, c2=100.0)
 
 
-def _tuples(params):
-    return [row for block in _selector_chunks(params) for row in block]
+@pytest.mark.parametrize("field", ["k", "trials", "tuple_budget"])
+@pytest.mark.parametrize("value", [0, -3, 2.5, 2.0, True, "exhaustive"])
+def test_params_reject_bad_integers(field, value):
+    """Counts are ints >= 1: no float, bool or string."""
+    args = {"k": 2, "epsilon": 0.5, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+        PtasParams(**args)
 
 
-def test_exhaustive_enumeration_is_lexicographic():
-    p = PtasParams(k=1, epsilon=0.5, c1=0.75, c2=1.0, tuple_budget="exhaustive")
-    assert (p.N, p.M) == (3, 2)
-    tuples = [t[0].tolist() for t in _tuples(p)]
-    assert tuples == [[0, 1], [0, 2], [1, 2]]
+def test_params_accept_numpy_integers():
+    p = PtasParams(np.int64(2), 0.5, trials=np.int32(3), tuple_budget=np.int64(7))
+    assert (p.trials, p.tuple_budget) == (3, 7)
 
 
-def test_exhaustive_enumeration_counts_pairs():
-    p = PtasParams(k=2, epsilon=0.5, c1=0.5, c2=1.0, tuple_budget="exhaustive")
-    assert (p.N, p.M) == (4, 2)
-    assert len(_tuples(p)) == 36
+@pytest.mark.parametrize("threads", [0, -3, 2.5, True])
+def test_solve_rejects_bad_thread_counts(threads):
+    with pytest.raises(ValueError, match="threads must be a positive integer"):
+        solve(line4().points, 2, 0.5, {"c1": 8.0, "c2": 4.0}, threads=threads)
 
 
-def test_exhaustive_infeasible_raises():
-    with pytest.raises(EnumerationInfeasible):
-        solve(skew12().points, 3, 0.5, {"c1": 8.0, "c2": 4.0, "tuple_budget": "exhaustive"})
+def test_trial_streams_are_budget_tuples_of_k_rows_of_m(monkeypatch):
+    """Each trial evaluates tuple_budget tuples, each k rows of M uniforms.
 
+    The tuples come in batches of at most 1024, the last one partial.
+    """
+    shapes = []
+    evaluate = ptas._run_tuple_batch
 
-def test_candidate_tuple_must_increase():
-    """Every enumerated tuple is k rows of M increasing positions."""
-    p = PtasParams(k=2, epsilon=0.5, c1=0.5, c2=1.0, tuple_budget="exhaustive")
-    for block in _selector_chunks(p):
-        assert block.dtype == np.intp and block.shape[1:] == (p.k, p.M)
-        assert np.all(np.diff(block, axis=2) > 0)
-        assert block.min() >= 0 and block.max() < p.N
+    def spy(coords, weights, u):
+        shapes.append(u.shape)
+        return evaluate(coords, weights, u)
+
+    monkeypatch.setattr(ptas, "_run_tuple_batch", spy)
+    ovr = {"c1": 8.0, "c2": 4.0, "trials": 2, "tuple_budget": 2100}
+    res = solve(make_points(3, 40, 2), 2, 0.5, ovr)
+    M = PtasParams(2, 0.5, **ovr).M
+    assert shapes == [(2, 1024, M), (2, 1024, M), (2, 52, M)] * 2
+    assert res.meta["tuples_evaluated"] == 2 * 2100
 
 
 def test_tuple_batch_single_location_collapses_to_zero_cost():
@@ -98,10 +103,9 @@ def test_tuple_batch_single_location_collapses_to_zero_cost():
     zero cost for k >= distinct points.
     """
     P = WeightedPointSet(np.array([[2.0, 2.0]] * 3), np.array([1.0, 2.0, 0.5]))
-    params = PtasParams(1, 0.5, c1=8.0, c2=4.0, tuple_budget="exhaustive")
-    sel = next(_selector_chunks(params))[:1]
-    u = RandomSource(2).generator().random((params.k, 1, params.N))
-    costs, centers = _run_tuple_batch(P.coords, P.weights, u, sel)
+    params = PtasParams(1, 0.5, c1=8.0, c2=4.0)
+    u = RandomSource(2).generator().random((params.k, 1, params.M))
+    costs, centers = _run_tuple_batch(P.coords, P.weights, u)
     assert costs.tolist() == [0.0]
     np.testing.assert_array_equal(centers[0], [[2.0, 2.0]])
 
@@ -109,11 +113,10 @@ def test_tuple_batch_single_location_collapses_to_zero_cost():
 def test_tuple_batch_two_point_instance_lands_on_support():
     P = WeightedPointSet(np.array([[0.0], [10.0]]), np.ones(2))
     params = PtasParams(k=1, epsilon=0.5, c1=0.5, c2=1.0)  # N = M = 2
-    sel = np.array([[[0, 1]]])
     seen = set()
     for seed in range(12):
-        u = RandomSource(seed).generator().random((params.k, 1, params.N))
-        _, centers = _run_tuple_batch(P.coords, P.weights, u, sel)
+        u = RandomSource(seed).generator().random((params.k, 1, params.M))
+        _, centers = _run_tuple_batch(P.coords, P.weights, u)
         c = float(centers[0, 0, 0])
         assert c in (0.0, 5.0, 10.0)
         seen.add(c)
@@ -294,7 +297,7 @@ def _reference_inverse_cdf_rows(v, u):
     return blk * _CDF_BLOCK + pos, totals <= 0.0
 
 
-def _reference_run_tuple_batch(coords, weights, u, selectors=None):
+def _reference_run_tuple_batch(coords, weights, u):
     """The single-tier evaluator: blocks of max(1, 2^16 // n) rows.
 
     Every iteration writes the whole mass array cache * weights and draws
@@ -323,8 +326,6 @@ def _reference_run_tuple_batch(coords, weights, u, selectors=None):
                 np.multiply(cache_b, weights, out=scratch_b)
                 cols, dead = _reference_inverse_cdf_rows(mass_b, ui)
             np.minimum(cols, n - 1, out=cols)
-            if selectors is not None:
-                cols = np.take_along_axis(cols, selectors[lo:hi, i, :], axis=1)
             tw = weights[cols]
             ci = np.einsum("bm,bmd->bd", tw, coords[cols]) / tw.sum(axis=1)[:, None]
             if dead is not None and dead.any():
@@ -339,26 +340,21 @@ def _reference_run_tuple_batch(coords, weights, u, selectors=None):
     return costs, centers
 
 
-def _batch_case(seed, n, D, k, d, B, kind, subsets):
-    """Points, weights, uniforms and (when subsets) selectors for one batch."""
+def _batch_case(seed, n, D, k, d, B, kind):
+    """Points, weights and uniforms for one batch of D draws per row."""
     gen = RandomSource(seed).generator()
     if kind == "few-locations":
         coords = np.floor(gen.random((n, d)) * 2.0)
     else:
         coords = gen.random((n, d)) * 1e3 + (5e6 if kind == "geo" else 0.0)
     weights = np.exp(2.0 * gen.standard_normal(n))
-    u = gen.random((k, B, D))
-    selectors = None
-    if subsets:
-        m = int(gen.integers(1, D + 1))
-        keys = gen.random((B, k, D))
-        selectors = np.sort(np.argpartition(keys, m - 1, axis=2)[:, :, :m], axis=2)
-    return coords, weights, u, selectors
+    return coords, weights, gen.random((k, B, D))
 
 
 _BATCH_KINDS = st.sampled_from(["random", "few-locations", "geo"])
 
 
+@pytest.mark.deep
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(1, 3),
@@ -368,9 +364,8 @@ _BATCH_KINDS = st.sampled_from(["random", "few-locations", "geo"])
     st.integers(1, 3),
     st.integers(1, 40),
     _BATCH_KINDS,
-    st.booleans(),
 )
-def test_run_tuple_batch_matches_reference(seed, D, extra, tail, k, d, B, kind, subsets):
+def test_run_tuple_batch_matches_reference(seed, D, extra, tail, k, d, B, kind):
     """Two-level rows: the same centers bytewise, costs to summation rounding.
 
     n > 2 * D * 128, so every row draws in two levels. The evaluator forms
@@ -382,9 +377,9 @@ def test_run_tuple_batch_matches_reference(seed, D, extra, tail, k, d, B, kind, 
     """
     n = (2 * D + extra) * _CDF_BLOCK + tail
     assert _cdf_blocks(n, D) > 0
-    coords, weights, u, selectors = _batch_case(seed, n, D, k, d, B, kind, subsets)
-    costs, centers = _run_tuple_batch(coords, weights, u, selectors)
-    ref_costs, ref_centers = _reference_run_tuple_batch(coords, weights, u, selectors)
+    coords, weights, u = _batch_case(seed, n, D, k, d, B, kind)
+    costs, centers = _run_tuple_batch(coords, weights, u)
+    ref_costs, ref_centers = _reference_run_tuple_batch(coords, weights, u)
     assert centers.tobytes() == ref_centers.tobytes()
     np.testing.assert_allclose(costs, ref_costs, rtol=4 * n * 2.0**-53, atol=0.0)
 
@@ -398,6 +393,7 @@ def _one_level_shape(draw):
     return D, draw(st.one_of(st.sampled_from(edges), st.integers(1, top)))
 
 
+@pytest.mark.deep
 @given(
     st.integers(0, 2**32 - 1),
     _one_level_shape(),
@@ -405,9 +401,8 @@ def _one_level_shape(draw):
     st.integers(1, 3),
     st.integers(1, 40),
     _BATCH_KINDS,
-    st.booleans(),
 )
-def test_run_tuple_batch_one_level_matches_reference(seed, shape, k, d, B, kind, subsets):
+def test_run_tuple_batch_one_level_matches_reference(seed, shape, k, d, B, kind):
     """One-level rows: centers and costs byte for byte.
 
     n <= 2 * D * 128, on both sides of the count's cutoff. The reference
@@ -418,9 +413,9 @@ def test_run_tuple_batch_one_level_matches_reference(seed, shape, k, d, B, kind,
     """
     D, n = shape
     assert _cdf_blocks(n, D) == 0
-    coords, weights, u, selectors = _batch_case(seed, n, D, k, d, B, kind, subsets)
-    costs, centers = _run_tuple_batch(coords, weights, u, selectors)
-    ref_costs, ref_centers = _reference_run_tuple_batch(coords, weights, u, selectors)
+    coords, weights, u = _batch_case(seed, n, D, k, d, B, kind)
+    costs, centers = _run_tuple_batch(coords, weights, u)
+    ref_costs, ref_centers = _reference_run_tuple_batch(coords, weights, u)
     assert centers.tobytes() == ref_centers.tobytes()
     assert costs.tobytes() == ref_costs.tobytes()
 
@@ -430,19 +425,40 @@ def test_solve_rejects_nonpositive_k():
         solve(line4().points, 0, 0.5)
 
 
+@pytest.mark.filterwarnings("error")
 def test_solve_refuses_weight_totals_that_overflow():
     """Four weights of 1e308 sum past float64: a ValueError names the total.
 
-    Weights of 4e307 have a finite total, but every candidate's sums of
-    drawn weights overflow, so no cost is finite; 1e300 solves.
+    Weights of 4e307 have a finite total, but every candidate's sum of 8
+    drawn weights overflows, so no cost is finite: the ValueError names the
+    sums, with no RuntimeWarning on the way. 1e300 solves.
     """
     coords = [[0.0], [1.0], [4.0], [5.0]]
     overrides = {"c1": 8, "c2": 4, "tuple_budget": 50}
     with pytest.raises(ValueError, match=r"weight total 4\.00e\+308 overflows float64"):
         solve(WeightedPointSet(coords, [1e308] * 4), 2, 0.5, overrides)
-    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="no candidate"):
+    with pytest.raises(ValueError, match="sums of drawn weights.*scale the weights down"):
         solve(WeightedPointSet(coords, [4e307] * 4), 2, 0.5, overrides)
     assert math.isfinite(solve(WeightedPointSet(coords, [1e300] * 4), 2, 0.5, overrides).cost)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_candidates_lose_to_finite_ones():
+    """A batch whose overflowing candidates cost nan keeps its finite ones.
+
+    Two heavy points at x = 1 and 1.001 hold 8e307 of the weight; a tuple
+    that draws five of them sums its weights past float64, and its centroid
+    and cost turn nan. About 40% of a batch does; the rest compete as usual.
+    """
+    coords = np.concatenate([[1.0, 1.001], 2.0 + np.arange(90) * 1e-3])[:, None]
+    P = WeightedPointSet(coords, np.concatenate([[4e307, 4e307], np.full(90, 1e306)]))
+    u = RandomSource(0).generator().random((2, 64, 8))
+    with np.errstate(all="ignore"):
+        costs, _ = _run_tuple_batch(P.coords, P.weights, u)
+    assert 0 < np.isnan(costs).sum() < 64 and not np.isinf(costs).any()
+    res = solve(P, 2, 0.5, {"c1": 8.0, "c2": 4.0, "tuple_budget": 50})
+    assert math.isfinite(res.cost)
+    assert all(math.isfinite(c) for c in res.meta["trial_costs"])
 
 
 def test_solve_covers_distinct_points_exactly():
@@ -591,14 +607,6 @@ def test_centers_stay_in_the_coordinate_box():
     assert np.all(res.centers.centers <= hi + 1e-12)
 
 
-def test_exhaustive_mode_evaluates_every_tuple():
-    P = WeightedPointSet(np.array([[0.0], [1.0], [4.0], [5.0]]), np.ones(4))
-    ovr = {"c1": 1.0, "c2": 1.0, "tuple_budget": "exhaustive", "trials": 2}
-    res = solve(P, 2, 0.5, ovr, master_seed=0)
-    # N=8, M=2 per iteration: 28^2 tuples per trial
-    assert res.meta["tuples_evaluated"] == 2 * 28**2
-
-
 def _result_bytes(res):
     return (
         res.centers.centers.tobytes(),
@@ -619,9 +627,11 @@ def _block_invariance_cases():
     # 17 whole CDF blocks and a one-point tail: the two-level draw.
     ragged = make_points(22, 17 * _CDF_BLOCK + 1, 3)
     yield pytest.param(ragged, 4, big, id="random-2177")
+    # Two draws per center (N = 8, M = 2) and 1500 tuples per trial: one
+    # whole batch of 1024 and a partial one.
     P = WeightedPointSet(np.array([[0.0], [1.0], [4.0], [5.0], [9.0]]), np.arange(1.0, 6.0))
-    exhaustive = {"c1": 1.0, "c2": 1.0, "tuple_budget": "exhaustive", "trials": 2}
-    yield pytest.param(P, 2, exhaustive, id="exhaustive")
+    pairs = {"c1": 1.0, "c2": 1.0, "tuple_budget": 1500, "trials": 2}
+    yield pytest.param(P, 2, pairs, id="five-points")
 
 
 @pytest.mark.parametrize("P,k,ovr", list(_block_invariance_cases()))

@@ -288,6 +288,7 @@ def _row_sum_mixture(density: GaussianMixtureDensity, pts: np.ndarray) -> np.nda
     return out
 
 
+@pytest.mark.deep
 @given(
     st.lists(
         st.tuples(_spd(), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.1, 10.0)),
@@ -734,6 +735,7 @@ _NUDGED = st.tuples(_LATTICE, _NUDGE, _NUDGE).map(
 _FREE = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0))
 
 
+@pytest.mark.deep
 @given(
     st.lists(st.one_of(_LATTICE, _NUDGED, _FREE), min_size=3, max_size=10),
     st.sampled_from([0.125, 0.1, 0.25, 0.3, 0.5, 3.0]),
@@ -791,6 +793,7 @@ _PATH_CASES = (
 _SIDES = st.sampled_from([0.125, 0.1, 0.3, 1.0, 1e-6])
 
 
+@pytest.mark.deep
 @given(
     st.lists(st.one_of(_LATTICE, _NUDGED, _FREE), min_size=3, max_size=10),
     st.lists(st.tuples(st.one_of(_LATTICE, _NUDGED, _FREE), _SIDES), min_size=1, max_size=40),
@@ -850,6 +853,7 @@ def _discretization_bytes(disc) -> bytes:
 _BLOCK_SIZES = (1, 7, 100, 1 << 12, 1 << 14, 1 << 40)
 
 
+@pytest.mark.deep
 @given(
     st.one_of(st.none(), st.lists(st.one_of(_LATTICE, _FREE), min_size=3, max_size=8)),
     st.sampled_from([0.05, 0.07, 0.1, 0.3]),
@@ -948,6 +952,7 @@ class _MonomialDensity:
         return pts[:, 0] ** self.a * pts[:, 1] ** self.b
 
 
+@pytest.mark.deep
 @given(
     st.integers(1, 6),
     st.sampled_from([0.0, 0.37, 1e5 + 0.37]),
@@ -1026,6 +1031,7 @@ def _mesh_centers(kind: str, mesh, free: np.ndarray, pick: int) -> np.ndarray:
     return np.unique(verts, axis=0)
 
 
+@pytest.mark.deep
 @given(
     st.lists(st.one_of(_LATTICE, _FREE), min_size=3, max_size=8),
     st.sampled_from(["uniform", "gaussian"]),
@@ -1172,6 +1178,7 @@ def _placement_bytes(report, region) -> tuple:
     )
 
 
+@pytest.mark.deep
 @pytest.mark.parametrize("solver", ["ptas", "kmeanspp-lloyd"])
 @pytest.mark.parametrize("kind", ["uniform", "gaussian", "raster", "duck"])
 def test_place_sensors_is_exact_under_dyadic_translation(kind, solver):
