@@ -24,6 +24,7 @@ __all__ = [
     "CenterSet",
     "ClusteringResult",
     "PointFileError",
+    "SOLVERS",
     "WeightedPointSet",
     "load_weighted_points",
     "save_weighted_points",
@@ -31,3 +32,33 @@ __all__ = [
     "weighted_centroid",
     "__version__",
 ]
+
+# The solvers of cluster, sensor, bench and sensor.place_sensors, by name.
+# Only the PTAS reads epsilon, overrides and threads. Each entry imports its
+# module when called, so `import wkmeans` loads core only, and looks the
+# function up on the module then, so a rebound attribute (a tracer's wrapper,
+# a test's spy) is the one that runs.
+
+
+def _ptas(P, k, epsilon, overrides, seed, threads) -> ClusteringResult:
+    from wkmeans import ptas
+    return ptas.solve(P, k, epsilon, overrides, master_seed=seed, threads=threads)
+
+
+def _kmeanspp_lloyd(P, k, epsilon, overrides, seed, threads) -> ClusteringResult:
+    from wkmeans import baselines, sampling
+    return baselines.kmeanspp_lloyd(P, k, sampling.RandomSource(seed))
+
+
+def _oracle(P, k, epsilon, overrides, seed, threads) -> ClusteringResult:
+    from wkmeans import oracle
+    exact = oracle.brute_force_opt(P, k)
+    meta = {
+        "solver": "oracle",
+        "partitions_evaluated": exact.partitions_evaluated,
+        "groups": [list(g) for g in exact.groups],
+    }
+    return ClusteringResult.from_centers(P, exact.centers, meta)
+
+
+SOLVERS = {"ptas": _ptas, "kmeanspp-lloyd": _kmeanspp_lloyd, "oracle": _oracle}

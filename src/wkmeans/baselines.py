@@ -61,18 +61,18 @@ def kmeanspp_seed(P: WeightedPointSet, k: int, rng: RandomSource) -> CenterSet:
     while len(chosen) < k:
         with np.errstate(over="ignore"):
             mass = P.weights * cache
+            # The masses are nonnegative, so their sum is finite only when
+            # every mass is and the total stays inside float64.
+            finite = np.isfinite(mass.sum())
         if not mass.any():
             # All mass covered; cycle existing picks without consuming draws.
             base = len(chosen)
             while len(chosen) < k:
                 chosen.append(chosen[len(chosen) % base])
             break
-        if not np.isfinite(mass).all():
+        if not finite:
             raise ValueError(_MASS_OVERFLOW)
-        try:
-            idx = int(sample_indices(mass, 1, gen)[0])
-        except OverflowError:
-            raise ValueError(_MASS_OVERFLOW) from None
+        idx = int(sample_indices(mass, 1, gen)[0])
         chosen.append(idx)
         np.minimum(cache, min_squared_distances(P.coords, P.coords[idx]), out=cache)
     return CenterSet(P.coords[np.array(chosen, dtype=np.intp)])

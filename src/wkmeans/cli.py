@@ -2,7 +2,9 @@
 
 Subcommands: cluster (weighted k-means on a CSV point set), sensor (coverage
 placement over a region file), verify (the invariant suite), bench (solver
-comparison matrix as long-format CSV).
+comparison matrix as long-format CSV). The solvers that cluster, sensor and
+bench run, and the names --solver and --solvers accept, are the entries of
+`wkmeans.SOLVERS`.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 an instance too large for the exact oracle. All randomness flows from
@@ -22,16 +24,15 @@ import time
 from importlib.resources import files
 from pathlib import Path
 
-from wkmeans import baselines, instances, ptas, sensor, verification
+from wkmeans import SOLVERS, instances, sensor, verification
 from wkmeans.core import (
-    ClusteringResult,
     PointFileError,
+    _check_positive_int,
     _write_rows,
     load_weighted_points,
     save_weighted_points,
 )
-from wkmeans.oracle import InstanceTooLarge, brute_force_opt
-from wkmeans.sampling import RandomSource
+from wkmeans.oracle import InstanceTooLarge
 from wkmeans.sensor import RegionFileError
 
 __all__ = ["main", "entry"]
@@ -44,10 +45,9 @@ def _bundled(name: str) -> str:
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
+        _check_positive_int("value", value)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}") from None
     return value
 
 
@@ -90,9 +90,9 @@ def _add_ptas_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", type=Path, default=None, help="result file (default stdout)")
 
 
-def _add_solver_flags(p: argparse.ArgumentParser, solvers: tuple[str, ...]) -> None:
-    p.add_argument("--k", type=int, default=None, help="number of centers")
-    p.add_argument("--solver", choices=solvers, default="ptas")
+def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", type=_positive_int, help="number of centers")
+    p.add_argument("--solver", choices=tuple(SOLVERS), default="ptas")
     _add_ptas_flags(p)
     p.add_argument(
         "--format",
@@ -114,28 +114,11 @@ def _json_document(payload: dict) -> str:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    k = 2 if args.k is None else args.k
-    if k < 1:
-        print("error: k must be positive", file=sys.stderr)
-        return 2
     P = load_weighted_points(args.input)
-    seed = args.seed
     started = time.perf_counter()
-    if args.solver == "ptas":
-        result = ptas.solve(
-            P, k, args.epsilon, _ptas_overrides(args), master_seed=seed,
-            threads=args.threads,
-        )
-    elif args.solver == "kmeanspp-lloyd":
-        result = baselines.kmeanspp_lloyd(P, k, RandomSource(seed))
-    else:
-        exact = brute_force_opt(P, k)
-        meta = {
-            "solver": "oracle",
-            "partitions_evaluated": exact.partitions_evaluated,
-            "groups": [list(g) for g in exact.groups],
-        }
-        result = ClusteringResult.from_centers(P, exact.centers, meta)
+    result = SOLVERS[args.solver](
+        P, args.k, args.epsilon, _ptas_overrides(args), args.seed, args.threads
+    )
     elapsed = time.perf_counter() - started
 
     if args.format == "csv":
@@ -153,10 +136,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         payload = {
             "command": "cluster",
             "input": str(args.input),
-            "k": k,
+            "k": args.k,
             "epsilon": args.epsilon,
             "solver": args.solver,
-            "seed": seed,
+            "seed": args.seed,
             "centers": result.centers.centers.tolist(),
             "assignment": result.assignment.tolist(),
             "cost": result.cost,
@@ -172,14 +155,10 @@ def cmd_sensor(args: argparse.Namespace) -> int:
     grid_eps = args.grid_eps if args.grid_eps is not None else file_grid_eps
     if grid_eps is None:
         grid_eps = 0.25
-    k = 1 if args.k is None else args.k
-    if k < 1:
-        print("error: k must be positive", file=sys.stderr)
-        return 2
     started = time.perf_counter()
     report = sensor.place_sensors(
         region,
-        k,
+        args.k,
         args.epsilon,
         grid_eps,
         solver=args.solver,
@@ -191,7 +170,7 @@ def cmd_sensor(args: argparse.Namespace) -> int:
     payload = {
         "command": "sensor",
         "region": str(args.region),
-        "k": k,
+        "k": args.k,
         "epsilon": args.epsilon,
         "grid_eps": grid_eps,
         "solver": args.solver,
@@ -236,12 +215,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.repeat < 1:
-        print("error: repeat must be positive", file=sys.stderr)
-        return 2
     solvers = tuple(args.solvers.split(","))
-    valid = {"ptas", "kmeanspp-lloyd", "oracle"}
-    if not set(solvers) <= valid:
+    if not set(solvers) <= SOLVERS.keys():
         print(f"error: unknown solver in {args.solvers!r}", file=sys.stderr)
         return 2
     overrides = _ptas_overrides(args)
@@ -255,17 +230,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for j in range(args.repeat):
                 seed = args.seed + j
                 started = time.perf_counter()
-                if solver == "ptas":
-                    cost = ptas.solve(
-                        inst.points, inst.k, args.epsilon, overrides,
-                        master_seed=seed, threads=args.threads,
-                    ).cost
-                elif solver == "kmeanspp-lloyd":
-                    cost = baselines.kmeanspp_lloyd(
-                        inst.points, inst.k, RandomSource(seed)
-                    ).cost
-                else:
-                    cost = brute_force_opt(inst.points, inst.k).cost
+                cost = SOLVERS[solver](
+                    inst.points, inst.k, args.epsilon, overrides, seed, args.threads
+                ).cost
                 elapsed = time.perf_counter() - started
                 rows.append(
                     (inst.name, solver, seed, cost, cost / inst.opt_cost, elapsed)
@@ -296,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=Path(_bundled("sample_points.csv")),
         help="weighted point CSV (header x1,...,xd,weight)",
     )
-    _add_solver_flags(p_cluster, ("ptas", "kmeanspp-lloyd", "oracle"))
-    p_cluster.set_defaults(func=cmd_cluster)
+    _add_solver_flags(p_cluster)
+    p_cluster.set_defaults(func=cmd_cluster, k=2)
 
     p_sensor = sub.add_parser("sensor", help="place sensors over a region")
     p_sensor.add_argument(
@@ -315,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="where to write the discretized point CSV",
     )
-    _add_solver_flags(p_sensor, ("ptas", "kmeanspp-lloyd"))
-    p_sensor.set_defaults(func=cmd_sensor)
+    _add_solver_flags(p_sensor)
+    p_sensor.set_defaults(func=cmd_sensor, k=1)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     p_verify.add_argument("--seed", type=int, default=0)
@@ -336,10 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="solver comparison matrix")
-    p_bench.add_argument("--repeat", type=int, default=20, help="seeds per cell")
+    p_bench.add_argument("--repeat", type=_positive_int, default=20, help="seeds per cell")
     p_bench.add_argument(
         "--solvers",
-        default="ptas,kmeanspp-lloyd,oracle",
+        default=",".join(SOLVERS),
         help="comma-separated solver subset",
     )
     _add_ptas_flags(p_bench)

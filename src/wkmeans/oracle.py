@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from wkmeans.core import CenterSet, WeightedPointSet, weighted_centroid, weighted_cost
+from wkmeans.core import _check_positive_int
 from wkmeans.sampling import RandomSource
 
 __all__ = [
@@ -71,8 +72,7 @@ def brute_force_opt(P: WeightedPointSet, k: int) -> ExactResult:
     strings, so structurally identical partitions are visited exactly once.
     No pruning: the visit count doubles as a combinatorial self-check.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_positive_int("k", k)
     n = P.n
     if n > MAX_EXACT_POINTS:
         raise InstanceTooLarge("instance too large for exact oracle")
@@ -179,12 +179,10 @@ def verify_inaba(
     sample centroid's single-center cost stays within (1 + 1/(delta*M)) of
     the optimum. The bound promises a rate of at least 1 - delta.
     """
-    if M < 1:
-        raise ValueError("M must be positive")
+    _check_positive_int("M", M)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    if repetitions < 1:
-        raise ValueError("repetitions must be positive")
+    _check_positive_int("repetitions", repetitions)
     copies = _expand_integer_weights(P)
     E = P.coords[copies]
     n_copies = E.shape[0]
@@ -234,8 +232,7 @@ def verify_null_sampling(
         raise ValueError("gamma must be in (0, 1]")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must be in (0, 1]")
-    if repetitions < 1:
-        raise ValueError("repetitions must be positive")
+    _check_positive_int("repetitions", repetitions)
     n_draws = math.ceil(400.0 / (gamma * epsilon))
     if n_draws > 1_000_000:
         raise ValueError("experiment too large")

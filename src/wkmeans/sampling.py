@@ -64,8 +64,8 @@ class RandomSource:
 def sample_indices(values, count: int, gen: np.random.Generator) -> np.ndarray:
     """`count` i.i.d. categorical draws (one uniform each), shape (count,).
 
-    `values` are the unnormalized masses: finite, nonnegative and not all
-    zero, or ValueError is raised.
+    `values` are the unnormalized masses: finite, nonnegative, not all zero
+    and with a total inside float64, or ValueError is raised.
     """
     vals = np.asarray(values, dtype=np.float64).ravel()
     if vals.size == 0:
@@ -74,7 +74,10 @@ def sample_indices(values, count: int, gen: np.random.Generator) -> np.ndarray:
         raise ValueError("weights must be finite and nonnegative")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    total = _exact_sum(vals)
+    try:
+        total = _exact_sum(vals)
+    except OverflowError:
+        raise ValueError("the total of the sampling weights overflows float64") from None
     if total <= 0.0:
         raise ValueError("all sampling weights are zero")
     u = gen.random(count)

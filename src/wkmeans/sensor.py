@@ -67,19 +67,19 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from wkmeans import baselines, ptas
+from wkmeans import SOLVERS
 from wkmeans.core import (
     CenterSet,
     ClusteringResult,
     WeightedPointSet,
     _check_dims,
+    _check_positive_int,
     _exact_sum,
     _nearest,
     as_center_array,
     min_squared_distances,
     weighted_cost,
 )
-from wkmeans.sampling import RandomSource
 
 __all__ = [
     "UniformDensity",
@@ -409,8 +409,6 @@ def _tri_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     the (1-u) Jacobian folds into the weights, which sum to the reference
     area 1/2. Exact for polynomials of degree <= 2*order - 2.
     """
-    if order < 1:
-        raise ValueError("order must be positive")
     x, w = np.polynomial.legendre.leggauss(order)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w
@@ -428,8 +426,6 @@ def _square_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     order x order nodes; the weights sum to the area 1. Exact for
     polynomials of degree <= 2*order - 1 in each variable.
     """
-    if order < 1:
-        raise ValueError("order must be positive")
     x, w = np.polynomial.legendre.leggauss(order)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w
@@ -507,6 +503,7 @@ def _integrate_cells(
     the squared distance to the nearest of `centers`) stays zero unless
     centers are given.
     """
+    _check_positive_int("order", order)
     n = first.shape[0]
     mass, inertia, cost = np.zeros((3, n))
     com = np.zeros((2, n))
@@ -872,6 +869,9 @@ def place_sensors(
 ) -> PlacementReport:
     """Normalize, discretize, cluster, and price the resulting placement.
 
+    `wkmeans.SOLVERS[solver]` clusters the cells; k and the solver name are
+    checked before the density is normalized.
+
     The reported coverage cost is the cell-by-cell quadrature value for the
     returned centers (not the clustering objective), so the inertia floor and
     any cell-splitting error are included honestly. The result meta records
@@ -879,22 +879,16 @@ def place_sensors(
     quantization cost minus inertia sum) and decomposition_gap_rel (the gap
     over the coverage).
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if solver not in ("ptas", "kmeanspp-lloyd"):
-        raise ValueError(f"unsupported solver for sensor placement: {solver}")
+    _check_positive_int("k", k)
+    if solver not in SOLVERS:
+        raise ValueError(f"unsupported solver {solver!r}; known: {', '.join(SOLVERS)}")
     normalized = normalize_density(region, quad_order)
     disc = discretize(normalized, grid_eps, quad_order)
     notes = []
     if disc.weights.shape[0] == 1:
         notes.append("grid coarser than region: single-cell discretization")
     X = WeightedPointSet(disc.coms, disc.weights)
-    if solver == "ptas":
-        result = ptas.solve(
-            X, k, epsilon, overrides, master_seed=master_seed, threads=threads
-        )
-    else:
-        result = baselines.kmeanspp_lloyd(X, k, RandomSource(master_seed))
+    result = SOLVERS[solver](X, k, epsilon, overrides, master_seed, threads)
     inertia = disc.inertia_sum
     coverage = coverage_cost(normalized.local, result.centers, mesh=disc)
     if coverage > 0.0 and inertia > INERTIA_WARN_FRACTION * coverage:

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import wkmeans
-from wkmeans import cli
+from wkmeans import SOLVERS, cli, ptas
 from wkmeans.core import WeightedPointSet, load_weighted_points, save_weighted_points
+from wkmeans.oracle import brute_force_opt
 from wkmeans.sensor import RegionFileError, load_region, place_sensors
 
 
@@ -77,7 +78,9 @@ def test_cluster_oracle_solver(tmp_path):
 
 
 def test_cluster_usage_errors(tmp_path):
-    assert run(["cluster", "--k", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["cluster", "--k", "0"])
+    assert exc.value.code == 2
     assert run(["cluster", "--input", str(tmp_path / "nope.csv")]) == 2
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
@@ -93,14 +96,24 @@ def test_cluster_usage_errors(tmp_path):
         ["--trials", "2.5"],
         ["--threads", "-3"],
         ["--threads", "0"],
+        ["--k", "0"],
+        ["--k", "2.5"],
+        ["--repeat", "0"],
     ],
     ids=lambda flags: f"{flags[0].lstrip('-')}={flags[1]}",
 )
 def test_cluster_rejects_bad_integer_flags(capsys, flags):
-    """Counts are positive integers; there is no exhaustive tuple mode."""
-    for solver in ("ptas", "kmeanspp-lloyd"):
+    """Counts are positive integers; there is no exhaustive tuple mode.
+
+    --repeat is bench's; the other flags are tried on cluster and sensor.
+    """
+    if flags[0] == "--repeat":
+        argvs = [["bench", *flags]]
+    else:
+        argvs = [[cmd, "--solver", s, *flags] for cmd in ("cluster", "sensor") for s in SOLVERS]
+    for argv in argvs:
         with pytest.raises(SystemExit) as exc:
-            run(["cluster", "--solver", solver, *flags])
+            run(argv)
         assert exc.value.code == 2
         assert "must be a positive integer" in capsys.readouterr().err
 
@@ -133,6 +146,31 @@ def test_cluster_names_overflowing_weight_products(tmp_path, capsys, solver, cau
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {cause}")
     assert err[0].endswith("scale the weights down")
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_cluster_runs_every_solver(tmp_path, solver):
+    out = tmp_path / "result.json"
+    assert run(["cluster", "--solver", solver, "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["solver"] == payload["meta"]["solver"] == solver
+    # The bundled points have optimal cost 1 at k = 2.
+    assert payload["cost"] >= 1.0 - 1e-12
+
+
+def test_ptas_solve_is_looked_up_at_call_time(monkeypatch, tmp_path, unit_square):
+    """A rebound ptas.solve, such as a tracer's wrapper, is what runs."""
+    calls = []
+    solve = ptas.solve
+
+    def spy(P, k, *args, **kwargs):
+        calls.append(k)
+        return solve(P, k, *args, **kwargs)
+
+    monkeypatch.setattr(ptas, "solve", spy)
+    place_sensors(unit_square, 1, 0.5, 0.25, overrides={"tuple_budget": 8})
+    assert run(["cluster", "--tuple-budget", "8", "--output", str(tmp_path / "r.json")]) == 0
+    assert calls == [1, 2]
 
 
 def test_bad_solver_choice_is_argparse_error():
@@ -181,6 +219,36 @@ def test_sensor_points_path_derived_from_output(tmp_path):
     )
     assert code == 0
     assert (tmp_path / "place_points.csv").exists()
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_sensor_runs_every_solver(tmp_path, solver):
+    out = tmp_path / "place.json"
+    argv = ["sensor", "--solver", solver, "--k", "2", "--grid-eps", "0.5", "--output", str(out)]
+    with pytest.warns(UserWarning, match="too coarse"):
+        assert run(argv) == 0
+    payload = json.loads(out.read_text())
+    assert payload["solver"] == payload["meta"]["solver"] == solver
+    assert payload["n_cells"] == 4
+    # Four cells of mass 1/4 at the quarter points, paired along one side.
+    assert payload["quantization_cost"] >= 0.0625 - 1e-12
+
+
+def test_sensor_oracle_is_brute_force_on_the_cells(tmp_path, capsys):
+    out, cells = tmp_path / "place.json", tmp_path / "cells.csv"
+    argv = ["sensor", "--solver", "oracle", "--k", "2", "--grid-eps", "0.5",
+            "--output", str(out), "--points-output", str(cells)]
+    with pytest.warns(UserWarning, match="too coarse"):
+        assert run(argv) == 0
+    payload = json.loads(out.read_text())
+    exact = brute_force_opt(load_weighted_points(cells), 2)
+    assert payload["centers"] == exact.centers.centers.tolist()
+    assert payload["meta"]["groups"] == [list(g) for g in exact.groups]
+    assert payload["quantization_cost"] == exact.cost
+    # The bundled grid 0.25 makes 16 cells, past the oracle's 14 points.
+    capsys.readouterr()
+    assert run(["sensor", "--solver", "oracle"]) == 3
+    assert "too large for exact oracle" in capsys.readouterr().err
 
 
 def test_sensor_bad_region(tmp_path):
@@ -282,8 +350,30 @@ def test_bench_ptas_matrix(tmp_path):
         assert float(row[4]) >= 1.0 - 1e-12
 
 
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_bench_runs_every_solver(tmp_path, solver):
+    out = tmp_path / "bench.csv"
+    flags = ["--repeat", "1", "--solvers", solver, "--trials", "1", "--tuple-budget", "16"]
+    assert run(["bench", *flags, "--output", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert len(rows) == 1 + 5
+    for row in rows[1:]:
+        assert row[1] == solver
+        assert float(row[4]) >= 1.0 - 1e-12
+
+
+def test_bench_default_is_every_solver(tmp_path):
+    out = tmp_path / "bench.csv"
+    flags = ["--repeat", "1", "--trials", "1", "--tuple-budget", "16"]
+    assert run(["bench", *flags, "--output", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert [row[1] for row in rows[1:4]] == list(SOLVERS)
+
+
 def test_bench_usage_errors():
-    assert run(["bench", "--repeat", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["bench", "--repeat", "0"])
+    assert exc.value.code == 2
     assert run(["bench", "--solvers", "ptas,magic"]) == 2
 
 
@@ -306,38 +396,38 @@ def test_threads_do_not_change_bytes(tmp_path):
     assert one.read_bytes() == eight.read_bytes()
 
 
-def test_import_does_not_load_scipy_stats():
-    """scipy.stats is slow to import and only `verify` needs it, so it loads lazily."""
+def _fresh_import(imports: str, check: str) -> None:
+    """Run `import <imports>` in a new interpreter on this checkout, then `assert <check>`."""
     src = str(Path(wkmeans.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys\n"
-        "import wkmeans, wkmeans.sensor, wkmeans.cli\n"
+        f"import {imports}\n"
         "assert wkmeans.__file__.startswith(sys.argv[1]), wkmeans.__file__\n"
-        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+        f"assert {check}, sorted(sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, src], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_does_not_load_scipy_stats():
+    """scipy.stats is slow to import and only `verify` needs it, so it loads lazily."""
+    _fresh_import("wkmeans, wkmeans.sensor, wkmeans.cli", "'scipy.stats' not in sys.modules")
 
 
 def test_import_does_not_load_the_thread_pool():
     """concurrent.futures costs every fresh interpreter ~7.5 ms; only threads > 1 needs it."""
-    src = str(Path(wkmeans.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
-        "import sys\n"
-        "import wkmeans.ptas, wkmeans.sensor\n"
-        "assert wkmeans.__file__.startswith(sys.argv[1]), wkmeans.__file__\n"
-        "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures was imported'\n"
+    _fresh_import("wkmeans.ptas, wkmeans.sensor", "'concurrent.futures' not in sys.modules")
+
+
+def test_import_loads_no_solver_module():
+    """`import wkmeans` loads core only; each SOLVERS entry imports its module on first call."""
+    _fresh_import(
+        "wkmeans", "{m for m in sys.modules if m.startswith('wkmeans')} == {'wkmeans', 'wkmeans.core'}"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, src], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_sensor_writes_outputs_in_the_region_files_frame(tmp_path):

@@ -60,6 +60,12 @@ def test_k_at_least_n_is_free():
     assert res.partitions_evaluated == 0
 
 
+@pytest.mark.parametrize("k", [0, 2.5, True])
+def test_k_must_be_a_positive_integer(k):
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        brute_force_opt(make_points(2, 5, 2), k)
+
+
 def test_size_guards():
     with pytest.raises(InstanceTooLarge):
         brute_force_opt(make_points(3, 15, 2), 2)
@@ -87,6 +93,10 @@ def test_inaba_parameter_validation():
         verify_inaba(P, 5, 1.0, 10, RandomSource(0))
     with pytest.raises(ValueError):
         verify_inaba(P, 5, 0.5, 0, RandomSource(0))
+    with pytest.raises(ValueError, match="M must be a positive integer"):
+        verify_inaba(P, 2.5, 0.5, 10, RandomSource(0))
+    with pytest.raises(ValueError, match="repetitions must be a positive integer"):
+        verify_null_sampling(0.25, 1.0, make_points(7, 30, 2).coords, True, RandomSource(0))
 
 
 def test_null_sampling_count_gate():

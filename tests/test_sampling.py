@@ -31,6 +31,12 @@ def test_zero_total_is_rejected():
         sample_indices(np.zeros(4), 1, RandomSource(0).generator())
 
 
+def test_total_past_float64_is_rejected():
+    """Finite masses whose total overflows: a ValueError names the total."""
+    with pytest.raises(ValueError, match="total of the sampling weights overflows float64"):
+        sample_indices(np.array([1e308, 1e308]), 1, RandomSource(0).generator())
+
+
 def test_identical_streams_replay_identically():
     w = np.array([1.0, 2.0, 3.0])
     a = sample_indices(w, 100, RandomSource(9, (4,)).generator())

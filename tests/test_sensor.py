@@ -498,9 +498,14 @@ def test_place_sensors_rejects_bad_arguments(unit_square):
         place_sensors(
             SensorRegion(UNIT, density), 1, 0.5, 0.25, solver="agglomerative"
         )
+    # So is a k that is not a positive integer.
+    for k in (0, 2.5, True):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            place_sensors(SensorRegion(UNIT, density), k, 0.5, 0.25)
+    for order in (0, 2.5):
+        with pytest.raises(ValueError, match="order must be a positive integer"):
+            place_sensors(SensorRegion(UNIT, density), 1, 0.5, 0.25, quad_order=order)
     assert density.points == 0
-    with pytest.raises(ValueError, match="positive"):
-        place_sensors(unit_square, 0, 0.5, 0.25)
 
 
 def test_place_sensors_warns_on_coarse_grid(unit_square):
