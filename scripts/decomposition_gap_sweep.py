@@ -38,7 +38,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--grid-eps", type=float, nargs="+", default=[0.2, 0.1, 0.05])
     ap.add_argument("--region", help="region JSON; defaults to the unit square")
-    ap.add_argument("--quad-order", type=int, default=4)
     ap.add_argument("--output", default="decomposition_gaps.csv")
     args = ap.parse_args(argv)
 
@@ -54,7 +53,7 @@ def main(argv=None) -> int:
         for name, centers in CONFIGS.items():
             prev = None
             for eps in args.grid_eps:
-                rep = decomposition_check(region, eps, centers, args.quad_order)
+                rep = decomposition_check(region, eps, centers)
                 writer.writerow(
                     {
                         "config": name,

@@ -9,8 +9,6 @@ iteration is provably non-increasing in cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from wkmeans.core import (
@@ -25,23 +23,17 @@ from wkmeans.core import (
 )
 from wkmeans.sampling import RandomSource, sample_indices
 
-__all__ = ["LloydParams", "kmeanspp_seed", "lloyd_descend", "kmeanspp_lloyd"]
+__all__ = ["kmeanspp_seed", "lloyd_descend", "kmeanspp_lloyd"]
 
 _MASS_OVERFLOW = (
     "the products of weights and squared distances, or their sum, overflow"
     " float64; scale the weights down"
 )
 
-
-@dataclass(frozen=True)
-class LloydParams:
-    max_iters: int = 200
-    rel_improvement_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        _check_positive_int("max_iters", self.max_iters)
-        if self.rel_improvement_tol < 0.0:
-            raise ValueError("rel_improvement_tol must be nonnegative")
+# Lloyd's stopping rule: at most _MAX_ITERS rounds, and stop after a round
+# that lowers the cost by less than _REL_TOL of the previous cost.
+_MAX_ITERS = 200
+_REL_TOL = 1e-9
 
 
 def kmeanspp_seed(P: WeightedPointSet, k: int, rng: RandomSource) -> CenterSet:
@@ -78,22 +70,19 @@ def kmeanspp_seed(P: WeightedPointSet, k: int, rng: RandomSource) -> CenterSet:
     return CenterSet(P.coords[np.array(chosen, dtype=np.intp)])
 
 
-def lloyd_descend(
-    P: WeightedPointSet, init: CenterSet, params: LloydParams | None = None
-) -> ClusteringResult:
+def lloyd_descend(P: WeightedPointSet, init: CenterSet) -> ClusteringResult:
     """Alternate nearest-center assignment and weighted centroid updates.
 
     Ties assign to the lowest center index; a cluster that loses all points
-    keeps its previous center. Stops when relative improvement drops below
-    the tolerance or after max_iters rounds. The cost history (including the
-    initial cost) lands in meta["cost_history"].
+    keeps its previous center. Stops when a round improves the cost by less
+    than a relative 1e-9 or after 200 rounds. The cost history (including
+    the initial cost) lands in meta["cost_history"].
 
     Each round makes one kernel pass over the new centers: it prices them
     and gives the assignment for the next centroids, and the last pass is
     the result's. Centroids are per-cluster sums from `np.bincount`; sums
     of weights times coordinates past float64 raise ValueError.
     """
-    params = params or LloydParams()
     centers = init.centers.copy()
     k = centers.shape[0]
     with np.errstate(over="ignore"):
@@ -101,7 +90,7 @@ def lloyd_descend(
     assignment, d2 = _nearest(P.coords, centers)
     history = [_cost(P.weights, d2)]
     iterations = 0
-    for _ in range(params.max_iters):
+    for _ in range(_MAX_ITERS):
         mass = np.bincount(assignment, weights=P.weights, minlength=k)
         live = mass > 0.0
         new_centers = centers.copy()
@@ -119,22 +108,17 @@ def lloyd_descend(
         history.append(cost)
         iterations += 1
         prev = history[-2]
-        if prev <= 0.0 or (prev - cost) < params.rel_improvement_tol * prev:
+        if prev <= 0.0 or (prev - cost) < _REL_TOL * prev:
             break
     meta = {"solver": "lloyd", "iterations": iterations, "cost_history": history}
     return ClusteringResult(CenterSet(centers), assignment, history[-1], meta)
 
 
-def kmeanspp_lloyd(
-    P: WeightedPointSet,
-    k: int,
-    rng: RandomSource,
-    params: LloydParams | None = None,
-) -> ClusteringResult:
+def kmeanspp_lloyd(P: WeightedPointSet, k: int, rng: RandomSource) -> ClusteringResult:
     """Seed with distance-weighted sampling, refine with Lloyd descent."""
     _check_weight_total(P)
     init = kmeanspp_seed(P, k, rng)
-    result = lloyd_descend(P, init, params)
+    result = lloyd_descend(P, init)
     meta = dict(result.meta)
     meta["solver"] = "kmeanspp-lloyd"
     return ClusteringResult(result.centers, result.assignment, result.cost, meta)

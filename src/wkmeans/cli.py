@@ -26,14 +26,12 @@ from pathlib import Path
 
 from wkmeans import SOLVERS, instances, sensor, verification
 from wkmeans.core import (
-    PointFileError,
     _check_positive_int,
     _write_rows,
     load_weighted_points,
     save_weighted_points,
 )
 from wkmeans.oracle import InstanceTooLarge
-from wkmeans.sensor import RegionFileError
 
 __all__ = ["main", "entry"]
 
@@ -69,7 +67,13 @@ def _ptas_overrides(args: argparse.Namespace) -> dict:
 def _add_ptas_flags(p: argparse.ArgumentParser) -> None:
     """The PTAS, seed, thread and output flags of cluster, sensor and bench."""
     p.add_argument("--epsilon", type=float, default=0.5, help="target accuracy")
-    p.add_argument("--c1", type=float, default=None, help="sample-size multiplier")
+    p.add_argument(
+        "--c1",
+        type=float,
+        default=None,
+        help="sets only the reported sample size N and the N >= M check;"
+        " no draw uses N",
+    )
     p.add_argument("--c2", type=float, default=None, help="subset-size multiplier")
     p.add_argument("--trials", type=_positive_int, default=None, help="independent trials")
     p.add_argument(
@@ -94,12 +98,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=_positive_int, help="number of centers")
     p.add_argument("--solver", choices=tuple(SOLVERS), default="ptas")
     _add_ptas_flags(p)
-    p.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default="json",
-        help="structured (json) or tabular (csv) output",
-    )
 
 
 def _emit(text: str, output: Path | None) -> None:
@@ -201,10 +199,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for chunk in args.only:
             names.extend(s for s in chunk.split(",") if s)
         only = tuple(names)
-    thresholds = {}
-    if args.parallel_axis_tol is not None:
-        thresholds["parallel-axis"] = args.parallel_axis_tol
-    results = verification.run_checks(args.seed, only, thresholds)
+    results = verification.run_checks(args.seed, only)
     for res in results:
         print(res.line())
     failed = [r for r in results if not r.passed]
@@ -264,6 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="weighted point CSV (header x1,...,xd,weight)",
     )
     _add_solver_flags(p_cluster)
+    p_cluster.add_argument(
+        "--format",
+        choices=("json", "csv"),
+        default="json",
+        help="structured (json) or tabular (csv) output",
+    )
     p_cluster.set_defaults(func=cmd_cluster, k=2)
 
     p_sensor = sub.add_parser("sensor", help="place sensors over a region")
@@ -294,12 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CHECK[,CHECK...]",
         help=f"subset of checks; known: {', '.join(verification.check_names())}",
     )
-    p_verify.add_argument(
-        "--parallel-axis-tol",
-        type=float,
-        default=None,
-        help="override the parallel-axis tolerance (harness self-test hook)",
-    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="solver comparison matrix")
@@ -320,16 +315,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PointFileError, RegionFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InstanceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -205,7 +205,7 @@ def random_instance(
     """Random point set with coords in [0, 1); sizes drawn uniformly.
 
     The unit coordinate box keeps costs at most O(n * w_high), so absolute
-    floating-point slack thresholds like 1e-12 are meaningful.
+    floating-point slack tolerances like 1e-12 are meaningful.
     """
     gen = rng.generator()
     n = 1 + int(gen.random() * max_n)

@@ -23,9 +23,9 @@ arrays. Interior squares go into the vertex array as their four corners;
 only the boundary squares are compared with their pieces, and a cell that
 clipping left unchanged is flagged a whole square. All integrals go through
 one batched function, `_integrate_cells`, with two rules of one order q
-(`quad_order`): a whole grid square takes the q x q Gauss-Legendre product
-rule on its own sides (q^2 density nodes, exact to degree 2q-1 in each
-variable), and every other convex polygon, a clipped piece or a whole
+(`_QUAD_ORDER`, 4): a whole grid square takes the q x q Gauss-Legendre
+product rule on its own sides (q^2 density nodes, exact to degree 2q-1 in
+each variable), and every other convex polygon, a clipped piece or a whole
 region, a fan of collapsed Gauss rules on the triangles from its first
 vertex (q^2 nodes per triangle, exact to total degree 2q-2). Either way
 cell masses, centers of mass and, from q = 2 on, inertias are
@@ -100,6 +100,10 @@ __all__ = [
 
 DROP_WEIGHT = 1e-12
 INERTIA_WARN_FRACTION = 0.10
+# Gauss order of normalization, the cell moments and the mesh coverage.
+# q = 4 keeps cell masses, centers of mass and inertias exact for uniform
+# density; grid_eps, not q, sets the accuracy.
+_QUAD_ORDER = 4
 # Quadrature nodes per density call in the cell integrator; it also caps
 # the grid squares classified per block of rows in discretize. At 2^14 a
 # block's (nodes, 2) coordinate arrays are 256 KiB each. On sensor-fine
@@ -362,12 +366,12 @@ class Discretization:
     inertias are its mass w_i, its center of mass x_i, shape (n, 2), and its
     inertia J_i about x_i. clipped[i] is set when clipping changed cell i
     from its grid square, and n_clipped counts those cells. All moments come
-    from Gauss rules of order quad_order: a whole square (clipped unset)
-    from the quad_order x quad_order product rule on the square, a clipped
-    piece from the fan of triangle rules. coverage_cost prices the mesh with
-    the same order and the same rule per cell. as_point_set, the centers of
-    mass in the region's own frame (origin + coms) weighted by mass, is
-    built once for export. All arrays are read-only.
+    from Gauss rules of the fixed order q = 4: a whole square (clipped
+    unset) from the 4 x 4 product rule on the square, a clipped piece from
+    the fan of triangle rules. coverage_cost prices the mesh with the same
+    order and the same rule per cell. as_point_set, the centers of mass in
+    the region's own frame (origin + coms) weighted by mass, is built once
+    for export. All arrays are read-only.
     """
 
     vertices: np.ndarray
@@ -376,7 +380,6 @@ class Discretization:
     coms: np.ndarray
     inertias: np.ndarray
     grid_eps: float
-    quad_order: int
     clipped: np.ndarray
     origin: np.ndarray
     as_point_set: WeightedPointSet = field(init=False, repr=False)
@@ -542,11 +545,11 @@ def _integrate_cells(
     return mass, com.T, inertia, cost
 
 
-def normalize_density(region: SensorRegion, quad_order: int = 4) -> SensorRegion:
+def normalize_density(region: SensorRegion) -> SensorRegion:
     """Rescale the density so its integral over the region is one."""
     local = region.local
     one_cell = np.array([0]), np.array([len(local.polygon)])
-    mass = float(_integrate_cells(local, local.polygon, *one_cell, quad_order)[0][0])
+    mass = float(_integrate_cells(local, local.polygon, *one_cell, _QUAD_ORDER)[0][0])
     if mass <= 0.0:
         raise ValueError("density has zero mass on the region")
     if mass < 1e-9:
@@ -727,9 +730,7 @@ def _clip_grid(poly: np.ndarray, grid_eps: float) -> tuple[np.ndarray, ...]:
     return out, counts[kept], clipped[kept]
 
 
-def discretize(
-    region: SensorRegion, grid_eps: float, quad_order: int = 4
-) -> Discretization:
+def discretize(region: SensorRegion, grid_eps: float) -> Discretization:
     """Clip a square grid to the region and integrate per cell.
 
     Works on region.local: the grid anchors at the lower-left corner of the
@@ -742,7 +743,7 @@ def discretize(
     verts, counts, clipped = _clip_grid(region.local.polygon, grid_eps)
     first = np.cumsum(counts) - counts
     mass, com, inertia, _ = _integrate_cells(
-        region.local, verts, first, counts, quad_order, square=~clipped
+        region.local, verts, first, counts, _QUAD_ORDER, square=~clipped
     )
     keep = mass >= DROP_WEIGHT
     if not keep.any():
@@ -755,7 +756,6 @@ def discretize(
         com.compress(keep, axis=0),
         inertia[keep],
         grid_eps,
-        quad_order,
         clipped.compress(keep),
         region.origin,
     )
@@ -771,14 +771,13 @@ def coverage_cost(
 
     Without a mesh, integrates over the whole polygon with the fan of
     triangle rules of quad_order (6 when None). With a mesh, integrates cell
-    by cell with the mesh's own quad_order and rules, so quadrature nodes
-    never straddle cell boundaries and grid-aligned center configurations
-    are exact; an explicit quad_order that differs from the mesh's raises
-    ValueError, since the mesh's moments were taken with its order. Every
-    cell vertex is assigned to its nearest center in one pass. A cell whose
-    vertices all go to center c lies inside c's closed Voronoi cell (both
-    are convex), so its quadrature value is exactly w |x - c|^2 + J and is
-    taken from the mesh arrays; only cells with vertices on more than one
+    by cell with the rules of the fixed order the mesh was built with, so
+    quadrature nodes never straddle cell boundaries and grid-aligned center
+    configurations are exact; passing quad_order with a mesh raises
+    ValueError. Every cell vertex is assigned to its nearest center in one
+    pass. A cell whose vertices all go to center c lies inside c's closed
+    Voronoi cell (both are convex), so its quadrature value is exactly
+    w |x - c|^2 + J and is taken from the mesh arrays; only cells with vertices on more than one
     center are integrated, a whole square with the product rule and a
     clipped piece with the fan, as when the mesh was built, since that
     identity holds only for the rule that gave w, x and J. All terms go into
@@ -794,18 +793,15 @@ def coverage_cost(
         order = 6 if quad_order is None else quad_order
         one_cell = np.array([0]), np.array([len(local.polygon)])
         return float(_integrate_cells(local, local.polygon, *one_cell, order, c)[3][0])
-    if quad_order is not None and quad_order != mesh.quad_order:
-        raise ValueError(
-            f"quad_order {quad_order} differs from the mesh's quad_order "
-            f"{mesh.quad_order}"
-        )
+    if quad_order is not None:
+        raise ValueError("quad_order applies only without a mesh")
     verts, first, counts = mesh.vertices, mesh.starts[:-1], np.diff(mesh.starts)
     owner = _nearest(verts, c)[0]
     cut = np.minimum.reduceat(owner, first) != np.maximum.reduceat(owner, first)
     d = mesh.coms.compress(~cut, axis=0) - c.take(owner[first[~cut]], axis=0)
     uncut = mesh.weights[~cut] * (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
     split = _integrate_cells(
-        local, verts, first[cut], counts[cut], mesh.quad_order, c, ~mesh.clipped[cut]
+        local, verts, first[cut], counts[cut], _QUAD_ORDER, c, ~mesh.clipped[cut]
     )
     return _exact_sum(np.concatenate([uncut, mesh.inertias[~cut], split[3]]))
 
@@ -821,12 +817,7 @@ class DecompositionReport:
     inertia_sum: float
 
 
-def decomposition_check(
-    region: SensorRegion,
-    grid_eps: float,
-    centers,
-    quad_order: int = 4,
-) -> DecompositionReport:
+def decomposition_check(region: SensorRegion, grid_eps: float, centers) -> DecompositionReport:
     """Compare the coverage integral against clustering cost plus inertias.
 
     lhs integrates phi * nearest-center distance cell by cell; rhs assigns
@@ -834,7 +825,7 @@ def decomposition_check(
     exactly when no Voronoi boundary crosses a cell interior; otherwise the
     rhs overshoots and the reported gap measures the discretization error.
     """
-    disc = discretize(region, grid_eps, quad_order)
+    disc = discretize(region, grid_eps)
     lhs = coverage_cost(region, centers, mesh=disc)
     c = as_center_array(centers) - region.origin
     quant = weighted_cost(WeightedPointSet(disc.coms, disc.weights), c)
@@ -865,7 +856,6 @@ def place_sensors(
     master_seed: int = 0,
     overrides: dict | None = None,
     threads: int = 1,
-    quad_order: int = 4,
 ) -> PlacementReport:
     """Normalize, discretize, cluster, and price the resulting placement.
 
@@ -877,13 +867,14 @@ def place_sensors(
     any cell-splitting error are included honestly. The result meta records
     that cell-splitting error as decomposition_gap (coverage minus
     quantization cost minus inertia sum) and decomposition_gap_rel (the gap
-    over the coverage).
+    over the coverage). Notes on a grid too coarse for the region or for
+    the accuracy go to the report's warnings, not to the warnings module.
     """
     _check_positive_int("k", k)
     if solver not in SOLVERS:
         raise ValueError(f"unsupported solver {solver!r}; known: {', '.join(SOLVERS)}")
-    normalized = normalize_density(region, quad_order)
-    disc = discretize(normalized, grid_eps, quad_order)
+    normalized = normalize_density(region)
+    disc = discretize(normalized, grid_eps)
     notes = []
     if disc.weights.shape[0] == 1:
         notes.append("grid coarser than region: single-cell discretization")
@@ -892,12 +883,10 @@ def place_sensors(
     inertia = disc.inertia_sum
     coverage = coverage_cost(normalized.local, result.centers, mesh=disc)
     if coverage > 0.0 and inertia > INERTIA_WARN_FRACTION * coverage:
-        msg = (
+        notes.append(
             f"cell inertia is {inertia / coverage:.1%} of the coverage cost; "
             "grid_eps is too coarse for the requested accuracy"
         )
-        notes.append(msg)
-        warnings.warn(msg, stacklevel=2)
     meta = dict(result.meta)
     meta["grid_eps"] = grid_eps
     meta["n_cells"] = disc.weights.shape[0]

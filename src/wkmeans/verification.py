@@ -4,7 +4,7 @@ Each check builds its own synthetic instances from a stream derived off the
 master seed (one stream per check, so filtering with --only never shifts
 another check's randomness), computes a scalar statistic, and compares it to
 a threshold. Thresholds for the statistical checks come from binomial
-confidence intervals or chi-square significance levels; thresholds for the
+confidence intervals or chi-square significance levels; those for the
 algebraic identities are floating-point slack.
 """
 
@@ -415,24 +415,15 @@ def check_names() -> tuple[str, ...]:
     return tuple(name for name, _, _ in _CHECKS)
 
 
-def run_checks(
-    seed: int = 0,
-    only: tuple[str, ...] | None = None,
-    thresholds: dict[str, float] | None = None,
-) -> list[CheckResult]:
-    """Run the named checks (all by default) and return their results.
-
-    `thresholds` overrides a check's default threshold by name, which is also
-    the hook the self-test uses to prove the harness can fail.
-    """
+def run_checks(seed: int = 0, only: tuple[str, ...] | None = None) -> list[CheckResult]:
+    """Run the named checks (all by default) and return their results."""
     if only:
         unknown = set(only) - set(check_names())
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
     results = []
-    for i, (name, fn, default_threshold) in enumerate(_CHECKS):
+    for i, (name, fn, threshold) in enumerate(_CHECKS):
         if only and name not in only:
             continue
-        threshold = (thresholds or {}).get(name, default_threshold)
         results.append(fn(RandomSource(seed).derive(100 + i), threshold))
     return results

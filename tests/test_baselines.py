@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wkmeans import sampling
-from wkmeans.baselines import LloydParams, kmeanspp_lloyd, kmeanspp_seed, lloyd_descend
+from wkmeans import baselines, sampling
+from wkmeans.baselines import kmeanspp_lloyd, kmeanspp_seed, lloyd_descend
 from wkmeans.core import CenterSet, WeightedPointSet, assign_to_centers, weighted_cost
 from wkmeans.instances import kpp20, line4, oracle_instances, random_instance
 from wkmeans.sampling import RandomSource
@@ -85,29 +85,19 @@ def test_seeding_sums_each_draw_distribution_once(monkeypatch):
     assert calls == [30] * 4
 
 
-def test_lloyd_params_validation():
-    with pytest.raises(ValueError):
-        LloydParams(rel_improvement_tol=-1.0)
-
-
-@pytest.mark.parametrize("max_iters", [0, -3, 2.5, 2.0, True, "5"])
-def test_lloyd_params_reject_bad_iteration_counts(max_iters):
-    with pytest.raises(ValueError, match="max_iters must be a positive integer"):
-        LloydParams(max_iters=max_iters)
-
-
 def test_lloyd_keeps_optimal_centers_fixed():
     inst = line4()
     start = CenterSet(np.array([[0.5], [4.5]]))
-    res = lloyd_descend(inst.points, start, LloydParams())
+    res = lloyd_descend(inst.points, start)
     assert np.array_equal(res.centers.centers, start.centers)
     assert res.cost == inst.opt_cost
 
 
-def test_lloyd_keeps_empty_cluster_center_in_place():
+def test_lloyd_keeps_empty_cluster_center_in_place(monkeypatch):
+    monkeypatch.setattr(baselines, "_MAX_ITERS", 3)
     P = WeightedPointSet(np.array([[0.0], [1.0]]), np.ones(2))
     far = CenterSet(np.array([[0.4], [50.0]]))
-    res = lloyd_descend(P, far, LloydParams(max_iters=3))
+    res = lloyd_descend(P, far)
     assert res.centers.k == 2
     assert np.all(np.isfinite(res.centers.centers))
     assert res.centers.centers[1, 0] == 50.0
@@ -117,7 +107,7 @@ def test_lloyd_history_is_monotone():
     for seed in range(10):
         P = random_instance(RandomSource(seed), max_n=60, max_dim=3)
         start = kmeanspp_seed(P, 3, RandomSource(seed + 1000))
-        res = lloyd_descend(P, start, LloydParams())
+        res = lloyd_descend(P, start)
         hist = res.meta["cost_history"]
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
         assert res.cost == hist[-1]
@@ -134,19 +124,20 @@ def _mask_loop_centroids(P, centers, assignment):
 
 
 @pytest.mark.parametrize("offset", [0.0, 5e6])
-def test_lloyd_round_matches_mask_loop_centroids(offset):
+def test_lloyd_round_matches_mask_loop_centroids(monkeypatch, offset):
     """Each round's bincount centroids, assignment and cost, one at a time.
 
     The fourth start center is far away, so its cluster starts empty and
     must keep its place.
     """
+    monkeypatch.setattr(baselines, "_MAX_ITERS", 1)
     for seed in range(5):
         base = make_points(seed, 400, 2)
         P = WeightedPointSet(base.coords + offset, base.weights)
         centers = kmeanspp_seed(P, 3, RandomSource(seed)).centers
         centers = np.vstack([centers, [offset + 1e3, offset]])
         for _ in range(4):
-            res = lloyd_descend(P, CenterSet(centers), LloydParams(max_iters=1))
+            res = lloyd_descend(P, CenterSet(centers))
             ref = _mask_loop_centroids(P, centers, assign_to_centers(P.coords, centers))
             np.testing.assert_allclose(res.centers.centers, ref, rtol=1e-12, atol=0)
             assert res.centers.centers[3].tolist() == [offset + 1e3, offset]
@@ -163,7 +154,7 @@ def test_lloyd_never_beats_but_never_worsens_seeding(seed):
     P = random_instance(RandomSource(seed), max_n=40, max_dim=2)
     start = kmeanspp_seed(P, 2, RandomSource(seed ^ 0x77))
     before = weighted_cost(P, start)
-    res = lloyd_descend(P, start, LloydParams())
+    res = lloyd_descend(P, start)
     assert res.cost <= before + 1e-12
 
 

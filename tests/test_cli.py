@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import wkmeans
-from wkmeans import SOLVERS, cli, ptas
+from wkmeans import SOLVERS, cli, ptas, verification
 from wkmeans.core import WeightedPointSet, load_weighted_points, save_weighted_points
 from wkmeans.oracle import brute_force_opt
 from wkmeans.sensor import RegionFileError, load_region, place_sensors
@@ -118,6 +118,14 @@ def test_cluster_rejects_bad_integer_flags(capsys, flags):
         assert "must be a positive integer" in capsys.readouterr().err
 
 
+def test_sensor_rejects_format_flag(capsys):
+    """--format belongs to cluster; sensor always writes JSON."""
+    with pytest.raises(SystemExit) as exc:
+        run(["sensor", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("solver", ["ptas", "kmeanspp-lloyd"])
 def test_cluster_refuses_weight_totals_that_overflow(tmp_path, capsys, solver):
     path = tmp_path / "huge.csv"
@@ -222,11 +230,12 @@ def test_sensor_points_path_derived_from_output(tmp_path):
 
 
 @pytest.mark.parametrize("solver", list(SOLVERS))
-def test_sensor_runs_every_solver(tmp_path, solver):
+def test_sensor_runs_every_solver(tmp_path, capsys, solver):
     out = tmp_path / "place.json"
     argv = ["sensor", "--solver", solver, "--k", "2", "--grid-eps", "0.5", "--output", str(out)]
-    with pytest.warns(UserWarning, match="too coarse"):
-        assert run(argv) == 0
+    assert run(argv) == 0
+    # The coarse-grid note is printed once, from the report.
+    assert capsys.readouterr().err.count("too coarse") == 1
     payload = json.loads(out.read_text())
     assert payload["solver"] == payload["meta"]["solver"] == solver
     assert payload["n_cells"] == 4
@@ -238,8 +247,7 @@ def test_sensor_oracle_is_brute_force_on_the_cells(tmp_path, capsys):
     out, cells = tmp_path / "place.json", tmp_path / "cells.csv"
     argv = ["sensor", "--solver", "oracle", "--k", "2", "--grid-eps", "0.5",
             "--output", str(out), "--points-output", str(cells)]
-    with pytest.warns(UserWarning, match="too coarse"):
-        assert run(argv) == 0
+    assert run(argv) == 0
     payload = json.loads(out.read_text())
     exact = brute_force_opt(load_weighted_points(cells), 2)
     assert payload["centers"] == exact.centers.centers.tolist()
@@ -312,8 +320,15 @@ def test_verify_full_suite_passes(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
-def test_verify_tolerance_hook_fails(capsys):
-    assert run(["verify", "--only", "parallel-axis", "--parallel-axis-tol", "0"]) == 1
+def test_verify_tolerance_hook_fails(monkeypatch, capsys):
+    """The harness can fail: at threshold 0 the parallel-axis check's
+    floating-point slack is over tolerance."""
+    checks = [
+        (name, fn, 0.0 if name == "parallel-axis" else threshold)
+        for name, fn, threshold in verification._CHECKS
+    ]
+    monkeypatch.setattr(verification, "_CHECKS", tuple(checks))
+    assert run(["verify", "--only", "parallel-axis"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 

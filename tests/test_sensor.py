@@ -116,21 +116,29 @@ def test_coverage_cost_low_order_exact(unit_square):
     # already exact through degree 2.
     val = coverage_cost(unit_square, np.array([[0.5, 0.5]]), quad_order=2)
     assert val == pytest.approx(1.0 / 6.0, abs=1e-14)
-    mesh = discretize(unit_square, 0.5, quad_order=2)
-    val_mesh = coverage_cost(unit_square, np.array([[0.5, 0.5]]), quad_order=2, mesh=mesh)
+    mesh = discretize(unit_square, 0.5)
+    val_mesh = coverage_cost(unit_square, np.array([[0.5, 0.5]]), mesh=mesh)
     assert val_mesh == pytest.approx(1.0 / 6.0, abs=1e-14)
 
 
 def test_coverage_cost_mesh_uses_the_mesh_quadrature_order(unit_square):
-    """quad_order=None means the mesh's order; any other order is refused."""
+    """A mesh is priced with the fixed order its moments were taken with;
+    a quad_order passed with a mesh, even that order, is refused. Without a
+    mesh an order that is not a positive integer is refused before the
+    density is evaluated."""
     centers = np.array([[0.31, 0.47], [0.69, 0.58]])
-    mesh = discretize(unit_square, 0.25, quad_order=3)
-    assert mesh.quad_order == 3
-    assert coverage_cost(unit_square, centers, mesh=mesh) == coverage_cost(
-        unit_square, centers, quad_order=3, mesh=mesh
+    mesh = discretize(unit_square, 0.25)
+    assert coverage_cost(unit_square, centers, mesh=mesh) == pytest.approx(
+        _integrated_coverage(unit_square, mesh, centers), rel=1e-12
     )
-    with pytest.raises(ValueError, match="quad_order 4 differs"):
-        coverage_cost(unit_square, centers, quad_order=4, mesh=mesh)
+    for order in (3, sensor._QUAD_ORDER):
+        with pytest.raises(ValueError, match="quad_order applies only without a mesh"):
+            coverage_cost(unit_square, centers, quad_order=order, mesh=mesh)
+    density = _CountingDensity()
+    for order in (0, 2.5):
+        with pytest.raises(ValueError, match="order must be a positive integer"):
+            coverage_cost(SensorRegion(UNIT, density), centers, quad_order=order)
+    assert density.points == 0
 
 
 def test_coverage_cost_split_pair_exact_on_mesh(unit_square):
@@ -138,7 +146,7 @@ def test_coverage_cost_split_pair_exact_on_mesh(unit_square):
     # quadrature is exact: two 0.5 x 1 rectangles, each area*(w^2+h^2)/12.
     centers = np.array([[0.25, 0.5], [0.75, 0.5]])
     mesh = discretize(unit_square, 0.5)
-    val = coverage_cost(unit_square, centers, quad_order=4, mesh=mesh)
+    val = coverage_cost(unit_square, centers, mesh=mesh)
     assert val == pytest.approx(5.0 / 48.0, abs=1e-12)
 
 
@@ -376,7 +384,7 @@ def test_coverage_cost_matches_scipy_backed_density():
     assert ours.density_scale == pytest.approx(theirs.density_scale, rel=1e-12)
     centers = np.array([[0.3, 0.3], [0.7, 0.6]])
     mesh = discretize(ours, 0.05)
-    for kwargs in ({}, {"quad_order": 4, "mesh": mesh}):
+    for kwargs in ({}, {"mesh": mesh}):
         assert coverage_cost(ours, centers, **kwargs) == pytest.approx(
             coverage_cost(theirs, centers, **kwargs), rel=1e-12
         )
@@ -502,17 +510,15 @@ def test_place_sensors_rejects_bad_arguments(unit_square):
     for k in (0, 2.5, True):
         with pytest.raises(ValueError, match="k must be a positive integer"):
             place_sensors(SensorRegion(UNIT, density), k, 0.5, 0.25)
-    for order in (0, 2.5):
-        with pytest.raises(ValueError, match="order must be a positive integer"):
-            place_sensors(SensorRegion(UNIT, density), 1, 0.5, 0.25, quad_order=order)
     assert density.points == 0
 
 
 def test_place_sensors_warns_on_coarse_grid(unit_square):
-    with pytest.warns(UserWarning, match="coarse"):
-        report = place_sensors(
-            unit_square, 1, 0.5, 2.0, solver="kmeanspp-lloyd", master_seed=1
-        )
+    """The coarse-grid notes land in report.warnings only; under the
+    suite's warnings-as-errors filter a warnings.warn would fail here."""
+    report = place_sensors(
+        unit_square, 1, 0.5, 2.0, solver="kmeanspp-lloyd", master_seed=1
+    )
     assert len(report.discretization.cells) == 1
     assert report.quantization_cost == pytest.approx(0.0, abs=1e-15)
     assert any("single-cell" in w for w in report.warnings)
@@ -902,7 +908,7 @@ def test_output_bytes_do_not_depend_on_block_size(points, grid_eps, shift, cente
             except ValueError as exc:  # no cell above DROP_WEIGHT, at every size alike
                 outputs.append(out + [str(exc)])
                 continue
-            cost = coverage_cost(normalized, centers, quad_order=4, mesh=mesh)
+            cost = coverage_cost(normalized, centers, mesh=mesh)
             bytes_ = _discretization_bytes(mesh) + mesh.starts.tobytes()
             outputs.append(out + [bytes_, mesh.n_clipped, cost])
     assert all(out == outputs[0] for out in outputs[1:])
@@ -1005,7 +1011,7 @@ def _integrated_coverage(region, mesh, centers) -> float:
     """Coverage of the mesh with every cell integrated by its own rule, none
     priced in closed form."""
     cost = sensor._integrate_cells(
-        region.local, mesh.vertices, mesh.starts[:-1], np.diff(mesh.starts), mesh.quad_order,
+        region.local, mesh.vertices, mesh.starts[:-1], np.diff(mesh.starts), sensor._QUAD_ORDER,
         centers - mesh.origin, ~mesh.clipped,
     )[3]
     return math.fsum(cost.tolist())
@@ -1087,7 +1093,7 @@ class _CountingDensity:
 def test_discretize_evaluates_q_squared_nodes_per_grid_square():
     """The unit square at grid 0.1 is 100 whole squares of q^2 nodes each."""
     density = _CountingDensity()
-    mesh = discretize(SensorRegion(UNIT, density), 0.1, quad_order=4)
+    mesh = discretize(SensorRegion(UNIT, density), 0.1)
     assert mesh.weights.shape[0] == 100 and mesh.n_clipped == 0
     assert density.points == 100 * 4**2
 
@@ -1100,7 +1106,7 @@ def test_mesh_coverage_evaluates_phi_only_at_cut_cell_nodes():
         density = _CountingDensity()
         region = SensorRegion(poly, density)
         mesh = discretize(region, 0.1)
-        q2 = mesh.quad_order**2
+        q2 = sensor._QUAD_ORDER**2
         counts = []
         for centers in (np.array([[0.43, 0.52]]), np.array([[0.31, 0.47], [0.69, 0.58]])):
             cut = [
