@@ -33,11 +33,11 @@ __all__ = [
     "__version__",
 ]
 
-# The solvers of cluster, sensor, bench and sensor.place_sensors, by name.
-# Only the PTAS reads epsilon, overrides and threads. Each entry imports its
-# module when called, so `import wkmeans` loads core only, and looks the
-# function up on the module then, so a rebound attribute (a tracer's wrapper,
-# a test's spy) is the one that runs.
+# The solvers of cluster, sensor, bench and sensor.place_sensors, by name;
+# each returns a ClusteringResult. Only the PTAS reads epsilon, overrides and
+# threads. Each entry imports its module when called, so `import wkmeans`
+# loads core only, and looks the function up on the module then, so a
+# rebound attribute (a tracer's wrapper, a test's spy) is the one that runs.
 
 
 def _ptas(P, k, epsilon, overrides, seed, threads) -> ClusteringResult:
@@ -52,13 +52,7 @@ def _kmeanspp_lloyd(P, k, epsilon, overrides, seed, threads) -> ClusteringResult
 
 def _oracle(P, k, epsilon, overrides, seed, threads) -> ClusteringResult:
     from wkmeans import oracle
-    exact = oracle.brute_force_opt(P, k)
-    meta = {
-        "solver": "oracle",
-        "partitions_evaluated": exact.partitions_evaluated,
-        "groups": [list(g) for g in exact.groups],
-    }
-    return ClusteringResult.from_centers(P, exact.centers, meta)
+    return oracle.brute_force_opt(P, k)
 
 
 SOLVERS = {"ptas": _ptas, "kmeanspp-lloyd": _kmeanspp_lloyd, "oracle": _oracle}

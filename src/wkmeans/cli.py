@@ -198,6 +198,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         names = []
         for chunk in args.only:
             names.extend(s for s in chunk.split(",") if s)
+        if not names:
+            raise ValueError("--only names no check")
         only = tuple(names)
     results = verification.run_checks(args.seed, only)
     for res in results:

@@ -281,28 +281,16 @@ def weighted_cost(P: WeightedPointSet, centers) -> float:
     return _cost(P.weights, _nearest(P.coords, centers, index=False)[1])
 
 
-def weighted_centroid(points, weights=None) -> np.ndarray:
-    """Weight-averaged mean of a point set or an explicit (coords, weights) pair.
+def weighted_centroid(P: WeightedPointSet) -> np.ndarray:
+    """Weight-averaged mean of a point set, shape (d,).
 
     The centroid is the unique single-center minimizer of the weighted
-    squared-distance cost.
+    squared-distance cost. `WeightedPointSet` already refuses an empty set,
+    mismatched weights and weights that are not positive.
     """
-    if isinstance(points, WeightedPointSet):
-        coords, w = points.coords, points.weights
-    else:
-        coords = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if weights is None:
-            raise ValueError("weights required when passing raw coordinates")
-        w = np.asarray(weights, dtype=np.float64).ravel()
-        if w.shape[0] != coords.shape[0]:
-            raise ValueError(f"{w.shape[0]} weights for {coords.shape[0]} points")
-    if coords.shape[0] == 0 or w.shape[0] == 0:
-        raise ValueError("empty subset")
-    total = math.fsum(w.tolist())
-    if total <= 0.0:
-        raise ValueError("empty subset")
-    sums = [math.fsum((w * coords[:, j]).tolist()) for j in range(coords.shape[1])]
-    return np.array(sums) / total
+    coords, w = P.coords, P.weights
+    sums = [math.fsum((w * coords[:, j]).tolist()) for j in range(P.dim)]
+    return np.array(sums) / math.fsum(w.tolist())
 
 
 def parallel_axis_rhs(P: WeightedPointSet, c) -> float:

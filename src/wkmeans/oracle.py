@@ -3,7 +3,8 @@
 The brute-force optimum is the ground truth behind every approximation claim
 in the test suite, so it trades all cleverness for auditability: enumerate
 every partition of the points into at most k nonempty groups, score each by
-the centroid cost of its groups, keep the best. Alongside it live the two
+the centroid cost of its groups, keep the best. It returns a
+`ClusteringResult` like every other solver. Alongside it live the two
 statistical experiments that the sampling guarantees rest on: uniform
 subsample centroids (success within a (1 + 1/(delta*M)) cost factor) and the
 gated null-sampling process.
@@ -12,16 +13,14 @@ gated null-sampling process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from wkmeans.core import CenterSet, WeightedPointSet, weighted_centroid, weighted_cost
+from wkmeans.core import ClusteringResult, WeightedPointSet, weighted_centroid, weighted_cost
 from wkmeans.core import _check_positive_int
 from wkmeans.sampling import RandomSource
 
 __all__ = [
-    "ExactResult",
     "InstanceTooLarge",
     "brute_force_opt",
     "verify_inaba",
@@ -36,16 +35,6 @@ MAX_PARTITIONS = 6_000_000
 
 class InstanceTooLarge(ValueError):
     """Exact enumeration would exceed the desk-scale budget."""
-
-
-@dataclass(frozen=True)
-class ExactResult:
-    """Optimal clustering found by brute-force search over set partitions."""
-
-    cost: float
-    groups: tuple[tuple[int, ...], ...]
-    centers: CenterSet
-    partitions_evaluated: int
 
 
 def partition_count(n: int, k: int) -> int:
@@ -63,22 +52,33 @@ def partition_count(n: int, k: int) -> int:
     return sum(row[1 : min(k, n) + 1])
 
 
-def brute_force_opt(P: WeightedPointSet, k: int) -> ExactResult:
+def _exact_result(
+    P: WeightedPointSet, centers, groups: list[list[int]], evaluated: int
+) -> ClusteringResult:
+    meta = {"solver": "oracle", "partitions_evaluated": evaluated, "groups": groups}
+    return ClusteringResult.from_centers(P, centers, meta)
+
+
+def brute_force_opt(P: WeightedPointSet, k: int) -> ClusteringResult:
     """Exhaustive optimum over all partitions into at most k nonempty groups.
 
     Each group is scored with its weighted centroid as center; centroid
     optimality makes that the best possible center, so the minimum over
     partitions is the global optimum. Enumeration walks restricted-growth
     strings, so structurally identical partitions are visited exactly once.
-    No pruning: the visit count doubles as a combinatorial self-check.
+    No pruning: the visit count doubles as a combinatorial self-check. The
+    result's meta holds that count as partitions_evaluated (0 when k >= n,
+    where every point is its own center) and the winning partition as
+    groups, lists of point indices in increasing order; its cost is the
+    exactly rounded cost of the winning centers, and the incremental totals
+    only rank partitions.
     """
     _check_positive_int("k", k)
     n = P.n
     if n > MAX_EXACT_POINTS:
         raise InstanceTooLarge("instance too large for exact oracle")
     if k >= n:
-        groups = tuple((i,) for i in range(n))
-        return ExactResult(0.0, groups, CenterSet(P.coords.copy()), 0)
+        return _exact_result(P, P.coords, [[i] for i in range(n)], 0)
     if partition_count(n, k) > MAX_PARTITIONS:
         raise InstanceTooLarge("instance too large for exact oracle")
 
@@ -146,15 +146,9 @@ def brute_force_opt(P: WeightedPointSet, k: int) -> ExactResult:
 
     assert best_assign is not None
     used = max(best_assign) + 1
-    groups = tuple(
-        tuple(i for i in range(n) if best_assign[i] == g) for g in range(used)
-    )
-    centers = CenterSet(
-        np.array([weighted_centroid(P.subset(list(g))) for g in groups])
-    )
-    # Report the fsum-exact cost of the winning centers; the incremental total
-    # only ranks partitions.
-    return ExactResult(weighted_cost(P, centers), groups, centers, leaves)
+    groups = [[i for i in range(n) if best_assign[i] == g] for g in range(used)]
+    centers = np.array([weighted_centroid(P.subset(g)) for g in groups])
+    return _exact_result(P, centers, groups, leaves)
 
 
 def _expand_integer_weights(P: WeightedPointSet) -> np.ndarray:

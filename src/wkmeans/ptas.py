@@ -113,10 +113,17 @@ class PtasParams:
             object.__setattr__(self, "trials", 2**self.k)
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
-        if self.c1 <= 0.0 or self.c2 <= 0.0:
-            raise ValueError("c1 and c2 must be positive")
+        for name, c in (("c1", self.c1), ("c2", self.c2)):
+            if not (math.isfinite(c) and c > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {c!r}")
         _check_positive_int("trials", self.trials)
         _check_positive_int("tuple_budget", self.tuple_budget)
+        # eps_eff^2 underflows to 0 for eps_eff below about 1e-162.
+        eps = self.epsilon_eff
+        n_size = self.c1 * self.k / eps**2 if eps**2 > 0.0 else math.inf
+        for name, size in (("c1 * k / eps_eff^2", n_size), ("c2 / eps_eff", self.c2 / eps)):
+            if not math.isfinite(size):
+                raise ValueError(f"{name} is not finite at k={self.k}, eps_eff={eps!r}")
         if not self.N >= self.M >= 1:
             raise ValueError("derived N must be at least derived M (and M >= 1)")
 

@@ -61,7 +61,7 @@ import functools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -297,7 +297,9 @@ class SensorRegion:
     density_scale carries the normalization factor so that densities stay
     reusable across regions; phi() is the scaled density. origin is the
     first vertex; local, built once with `_shifted`, is the region as
-    offsets from it (the region itself when its origin is (0, 0)).
+    offsets from it (the region itself when its origin is (0, 0)). Both are
+    derived here and nowhere else, so a copy with another field, such as
+    `replace(region, density_scale=s)`, is checked and shifted again.
     """
 
     polygon: np.ndarray
@@ -337,20 +339,6 @@ class SensorRegion:
     def phi(self, pts: np.ndarray) -> np.ndarray:
         return self.density.evaluate(pts) * self.density_scale
 
-    def _rescaled(self, density_scale: float) -> SensorRegion:
-        """This region with another density_scale, on its local view too.
-
-        The copies share the validated polygon, origin and densities, so
-        nothing is checked or shifted again but the new scale.
-        """
-        if density_scale <= 0.0:
-            raise ValueError("density_scale must be positive")
-        out = copy.copy(self)
-        object.__setattr__(out, "density_scale", density_scale)
-        local = out if self.local is self else self.local._rescaled(density_scale)
-        object.__setattr__(out, "local", local)
-        return out
-
 
 class RegionFileError(ValueError):
     """Malformed region file."""
@@ -371,7 +359,8 @@ class Discretization:
     the fan of triangle rules. coverage_cost prices the mesh with the same
     order and the same rule per cell. as_point_set, the centers of mass in
     the region's own frame (origin + coms) weighted by mass, is built once
-    for export. All arrays are read-only.
+    for export. All arrays are read-only. The grid step is not kept: the
+    caller of `discretize` passed it and has it.
     """
 
     vertices: np.ndarray
@@ -379,7 +368,6 @@ class Discretization:
     weights: np.ndarray
     coms: np.ndarray
     inertias: np.ndarray
-    grid_eps: float
     clipped: np.ndarray
     origin: np.ndarray
     as_point_set: WeightedPointSet = field(init=False, repr=False)
@@ -546,7 +534,11 @@ def _integrate_cells(
 
 
 def normalize_density(region: SensorRegion) -> SensorRegion:
-    """Rescale the density so its integral over the region is one."""
+    """Rescale the density so its integral over the region is one.
+
+    The result is the region rebuilt with density_scale divided by the
+    mass, its local view included.
+    """
     local = region.local
     one_cell = np.array([0]), np.array([len(local.polygon)])
     mass = float(_integrate_cells(local, local.polygon, *one_cell, _QUAD_ORDER)[0][0])
@@ -558,7 +550,7 @@ def normalize_density(region: SensorRegion) -> SensorRegion:
             "ill-conditioned",
             stacklevel=2,
         )
-    return region._rescaled(region.density_scale / mass)
+    return replace(region, density_scale=region.density_scale / mass)
 
 
 def _clip_squares(
@@ -755,7 +747,6 @@ def discretize(region: SensorRegion, grid_eps: float) -> Discretization:
         mass[keep],
         com.compress(keep, axis=0),
         inertia[keep],
-        grid_eps,
         clipped.compress(keep),
         region.origin,
     )

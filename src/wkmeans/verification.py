@@ -5,7 +5,8 @@ master seed (one stream per check, so filtering with --only never shifts
 another check's randomness), computes a scalar statistic, and compares it to
 a threshold. Thresholds for the statistical checks come from binomial
 confidence intervals or chi-square significance levels; those for the
-algebraic identities are floating-point slack.
+algebraic identities are floating-point slack. Each check is named once,
+in `_CHECKS`, and `run_checks` puts that name on the `CheckResult`.
 """
 
 from __future__ import annotations
@@ -56,7 +57,12 @@ class CheckResult:
         )
 
 
-def _check_parallel_axis(rng: RandomSource, tol: float) -> CheckResult:
+# What a check returns: passed, statistic, threshold and detail. Each check
+# returns its own threshold, because some print a bound they compute.
+_Outcome = tuple[bool, float, float, str]
+
+
+def _check_parallel_axis(rng: RandomSource, tol: float) -> _Outcome:
     gen_src = rng.derive(0)
     worst = 0.0
     for i in range(1000):
@@ -68,8 +74,7 @@ def _check_parallel_axis(rng: RandomSource, tol: float) -> CheckResult:
         lhs = weighted_cost(P, [c])
         rhs = parallel_axis_rhs(P, c)
         worst = max(worst, abs(lhs - rhs) / (1.0 + lhs))
-    return CheckResult(
-        "parallel-axis",
+    return (
         worst <= tol,
         worst,
         tol,
@@ -78,7 +83,7 @@ def _check_parallel_axis(rng: RandomSource, tol: float) -> CheckResult:
     )
 
 
-def _check_centroid_optimality(rng: RandomSource, tol: float) -> CheckResult:
+def _check_centroid_optimality(rng: RandomSource, tol: float) -> _Outcome:
     worst = 0.0
     for i in range(50):
         P = instances.random_instance(rng.derive(i))
@@ -88,8 +93,7 @@ def _check_centroid_optimality(rng: RandomSource, tol: float) -> CheckResult:
         for _ in range(200):
             c = gen.random(P.dim) * 4.0 - 2.0
             worst = max(worst, base - weighted_cost(P, [c]))
-    return CheckResult(
-        "centroid-optimality",
+    return (
         worst <= tol,
         worst,
         tol,
@@ -97,7 +101,7 @@ def _check_centroid_optimality(rng: RandomSource, tol: float) -> CheckResult:
     )
 
 
-def _check_weight_scaling(rng: RandomSource, tol: float) -> CheckResult:
+def _check_weight_scaling(rng: RandomSource, tol: float) -> _Outcome:
     worst = 0.0
     for i in range(50):
         P = instances.random_instance(rng.derive(i))
@@ -116,8 +120,7 @@ def _check_weight_scaling(rng: RandomSource, tol: float) -> CheckResult:
         p0 = pr / math.fsum(pr)
         worst = max(worst, float(np.abs(pr_w / math.fsum(pr_w) - p0).max()))
         worst = max(worst, float(np.abs(pr_s / math.fsum(pr_s) - p0).max()))
-    return CheckResult(
-        "weight-scaling",
+    return (
         worst <= tol,
         worst,
         tol,
@@ -126,7 +129,7 @@ def _check_weight_scaling(rng: RandomSource, tol: float) -> CheckResult:
     )
 
 
-def _check_translation(rng: RandomSource, tol: float) -> CheckResult:
+def _check_translation(rng: RandomSource, tol: float) -> _Outcome:
     worst = 0.0
     for i in range(50):
         P = instances.random_instance(rng.derive(i))
@@ -136,8 +139,7 @@ def _check_translation(rng: RandomSource, tol: float) -> CheckResult:
         base = weighted_cost(P, c)
         moved = WeightedPointSet(P.coords + t, P.weights)
         worst = max(worst, abs(weighted_cost(moved, c + t) - base) / (1.0 + base))
-    return CheckResult(
-        "translation-invariance",
+    return (
         worst <= tol,
         worst,
         tol,
@@ -145,7 +147,7 @@ def _check_translation(rng: RandomSource, tol: float) -> CheckResult:
     )
 
 
-def _check_d2_distribution(rng: RandomSource, alpha: float) -> CheckResult:
+def _check_d2_distribution(rng: RandomSource, alpha: float) -> _Outcome:
     # scipy.stats is slow to import and only this check needs it, so it is
     # loaded here rather than whenever wkmeans or its CLI is imported.
     from scipy import stats
@@ -177,8 +179,7 @@ def _check_d2_distribution(rng: RandomSource, alpha: float) -> CheckResult:
         and 0.743 <= freq13 <= 0.757
         and 0.815 <= tail <= 0.8214
     )
-    return CheckResult(
-        "d2-distribution",
+    return (
         ok,
         p_value,
         alpha,
@@ -188,7 +189,7 @@ def _check_d2_distribution(rng: RandomSource, alpha: float) -> CheckResult:
     )
 
 
-def _check_reproducibility(rng: RandomSource, tol: float) -> CheckResult:
+def _check_reproducibility(rng: RandomSource, tol: float) -> _Outcome:
     P, center = instances.chi6()
     mass = d2_weights(P, center)
     a = sample_indices(mass, 1000, rng.derive(3).generator())
@@ -196,8 +197,7 @@ def _check_reproducibility(rng: RandomSource, tol: float) -> CheckResult:
     sib = sample_indices(mass, 1000, rng.derive(4).generator())
     mismatches = float(np.count_nonzero(a != b))
     distinct = bool(np.any(a != sib))
-    return CheckResult(
-        "reproducibility",
+    return (
         mismatches == 0.0 and distinct,
         mismatches,
         tol,
@@ -205,7 +205,7 @@ def _check_reproducibility(rng: RandomSource, tol: float) -> CheckResult:
     )
 
 
-def _check_cache_coherence(rng: RandomSource, tol: float) -> CheckResult:
+def _check_cache_coherence(rng: RandomSource, tol: float) -> _Outcome:
     worst = 0.0
     for i in range(25):
         P = instances.random_instance(rng.derive(i), max_n=40, max_dim=3)
@@ -216,8 +216,7 @@ def _check_cache_coherence(rng: RandomSource, tol: float) -> CheckResult:
             np.minimum(cache, min_squared_distances(P.coords, centers[j]), out=cache)
             direct = min_squared_distances(P.coords, centers[: j + 1])
             worst = max(worst, float(np.abs(cache - direct).max()))
-    return CheckResult(
-        "cache-coherence",
+    return (
         worst <= tol,
         worst,
         tol,
@@ -225,7 +224,7 @@ def _check_cache_coherence(rng: RandomSource, tol: float) -> CheckResult:
     )
 
 
-def _check_inaba(rng: RandomSource, slack_sigmas: float) -> CheckResult:
+def _check_inaba(rng: RandomSource, slack_sigmas: float) -> _Outcome:
     P = instances.inaba10()
     reps = 2000
     margin = math.inf
@@ -235,8 +234,7 @@ def _check_inaba(rng: RandomSource, slack_sigmas: float) -> CheckResult:
         gate = 1.0 - delta - slack_sigmas * math.sqrt(delta * (1.0 - delta) / reps)
         margin = min(margin, rate - gate)
         details.append(f"(M={M}, delta={delta}): rate={rate:.4f} gate={gate:.4f}")
-    return CheckResult(
-        "inaba",
+    return (
         margin >= 0.0,
         margin,
         0.0,
@@ -244,15 +242,14 @@ def _check_inaba(rng: RandomSource, slack_sigmas: float) -> CheckResult:
     )
 
 
-def _check_null_sampling(rng: RandomSource, floor: float) -> CheckResult:
+def _check_null_sampling(rng: RandomSource, floor: float) -> _Outcome:
     P = instances.inaba10()
     count_rate = verify_null_sampling(
         0.5, 1.0, P.coords, 1000, rng.derive(0), count_only=True
     )
     full_rate = verify_null_sampling(0.5, 1.0, P.coords, 400, rng.derive(1))
     ok = count_rate >= 0.99 and full_rate >= floor
-    return CheckResult(
-        "null-sampling",
+    return (
         ok,
         full_rate,
         floor,
@@ -260,16 +257,14 @@ def _check_null_sampling(rng: RandomSource, floor: float) -> CheckResult:
     )
 
 
-def _check_oracle_instances(rng: RandomSource, tol: float) -> CheckResult:
+def _check_oracle_instances(rng: RandomSource, tol: float) -> _Outcome:
     worst = 0.0
     for inst in instances.oracle_instances():
         res = brute_force_opt(inst.points, inst.k)
         worst = max(worst, abs(res.cost - inst.opt_cost))
-    counts_ok = brute_force_opt(
-        instances.line4().points, 2
-    ).partitions_evaluated == partition_count(4, 2)
-    return CheckResult(
-        "oracle-instances",
+    line4 = brute_force_opt(instances.line4().points, 2)
+    counts_ok = line4.meta["partitions_evaluated"] == partition_count(4, 2)
+    return (
         worst <= tol and counts_ok,
         worst,
         tol,
@@ -278,7 +273,7 @@ def _check_oracle_instances(rng: RandomSource, tol: float) -> CheckResult:
     )
 
 
-def _check_lloyd_monotone(rng: RandomSource, slack: float) -> CheckResult:
+def _check_lloyd_monotone(rng: RandomSource, slack: float) -> _Outcome:
     worst = -math.inf
     for i in range(20):
         P = instances.random_instance(rng.derive(i), max_n=120, max_dim=3)
@@ -287,8 +282,7 @@ def _check_lloyd_monotone(rng: RandomSource, slack: float) -> CheckResult:
         init = kmeanspp_seed(P, k, rng.derive(i, 2))
         history = lloyd_descend(P, init).meta["cost_history"]
         worst = max(worst, float(np.max(np.diff(history), initial=-math.inf)))
-    return CheckResult(
-        "lloyd-monotone",
+    return (
         worst <= slack,
         worst,
         slack,
@@ -296,7 +290,7 @@ def _check_lloyd_monotone(rng: RandomSource, slack: float) -> CheckResult:
     )
 
 
-def _check_kmeanspp_quality(rng: RandomSource, tol_factor: float) -> CheckResult:
+def _check_kmeanspp_quality(rng: RandomSource, tol_factor: float) -> _Outcome:
     inst = instances.kpp20()
     costs = []
     for i in range(1000):
@@ -304,8 +298,7 @@ def _check_kmeanspp_quality(rng: RandomSource, tol_factor: float) -> CheckResult
         costs.append(weighted_cost(inst.points, centers))
     mean = float(np.mean(costs))
     bound = tol_factor * (math.log(inst.k) + 2.0) * inst.opt_cost
-    return CheckResult(
-        "kmeanspp-quality",
+    return (
         mean <= bound,
         mean,
         bound,
@@ -313,7 +306,7 @@ def _check_kmeanspp_quality(rng: RandomSource, tol_factor: float) -> CheckResult
     )
 
 
-def _check_ptas_smoke(rng: RandomSource, factor: float) -> CheckResult:
+def _check_ptas_smoke(rng: RandomSource, factor: float) -> _Outcome:
     inst = instances.line4()
     result = solve(
         inst.points,
@@ -323,8 +316,7 @@ def _check_ptas_smoke(rng: RandomSource, factor: float) -> CheckResult:
         master_seed=rng.seed,
     )
     ratio = result.cost / inst.opt_cost
-    return CheckResult(
-        "ptas-smoke",
+    return (
         ratio <= factor,
         ratio,
         factor,
@@ -338,7 +330,7 @@ def _unit_square_region(shift: float = 0.0) -> SensorRegion:
     return SensorRegion(poly, UniformDensity())
 
 
-def _check_sensor_decomposition(rng: RandomSource, tol: float) -> CheckResult:
+def _check_sensor_decomposition(rng: RandomSource, tol: float) -> _Outcome:
     worst = 0.0
     for shift in (0.0, 1e6):
         region = _unit_square_region(shift)
@@ -354,8 +346,7 @@ def _check_sensor_decomposition(rng: RandomSource, tol: float) -> CheckResult:
             abs(rep1.quantization_cost - 0.125),
             abs(rep1.inertia_sum - 1.0 / 24.0),
         )
-    return CheckResult(
-        "sensor-decomposition",
+    return (
         worst <= tol,
         worst,
         tol,
@@ -364,7 +355,7 @@ def _check_sensor_decomposition(rng: RandomSource, tol: float) -> CheckResult:
     )
 
 
-def _check_quadrature_convergence(rng: RandomSource, tol: float) -> CheckResult:
+def _check_quadrature_convergence(rng: RandomSource, tol: float) -> _Outcome:
     # A Gaussian bump: no fixed-order rule integrates it exactly, so order 2
     # must show a real error. Each order is compared with a high-order
     # reference rather than with the next order.
@@ -381,8 +372,7 @@ def _check_quadrature_convergence(rng: RandomSource, tol: float) -> CheckResult:
     ok = errs[0] > tol and errs[-1] <= tol and all(
         hi > lo for hi, lo in zip(errs, errs[1:])
     )
-    return CheckResult(
-        "quadrature-convergence",
+    return (
         ok,
         errs[-1],
         tol,
@@ -392,7 +382,7 @@ def _check_quadrature_convergence(rng: RandomSource, tol: float) -> CheckResult:
     )
 
 
-_CHECKS: tuple[tuple[str, Callable[[RandomSource, float], CheckResult], float], ...] = (
+_CHECKS: tuple[tuple[str, Callable[[RandomSource, float], _Outcome], float], ...] = (
     ("parallel-axis", _check_parallel_axis, 1e-9),
     ("centroid-optimality", _check_centroid_optimality, 1e-12),
     ("weight-scaling", _check_weight_scaling, 1e-12),
@@ -425,5 +415,6 @@ def run_checks(seed: int = 0, only: tuple[str, ...] | None = None) -> list[Check
     for i, (name, fn, threshold) in enumerate(_CHECKS):
         if only and name not in only:
             continue
-        results.append(fn(RandomSource(seed).derive(100 + i), threshold))
+        outcome = fn(RandomSource(seed).derive(100 + i), threshold)
+        results.append(CheckResult(name, *outcome))
     return results

@@ -89,17 +89,18 @@ def test_c3_subsample_centroid_success_rate():
 def test_c4_oracle_matches_hand_optima():
     started = time.perf_counter()
     expected_groups = {
-        "line4": ((0, 1), (2, 3)),
-        "heavy2": ((0, 1),),
-        "pairw4": ((0, 1), (2, 3)),
-        "skew12": (tuple(range(8)), (8, 9, 10), (11,)),
-        "wskew9": ((0, 1, 2, 3), (4, 5, 6), (7, 8)),
+        "line4": [[0, 1], [2, 3]],
+        "heavy2": [[0, 1]],
+        "pairw4": [[0, 1], [2, 3]],
+        "skew12": [list(range(8)), [8, 9, 10], [11]],
+        "wskew9": [[0, 1, 2, 3], [4, 5, 6], [7, 8]],
     }
     failures = []
     for inst in oracle_instances():
         res = brute_force_opt(inst.points, inst.k)
-        if res.groups != expected_groups[inst.name]:
-            failures.append(f"{inst.name}: groups {res.groups}")
+        groups = res.meta["groups"]
+        if groups != expected_groups[inst.name]:
+            failures.append(f"{inst.name}: groups {groups}")
         elif abs(res.cost - inst.opt_cost) > 5e-15 * inst.opt_cost:
             failures.append(f"{inst.name}: cost {res.cost!r} vs {inst.opt_cost!r}")
     elapsed = time.perf_counter() - started

@@ -251,7 +251,7 @@ def test_sensor_oracle_is_brute_force_on_the_cells(tmp_path, capsys):
     payload = json.loads(out.read_text())
     exact = brute_force_opt(load_weighted_points(cells), 2)
     assert payload["centers"] == exact.centers.centers.tolist()
-    assert payload["meta"]["groups"] == [list(g) for g in exact.groups]
+    assert payload["meta"]["groups"] == exact.meta["groups"]
     assert payload["quantization_cost"] == exact.cost
     # The bundled grid 0.25 makes 16 cells, past the oracle's 14 points.
     capsys.readouterr()
@@ -299,6 +299,24 @@ def test_malformed_region_file_is_a_region_file_error(tmp_path, capsys, changes,
     assert err.startswith("error: ") and field in err
 
 
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--c2", "inf"], "c2"),
+        (["--c1", "inf"], "c1"),
+        (["--c2", "nan"], "c2"),
+        (["--c2", "1e308"], "c2 / eps_eff"),
+        (["--epsilon", "1e-200"], "c1 * k / eps_eff^2"),
+    ],
+)
+def test_cluster_rejects_ptas_sizes_that_are_not_finite(capsys, flags, name):
+    """A constant or a derived size that is not finite exits 2 with a message
+    naming it, not with a traceback and exit 1."""
+    assert run(["cluster", "--k", "2", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} ")
+
+
 @pytest.mark.parametrize("grid_eps", ["nan", "inf"])
 def test_sensor_rejects_non_finite_grid_eps(capsys, grid_eps):
     assert run(["sensor", "--grid-eps", grid_eps]) == 2
@@ -310,6 +328,15 @@ def test_verify_subset_passes(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
     assert all("PASS" in line for line in lines)
+
+
+@pytest.mark.parametrize("only", [[","], [",,", "--only", ""]])
+def test_verify_only_naming_no_check_is_a_usage_error(capsys, only):
+    """An --only that names no check is refused, not read as all 15 checks."""
+    assert run(["verify", "--only", *only]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--only names no check" in captured.err
 
 
 def test_verify_full_suite_passes(capsys):

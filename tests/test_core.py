@@ -30,11 +30,12 @@ def test_weighted_point_rejects_bad_weights():
 
 
 def test_point_set_shape_validation():
-    with pytest.raises(ValueError):
-        WeightedPointSet(np.zeros((3, 2)), np.ones(2))
+    for n_weights in (1, 2, 4):
+        with pytest.raises(ValueError, match=f"{n_weights} weights for 3 points"):
+            WeightedPointSet(np.zeros((3, 2)), np.ones(n_weights))
     with pytest.raises(ValueError):
         WeightedPointSet(np.array([[np.nan, 0.0]]), np.ones(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonempty"):
         WeightedPointSet(np.zeros((0, 2)), np.ones(0))
 
 
@@ -173,17 +174,10 @@ def test_weighted_cost_small_example():
     assert weighted_cost(P, np.array([[0.0, 0.0]])) == 12.0
 
 
-def test_weighted_centroid_empty_error():
-    with pytest.raises(ValueError, match="empty"):
-        weighted_centroid(np.zeros((0, 2)), np.zeros(0))
-
-
-def test_weighted_centroid_rejects_mismatched_weights():
+def test_weighted_centroid_small_example():
     coords = np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 4.0]])
-    for w in ([2.0], [1.0, 1.0], [1.0] * 4):
-        with pytest.raises(ValueError, match="weights for 3 points"):
-            weighted_centroid(coords, np.array(w))
-    np.testing.assert_array_equal(weighted_centroid(coords, np.ones(3)), [2.0, 2.0])
+    P = WeightedPointSet(coords, np.ones(3))
+    np.testing.assert_array_equal(weighted_centroid(P), [2.0, 2.0])
 
 
 def test_assignment_consistent_with_min_distances():

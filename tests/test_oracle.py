@@ -28,7 +28,7 @@ def test_partition_count_known_values():
 def test_partitions_evaluated_matches_count():
     P = make_points(0, 6, 2)
     res = brute_force_opt(P, 2)
-    assert res.partitions_evaluated == partition_count(6, 2)
+    assert res.meta["partitions_evaluated"] == partition_count(6, 2)
 
 
 def test_exact_costs_on_fixed_instances():
@@ -40,7 +40,7 @@ def test_exact_costs_on_fixed_instances():
 def test_groups_form_a_partition():
     P = make_points(1, 8, 2)
     res = brute_force_opt(P, 3)
-    flat = sorted(i for g in res.groups for i in g)
+    flat = sorted(i for g in res.meta["groups"] for i in g)
     assert flat == list(range(8))
     assert res.cost <= weighted_cost(P, P.coords[:3]) + 1e-12
 
@@ -57,7 +57,8 @@ def test_k_at_least_n_is_free():
     P = make_points(2, 5, 2)
     res = brute_force_opt(P, 5)
     assert res.cost == 0.0
-    assert res.partitions_evaluated == 0
+    assert res.meta["partitions_evaluated"] == 0
+    assert res.meta["groups"] == [[i] for i in range(5)]
 
 
 @pytest.mark.parametrize("k", [0, 2.5, True])

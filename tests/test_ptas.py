@@ -53,6 +53,19 @@ def test_params_validation():
         PtasParams(k=2, epsilon=0.5, trials=0)
     with pytest.raises(ValueError, match="N must be at least"):
         PtasParams(k=1, epsilon=0.5, c1=0.1, c2=100.0)
+    # Constants and derived sizes that are not finite name themselves.
+    for c in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="c1 must be positive and finite"):
+            PtasParams(k=2, epsilon=0.5, c1=c)
+        with pytest.raises(ValueError, match="c2 must be positive and finite"):
+            PtasParams(k=2, epsilon=0.5, c2=c)
+    with pytest.raises(ValueError, match=r"c2 / eps_eff is not finite"):
+        PtasParams(k=2, epsilon=0.5, c2=1e308)
+    with pytest.raises(ValueError, match=r"c1 \* k / eps_eff\^2 is not finite"):
+        PtasParams(k=2, epsilon=0.5, c1=1e308)
+    # eps^2 underflows to 0 here: refused, not a ZeroDivisionError.
+    with pytest.raises(ValueError, match=r"c1 \* k / eps_eff\^2 is not finite"):
+        PtasParams(k=2, epsilon=1e-200)
 
 
 @pytest.mark.parametrize("field", ["k", "trials", "tuple_budget"])

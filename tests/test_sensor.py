@@ -101,7 +101,7 @@ def test_discretize_unit_square_half_grid(unit_square):
     assert disc.starts.tolist() == [0, 4, 8, 12, 16]
     assert disc.vertices.shape == (16, 2)
     assert not disc.vertices.flags.writeable and not disc.starts.flags.writeable
-    assert disc.grid_eps == 0.5
+    assert all(np.ptp(cell, axis=0).tolist() == [0.5, 0.5] for cell in disc.cells)
     assert disc.weights == pytest.approx(np.full(4, 0.25), rel=1e-12)
     expected = {(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)}
     assert {tuple(np.round(c, 12)) for c in disc.coms} == expected
@@ -1017,8 +1017,11 @@ def _integrated_coverage(region, mesh, centers) -> float:
     return math.fsum(cost.tolist())
 
 
-def _mesh_centers(kind: str, mesh, free: np.ndarray, pick: int) -> np.ndarray:
-    """Centers of one kind for a mesh; free is a few random points near it."""
+def _mesh_centers(
+    kind: str, mesh, grid_eps: float, free: np.ndarray, pick: int
+) -> np.ndarray:
+    """Centers of one kind for a mesh of step grid_eps; free is a few random
+    points near it."""
     verts = mesh.vertices + mesh.origin
     if kind == "single":
         return free[:1]
@@ -1031,10 +1034,10 @@ def _mesh_centers(kind: str, mesh, free: np.ndarray, pick: int) -> np.ndarray:
         # Two centers mirrored about the grid line x = x0 + i * grid_eps: every
         # vertex on that line ties, and the tie goes to the lower index.
         x0 = float(verts[:, 0].min())
-        line = x0 + (pick % 4 + 1) * mesh.grid_eps
+        line = x0 + (pick % 4 + 1) * grid_eps
         mid = free[0].copy()
         mid[0] = line
-        step = np.array([0.3 * mesh.grid_eps, 0.0])
+        step = np.array([0.3 * grid_eps, 0.0])
         return np.array([mid + step, mid - step])
     if kind == "duplicate":
         return np.concatenate([free, free[::-1], free[:1]])
@@ -1072,7 +1075,7 @@ def test_mesh_coverage_matches_integrating_every_cell(
         )
     region = SensorRegion(poly, phi)
     mesh = discretize(region, grid_eps)
-    centers = _mesh_centers(kind, mesh, np.array(free) + shift, pick)
+    centers = _mesh_centers(kind, mesh, grid_eps, np.array(free) + shift, pick)
     got = coverage_cost(region, centers, mesh=mesh)
     want = _integrated_coverage(region, mesh, centers)
     assert abs(got - want) <= 1e-12 * want
@@ -1292,17 +1295,15 @@ def test_patching_after_the_region_is_built_sees_every_call(monkeypatch):
 def test_normalize_density_shares_the_region_geometry(poly, shift):
     """Normalizing sets density_scale on the region and its local view, and nothing else.
 
-    The result holds the input's own polygon arrays and local density, and
-    places sensors bytewise as the region checked and shifted again at the
-    same scale. The unit square is its own local view, the hexagon is not.
+    The result places sensors bytewise as the region built again from the
+    input's polygon and density at the same scale. The unit square is its
+    own local view, the hexagon is not.
     """
     bumps = _bumps_region().density
     density = GaussianMixtureDensity(bumps.means + shift, bumps.covariances, bumps.mixing)
     region = SensorRegion(poly + shift, density)
     normalized = normalize_density(region)
-    assert normalized.polygon is region.polygon
-    assert normalized.local.polygon is region.local.polygon
-    assert normalized.local.density is region.local.density
+    assert normalized.polygon.tobytes() == region.polygon.tobytes()
     assert normalized.local.local is normalized.local
     assert (normalized.local is normalized) == (region.local is region)
     assert normalized.local.density_scale == normalized.density_scale
