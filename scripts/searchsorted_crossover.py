@@ -1,9 +1,10 @@
 """Crossover between the two searches of `sampling.searchsorted_rows`.
 
 Times the short-row count against the branchless binary search on the
-same (rows, n) running sums and (rows, draws) targets, for each n, and
-prints one CSV row per n: the best time of each search in microseconds
-and which one is faster. `sampling._COUNT_MAX_TERMS` should sit at the
+same point-major running sums, (n, rows), and (draws, rows) targets, the
+layout the PTAS evaluator searches, for each n, and prints one CSV row
+per n: the best time of each search in microseconds and which one is
+faster. `sampling._COUNT_MAX_TERMS` should sit at the
 last n where counting wins. Both searches give the same indices; the
 script checks that before timing.
 
@@ -30,7 +31,7 @@ def run_search(cum: np.ndarray, targets: np.ndarray, cutoff: int, repeat: int):
     sampling._COUNT_MAX_TERMS = cutoff
     try:
         # About 2^25 compared entries per repeat: some 50 ms on either search.
-        number = max(10, 2**25 // (cum.shape[1] * targets.size))
+        number = max(10, 2**25 // (cum.shape[0] * targets.size))
         best = min(
             timeit.repeat(lambda: searchsorted_rows(cum, targets), number=number, repeat=repeat)
         )
@@ -54,8 +55,8 @@ def main(argv=None) -> int:
     out = csv.writer(sys.stdout, lineterminator="\n")
     out.writerow(["n", "count_us", "binary_us", "faster"])
     for n in args.sizes:
-        cum = np.cumsum(gen.random((args.rows, n)), axis=1)
-        targets = gen.random((args.rows, args.draws)) * cum[:, -1:]
+        cum = np.cumsum(gen.random((n, args.rows)), axis=0)
+        targets = gen.random((args.draws, args.rows)) * cum[-1]
         # A cutoff of n forces the count and 0 the binary search.
         by_count, counted = run_search(cum, targets, n, args.repeat)
         by_halving, binary = run_search(cum, targets, 0, args.repeat)

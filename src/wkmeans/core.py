@@ -139,8 +139,11 @@ def _sq_dist_rows(
 
     coords_t is the (d, m) transposed coordinate block, c is (k, d), out is
     (k, m) and diff a (k, m) scratch buffer. The squares are summed over
-    coordinates left to right. Differencing before squaring keeps each error
-    relative to the distance itself, whatever offset the coordinates carry;
+    coordinates left to right. Given the centers as coords_t and the points
+    as c, it fills a point-major (n, centers) block with the same bytes,
+    since a difference and its negation square alike. Differencing before
+    squaring keeps each error relative to the distance itself, whatever
+    offset the coordinates carry;
     the inner-product expansion loses it at geo-referenced offsets. Every
     entry depends only on its own point and center, so no value changes
     with k, the block size or the caller.

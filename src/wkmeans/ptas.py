@@ -28,8 +28,12 @@ rows, and draws and centroids once per outer block.
   takes one running sum, searched per row by `searchsorted_rows`: a short
   row (every desk-scale one) by counting the entries at or below each
   target, a longer one by a binary search. An outer block is one
-  sub-block, held in three (rows, n) buffers: the min-distance cache, the
-  mass array weights * cache and a running sum.
+  sub-block, held in three (n, rows) arrays: the min-distance cache, the
+  masses weights * cache and their running sums down axis 0. They are
+  point-major when the block has at least as many rows as points (every
+  desk-scale block), so each numpy pass runs along the rows; otherwise
+  the same arrays keep the points along memory, so no pass runs along the
+  short side.
 - A longer row takes two levels, and its outer blocks hold
   max(1, 2^18 // n) rows of the cache, zero-padded to whole blocks. One
   einsum pass reads each sub-block's new cache against the zero-padded
@@ -43,10 +47,11 @@ No work array grows with B x n: the cache holds about max(2^18, n) values
 scratch arrays max(2^16, n) values each, and the gathered blocks fewer
 than the cache. The output does not depend on either block size.
 Every row's first draw searches the shared running sum of the weights
-through `searchsorted_rows` too. A centroid gathers its drawn weights and
-points with `take`, which on a small (n, d) array costs a small fraction
-of fancy indexing. Per-trial random streams are derived from
-(master_seed, trial), so results are independent of thread scheduling.
+through `searchsorted_rows` too. A centroid gathers its draws as (M, rows)
+with `take`, which on a small (n, d) array costs a small fraction of fancy
+indexing, and sums them along the rows in draw order (`_centroids`).
+Per-trial random streams are derived from (master_seed, trial), so
+results are independent of thread scheduling.
 """
 
 from __future__ import annotations
@@ -189,25 +194,34 @@ def _last_positive(v: np.ndarray) -> np.ndarray:
 def _inverse_cdf_rows(
     v: np.ndarray, u: np.ndarray, cum: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per row r, the points drawn by the uniforms u[r] from the masses v[r].
+    """Per row r, the points drawn by the uniforms u[:, r] from masses v[:, r].
 
-    v is (rows, n) and nonnegative, u is (rows, D) in [0, 1) and cum a
-    (rows, n) scratch buffer; v is left unchanged. Returns the (rows, D)
-    drawn indices and the (rows,) mask of zero-mass rows. Draw u lands on
-    the point whose running-sum interval holds u times the row total, so
-    point p is drawn with probability v[r, p] / total up to summation
-    rounding. The row takes one running sum, searched per row by
-    `searchsorted_rows` (searchsorted(side="right"), by counting on short
-    rows). A target that rounding pushes to or past the end of the running
-    sum lands on the last positive-mass point, never on a zero-mass one.
+    The layout is point-major: v is (n, rows) and nonnegative, in C or F
+    order, u is (D, rows) in [0, 1) and cum an (n, rows) scratch buffer in
+    v's order; v is left unchanged. Returns the (D, rows) drawn indices and
+    the (rows,) mask of zero-mass rows. Draw u lands on the point whose
+    running-sum interval holds u times the row total, so point p is drawn
+    with probability v[p, r] / total up to summation rounding. The row
+    takes one running sum down axis 0, added in point order in either
+    layout, searched by `searchsorted_rows` (searchsorted(side="right"), by
+    counting on short rows). A target that rounding pushes to or past the
+    end of the running sum lands on the last positive-mass point, never on
+    a zero-mass one.
     """
-    w = v.shape[1]
-    np.cumsum(v, axis=1, out=cum)
-    totals = cum[:, -1]
-    cols = searchsorted_rows(cum, u * totals[:, None])
-    over = cols == w
+    n = v.shape[0]
+    if v.flags.f_contiguous:
+        np.cumsum(v, axis=0, out=cum)
+    else:
+        # Rows along memory: n whole-row adds, where np.cumsum would walk
+        # the block one column at a time (about 4x slower at 12 x 1024).
+        cum[0] = v[0]
+        for p in range(1, n):
+            np.add(cum[p - 1], v[p], out=cum[p])
+    totals = cum[-1]
+    cols = searchsorted_rows(cum, u * totals)
+    over = cols == n
     if over.any():
-        cols[over] = _last_positive(v[np.nonzero(over)[0]])
+        cols[over] = _last_positive(v[:, np.nonzero(over)[1]].T)
     return cols, totals <= 0.0
 
 
@@ -251,6 +265,30 @@ def _inverse_cdf_blocks(
     return blk * _CDF_BLOCK + pos, totals <= 0.0
 
 
+def _centroids(coords_t: np.ndarray, weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The w-weighted means of the drawn points, (d, rows); cols is (M, rows).
+
+    Every byte equals the row-major form, `einsum("bm,bmd->bd")` over the
+    draws gathered as (rows, M) divided by the pairwise row sums of the
+    drawn weights, which the tests' reference evaluator computes. For
+    d >= 2 that einsum adds a mean's M products onto a zero in draw order,
+    and so does `einsum("mr,dmr->dr")` over the (M, rows) gather, whose
+    inner loop runs along the rows. A lone row would put the draws in that
+    inner loop, which einsum sums in SIMD lanes, so it is summed beside a
+    copy of itself. For d = 1 the row-major einsum sums in lanes, so that
+    case keeps it.
+    """
+    rows = cols.shape[1]
+    wide = cols if rows > 1 else np.repeat(cols, 2, axis=1)
+    tw = weights.take(wide)
+    tw_rows = np.ascontiguousarray(tw[:, :rows].T)
+    if coords_t.shape[0] == 1:
+        num = np.einsum("bm,bm->b", tw_rows, coords_t[0].take(cols.T))[None]
+    else:
+        num = np.einsum("mr,dmr->dr", tw, coords_t.take(wide, axis=1))[:, :rows]
+    return num / tw_rows.sum(axis=1)
+
+
 def _run_tuple_batch(
     coords: np.ndarray,
     weights: np.ndarray,
@@ -266,16 +304,22 @@ def _run_tuple_batch(
     Rows are walked in two tiers. The per-point passes (the distance
     kernel `core._sq_dist_rows`, the running minimum and, on the two-level
     path, the block sums) take sub-blocks of max(1, _BLOCK_VALUES // n)
-    rows through two (rows, n) scratch buffers. The draws and centroids
-    run once per outer block, and all k iterations finish on an outer block
-    before the next starts. The outer block's rows share one min-distance
-    cache. Iteration 0 draws every row from one shared CDF of the weights,
-    searched by `searchsorted_rows` as a single row.
+    rows through two scratch buffers of the sub-block's size. The draws
+    and centroids (`_centroids`) run once per outer block, and all k
+    iterations finish on an outer block before the next starts. The outer
+    block's rows share one min-distance cache. Iteration 0 draws every row
+    from one shared (n, 1) CDF of the weights through `searchsorted_rows`.
 
     - n at most 2 * M * _CDF_BLOCK (every desk-scale instance): one level.
-      An outer block is one sub-block; its draws form the mass array
-      weights * cache in a scratch buffer and take one running sum per row
-      (`_inverse_cdf_rows`), and a cost is that array's row sum.
+      An outer block is one sub-block, and its cache, masses weights *
+      cache and running sums are (n, rows) arrays. Point-major (C order)
+      when rows >= n, every desk-scale block, each pass runs along the
+      rows: the kernel is called with points and centers swapped, the
+      running sums go down axis 0 (`_inverse_cdf_rows`) and the (M, rows)
+      targets are searched with no transposes. A block with more points
+      than rows stores the same arrays in F order, so its passes run along
+      the points. A cost is the pairwise row sum of the masses, written
+      row-major for that sum.
     - Longer rows: two levels. Outer blocks hold max(1, _DRAW_VALUES // n)
       rows of the cache, zero-padded to whole CDF blocks. Each per-point
       pass ends with one `einsum` read of the new cache against the
@@ -295,64 +339,83 @@ def _run_tuple_batch(
     """
     k, B, M = u.shape
     n, d = coords.shape
-    coords_t = np.ascontiguousarray(coords.T)
-    cum0 = np.cumsum(weights)
     nb = _cdf_blocks(n, M)
     sub = max(1, _BLOCK_VALUES // n)
-    outer = max(1, _DRAW_VALUES // n) if nb else sub
-    sub = min(sub, outer, B)
+    outer = min(max(1, _DRAW_VALUES // n) if nb else sub, B)
+    sub = min(sub, outer)
+    # (k, M, B): an iteration's uniforms are read as (M, rows) targets.
+    u_t = np.ascontiguousarray(u.transpose(0, 2, 1))
+    cum0 = np.cumsum(weights)[:, None]
     costs = np.empty(B)
     centers = np.empty((B, k, d))
-    # The cache keeps zeros past column n, padding its rows to whole blocks.
-    cache_buf = np.zeros((min(outer, B), nb * _CDF_BLOCK or n))
-    scratch = np.empty((2, sub, n))
+    coords_t = np.ascontiguousarray(coords.T)
     if nb:
+        # The cache keeps zeros past column n, padding its rows to whole blocks.
+        cache_buf = np.zeros((outer, nb * _CDF_BLOCK))
+        scratch = np.empty((2, sub, n))
         w_blocks = np.zeros(nb * _CDF_BLOCK)
         w_blocks[:n] = weights
         w_blocks = w_blocks.reshape(nb, _CDF_BLOCK)
-        sums_buf = np.empty((cache_buf.shape[0], nb))
+        sums_buf = np.empty((outer, nb))
+    else:
+        # Cache, masses and running sum, flat so that the (n, rows) views of
+        # a short last block stay contiguous.
+        flat = np.empty((3, n * outer))
+        w_col = weights[:, None]
     for lo in range(0, B, outer):
         hi = min(lo + outer, B)
         rows = hi - lo
-        cache = cache_buf[:rows]
         blk_centers = centers[lo:hi]
         if nb:
+            cache = cache_buf[:rows]
             sums = sums_buf[:rows]
             cache_blocks = cache.reshape(rows, nb, _CDF_BLOCK)
+        else:
+            # (n, rows) views whose longer side runs along memory: point-major
+            # when the block holds at least as many rows as points.
+            cache, mass, cum = (
+                f[: n * rows].reshape(n, rows) if rows >= n else f[: n * rows].reshape(rows, n).T
+                for f in flat
+            )
         for i in range(k):
-            ui = u[i, lo:hi]
+            ui = u_t[i, :, lo:hi]
             if i == 0:
-                cols = searchsorted_rows(cum0[None], ui * cum0[-1])
+                cols = searchsorted_rows(cum0, ui * cum0[-1])
                 dead = None
             elif nb:
-                cols, dead = _inverse_cdf_blocks(sums, cache_blocks, w_blocks, ui)
+                cols, dead = _inverse_cdf_blocks(sums, cache_blocks, w_blocks, u[i, lo:hi])
+                cols = cols.T
             else:
-                mass, cum = scratch[:, :rows]
-                np.multiply(cache, weights, out=mass)
+                np.multiply(cache, w_col, out=mass)
                 cols, dead = _inverse_cdf_rows(mass, ui, cum)
             # Only a zero-mass row, whose draw is discarded, lands past n - 1.
             np.minimum(cols, n - 1, out=cols)
-            tw = weights.take(cols)
-            drawn = coords.take(cols, axis=0)
-            ci = np.einsum("bm,bmd->bd", tw, drawn) / tw.sum(axis=1)[:, None]
+            ci_t = _centroids(coords_t, weights, cols)
             if dead is not None and dead.any():
-                ci[dead] = blk_centers[dead, i - 1]
-            blk_centers[:, i, :] = ci
-            for s in range(0, rows, sub):
-                e = min(s + sub, rows)
-                d2, diff = scratch[:, : e - s]
-                cache_s = cache[s:e, :n]
-                _sq_dist_rows(coords_t, ci[s:e], cache_s if i == 0 else d2, diff)
-                if i > 0:
-                    np.minimum(cache_s, d2, out=cache_s)
-                if nb:
+                ci_t[:, dead] = blk_centers[dead, i - 1].T
+            blk_centers[:, i, :] = ci_t.T
+            if nb:
+                for s in range(0, rows, sub):
+                    e = min(s + sub, rows)
+                    d2, diff = scratch[:, : e - s]
+                    cache_s = cache[s:e, :n]
+                    _sq_dist_rows(coords_t, ci_t.T[s:e], cache_s if i == 0 else d2, diff)
+                    if i > 0:
+                        np.minimum(cache_s, d2, out=cache_s)
                     np.einsum("rjp,jp->rj", cache_blocks[s:e], w_blocks, out=sums[s:e])
+            else:
+                # Points and centers swap places in the kernel, which fills
+                # (n, rows); coords_t.T hands it contiguous coordinate columns.
+                _sq_dist_rows(ci_t, coords_t.T, cache if i == 0 else mass, cum)
+                if i > 0:
+                    np.minimum(cache, mass, out=cache)
         if nb:
             costs[lo:hi] = sums.sum(axis=1)
         else:
-            mass = scratch[0, :rows]
-            np.multiply(cache, weights, out=mass)
-            costs[lo:hi] = mass.sum(axis=1)
+            # Each cost is the pairwise row sum of the row-major mass array.
+            mass_rows = flat[1, : n * rows].reshape(rows, n)
+            np.multiply(cache.T, weights, out=mass_rows)
+            costs[lo:hi] = mass_rows.sum(axis=1)
     return costs, centers
 
 

@@ -15,8 +15,9 @@ drawn. `sample_indices` searches one running sum with an exact total, so a
 draw is a deterministic function of the weight vector and one uniform.
 Where rounding puts a target at or past the end of the running sum, the
 draw lands on the last positive weight. `searchsorted_rows` is the same
-search run on many rows of running sums at once; it counts entries on
-short rows and halves the range on longer ones, with identical results.
+search run on many running sums at once, held point-major as the columns
+of an (n, b) array; it counts entries on short sums and halves the range
+on longer ones, with identical results.
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ __all__ = ["RandomSource", "sample_indices", "searchsorted_rows", "d2_weights"]
 
 # Running sums of at most this many entries are searched by counting, not
 # halving (see `searchsorted_rows`). Measured by
-# scripts/searchsorted_crossover.py on 1024 rows, 2-vCPU host, count against
-# binary search in us per call: at 3 targets per row 96 vs 129 at n = 24,
-# 123 vs 125 at 28 and 217 vs 174 at 48; at 8 targets 229 vs 387 at 24 and
-# 696 vs 474 at 64. With one target per row the binary search wins from
-# n = 12 (66 vs 57 us); desk-scale PTAS runs (c2 = 4, epsilon = 0.5) draw
-# 8 per row.
-_COUNT_MAX_TERMS = 24
+# scripts/searchsorted_crossover.py on point-major sums of 1024 columns,
+# 2-vCPU host, count against binary search in us per call: at 8 targets per
+# column 157 vs 429 at n = 24, 271 vs 373 at 48 (380 vs 510 and 412 vs 551
+# in reruns), a tie at 64 and 756 vs 462 at 128; at 3 targets 79 vs 119 at
+# 24, 103 vs 129 at 32 and 163 vs 148 at 48. Desk-scale PTAS runs
+# (c2 = 4, epsilon = 0.5) draw 8 per column. A shared (n, 1) sum, the first
+# draw's, is counted in 253 us against 446 for np.searchsorted at n = 48.
+_COUNT_MAX_TERMS = 48
 
 
 @dataclass(frozen=True)
@@ -90,46 +92,50 @@ def sample_indices(values, count: int, gen: np.random.Generator) -> np.ndarray:
 
 
 def searchsorted_rows(cum: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-row `np.searchsorted(cum[r], targets[r], side="right")`.
+    """Per column c, `np.searchsorted(cum[:, c], targets[:, c], side="right")`.
 
-    `targets` is (b, m) and `cum` (b, n), or (1, n) for one row shared by
-    all b rows of targets; every row of `cum` is nondecreasing (a running
-    sum of nonnegative weights). Returns (b, m) indices in [0, n], each
-    exact and independent of the other rows.
+    The layout is point-major: `cum` is (n, b), one running sum per column,
+    or (n, 1) for one running sum shared by all b columns of targets, and
+    `targets` is (m, b); every column of `cum` is nondecreasing (a running
+    sum of nonnegative weights). `cum` may be C-ordered or F-ordered, with
+    its columns along memory. Returns (m, b) indices in [0, n], each exact
+    and independent of the other columns.
 
-    A row of at most `_COUNT_MAX_TERMS` entries is searched by counting
-    the entries at or below each target, one column at a time: n
-    compare-and-add passes over the (b, m) targets. On a nondecreasing row
-    that count is the side="right" position. A longer shared row takes
-    `np.searchsorted`, and longer rows run a branchless binary search on
-    all rows at once: every row takes the same halving steps, about
-    log2(n) small numpy calls in all.
+    A running sum of at most `_COUNT_MAX_TERMS` entries is searched by
+    counting the entries at or below each target: one compare-and-add
+    pass over the (m, b) targets per row of `cum`, each pass running along
+    the b columns. On a nondecreasing column that count is the side="right"
+    position. A longer shared running sum takes `np.searchsorted`, and
+    longer columns run a branchless binary search on all columns at once:
+    every column takes the same halving steps, about log2(n) small numpy
+    calls in all.
     """
-    b, n = cum.shape
+    n, b = cum.shape
     if n <= _COUNT_MAX_TERMS:
-        # Targets are walked transposed, so each pass's inner loop runs
-        # over the b rows rather than the m targets of one row.
-        targets_t = np.ascontiguousarray(targets.T)
         # The narrowest unsigned type that holds n: uint8 up to 255.
-        count = np.zeros(targets_t.shape, dtype=np.min_scalar_type(n))
-        hit = np.empty(targets_t.shape, dtype=bool)
-        for col in np.ascontiguousarray(cum.T):
-            np.less_equal(col, targets_t, out=hit)
+        count = np.zeros(targets.shape, dtype=np.min_scalar_type(n))
+        hit = np.empty(targets.shape, dtype=bool)
+        for row in cum:
+            np.less_equal(row, targets, out=hit)
             count += hit.view(np.uint8)
-        return count.T.astype(np.intp)
+        return count.astype(np.intp)
     if b == 1:
-        return np.searchsorted(cum[0], targets, side="right")
-    flat = cum.reshape(-1)
-    row_start = np.arange(0, b * n, n, dtype=np.intp)[:, None]
-    # pos is a flat index; the answer lies in [pos, pos + size] of its row.
-    pos = np.broadcast_to(row_start, targets.shape)
+        return np.searchsorted(cum[:, 0], targets, side="right")
+    # Entry (p, c) of a C-ordered cum is flat[p * b + c]; of an F-ordered
+    # one, whose columns run along memory, flat[c * n + p].
+    if cum.flags.f_contiguous:
+        flat, step, start = cum.T.reshape(-1), 1, np.arange(0, b * n, n, dtype=np.intp)
+    else:
+        flat, step, start = cum.reshape(-1), b, np.arange(b, dtype=np.intp)
+    # pos is a flat index; the answer lies in [pos, pos + size * step].
+    pos = np.broadcast_to(start, targets.shape)
     size = n
     while size > 1:
         half = size // 2
-        probe = pos + half
+        probe = pos + half * step
         pos = np.where(flat[probe] <= targets, probe, pos)
         size -= half
-    return pos - row_start + (flat[pos] <= targets)
+    return (pos - start) // step + (flat[pos] <= targets)
 
 
 def d2_weights(P: WeightedPointSet, centers) -> np.ndarray:

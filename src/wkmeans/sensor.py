@@ -905,21 +905,31 @@ def _floats(*ndims: int):
     return parse
 
 
+def _number(value) -> float:
+    """A JSON number as a float; true, false, strings and huge integers are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("integer too large for float64") from None
+
+
 def _origin(value) -> tuple[float, float]:
-    return float(value[0]), float(value[1])
+    return _number(value[0]), _number(value[1])
 
 
 # Per density type: its class and each field's parser; a field that is
 # absent takes the default when one is listed.
 _DENSITY_FIELDS = {
-    "uniform": (UniformDensity, {"level": (float, 1.0)}),
+    "uniform": (UniformDensity, {"level": (_number, 1.0)}),
     "gaussian_mixture": (
         GaussianMixtureDensity,
         {"means": (_floats(1, 2),), "covariances": (_floats(2, 3),), "mixing": (_floats(),)},
     ),
     "raster": (
         RasterDensity,
-        {"origin": (_origin,), "pixel_size": (float,), "values": (_floats(),)},
+        {"origin": (_origin,), "pixel_size": (_number,), "values": (_floats(),)},
     ),
 }
 
@@ -972,7 +982,7 @@ def load_region(path: str | Path) -> tuple[SensorRegion, float | None]:
     grid_eps = doc.get("grid_eps")
     if grid_eps is not None:
         try:
-            grid_eps = float(grid_eps)
+            grid_eps = _number(grid_eps)
         except (TypeError, ValueError) as exc:
             raise RegionFileError(f"'grid_eps': {exc}") from None
     return region, grid_eps

@@ -282,13 +282,35 @@ _SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
             {"density": {"type": "gaussian_mixture", "means": 3, "covariances": 1, "mixing": 1}},
             "gaussian_mixture density 'means'",
         ),
+        ({"grid_eps": True}, "'grid_eps': expected a number, got true"),
+        ({"grid_eps": "0.5"}, "'grid_eps': expected a number, got \"0.5\""),
+        ({"grid_eps": 10**400}, "'grid_eps': integer too large for float64"),
+        (
+            {"density": {"type": "raster", "origin": [0, 0], "pixel_size": True, "values": [[1]]}},
+            "raster density 'pixel_size': expected a number, got true",
+        ),
+        (
+            {"density": {"type": "raster", "origin": [0, False], "pixel_size": 1, "values": [[1]]}},
+            "raster density 'origin': expected a number, got false",
+        ),
+        (
+            {"density": {"type": "uniform", "level": True}},
+            "uniform density 'level': expected a number, got true",
+        ),
     ],
-    ids=["density-number", "grid-eps-list", "raster-origin-number", "level-null", "means-number"],
+    ids=[
+        "density-number", "grid-eps-list", "raster-origin-number", "level-null", "means-number",
+        "grid-eps-bool", "grid-eps-string", "grid-eps-huge-int", "pixel-size-bool",
+        "raster-origin-bool", "level-bool",
+    ],
 )
 def test_malformed_region_file_is_a_region_file_error(tmp_path, capsys, changes, field):
     """Wrongly typed fields fail as region file errors that name the field.
 
-    The CLI exits 2 with an error line, not a traceback.
+    A JSON true, false or string is not a number: read as 1.0, 0.0 or the
+    string's value it would run a grid of 1.0 or a density level of 1.0
+    without a word. An integer past float64 would raise OverflowError. The
+    CLI exits 2 with an error line, not a traceback.
     """
     path = tmp_path / "region.json"
     path.write_text(json.dumps({"polygon": _SQUARE, "density": {"type": "uniform"}, **changes}))

@@ -148,12 +148,13 @@ def test_sample_index_matches_inverse_cdf_partition():
     assert abs(counts[1] / 20_000 - 0.5) < 0.02
 
 
-def _per_row_searchsorted(cum, targets):
+def _per_column_searchsorted(cum, targets):
     return np.stack(
-        [np.searchsorted(c, t, side="right") for c, t in zip(cum, targets)]
+        [np.searchsorted(c, t, side="right") for c, t in zip(cum.T, targets.T)], axis=1
     )
 
 
+@pytest.mark.deep
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(1, 6),
@@ -164,59 +165,66 @@ def _per_row_searchsorted(cum, targets):
     st.integers(1, 9),
     st.sampled_from(["random", "ties", "zero-runs"]),
     st.booleans(),
+    st.booleans(),
 )
-def test_searchsorted_rows_matches_per_row_searchsorted(seed, b, n, m, kind, shared):
-    """Exact side="right" search per row, whatever the row's shape.
+def test_searchsorted_rows_matches_per_row_searchsorted(seed, b, n, m, kind, shared, f_order):
+    """Exact side="right" search per column, whatever the column's shape.
 
-    Row lengths fall on both sides of the count's cutoff. A shared (1, n)
-    running sum is searched by every row of targets.
+    Running sums are (n, b), one per column, in C order or in F order with
+    the columns along memory (as the PTAS evaluator stores a block with
+    more points than rows), and targets (m, b). Lengths fall on both sides
+    of the count's cutoff. A shared (n, 1) running sum is searched by every
+    column of targets.
     """
     gen = RandomSource(seed).generator()
     if kind == "random":
-        w = gen.random((b, n))
+        w = gen.random((n, b))
     elif kind == "ties":
-        w = np.floor(gen.random((b, n)) * 3.0)  # many equal CDF steps
+        w = np.floor(gen.random((n, b)) * 3.0)  # many equal CDF steps
     else:
-        w = gen.random((b, n)) * (gen.random((b, n)) < 0.3)  # runs of zeros
-    w[0] = 0.0  # an all-zero row
-    cum = np.cumsum(w, axis=1)
-    totals = cum[:, -1:]
+        w = gen.random((n, b)) * (gen.random((n, b)) < 0.3)  # runs of zeros
+    w[:, 0] = 0.0  # an all-zero column
+    cum = np.cumsum(w, axis=0)
+    totals = cum[-1:]
     on_entries = np.take_along_axis(
-        cum, np.floor(gen.random((b, m)) * n).astype(np.intp), axis=1
+        cum, np.floor(gen.random((m, b)) * n).astype(np.intp), axis=0
     )
     targets = np.concatenate(
-        [gen.random((b, m)) * totals, on_entries, np.zeros((b, 1)), totals], axis=1
+        [gen.random((m, b)) * totals, on_entries, np.zeros((1, b)), totals], axis=0
     )
     if shared:
-        cum = cum[-1:]
-        want = _per_row_searchsorted(np.broadcast_to(cum, (b, n)), targets)
+        cum = np.ascontiguousarray(cum[:, -1:])
+        want = _per_column_searchsorted(np.broadcast_to(cum, (n, b)), targets)
     else:
-        want = _per_row_searchsorted(cum, targets)
+        want = _per_column_searchsorted(cum, targets)
+    if f_order:
+        cum = np.asfortranarray(cum)
     got = searchsorted_rows(cum, targets)
     assert got.dtype == np.intp
     np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("cutoff", [0, _COUNT_MAX_TERMS, 1 << 20])
-@pytest.mark.parametrize("n", [1, _COUNT_MAX_TERMS, _COUNT_MAX_TERMS + 1, 300])
+@pytest.mark.parametrize("cutoff", [0, 24, 1 << 20])
+@pytest.mark.parametrize("n", [1, 24, 25, 300])
 def test_searchsorted_rows_shared_row_over_many_targets(monkeypatch, cutoff, n):
-    """One running sum searched by 1000 rows of targets, by either search.
+    """One (n, 1) running sum searched by 1000 columns of targets, by either search.
 
-    n = 300 counts past 255, beyond a uint8 count, when the cutoff is 2^20.
+    The cutoff is patched: 0 halves every sum, 24 counts n = 24 and halves
+    n = 25, and 2^20 counts n = 300, past 255, beyond a uint8 count.
     """
     monkeypatch.setattr(sampling, "_COUNT_MAX_TERMS", cutoff)
     gen = RandomSource(n).generator()
-    cum = np.cumsum(np.floor(gen.random((1, n)) * 3.0), axis=1)
+    cum = np.cumsum(np.floor(gen.random((n, 1)) * 3.0), axis=0)
     # Whole and half steps: targets on the entries, between them and past the end.
-    targets = np.floor(gen.random((1000, 4)) * 2.0 * (cum[0, -1] + 2.0)) / 2.0
+    targets = np.floor(gen.random((4, 1000)) * 2.0 * (cum[-1, 0] + 2.0)) / 2.0
     got = searchsorted_rows(cum, targets)
     assert got.dtype == np.intp and got.shape == targets.shape
-    np.testing.assert_array_equal(got, np.searchsorted(cum[0], targets, side="right"))
+    np.testing.assert_array_equal(got, np.searchsorted(cum[:, 0], targets, side="right"))
 
 
 def test_searchsorted_rows_on_fixed_steps():
-    cum = np.array([[0.0, 0.0, 1.0, 1.0, 3.0], [0.0, 0.0, 0.0, 0.0, 0.0]])
-    targets = np.array([[0.0, 0.5, 1.0, 2.9, 3.0], [0.0, 0.0, 0.0, 0.0, 0.0]])
+    cum = np.array([[0.0, 0.0, 1.0, 1.0, 3.0], [0.0, 0.0, 0.0, 0.0, 0.0]]).T
+    targets = np.array([[0.0, 0.5, 1.0, 2.9, 3.0], [0.0, 0.0, 0.0, 0.0, 0.0]]).T
     np.testing.assert_array_equal(
-        searchsorted_rows(cum, targets), [[2, 2, 4, 4, 5], [5, 5, 5, 5, 5]]
+        searchsorted_rows(cum, targets), np.array([[2, 2, 4, 4, 5], [5, 5, 5, 5, 5]]).T
     )
