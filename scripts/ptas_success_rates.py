@@ -23,9 +23,9 @@ from wkmeans import instances
 from wkmeans.ptas import solve
 
 
-def sweep(inst, budgets, seeds, epsilon, c1, c2, writer):
+def sweep(inst, budgets, seeds, epsilon, c2, writer):
     for budget in budgets:
-        overrides = {"c1": c1, "c2": c2, "tuple_budget": budget}
+        overrides = {"c2": c2, "tuple_budget": budget}
         t0 = time.perf_counter()
         ratios = np.array(
             [
@@ -60,7 +60,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, default=40)
     ap.add_argument("--budgets", type=int, nargs="+", default=[500, 2000, 8000])
     ap.add_argument("--epsilon", type=float, default=0.5)
-    ap.add_argument("--c1", type=float, default=8.0)
     ap.add_argument("--c2", type=float, default=4.0)
     ap.add_argument(
         "--include-stress",
@@ -88,7 +87,7 @@ def main(argv=None) -> int:
         writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
         for inst in suite:
-            sweep(inst, args.budgets, args.seeds, args.epsilon, args.c1, args.c2, writer)
+            sweep(inst, args.budgets, args.seeds, args.epsilon, args.c2, writer)
     print(f"wrote {args.output}")
     return 0
 

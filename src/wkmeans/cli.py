@@ -217,8 +217,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: unknown solver in {args.solvers!r}", file=sys.stderr)
         return 2
     overrides = _ptas_overrides(args)
-    # Desk-scale defaults: the theory constants would dominate the matrix.
-    overrides.setdefault("c1", 8.0)
+    # Desk-scale draws: the theory's c2 = 100 would dominate the matrix. No
+    # draw reads c1, so it keeps its default.
     overrides.setdefault("c2", 4.0)
 
     rows = []

@@ -196,11 +196,6 @@ def min_squared_distances(points: np.ndarray, centers) -> np.ndarray:
     return _nearest(points, centers, index=False)[1]
 
 
-def assign_to_centers(points: np.ndarray, centers) -> np.ndarray:
-    """Nearest-center index per point (lowest index on ties), shape (n,)."""
-    return _nearest(points, centers)[0]
-
-
 # Terms per `_exact_sum` chunk: below 2^26, each exponent bucket's sum of
 # mantissa parts (at most 27 bits each) stays under 2^53, so float64 holds
 # it exactly.

@@ -5,9 +5,10 @@ in the test suite, so it trades all cleverness for auditability: enumerate
 every partition of the points into at most k nonempty groups, score each by
 the centroid cost of its groups, keep the best. It returns a
 `ClusteringResult` like every other solver. Alongside it live the two
-statistical experiments that the sampling guarantees rest on: uniform
-subsample centroids (success within a (1 + 1/(delta*M)) cost factor) and the
-gated null-sampling process.
+statistical experiments that the sampling guarantees rest on: the centroids
+of weight-proportional subsamples (success within a (1 + 1/(delta*M)) cost
+factor) and the gated null-sampling process. Both draw with the package's
+sampler and price with its distance kernel.
 """
 
 from __future__ import annotations
@@ -16,9 +17,16 @@ import math
 
 import numpy as np
 
-from wkmeans.core import ClusteringResult, WeightedPointSet, weighted_centroid, weighted_cost
-from wkmeans.core import _check_positive_int
-from wkmeans.sampling import RandomSource
+from wkmeans.core import (
+    ClusteringResult,
+    WeightedPointSet,
+    _check_positive_int,
+    _exact_sum,
+    min_squared_distances,
+    weighted_centroid,
+    weighted_cost,
+)
+from wkmeans.sampling import RandomSource, sample_indices
 
 __all__ = [
     "InstanceTooLarge",
@@ -151,14 +159,6 @@ def brute_force_opt(P: WeightedPointSet, k: int) -> ClusteringResult:
     return _exact_result(P, centers, groups, leaves)
 
 
-def _expand_integer_weights(P: WeightedPointSet) -> np.ndarray:
-    """Indices repeating each point w_p times; requires integer weights."""
-    rounded = np.rint(P.weights)
-    if not np.allclose(P.weights, rounded, rtol=0.0, atol=1e-9):
-        raise ValueError("expand requires integer weights")
-    return np.repeat(np.arange(P.n), rounded.astype(np.int64))
-
-
 def verify_inaba(
     P: WeightedPointSet,
     M: int,
@@ -166,42 +166,23 @@ def verify_inaba(
     repetitions: int,
     rng: RandomSource,
 ) -> float:
-    """Success rate of the uniform-subsample centroid bound.
+    """Success rate of the subsample-centroid bound.
 
-    Treats P as a multiset of unit-weight copies (hence integer weights),
-    draws M copies with replacement per repetition, and counts how often the
-    sample centroid's single-center cost stays within (1 + 1/(delta*M)) of
-    the optimum. The bound promises a rate of at least 1 - delta.
+    Each repetition draws M points with replacement, each with probability
+    proportional to its weight (`sample_indices`; integer weights act as
+    that many unit copies drawn uniformly), and counts how often the plain
+    mean of the draws has a single-center cost, priced with the distance
+    kernel, within (1 + 1/(delta*M)) of the optimum. Any positive weights
+    are accepted. The bound promises a rate of at least 1 - delta.
     """
     _check_positive_int("M", M)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     _check_positive_int("repetitions", repetitions)
-    copies = _expand_integer_weights(P)
-    E = P.coords[copies]
-    n_copies = E.shape[0]
-
-    g = weighted_centroid(P)
-    opt = weighted_cost(P, [g])
-    threshold = (1.0 + 1.0 / (delta * M)) * opt
-
-    # Cost of P about any c from sufficient statistics:
-    # Q - 2 c.S + W ||c||^2.
-    W = P.total_weight
-    S = np.einsum("i,ij->j", P.weights, P.coords)
-    Q = float(np.einsum("i,ij,ij->", P.weights, P.coords, P.coords))
-
-    gen = rng.generator()
-    u = gen.random((repetitions, M))
-    idx = np.minimum((u * n_copies).astype(np.intp), n_copies - 1)
-    successes = 0
-    for lo in range(0, repetitions, 2048):
-        hi = min(lo + 2048, repetitions)
-        centroids = E[idx[lo:hi]].mean(axis=1)
-        costs = Q - 2.0 * centroids @ S + W * np.einsum(
-            "ij,ij->i", centroids, centroids
-        )
-        successes += int(np.count_nonzero(costs <= threshold))
+    threshold = (1.0 + 1.0 / (delta * M)) * weighted_cost(P, [weighted_centroid(P)])
+    idx = sample_indices(P.weights, repetitions * M, rng.generator())
+    centroids = P.coords[idx.reshape(repetitions, M)].mean(axis=1)
+    successes = sum(weighted_cost(P, c) <= threshold for c in centroids)
     return successes / repetitions
 
 
@@ -211,16 +192,16 @@ def verify_null_sampling(
     points: np.ndarray,
     repetitions: int,
     rng: RandomSource,
-    count_only: bool = False,
-) -> float:
-    """Success rate of the gated uniform-sampling experiment.
+) -> tuple[float, float]:
+    """Success rates of the gated uniform-sampling experiment, (count, full).
 
     One run makes l = ceil(400 / (gamma * epsilon)) draws; each is null with
-    probability 1 - gamma, otherwise a uniform point of `points` (unweighted).
-    A run succeeds when at least m = ceil(100 / epsilon) draws are non-null
-    and the centroid of a uniformly chosen m-subset of them has single-center
-    cost within (1 + epsilon/20) of optimal. `count_only` scores just the
-    first condition.
+    probability 1 - gamma, otherwise a uniform point of `points` (unweighted,
+    drawn by `sample_indices`). The count rate is the share of runs with at
+    least m = ceil(100 / epsilon) non-null draws. The full rate also asks
+    that the centroid of a uniformly chosen m-subset of them have a
+    single-center cost, priced with the distance kernel, within
+    (1 + epsilon/20) of optimal.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
@@ -233,35 +214,25 @@ def verify_null_sampling(
     m = math.ceil(100.0 / epsilon)
 
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    n = pts.shape[0]
-    centroid = pts.mean(axis=0)
-    diffs = pts - centroid
-    opt = float(np.einsum("ij,ij->", diffs, diffs))
-    threshold = (1.0 + epsilon / 20.0) * opt
-
-    S = pts.sum(axis=0)
-    Q = float(np.einsum("ij,ij->", pts, pts))
+    uniform = np.ones(pts.shape[0])
+    threshold = (1.0 + epsilon / 20.0) * _exact_sum(
+        min_squared_distances(pts, pts.mean(axis=0))
+    )
 
     gen = rng.generator()
-    successes = 0
+    counted = successes = 0
     for _ in range(repetitions):
         # Fixed three-block draw layout per run: gates, point picks, subset
         # keys. Unused picks/keys still consume stream positions, so the
         # layout is independent of the gate outcomes.
         gates = gen.random(n_draws) < gamma
-        picks = np.minimum((gen.random(n_draws) * n).astype(np.intp), n - 1)
+        picks = sample_indices(uniform, n_draws, gen)
         keys = gen.random(n_draws)
-        hit = int(np.count_nonzero(gates))
-        if hit < m:
+        if np.count_nonzero(gates) < m:
             continue
-        if count_only:
-            successes += 1
-            continue
+        counted += 1
         keys = np.where(gates, keys, np.inf)
-        chosen = np.argpartition(keys, m - 1)[:m]
-        sub = picks[chosen]
-        g = pts[sub].mean(axis=0)
-        cost = Q - 2.0 * float(g @ S) + n * float(g @ g)
-        if cost <= threshold:
+        g = pts[picks[np.argpartition(keys, m - 1)[:m]]].mean(axis=0)
+        if _exact_sum(min_squared_distances(pts, g)) <= threshold:
             successes += 1
-    return successes / repetitions
+    return counted / repetitions, successes / repetitions

@@ -6,8 +6,9 @@ probability proportional to w * d^2 (to w for the first center), and add
 the w-weighted mean of those drawn points as the next center. A point's
 weight therefore counts twice, once in the draw and once in the mean. Each
 trial evaluates `tuple_budget` tuples, every one on fresh draws, and the
-best center set over all trials and tuples is returned. With N = c1*k/eps^2, M = c2/eps and 2^k trials the constants are
-the theory's; desk-scale runs shrink them.
+best center set over all trials and tuples is returned. With
+N = c1*k/eps^2, M = c2/eps and 2^k trials the constants are the theory's;
+desk-scale runs shrink them.
 
 The analysis (Jaiswal, Kumar and Sen, Algorithmica 2014) draws N points per
 step and branches on every M-subset of them. A tuple here draws M points
@@ -20,38 +21,12 @@ with c1 = 8, c2 = 4 and eps = 0.5.
 Tuples are evaluated in batches of B <= 1024. A batch first draws all of
 its uniforms, k blocks of (B, M), so the random-number layout is fixed
 before any work starts. Each row draws its M points through an exact
-inverse CDF of its own. The rows are walked in two tiers: per-point passes
-(distances, running minimum, block sums) in sub-blocks of max(1, 2^16 // n)
-rows, and draws and centroids once per outer block.
-
-- A row of up to 2 * M blocks of 128 points (every desk-scale instance)
-  takes one running sum, searched per row by `searchsorted_rows`: a short
-  row (every desk-scale one) by counting the entries at or below each
-  target, a longer one by a binary search. An outer block is one
-  sub-block, held in three (n, rows) arrays: the min-distance cache, the
-  masses weights * cache and their running sums down axis 0. They are
-  point-major when the block has at least as many rows as points (every
-  desk-scale block), so each numpy pass runs along the rows; otherwise
-  the same arrays keep the points along memory, so no pass runs along the
-  short side.
-- A longer row takes two levels, and its outer blocks hold
-  max(1, 2^18 // n) rows of the cache, zero-padded to whole blocks. One
-  einsum pass reads each sub-block's new cache against the zero-padded
-  weights into 128-point block sums, with no mass array. A running sum
-  over the block sums picks each draw's block, and only the M drawn
-  blocks' masses are formed and running-summed to find the point. A
-  candidate's cost is the pairwise sum of its final block sums.
-
-No work array grows with B x n: the cache holds about max(2^18, n) values
-(2 MiB of float64 up to n = 2^18) plus under 128 of padding per row, two
-scratch arrays max(2^16, n) values each, and the gathered blocks fewer
-than the cache. The output does not depend on either block size.
-Every row's first draw searches the shared running sum of the weights
-through `searchsorted_rows` too. A centroid gathers its draws as (M, rows)
-with `take`, which on a small (n, d) array costs a small fraction of fancy
-indexing, and sums them along the rows in draw order (`_centroids`).
-Per-trial random streams are derived from (master_seed, trial), so
-results are independent of thread scheduling.
+inverse CDF of its own. The batch evaluator, `_run_tuple_batch`, walks the
+rows in bounded memory; its docstring gives the block sizes, the memory
+layouts and the memory bound, and `searchsorted_rows`'s the search
+cutoff. No output byte depends on any block size. Per-trial random
+streams are derived from (master_seed, trial), so results are independent
+of thread scheduling.
 """
 
 from __future__ import annotations
@@ -268,25 +243,18 @@ def _inverse_cdf_blocks(
 def _centroids(coords_t: np.ndarray, weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The w-weighted means of the drawn points, (d, rows); cols is (M, rows).
 
-    Every byte equals the row-major form, `einsum("bm,bmd->bd")` over the
-    draws gathered as (rows, M) divided by the pairwise row sums of the
-    drawn weights, which the tests' reference evaluator computes. For
-    d >= 2 that einsum adds a mean's M products onto a zero in draw order,
-    and so does `einsum("mr,dmr->dr")` over the (M, rows) gather, whose
-    inner loop runs along the rows. A lone row would put the draws in that
-    inner loop, which einsum sums in SIMD lanes, so it is summed beside a
-    copy of itself. For d = 1 the row-major einsum sums in lanes, so that
-    case keeps it.
+    A mean's M products are added onto a zero in draw order, then divided
+    by the pairwise row sum of the drawn weights; the tests' reference
+    evaluator computes the same. `einsum("mr,dmr->dr")` over the (M, rows)
+    gather does that for every d, since its inner loop runs along the rows.
+    A lone row would put the draws in that inner loop, which einsum sums in
+    SIMD lanes, so it is summed beside a copy of itself.
     """
     rows = cols.shape[1]
     wide = cols if rows > 1 else np.repeat(cols, 2, axis=1)
     tw = weights.take(wide)
-    tw_rows = np.ascontiguousarray(tw[:, :rows].T)
-    if coords_t.shape[0] == 1:
-        num = np.einsum("bm,bm->b", tw_rows, coords_t[0].take(cols.T))[None]
-    else:
-        num = np.einsum("mr,dmr->dr", tw, coords_t.take(wide, axis=1))[:, :rows]
-    return num / tw_rows.sum(axis=1)
+    num = np.einsum("mr,dmr->dr", tw, coords_t.take(wide, axis=1))[:, :rows]
+    return num / np.ascontiguousarray(tw[:, :rows].T).sum(axis=1)
 
 
 def _run_tuple_batch(
@@ -479,6 +447,7 @@ def solve(
     params = PtasParams(k, epsilon, **(overrides or {}))
     _check_positive_int("threads", threads)
     _check_weight_total(P)
+    master = RandomSource(master_seed)
     distinct = _distinct_points(P.coords, k + 1)
     if k >= distinct.shape[0]:
         meta = {
@@ -487,7 +456,6 @@ def solve(
             "note": "k >= distinct points; zero-cost placement",
         }
         return ClusteringResult.from_centers(P, CenterSet(distinct), meta)
-    master = RandomSource(master_seed)
 
     def worker(t: int) -> tuple[float, np.ndarray, int]:
         return _best_for_trial(P, params, master, t)

@@ -49,11 +49,16 @@ class RandomSource:
     `derive(*ids)` appends integer ids to the stream path, giving a child
     source whose output is unrelated to the parent's. Equal (seed, stream)
     always produce identical generators, regardless of platform or thread
-    scheduling.
+    scheduling. The seed must be an int >= 0; a bool or float is refused.
     """
 
     seed: int
     stream: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
     def derive(self, *ids: int) -> "RandomSource":
         return RandomSource(self.seed, self.stream + tuple(int(i) for i in ids))

@@ -893,9 +893,21 @@ def place_sensors(
 
 
 def _floats(*ndims: int):
-    """Parser of a float array with one of these dimension counts (any if none)."""
+    """Parser of a float array with one of these dimension counts (any if none).
+
+    Every entry of the nested JSON arrays must be a number (`_number`):
+    numpy would read true as 1.0 and "0.5" as 0.5.
+    """
+
+    def check(value) -> None:
+        if isinstance(value, list):
+            for item in value:
+                check(item)
+        else:
+            _number(value)
 
     def parse(value) -> np.ndarray:
+        check(value)
         arr = np.asarray(value, dtype=np.float64)
         if ndims and arr.ndim not in ndims:
             allowed = " or ".join(f"{d}-D" for d in ndims)
@@ -972,7 +984,7 @@ def load_region(path: str | Path) -> tuple[SensorRegion, float | None]:
         raise RegionFileError("'density' must be a JSON object")
     density = _parse_density(doc["density"])
     try:
-        polygon = np.asarray(doc["polygon"], dtype=np.float64)
+        polygon = _floats()(doc["polygon"])
     except (TypeError, ValueError) as exc:
         raise RegionFileError(f"'polygon': {exc}") from None
     try:

@@ -244,10 +244,7 @@ def _check_inaba(rng: RandomSource, slack_sigmas: float) -> _Outcome:
 
 def _check_null_sampling(rng: RandomSource, floor: float) -> _Outcome:
     P = instances.inaba10()
-    count_rate = verify_null_sampling(
-        0.5, 1.0, P.coords, 1000, rng.derive(0), count_only=True
-    )
-    full_rate = verify_null_sampling(0.5, 1.0, P.coords, 400, rng.derive(1))
+    count_rate, full_rate = verify_null_sampling(0.5, 1.0, P.coords, 1000, rng.derive(0))
     ok = count_rate >= 0.99 and full_rate >= floor
     return (
         ok,
@@ -312,7 +309,7 @@ def _check_ptas_smoke(rng: RandomSource, factor: float) -> _Outcome:
         inst.points,
         inst.k,
         0.5,
-        {"c1": 8.0, "c2": 4.0, "tuple_budget": 500},
+        {"c2": 4.0, "tuple_budget": 500},
         master_seed=rng.seed,
     )
     ratio = result.cost / inst.opt_cost

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from wkmeans import baselines, sampling
 from wkmeans.baselines import kmeanspp_lloyd, kmeanspp_seed, lloyd_descend
-from wkmeans.core import CenterSet, WeightedPointSet, assign_to_centers, weighted_cost
+from wkmeans.core import CenterSet, WeightedPointSet, _nearest, weighted_cost
 from wkmeans.instances import kpp20, line4, oracle_instances, random_instance
 from wkmeans.sampling import RandomSource
 
@@ -138,11 +138,11 @@ def test_lloyd_round_matches_mask_loop_centroids(monkeypatch, offset):
         centers = np.vstack([centers, [offset + 1e3, offset]])
         for _ in range(4):
             res = lloyd_descend(P, CenterSet(centers))
-            ref = _mask_loop_centroids(P, centers, assign_to_centers(P.coords, centers))
+            ref = _mask_loop_centroids(P, centers, _nearest(P.coords, centers)[0])
             np.testing.assert_allclose(res.centers.centers, ref, rtol=1e-12, atol=0)
             assert res.centers.centers[3].tolist() == [offset + 1e3, offset]
             np.testing.assert_array_equal(
-                res.assignment, assign_to_centers(P.coords, res.centers)
+                res.assignment, _nearest(P.coords, res.centers)[0]
             )
             assert res.cost == weighted_cost(P, res.centers)
             assert res.cost == res.meta["cost_history"][-1]

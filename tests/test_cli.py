@@ -118,6 +118,23 @@ def test_cluster_rejects_bad_integer_flags(capsys, flags):
         assert "must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "--seed", "-1"],
+        ["cluster", "--solver", "kmeanspp-lloyd", "--seed", "-1"],
+        ["sensor", "--seed", "-1"],
+        ["bench", "--repeat", "1", "--solvers", "ptas", "--seed", "-1"],
+        ["verify", "--only", "reproducibility", "--seed", "-1"],
+    ],
+    ids=lambda argv: argv[0] + ("-" + argv[2] if argv[1] == "--solver" else ""),
+)
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    """A seed below 0 exits 2 with an error that names the seed."""
+    assert run(argv) == 2
+    assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 def test_sensor_rejects_format_flag(capsys):
     """--format belongs to cluster; sensor always writes JSON."""
     with pytest.raises(SystemExit) as exc:
@@ -266,6 +283,12 @@ def test_sensor_bad_region(tmp_path):
 
 
 _SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+_MIXTURE = {
+    "type": "gaussian_mixture",
+    "means": [[0.5, 0.5]],
+    "covariances": [[[0.01, 0.0], [0.0, 0.01]]],
+    "mixing": [1.0],
+}
 
 
 @pytest.mark.parametrize(
@@ -297,19 +320,41 @@ _SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
             {"density": {"type": "uniform", "level": True}},
             "uniform density 'level': expected a number, got true",
         ),
+        (
+            {"density": {"type": "raster", "origin": [0, 0], "pixel_size": 1,
+                         "values": [[True, 1], [1, 1]]}},
+            "raster density 'values': expected a number, got true",
+        ),
+        (
+            {"density": {**_MIXTURE, "means": [[True, 0.5]]}},
+            "gaussian_mixture density 'means': expected a number, got true",
+        ),
+        (
+            {"density": {**_MIXTURE, "covariances": [[[0.01, False], [0, 0.01]]]}},
+            "gaussian_mixture density 'covariances': expected a number, got false",
+        ),
+        (
+            {"density": {**_MIXTURE, "mixing": [True]}},
+            "gaussian_mixture density 'mixing': expected a number, got true",
+        ),
+        (
+            {"polygon": [[0, 0], [1, 0], [True, 1], [0, 1]]},
+            "'polygon': expected a number, got true",
+        ),
     ],
     ids=[
         "density-number", "grid-eps-list", "raster-origin-number", "level-null", "means-number",
         "grid-eps-bool", "grid-eps-string", "grid-eps-huge-int", "pixel-size-bool",
-        "raster-origin-bool", "level-bool",
+        "raster-origin-bool", "level-bool", "raster-values-bool", "means-bool",
+        "covariances-bool", "mixing-bool", "polygon-bool",
     ],
 )
 def test_malformed_region_file_is_a_region_file_error(tmp_path, capsys, changes, field):
     """Wrongly typed fields fail as region file errors that name the field.
 
-    A JSON true, false or string is not a number: read as 1.0, 0.0 or the
-    string's value it would run a grid of 1.0 or a density level of 1.0
-    without a word. An integer past float64 would raise OverflowError. The
+    A JSON true, false or string is not a number, as a field or inside an
+    array: read as 1.0, 0.0 or the string's value it would run a grid of
+    1.0, a density level of 1.0 or a raster pixel of 1.0 without a word. An integer past float64 would raise OverflowError. The
     CLI exits 2 with an error line, not a traceback.
     """
     path = tmp_path / "region.json"

@@ -9,7 +9,6 @@ from wkmeans.core import (
     ClusteringResult,
     PointFileError,
     WeightedPointSet,
-    assign_to_centers,
     load_weighted_points,
     min_squared_distances,
     parallel_axis_rhs,
@@ -155,7 +154,7 @@ def test_center_set_requires_centers():
 def test_nearest_center_breaks_ties_toward_lower_index():
     point = np.array([[0.0]])
     for centers, idx in (([[-1.0], [1.0]], 0), ([[5.0], [1.0], [-1.0]], 1)):
-        assert assign_to_centers(point, np.array(centers)).tolist() == [idx]
+        assert core._nearest(point, np.array(centers))[0].tolist() == [idx]
         assert min_squared_distances(point, np.array(centers)).tolist() == [1.0]
 
 
@@ -166,7 +165,7 @@ def test_assignment_is_first_argmin_on_tie_heavy_grids(seed, n, k):
     pts = np.floor(gen.random((n, 2)) * 4.0)
     centers = np.floor(gen.random((k, 2)) * 4.0)
     d2 = ((pts[None, :, :] - centers[:, None, :]) ** 2).sum(axis=2)
-    np.testing.assert_array_equal(assign_to_centers(pts, centers), np.argmin(d2, axis=0))
+    np.testing.assert_array_equal(core._nearest(pts, centers)[0], np.argmin(d2, axis=0))
 
 
 def test_weighted_cost_small_example():
@@ -183,7 +182,7 @@ def test_weighted_centroid_small_example():
 def test_assignment_consistent_with_min_distances():
     P = make_points(3, 40, 3)
     centers = P.coords[:4]
-    assign = assign_to_centers(P.coords, centers)
+    assign = core._nearest(P.coords, centers)[0]
     d2 = min_squared_distances(P.coords, centers)
     diffs = P.coords - centers[assign]
     direct = diffs[:, 0] ** 2
@@ -212,11 +211,11 @@ def test_distance_kernel_matches_long_double(monkeypatch, d, shift):
     for c in centers:
         np.minimum(folded, min_squared_distances(pts, c), out=folded)
     np.testing.assert_array_equal(folded, got)
-    assign = assign_to_centers(pts, centers)
+    assign = core._nearest(pts, centers)[0]
     for values in (1, 7, 5 * 64):
         monkeypatch.setattr(core, "_BLOCK_VALUES", values)
         np.testing.assert_array_equal(min_squared_distances(pts, centers), got)
-        np.testing.assert_array_equal(assign_to_centers(pts, centers), assign)
+        np.testing.assert_array_equal(core._nearest(pts, centers)[0], assign)
 
 
 @given(st.integers(0, 10_000), st.integers(1, 50), st.integers(1, 5))
@@ -246,7 +245,7 @@ def test_clustering_result_recomputes_assignment_and_cost():
     centers = CenterSet(P.coords[[0, 7]])
     res = ClusteringResult.from_centers(P, centers, {"solver": "test"})
     assert res.cost == weighted_cost(P, centers)
-    assert np.array_equal(res.assignment, assign_to_centers(P.coords, centers.centers))
+    assert np.array_equal(res.assignment, core._nearest(P.coords, centers.centers)[0])
     assert res.meta["solver"] == "test"
 
 

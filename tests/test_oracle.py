@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wkmeans.baselines import kmeanspp_lloyd
-from wkmeans.core import WeightedPointSet, weighted_cost
+from wkmeans.core import WeightedPointSet, weighted_centroid, weighted_cost
 from wkmeans.instances import inaba10, oracle_instances
 from wkmeans.oracle import (
     InstanceTooLarge,
@@ -80,10 +80,31 @@ def test_inaba_rate_beats_bound():
     assert rate >= 1.0 - 0.5 - 3.0 * np.sqrt(0.25 / 2000)
 
 
-def test_inaba_rejects_fractional_weights():
-    P = WeightedPointSet(np.array([[0.0], [1.0]]), np.array([1.5, 1.0]))
-    with pytest.raises(ValueError, match="integer weights"):
-        verify_inaba(P, 5, 0.5, 10, RandomSource(0))
+def _copy_expansion_inaba(P, M, delta, repetitions, rng):
+    """The rate from uniform draws over each point repeated w_p times."""
+    copies = np.repeat(np.arange(P.n), np.rint(P.weights).astype(np.int64))
+    u = rng.generator().random((repetitions, M))
+    idx = np.minimum((u * copies.size).astype(np.intp), copies.size - 1)
+    threshold = (1.0 + 1.0 / (delta * M)) * weighted_cost(P, [weighted_centroid(P)])
+    centroids = P.coords[copies[idx]].mean(axis=1)
+    return sum(weighted_cost(P, c) <= threshold for c in centroids) / repetitions
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("M,delta", [(1, 0.5), (20, 0.5), (100, 0.25)])
+def test_inaba_integer_weights_match_copy_expansion(seed, M, delta):
+    P = inaba10()
+    assert np.array_equal(P.weights, np.rint(P.weights))
+    rate = verify_inaba(P, M, delta, 500, RandomSource(seed))
+    assert rate == _copy_expansion_inaba(P, M, delta, 500, RandomSource(seed))
+
+
+def test_inaba_accepts_fractional_weights():
+    P = make_points(4, 30, 2)
+    assert not np.array_equal(P.weights, np.rint(P.weights))
+    rate = verify_inaba(P, 20, 0.5, 2000, RandomSource(3))
+    assert 0.0 <= rate <= 1.0
+    assert rate >= 1.0 - 0.5 - 3.0 * np.sqrt(0.25 / 2000)
 
 
 def test_inaba_parameter_validation():
@@ -102,14 +123,16 @@ def test_inaba_parameter_validation():
 
 def test_null_sampling_count_gate():
     pts = make_points(7, 30, 2).coords
-    rate = verify_null_sampling(0.25, 1.0, pts, 200, RandomSource(5), count_only=True)
-    assert rate >= 0.99
+    count_rate, full_rate = verify_null_sampling(0.25, 1.0, pts, 200, RandomSource(5))
+    assert count_rate >= 0.99
+    assert 0.0 <= full_rate <= count_rate
 
 
 def test_null_sampling_full_experiment():
     pts = make_points(8, 25, 2).coords
-    rate = verify_null_sampling(0.25, 1.0, pts, 100, RandomSource(6))
-    assert rate >= 0.5
+    count_rate, full_rate = verify_null_sampling(0.25, 1.0, pts, 100, RandomSource(6))
+    assert full_rate >= 0.5
+    assert full_rate <= count_rate
 
 
 def test_null_sampling_size_guard():

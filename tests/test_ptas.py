@@ -344,7 +344,11 @@ def _reference_run_tuple_batch(coords, weights, u):
                 cols, dead = _reference_inverse_cdf_rows(mass_b, ui)
             np.minimum(cols, n - 1, out=cols)
             tw = weights[cols]
-            ci = np.einsum("bm,bmd->bd", tw, coords[cols]) / tw.sum(axis=1)[:, None]
+            # Each mean's D products are added onto a zero in draw order.
+            ci = np.zeros((hi - lo, d))
+            for m in range(D):
+                ci += tw[:, m, None] * coords[cols[:, m]]
+            ci /= tw.sum(axis=1)[:, None]
             if dead is not None and dead.any():
                 ci[dead] = blk_centers[dead, i - 1]
             blk_centers[:, i, :] = ci
@@ -532,6 +536,14 @@ def test_solve_line_instance_within_half_of_optimal():
     res = solve(inst.points, inst.k, 0.5, {"c1": 8.0, "c2": 4.0}, master_seed=7)
     assert 1.0 <= res.cost <= 1.5
     assert res.meta["tuples_evaluated"] == res.meta["trials"] * res.meta["tuple_budget"]
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, -1])
+@pytest.mark.parametrize("k", [2, 4], ids=["solved", "k-covers-every-point"])
+def test_solve_refuses_seeds_that_are_not_nonnegative_ints(seed, k):
+    """True once ran as seed 1 and 1.5 failed inside numpy; k = 4 returns early."""
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        solve(line4().points, k, 0.5, {"c2": 4.0}, master_seed=seed)
 
 
 def test_solve_is_deterministic_and_thread_invariant():

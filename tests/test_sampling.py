@@ -37,6 +37,19 @@ def test_total_past_float64_is_rejected():
         sample_indices(np.array([1e308, 1e308]), 1, RandomSource(0).generator())
 
 
+@pytest.mark.parametrize("seed", [-1, True, False, 1.5, 2.0, "3", None])
+def test_random_source_refuses_seeds_that_are_not_nonnegative_ints(seed):
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        RandomSource(seed)
+
+
+def test_random_source_accepts_numpy_integer_seeds():
+    assert np.array_equal(
+        RandomSource(np.int64(5)).derive(2).generator().random(4),
+        RandomSource(5).derive(2).generator().random(4),
+    )
+
+
 def test_identical_streams_replay_identically():
     w = np.array([1.0, 2.0, 3.0])
     a = sample_indices(w, 100, RandomSource(9, (4,)).generator())

@@ -1115,7 +1115,7 @@ def test_mesh_coverage_evaluates_phi_only_at_cut_cell_nodes():
             cut = [
                 (p, clipped)
                 for p, clipped in zip(mesh.cells, mesh.clipped)
-                if np.unique(core.assign_to_centers(p + mesh.origin, centers)).size > 1
+                if np.unique(core._nearest(p + mesh.origin, centers)[0]).size > 1
             ]
             density.points = 0
             got = coverage_cost(region, centers, mesh=mesh)
