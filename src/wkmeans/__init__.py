@@ -12,6 +12,7 @@ from wkmeans.core import (
     ClusteringResult,
     PointFileError,
     WeightedPointSet,
+    _check_seed,
     load_weighted_points,
     save_weighted_points,
     weighted_cost,
@@ -40,16 +41,27 @@ __all__ = [
 # rebound attribute (a tracer's wrapper, a test's spy) is the one that runs.
 
 
+def _seeded(solver):
+    """Wrap a SOLVERS entry so that it refuses a bad seed, read or not."""
+    def entry(P, k, epsilon, overrides, seed, threads) -> ClusteringResult:
+        _check_seed(seed)
+        return solver(P, k, epsilon, overrides, seed, threads)
+    return entry
+
+
+@_seeded
 def _ptas(P, k, epsilon, overrides, seed, threads) -> ClusteringResult:
     from wkmeans import ptas
     return ptas.solve(P, k, epsilon, overrides, master_seed=seed, threads=threads)
 
 
+@_seeded
 def _kmeanspp_lloyd(P, k, epsilon, overrides, seed, threads) -> ClusteringResult:
     from wkmeans import baselines, sampling
     return baselines.kmeanspp_lloyd(P, k, sampling.RandomSource(seed))
 
 
+@_seeded
 def _oracle(P, k, epsilon, overrides, seed, threads) -> ClusteringResult:
     from wkmeans import oracle
     return oracle.brute_force_opt(P, k)

@@ -1,10 +1,11 @@
-"""Classic baselines: distance-weighted seeding and Lloyd refinement.
+"""Classic baselines: k-means++ seeding and Lloyd refinement.
 
-Seeding picks actual input points by sequential distance-weighted draws; it
-carries the usual O(log k) expected-cost guarantee and serves as the
-comparison solver. Lloyd descent alternates assignment and reweighted
-centroids; with the keep-previous-center policy for emptied clusters every
-iteration is provably non-increasing in cost.
+k-means++ seeding (Arthur and Vassilvitskii, SODA 2007) is the PTAS
+evaluator's one-tuple, M = 1 case; it carries the usual O(log k)
+expected-cost guarantee and serves as the comparison solver. Lloyd descent
+alternates assignment and reweighted centroids; with the
+keep-previous-center policy for emptied clusters every iteration is
+provably non-increasing in cost.
 """
 
 from __future__ import annotations
@@ -19,55 +20,16 @@ from wkmeans.core import (
     _check_weight_total,
     _cost,
     _nearest,
-    min_squared_distances,
 )
-from wkmeans.sampling import RandomSource, sample_indices
+from wkmeans.ptas import _best_for_trial
+from wkmeans.sampling import RandomSource
 
-__all__ = ["kmeanspp_seed", "lloyd_descend", "kmeanspp_lloyd"]
-
-_MASS_OVERFLOW = (
-    "the products of weights and squared distances, or their sum, overflow"
-    " float64; scale the weights down"
-)
+__all__ = ["lloyd_descend", "kmeanspp_lloyd"]
 
 # Lloyd's stopping rule: at most _MAX_ITERS rounds, and stop after a round
 # that lowers the cost by less than _REL_TOL of the previous cost.
 _MAX_ITERS = 200
 _REL_TOL = 1e-9
-
-
-def kmeanspp_seed(P: WeightedPointSet, k: int, rng: RandomSource) -> CenterSet:
-    """Pick k input points by sequential distance-weighted sampling.
-
-    The first draw is weight-proportional; each later draw is proportional to
-    weight times squared distance to the chosen set. Once every point lies on
-    a chosen center the remaining slots cycle through the existing centers
-    (the zero-cost situation; duplicates are harmless). Masses w * d^2 or
-    their total past float64 raise ValueError.
-    """
-    _check_positive_int("k", k)
-    gen = rng.generator()
-    first = int(sample_indices(P.weights, 1, gen)[0])
-    chosen = [first]
-    cache = min_squared_distances(P.coords, P.coords[first])
-    while len(chosen) < k:
-        with np.errstate(over="ignore"):
-            mass = P.weights * cache
-            # The masses are nonnegative, so their sum is finite only when
-            # every mass is and the total stays inside float64.
-            finite = np.isfinite(mass.sum())
-        if not mass.any():
-            # All mass covered; cycle existing picks without consuming draws.
-            base = len(chosen)
-            while len(chosen) < k:
-                chosen.append(chosen[len(chosen) % base])
-            break
-        if not finite:
-            raise ValueError(_MASS_OVERFLOW)
-        idx = int(sample_indices(mass, 1, gen)[0])
-        chosen.append(idx)
-        np.minimum(cache, min_squared_distances(P.coords, P.coords[idx]), out=cache)
-    return CenterSet(P.coords[np.array(chosen, dtype=np.intp)])
 
 
 def lloyd_descend(P: WeightedPointSet, init: CenterSet) -> ClusteringResult:
@@ -115,10 +77,17 @@ def lloyd_descend(P: WeightedPointSet, init: CenterSet) -> ClusteringResult:
 
 
 def kmeanspp_lloyd(P: WeightedPointSet, k: int, rng: RandomSource) -> ClusteringResult:
-    """Seed with distance-weighted sampling, refine with Lloyd descent."""
+    """Seed with k-means++, refine with Lloyd descent.
+
+    The seed is one PTAS candidate tuple with M = 1, drawn from
+    rng.generator(). A seed center is (w * x) / w of its drawn point x,
+    which can sit an ulp from x; once every point lies on a center, later
+    draws repeat the previous one. Overflowing sums raise ValueError.
+    """
+    _check_positive_int("k", k)
     _check_weight_total(P)
-    init = kmeanspp_seed(P, k, rng)
-    result = lloyd_descend(P, init)
+    _, seed, _ = _best_for_trial(P, k, 1, 1, rng.generator())
+    result = lloyd_descend(P, CenterSet(seed))
     meta = dict(result.meta)
     meta["solver"] = "kmeanspp-lloyd"
     return ClusteringResult(result.centers, result.assignment, result.cost, meta)

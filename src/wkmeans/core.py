@@ -264,6 +264,12 @@ def _check_positive_int(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
+def _check_seed(seed) -> None:
+    """Raise ValueError unless seed is an int >= 0 (a bool or float is not)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _cost(weights: np.ndarray, d2: np.ndarray) -> float:
     """Correctly rounded sum of w_p * d2_p."""
     return _exact_sum(weights * d2)

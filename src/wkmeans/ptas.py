@@ -18,6 +18,10 @@ stays a parameter. Enumerating all C(N, M)^k subsets is not offered; it is
 out of reach at any useful constants: C(32, 8) is about 1.05e7 at k = 1
 with c1 = 8, c2 = 4 and eps = 0.5.
 
+k-means++ seeding (Arthur and Vassilvitskii, SODA 2007) is the one-tuple,
+M = 1 case, since the mean of one draw is the drawn point; `baselines`
+seeds through the same candidate loop, `_best_for_trial`.
+
 Tuples are evaluated in batches of B <= 1024. A batch first draws all of
 its uniforms, k blocks of (B, M), so the random-number layout is fixed
 before any work starts. Each row draws its M points through an exact
@@ -174,7 +178,7 @@ def _inverse_cdf_rows(
     The layout is point-major: v is (n, rows) and nonnegative, in C or F
     order, u is (D, rows) in [0, 1) and cum an (n, rows) scratch buffer in
     v's order; v is left unchanged. Returns the (D, rows) drawn indices and
-    the (rows,) mask of zero-mass rows. Draw u lands on the point whose
+    the (rows,) row totals. Draw u lands on the point whose
     running-sum interval holds u times the row total, so point p is drawn
     with probability v[p, r] / total up to summation rounding. The row
     takes one running sum down axis 0, added in point order in either
@@ -197,7 +201,7 @@ def _inverse_cdf_rows(
     over = cols == n
     if over.any():
         cols[over] = _last_positive(v[:, np.nonzero(over)[1]].T)
-    return cols, totals <= 0.0
+    return cols, totals
 
 
 def _inverse_cdf_blocks(
@@ -213,7 +217,7 @@ def _inverse_cdf_blocks(
     running sum spans the row. Both levels count the entries at or below
     the target, which is searchsorted(side="right") on a nondecreasing
     row, and a target past the end of either running sum lands on the last
-    positive-mass point there.
+    positive-mass point there. Returns the drawn indices and the row totals.
     """
     rows, nb = sums.shape
     # bcum[:, j] is the mass before block j; bcum[:, -1] the row total.
@@ -237,7 +241,7 @@ def _inverse_cdf_blocks(
         r, m = np.nonzero(over)
         b = blk[r, m]
         pos[over] = _last_positive(cache[r, b] * w_blocks[b])
-    return blk * _CDF_BLOCK + pos, totals <= 0.0
+    return blk * _CDF_BLOCK + pos, totals
 
 
 def _centroids(coords_t: np.ndarray, weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -303,7 +307,9 @@ def _run_tuple_batch(
     the output is byte-identical for any block sizes and thread count.
 
     A row whose distribution has zero mass already sits on every point; it
-    repeats its previous center, consuming the same draws.
+    repeats its previous center, consuming the same draws. A row whose
+    total passes float64 has no distribution to draw from: its center is
+    nan, and so is its cost.
     """
     k, B, M = u.shape
     n, d = coords.shape
@@ -349,18 +355,19 @@ def _run_tuple_batch(
             ui = u_t[i, :, lo:hi]
             if i == 0:
                 cols = searchsorted_rows(cum0, ui * cum0[-1])
-                dead = None
             elif nb:
-                cols, dead = _inverse_cdf_blocks(sums, cache_blocks, w_blocks, u[i, lo:hi])
+                cols, totals = _inverse_cdf_blocks(sums, cache_blocks, w_blocks, u[i, lo:hi])
                 cols = cols.T
             else:
                 np.multiply(cache, w_col, out=mass)
-                cols, dead = _inverse_cdf_rows(mass, ui, cum)
+                cols, totals = _inverse_cdf_rows(mass, ui, cum)
             # Only a zero-mass row, whose draw is discarded, lands past n - 1.
             np.minimum(cols, n - 1, out=cols)
             ci_t = _centroids(coords_t, weights, cols)
-            if dead is not None and dead.any():
+            if i > 0 and not (np.isfinite(totals) & (totals > 0.0)).all():
+                dead = totals <= 0.0
                 ci_t[:, dead] = blk_centers[dead, i - 1].T
+                ci_t[:, ~np.isfinite(totals)] = np.nan
             blk_centers[:, i, :] = ci_t.T
             if nb:
                 for s in range(0, rows, sub):
@@ -388,26 +395,24 @@ def _run_tuple_batch(
 
 
 def _best_for_trial(
-    P: WeightedPointSet, params: PtasParams, master: RandomSource, t: int
+    P: WeightedPointSet, k: int, M: int, budget: int, gen: np.random.Generator
 ) -> tuple[float, np.ndarray, int]:
-    """Minimum-cost candidate over the tuple stream of trial t.
+    """Minimum-cost candidate over `budget` tuples of k centers, M draws each.
 
-    Returns its cost, its centers and its index in the trial's stream of
-    `tuple_budget` tuples (the first on ties). Every tuple draws M fresh
-    points per center (see the module docstring).
+    Returns its cost, its centers and its index in the stream of tuples
+    (the first on ties), drawing uniforms from gen in (k, rows, M) batches.
+    One tuple with M = 1 is a k-means++ seed (see the module docstring).
 
     Weights near the top of float64 can overflow a candidate's sums, which
     leaves its cost inf or nan; such a candidate loses to every finite one,
-    and a trial in which none is finite raises ValueError.
+    and a call in which none is finite raises ValueError.
     """
-    sample_gen = master.derive(_SAMPLE_STREAM, t).generator()
-    budget = params.tuple_budget
     best_cost = math.inf
     best_centers: np.ndarray | None = None
     best_tuple = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, budget, _CHUNK):
-            u = sample_gen.random((params.k, min(_CHUNK, budget - lo), params.M))
+            u = gen.random((k, min(_CHUNK, budget - lo), M))
             costs, centers = _run_tuple_batch(P.coords, P.weights, u)
             # argmin would pick a nan cost over every finite one.
             j = int(np.argmin(np.where(np.isnan(costs), np.inf, costs)))
@@ -458,7 +463,8 @@ def solve(
         return ClusteringResult.from_centers(P, CenterSet(distinct), meta)
 
     def worker(t: int) -> tuple[float, np.ndarray, int]:
-        return _best_for_trial(P, params, master, t)
+        gen = master.derive(_SAMPLE_STREAM, t).generator()
+        return _best_for_trial(P, params.k, params.M, params.tuple_budget, gen)
 
     if threads > 1:
         # Imported here: concurrent.futures adds about 7.5 ms to every

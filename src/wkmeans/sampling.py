@@ -18,6 +18,10 @@ draw lands on the last positive weight. `searchsorted_rows` is the same
 search run on many running sums at once, held point-major as the columns
 of an (n, b) array; it counts entries on short sums and halves the range
 on longer ones, with identical results.
+
+`sample_indices` and `d2_weights` serve only `verify` and the oracle's
+verifiers; the solvers, k-means++ seeding included, draw in the PTAS
+evaluator through `searchsorted_rows`.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wkmeans.core import WeightedPointSet, _exact_sum, min_squared_distances
+from wkmeans.core import WeightedPointSet, _check_seed, _exact_sum, min_squared_distances
 
 __all__ = ["RandomSource", "sample_indices", "searchsorted_rows", "d2_weights"]
 
@@ -56,9 +60,7 @@ class RandomSource:
     stream: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        _check_seed(self.seed)
 
     def derive(self, *ids: int) -> "RandomSource":
         return RandomSource(self.seed, self.stream + tuple(int(i) for i in ids))

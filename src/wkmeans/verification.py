@@ -26,9 +26,9 @@ from wkmeans.core import (
     weighted_cost,
     weighted_centroid,
 )
-from wkmeans.baselines import kmeanspp_lloyd, kmeanspp_seed, lloyd_descend
+from wkmeans.baselines import kmeanspp_lloyd
 from wkmeans.oracle import brute_force_opt, partition_count, verify_inaba, verify_null_sampling
-from wkmeans.ptas import solve
+from wkmeans.ptas import _best_for_trial, solve
 from wkmeans.sampling import RandomSource, d2_weights, sample_indices
 from wkmeans.sensor import (
     GaussianMixtureDensity,
@@ -276,8 +276,7 @@ def _check_lloyd_monotone(rng: RandomSource, slack: float) -> _Outcome:
         P = instances.random_instance(rng.derive(i), max_n=120, max_dim=3)
         gen = rng.derive(i, 1).generator()
         k = 1 + int(gen.random() * 5)
-        init = kmeanspp_seed(P, k, rng.derive(i, 2))
-        history = lloyd_descend(P, init).meta["cost_history"]
+        history = kmeanspp_lloyd(P, k, rng.derive(i, 2)).meta["cost_history"]
         worst = max(worst, float(np.max(np.diff(history), initial=-math.inf)))
     return (
         worst <= slack,
@@ -291,8 +290,8 @@ def _check_kmeanspp_quality(rng: RandomSource, tol_factor: float) -> _Outcome:
     inst = instances.kpp20()
     costs = []
     for i in range(1000):
-        centers = kmeanspp_seed(inst.points, inst.k, rng.derive(i))
-        costs.append(weighted_cost(inst.points, centers))
+        # The seed kmeanspp_lloyd takes: one tuple with M = 1, priced by the evaluator.
+        costs.append(_best_for_trial(inst.points, inst.k, 1, 1, rng.derive(i).generator())[0])
     mean = float(np.mean(costs))
     bound = tol_factor * (math.log(inst.k) + 2.0) * inst.opt_cost
     return (

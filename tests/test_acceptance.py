@@ -15,7 +15,7 @@ import pytest
 from scipy.stats import chisquare
 
 from wkmeans import cli
-from wkmeans.baselines import kmeanspp_seed, lloyd_descend
+from wkmeans.baselines import kmeanspp_lloyd
 from wkmeans.core import (
     WeightedPointSet,
     parallel_axis_rhs,
@@ -132,8 +132,7 @@ def test_c6_lloyd_descent_is_monotone():
     for i in range(100):
         P = random_instance(rng.derive(i), max_n=200, max_dim=3)
         k = 1 + i % 5
-        init = kmeanspp_seed(P, k, rng.derive(i, 1))
-        history = lloyd_descend(P, init).meta["cost_history"]
+        history = kmeanspp_lloyd(P, k, rng.derive(i, 1)).meta["cost_history"]
         worst = max(worst, float(np.max(np.diff(history), initial=-np.inf)))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12 and elapsed < 10.0

@@ -1,28 +1,42 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wkmeans import baselines, sampling
-from wkmeans.baselines import kmeanspp_lloyd, kmeanspp_seed, lloyd_descend
+from wkmeans import baselines
+from wkmeans.baselines import kmeanspp_lloyd, lloyd_descend
 from wkmeans.core import CenterSet, WeightedPointSet, _nearest, weighted_cost
 from wkmeans.instances import kpp20, line4, oracle_instances, random_instance
+from wkmeans.ptas import _cdf_blocks, _run_tuple_batch
 from wkmeans.sampling import RandomSource
 
 from conftest import make_points
 
+# The PTAS evaluator's error, which k-means++ seeding raises too.
+_NO_FINITE_CANDIDATE = "no candidate has a finite cost"
+
+
+def _seed(P, k, rng):
+    """kmeanspp_lloyd's k-means++ seed: its result when Lloyd runs no round."""
+    with mock.patch.object(baselines, "_MAX_ITERS", 0):
+        return kmeanspp_lloyd(P, k, rng).centers
+
 
 def test_seeding_picks_input_points():
+    """Each seed center is (w * x) / w of some input point x, bit for bit."""
     P = make_points(1, 25, 3)
-    centers = kmeanspp_seed(P, 4, RandomSource(2))
+    centers = _seed(P, 4, RandomSource(2))
     assert centers.k == 4
+    drawn = (P.weights[:, None] * P.coords) / P.weights[:, None]
     for c in centers.centers:
-        assert np.any(np.all(P.coords == c, axis=1))
+        assert np.any(np.all(drawn == c, axis=1))
 
 
 def test_seeding_rejects_bad_k():
     for k in (0, 2.5, True):
         with pytest.raises(ValueError, match="k must be a positive integer"):
-            kmeanspp_seed(make_points(0, 5, 2), k, RandomSource(0))
+            kmeanspp_lloyd(make_points(0, 5, 2), k, RandomSource(0))
 
 
 def test_kmeanspp_lloyd_refuses_weight_totals_that_overflow():
@@ -33,31 +47,53 @@ def test_kmeanspp_lloyd_refuses_weight_totals_that_overflow():
 
 
 @pytest.mark.parametrize(
-    "xs,cause",
+    "xs,w,cause",
     [
         # One mass overflows: 4e307 * 25 at x = 5.
-        ([0.0, 1.0, 4.0, 5.0], "products of weights and squared distances"),
+        pytest.param(
+            [0.0, 1.0, 4.0, 5.0], 4e307, _NO_FINITE_CANDIDATE,
+            id="xs0-products of weights and squared distances",
+        ),
         # Each mass is finite (at most 4e307 * 4.41), their total 4.8e308 is not.
-        ([0.0, 1.9, 2.0, 2.1], "products of weights and squared distances, or their sum"),
-        # The masses stay small, but a cluster's sum of w * x passes 8e308.
-        ([10.0, 10.1, 10.4, 10.5], "sums of weights times coordinates"),
+        pytest.param(
+            [0.0, 1.9, 2.0, 2.1], 4e307, _NO_FINITE_CANDIDATE,
+            id="xs1-products of weights and squared distances, or their sum",
+        ),
+        # The first center's w * x, 4e307 * 10, passes float64.
+        pytest.param(
+            [10.0, 10.1, 10.4, 10.5], 4e307, _NO_FINITE_CANDIDATE,
+            id="xs2-sums of weights times coordinates",
+        ),
+        # Unit weights: whichever point comes first, a squared distance to it
+        # is at least (2e154)^2, past float64.
+        pytest.param(
+            [0.0, 1e154, 2e154, 3e154], 1.0, _NO_FINITE_CANDIDATE,
+            id="xs3-squared distances",
+        ),
+        # The seed is finite (w * x is at most 4e307 * 4.3), but a Lloyd
+        # cluster of two or more points sums w * x past float64.
+        pytest.param(
+            [4.0, 4.1, 4.2, 4.3], 4e307, "the sums of weights times coordinates",
+            id="xs4-sums of weights times coordinates in Lloyd",
+        ),
     ],
 )
 @pytest.mark.filterwarnings("error")
-def test_kmeanspp_lloyd_names_overflowing_products(xs, cause):
-    """Four weights of 4e307 (finite total): ValueError names the overflow, no warning.
+def test_kmeanspp_lloyd_names_overflowing_products(xs, w, cause):
+    """Four equal weights with a finite total: ValueError names the overflow, no warning.
 
-    Seed 0 picks the first point first, so the masses are 4e307 * (x - xs[0])^2.
+    Seed 0 picks the first point first, so the masses are w * (x - xs[0])^2.
     """
-    P = WeightedPointSet(np.array(xs)[:, None], np.full(4, 4e307))
+    P = WeightedPointSet(np.array(xs)[:, None], np.full(4, w))
     with pytest.raises(ValueError, match=f"{cause}.*scale the weights down"):
         kmeanspp_lloyd(P, 2, RandomSource(0))
 
 
 def test_seeding_cycles_when_support_is_exhausted():
+    """Once every point lies on a center, the remaining draws repeat one."""
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     P = WeightedPointSet(coords, np.ones(4))
-    centers = kmeanspp_seed(P, 5, RandomSource(3))
+    centers = _seed(P, 5, RandomSource(3))
     assert centers.k == 5
     distinct = np.unique(centers.centers, axis=0)
     assert distinct.shape[0] == 2
@@ -65,24 +101,83 @@ def test_seeding_cycles_when_support_is_exhausted():
 
 def test_seeding_is_reproducible():
     P = make_points(4, 30, 2)
-    a = kmeanspp_seed(P, 3, RandomSource(8)).centers
-    b = kmeanspp_seed(P, 3, RandomSource(8)).centers
+    a = _seed(P, 3, RandomSource(8)).centers
+    b = _seed(P, 3, RandomSource(8)).centers
     assert np.array_equal(a, b)
 
 
-def test_seeding_sums_each_draw_distribution_once(monkeypatch):
-    """k draws take k exact totals: one per D^2 distribution, none repeated."""
-    calls = []
-    exact_sum = sampling._exact_sum
+def _sequential_kmeanspp(coords, weights, u):
+    """k-means++ picks for the k uniforms u, by np.cumsum and np.searchsorted.
 
-    def counted(terms):
-        calls.append(len(terms))
-        return exact_sum(terms)
+    The first pick is drawn by weight, each later one by w * d^2 to the
+    centers so far, a center being (w * x) / w of its pick as in the
+    evaluator. A target past the end of the running sum lands on the last
+    positive mass, and a draw with zero mass repeats the previous pick.
+    Returns the picks and, per pick, the running sum and target searched
+    (None for a repeat).
+    """
+    picks, searches = [], []
+    mass, d2 = weights, None
+    for ui in u:
+        cum = np.cumsum(mass)
+        if cum[-1] == 0.0:
+            picks.append(picks[-1])
+            searches.append(None)
+            continue
+        target = ui * cum[-1]
+        found = int(np.searchsorted(cum, target, side="right"))
+        p = min(found, int(np.flatnonzero(mass)[-1]))
+        picks.append(p)
+        searches.append((cum, target))
+        c = (weights[p] * coords[p]) / weights[p]
+        d = ((coords - c) ** 2).sum(axis=1)
+        d2 = d if d2 is None else np.minimum(d2, d)
+        mass = weights * d2
+    return picks, searches
 
-    monkeypatch.setattr(sampling, "_exact_sum", counted)
-    P = make_points(4, 30, 2)
-    kmeanspp_seed(P, 4, RandomSource(8))
-    assert calls == [30] * 4
+
+@pytest.mark.deep
+@given(
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.sampled_from([1, 2, 48, 49, 256, 257, 700]), st.integers(1, 1200)),
+    st.integers(1, 5),
+    st.integers(1, 3),
+    st.integers(1, 12),
+    st.sampled_from(["random", "few-locations", "geo"]),
+)
+def test_m1_evaluator_matches_sequential_kmeanspp(seed, n, k, d, B, kind):
+    """The evaluator's one-draw tuples are k-means++ seeds, pick for pick.
+
+    Up to n = 256 the evaluator draws in one level from the same running
+    sum, so every pick agrees. Past it, the two-level draw's block sums may
+    put a target within summation rounding of an interval boundary on the
+    other side; such a pick is allowed, and the tuple's later picks, which
+    then draw from another distribution, are not compared. Points on a few
+    locations run out of mass, so draws repeat.
+    """
+    gen = RandomSource(seed).generator()
+    if kind == "few-locations":
+        coords = np.floor(gen.random((n, d)) * 2.0)
+    else:
+        coords = gen.random((n, d)) * 1e3 + (5e6 if kind == "geo" else 0.0)
+    weights = np.exp(2.0 * gen.standard_normal(n))
+    u = gen.random((k, B, 1))
+    _, centers = _run_tuple_batch(coords, weights, u)
+    drawn = (weights[:, None] * coords) / weights[:, None]
+    one_level = _cdf_blocks(n, 1) == 0
+    for b in range(B):
+        picks, searches = _sequential_kmeanspp(coords, weights, u[:, b, 0])
+        for i, (p, search) in enumerate(zip(picks, searches)):
+            if centers[b, i].tobytes() == drawn[p].tobytes():
+                continue
+            assert not one_level and search is not None
+            got = np.flatnonzero((drawn == centers[b, i]).all(axis=1))
+            assert got.size > 0
+            cum, target = search
+            lo, hi = sorted((int(got[0]), p))
+            tol = 4.0 * n * 2.0**-53 * cum[-1]
+            assert np.all(np.abs(cum[lo:hi] - target) <= tol)
+            break
 
 
 def test_lloyd_keeps_optimal_centers_fixed():
@@ -106,8 +201,7 @@ def test_lloyd_keeps_empty_cluster_center_in_place(monkeypatch):
 def test_lloyd_history_is_monotone():
     for seed in range(10):
         P = random_instance(RandomSource(seed), max_n=60, max_dim=3)
-        start = kmeanspp_seed(P, 3, RandomSource(seed + 1000))
-        res = lloyd_descend(P, start)
+        res = kmeanspp_lloyd(P, 3, RandomSource(seed + 1000))
         hist = res.meta["cost_history"]
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
         assert res.cost == hist[-1]
@@ -134,7 +228,7 @@ def test_lloyd_round_matches_mask_loop_centroids(monkeypatch, offset):
     for seed in range(5):
         base = make_points(seed, 400, 2)
         P = WeightedPointSet(base.coords + offset, base.weights)
-        centers = kmeanspp_seed(P, 3, RandomSource(seed)).centers
+        centers = _seed(P, 3, RandomSource(seed)).centers
         centers = np.vstack([centers, [offset + 1e3, offset]])
         for _ in range(4):
             res = lloyd_descend(P, CenterSet(centers))
@@ -152,7 +246,7 @@ def test_lloyd_round_matches_mask_loop_centroids(monkeypatch, offset):
 @given(st.integers(0, 2_000))
 def test_lloyd_never_beats_but_never_worsens_seeding(seed):
     P = random_instance(RandomSource(seed), max_n=40, max_dim=2)
-    start = kmeanspp_seed(P, 2, RandomSource(seed ^ 0x77))
+    start = _seed(P, 2, RandomSource(seed ^ 0x77))
     before = weighted_cost(P, start)
     res = lloyd_descend(P, start)
     assert res.cost <= before + 1e-12

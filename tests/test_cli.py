@@ -123,14 +123,16 @@ def test_cluster_rejects_bad_integer_flags(capsys, flags):
     [
         ["cluster", "--seed", "-1"],
         ["cluster", "--solver", "kmeanspp-lloyd", "--seed", "-1"],
+        ["cluster", "--solver", "oracle", "--seed", "-1"],
         ["sensor", "--seed", "-1"],
         ["bench", "--repeat", "1", "--solvers", "ptas", "--seed", "-1"],
+        ["bench", "--repeat", "1", "--solvers", "oracle", "--seed", "-1"],
         ["verify", "--only", "reproducibility", "--seed", "-1"],
     ],
-    ids=lambda argv: argv[0] + ("-" + argv[2] if argv[1] == "--solver" else ""),
+    ids=["cluster", "cluster-kmeanspp-lloyd", "cluster-oracle", "sensor", "bench", "bench-oracle", "verify"],
 )
 def test_negative_seed_is_a_usage_error(capsys, argv):
-    """A seed below 0 exits 2 with an error that names the seed."""
+    """A seed below 0 exits 2 with an error that names the seed, for every solver."""
     assert run(argv) == 2
     assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
@@ -152,24 +154,29 @@ def test_cluster_refuses_weight_totals_that_overflow(tmp_path, capsys, solver):
 
 
 @pytest.mark.parametrize(
-    "solver,cause",
+    "solver,xs,w",
     [
-        ("ptas", "no candidate has a finite cost: the sums of drawn weights"),
-        ("kmeanspp-lloyd", "the products of weights and squared distances"),
+        ("ptas", [0.0, 1.0, 4.0, 5.0], 4e307),
+        ("kmeanspp-lloyd", [0.0, 1.0, 4.0, 5.0], 4e307),
+        ("ptas", [0.0, 1e154, 2e154, 3e154], 1.0),
+        ("kmeanspp-lloyd", [0.0, 1e154, 2e154, 3e154], 1.0),
     ],
-    ids=["ptas", "kmeanspp-lloyd"],
+    ids=["ptas", "kmeanspp-lloyd", "ptas-spread", "kmeanspp-lloyd-spread"],
 )
 @pytest.mark.filterwarnings("error")
-def test_cluster_names_overflowing_weight_products(tmp_path, capsys, solver, cause):
-    """Four weights of 4e307 have a finite total; one error line names the overflow.
+def test_cluster_names_overflowing_weight_products(tmp_path, capsys, solver, xs, w):
+    """Both solvers name one overflow, the candidate evaluator's, on one error line.
 
-    Warnings are errors here, so a numpy RuntimeWarning on the way fails the test.
+    Four weights of 4e307 have a finite total, but sums of drawn weights
+    or of weights times squared distances do not. Unit weights 1e154 apart
+    give D^2 totals past float64. Warnings are errors here, so a numpy
+    RuntimeWarning on the way fails the test.
     """
     path = tmp_path / "heavy.csv"
-    save_weighted_points(path, WeightedPointSet([[0.0], [1.0], [4.0], [5.0]], [4e307] * 4))
-    assert run(["cluster", "--input", str(path), "--solver", solver]) == 2
+    save_weighted_points(path, WeightedPointSet([[x] for x in xs], [w] * 4))
+    assert run(["cluster", "--input", str(path), "--solver", solver, "--c2", "4"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {cause}")
+    assert len(err) == 1 and err[0].startswith("error: no candidate has a finite cost")
     assert err[0].endswith("scale the weights down")
 
 

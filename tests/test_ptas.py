@@ -142,14 +142,15 @@ def _draw(v, u):
     The one-level path takes v and u point-major, as (n, rows) and
     (D, rows). On the two-level path v is zero-padded to whole blocks as
     the evaluator pads its cache, the weights are ones, and the block sums
-    come from the evaluator's einsum.
+    come from the evaluator's einsum. Returns the drawn indices and the
+    mask of zero-mass (dead) rows.
     """
     rows, n = v.shape
     nb = _cdf_blocks(n, u.shape[1])
     before = v.copy()
     if nb == 0:
         v_t = np.ascontiguousarray(v.T)
-        cols, dead = _inverse_cdf_rows(v_t, np.ascontiguousarray(u.T), np.empty_like(v_t))
+        cols, totals = _inverse_cdf_rows(v_t, np.ascontiguousarray(u.T), np.empty_like(v_t))
         np.testing.assert_array_equal(v_t, before.T)
         cols = cols.T
     else:
@@ -158,11 +159,11 @@ def _draw(v, u):
         w = np.zeros((nb, _CDF_BLOCK))
         w.reshape(-1)[:n] = 1.0
         sums = np.einsum("rjp,jp->rj", cache, w)
-        cols, dead = _inverse_cdf_blocks(sums, cache, w, u)
+        cols, totals = _inverse_cdf_blocks(sums, cache, w, u)
         np.testing.assert_array_equal(cache.reshape(rows, -1)[:, :n], v)
     np.testing.assert_array_equal(v, before)
     assert cols.shape == u.shape and cols.dtype == np.intp
-    return cols, dead
+    return cols, totals <= 0.0
 
 
 @given(
@@ -257,7 +258,8 @@ def test_inverse_cdf_overshoot_skips_trailing_zeros():
     total = np.cumsum(sums)[-1]
     u = np.array([[(1.0 + block_sum) / 2.0 / total]])
     assert inner_end <= u[0, 0] * total < block_sum
-    cols, dead = _inverse_cdf_blocks(sums, blocks, np.ones((6, _CDF_BLOCK)), u)
+    cols, totals = _inverse_cdf_blocks(sums, blocks, np.ones((6, _CDF_BLOCK)), u)
+    dead = totals <= 0.0
     assert cols.tolist() == [[99]] and not dead[0]
 
 
@@ -457,7 +459,8 @@ def test_solve_refuses_weight_totals_that_overflow():
 
     Weights of 4e307 have a finite total, but every candidate's sum of 8
     drawn weights overflows, so no cost is finite: the ValueError names the
-    sums, with no RuntimeWarning on the way. 1e300 solves.
+    sums, with no RuntimeWarning on the way. So does a D^2 total past
+    float64, with unit weights. 1e300 solves.
     """
     coords = [[0.0], [1.0], [4.0], [5.0]]
     overrides = {"c1": 8, "c2": 4, "tuple_budget": 50}
@@ -465,6 +468,10 @@ def test_solve_refuses_weight_totals_that_overflow():
         solve(WeightedPointSet(coords, [1e308] * 4), 2, 0.5, overrides)
     with pytest.raises(ValueError, match="sums of drawn weights.*scale the weights down"):
         solve(WeightedPointSet(coords, [4e307] * 4), 2, 0.5, overrides)
+    # Unit weights 1e154 apart: every D^2 total passes float64.
+    spread = [[0.0], [1e154], [2e154], [3e154]]
+    with pytest.raises(ValueError, match="no candidate has a finite cost"):
+        solve(WeightedPointSet(spread, [1.0] * 4), 2, 0.5, overrides)
     assert math.isfinite(solve(WeightedPointSet(coords, [1e300] * 4), 2, 0.5, overrides).cost)
 
 
@@ -485,6 +492,23 @@ def test_overflowing_candidates_lose_to_finite_ones():
     res = solve(P, 2, 0.5, {"c1": 8.0, "c2": 4.0, "tuple_budget": 50})
     assert math.isfinite(res.cost)
     assert all(math.isfinite(c) for c in res.meta["trial_costs"])
+
+
+@pytest.mark.parametrize("n", [4, 300])
+def test_non_finite_d2_totals_give_nan_centers(n):
+    """A D^2 total past float64 leaves nothing to draw from: nan center, nan cost.
+
+    Unit weights spread over [0, 3e154] put a point at least 1.5e154 from
+    any first center, so every second draw's total is inf. n = 4 draws in
+    one level, n = 300 in two at M = 1.
+    """
+    P = WeightedPointSet(np.linspace(0.0, 3e154, n)[:, None], np.ones(n))
+    assert (_cdf_blocks(n, 1) > 0) == (n == 300)
+    u = RandomSource(n).generator().random((2, 16, 1))
+    with np.errstate(all="ignore"):
+        costs, centers = _run_tuple_batch(P.coords, P.weights, u)
+    assert np.isfinite(centers[:, 0]).all()
+    assert np.isnan(centers[:, 1]).all() and np.isnan(costs).all()
 
 
 def test_solve_covers_distinct_points_exactly():
