@@ -5,8 +5,10 @@ same point-major running sums, (n, rows), and (draws, rows) targets, the
 layout the PTAS evaluator searches, for each n, and prints one CSV row
 per n: the best time of each search in microseconds and which one is
 faster. `sampling._COUNT_MAX_TERMS` should sit at the
-last n where counting wins. Both searches give the same indices; the
-script checks that before timing.
+last n where counting wins. The script also checks that both searches
+give the same indices on each sum and on an F-ordered copy of it, the
+layout the evaluator uses for a block with more points than rows, and
+exits 1 if any of the four results disagrees.
 
 Example:
     python scripts/searchsorted_crossover.py --rows 1024 --draws 8
@@ -26,7 +28,8 @@ from wkmeans.sampling import RandomSource, searchsorted_rows
 
 
 def run_search(cum: np.ndarray, targets: np.ndarray, cutoff: int, repeat: int):
-    """Indices and best time per call (us) of `searchsorted_rows` at this cutoff."""
+    """Indices on cum and on an F-ordered copy of it, and best time per
+    call (us) on cum, of `searchsorted_rows` at this cutoff."""
     saved = sampling._COUNT_MAX_TERMS
     sampling._COUNT_MAX_TERMS = cutoff
     try:
@@ -35,7 +38,8 @@ def run_search(cum: np.ndarray, targets: np.ndarray, cutoff: int, repeat: int):
         best = min(
             timeit.repeat(lambda: searchsorted_rows(cum, targets), number=number, repeat=repeat)
         )
-        return searchsorted_rows(cum, targets), best / number * 1e6
+        found = [searchsorted_rows(c, targets) for c in (cum, np.asfortranarray(cum))]
+        return found, best / number * 1e6
     finally:
         sampling._COUNT_MAX_TERMS = saved
 
@@ -60,8 +64,9 @@ def main(argv=None) -> int:
         # A cutoff of n forces the count and 0 the binary search.
         by_count, counted = run_search(cum, targets, n, args.repeat)
         by_halving, binary = run_search(cum, targets, 0, args.repeat)
-        if not np.array_equal(by_count, by_halving):
-            print(f"error: the two searches disagree at n = {n}", file=sys.stderr)
+        found = by_count + by_halving
+        if not all(np.array_equal(found[0], f) for f in found[1:]):
+            print(f"error: the searches or layouts disagree at n = {n}", file=sys.stderr)
             return 1
         faster = "count" if counted < binary else "binary"
         out.writerow([n, f"{counted:.1f}", f"{binary:.1f}", faster])

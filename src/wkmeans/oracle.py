@@ -7,8 +7,9 @@ the centroid cost of its groups, keep the best. It returns a
 `ClusteringResult` like every other solver. Alongside it live the two
 statistical experiments that the sampling guarantees rest on: the centroids
 of weight-proportional subsamples (success within a (1 + 1/(delta*M)) cost
-factor) and the gated null-sampling process. Both draw with the package's
-sampler and price with its distance kernel.
+factor) and the gated null-sampling process. Both draw with the PTAS
+evaluator's inverse CDF, through `_draw`, and price with the package's
+distance kernel.
 """
 
 from __future__ import annotations
@@ -17,16 +18,18 @@ import math
 
 import numpy as np
 
+from wkmeans import ptas
 from wkmeans.core import (
     ClusteringResult,
     WeightedPointSet,
     _check_positive_int,
+    _check_weight_total,
     _exact_sum,
     min_squared_distances,
     weighted_centroid,
     weighted_cost,
 )
-from wkmeans.sampling import RandomSource, sample_indices
+from wkmeans.sampling import RandomSource
 
 __all__ = [
     "InstanceTooLarge",
@@ -43,6 +46,21 @@ MAX_PARTITIONS = 6_000_000
 
 class InstanceTooLarge(ValueError):
     """Exact enumeration would exceed the desk-scale budget."""
+
+
+def _draw(mass: np.ndarray, count: int, gen: np.random.Generator) -> np.ndarray:
+    """`count` i.i.d. draws from the masses, shape (count,), one uniform each.
+
+    The draw is the PTAS evaluator's: `ptas._inverse_cdf_rows` on `mass` as
+    one (n, 1) row of masses, so a draw lands on point p with probability
+    mass[p] / total and never on a zero mass. The masses must be finite,
+    nonnegative and not all zero, with a total inside float64; the callers
+    check that.
+    """
+    mass = np.asarray(mass, dtype=np.float64)[:, None]
+    u = gen.random(count)[:, None]
+    cols, _ = ptas._inverse_cdf_rows(mass, u, np.empty_like(mass))
+    return cols[:, 0]
 
 
 def partition_count(n: int, k: int) -> int:
@@ -169,18 +187,20 @@ def verify_inaba(
     """Success rate of the subsample-centroid bound.
 
     Each repetition draws M points with replacement, each with probability
-    proportional to its weight (`sample_indices`; integer weights act as
-    that many unit copies drawn uniformly), and counts how often the plain
-    mean of the draws has a single-center cost, priced with the distance
-    kernel, within (1 + 1/(delta*M)) of the optimum. Any positive weights
-    are accepted. The bound promises a rate of at least 1 - delta.
+    proportional to its weight (`_draw`, the PTAS evaluator's draw; integer
+    weights act as that many unit copies drawn uniformly), and counts how
+    often the plain mean of the draws has a single-center cost, priced with
+    the distance kernel, within (1 + 1/(delta*M)) of the optimum. Any
+    positive weights are accepted; a weight total that overflows float64 is
+    refused with ValueError. The bound promises a rate of at least 1 - delta.
     """
     _check_positive_int("M", M)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     _check_positive_int("repetitions", repetitions)
+    _check_weight_total(P)
     threshold = (1.0 + 1.0 / (delta * M)) * weighted_cost(P, [weighted_centroid(P)])
-    idx = sample_indices(P.weights, repetitions * M, rng.generator())
+    idx = _draw(P.weights, repetitions * M, rng.generator())
     centroids = P.coords[idx.reshape(repetitions, M)].mean(axis=1)
     successes = sum(weighted_cost(P, c) <= threshold for c in centroids)
     return successes / repetitions
@@ -196,8 +216,8 @@ def verify_null_sampling(
     """Success rates of the gated uniform-sampling experiment, (count, full).
 
     One run makes l = ceil(400 / (gamma * epsilon)) draws; each is null with
-    probability 1 - gamma, otherwise a uniform point of `points` (unweighted,
-    drawn by `sample_indices`). The count rate is the share of runs with at
+    probability 1 - gamma, otherwise a uniform point of `points` (drawn by
+    `_draw` from unit masses). The count rate is the share of runs with at
     least m = ceil(100 / epsilon) non-null draws. The full rate also asks
     that the centroid of a uniformly chosen m-subset of them have a
     single-center cost, priced with the distance kernel, within
@@ -226,7 +246,7 @@ def verify_null_sampling(
         # keys. Unused picks/keys still consume stream positions, so the
         # layout is independent of the gate outcomes.
         gates = gen.random(n_draws) < gamma
-        picks = sample_indices(uniform, n_draws, gen)
+        picks = _draw(uniform, n_draws, gen)
         keys = gen.random(n_draws)
         if np.count_nonzero(gates) < m:
             continue

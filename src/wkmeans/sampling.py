@@ -1,27 +1,24 @@
-"""Seeded randomness and distance-weighted sampling.
+"""Seeded randomness and the inverse-CDF search of distance-weighted sampling.
 
 Two policies keep every run bit-reproducible:
 
 * All randomness flows from a `RandomSource`, a counter-based generator
   addressed by (seed, stream path). Derived sources are independent of each
   other and of how many draws their siblings consumed.
-* Samplers consume uniform doubles only (`Generator.random`), never integer
-  or bounded draws, so the consumed stream layout is fixed and easy to audit.
+* Samplers consume uniform doubles only (`Generator.random`), one per
+  draw, never integer or bounded draws, so the consumed stream layout is
+  fixed and easy to audit.
 
 Categorical draws are inverse-CDF: one uniform u lands on the point whose
 interval of the running sum of the (unnormalized) weights holds u times the
 total, found by `searchsorted(side="right")`, so a zero weight is never
-drawn. `sample_indices` searches one running sum with an exact total, so a
-draw is a deterministic function of the weight vector and one uniform.
-Where rounding puts a target at or past the end of the running sum, the
-draw lands on the last positive weight. `searchsorted_rows` is the same
-search run on many running sums at once, held point-major as the columns
-of an (n, b) array; it counts entries on short sums and halves the range
-on longer ones, with identical results.
-
-`sample_indices` and `d2_weights` serve only `verify` and the oracle's
-verifiers; the solvers, k-means++ seeding included, draw in the PTAS
-evaluator through `searchsorted_rows`.
+drawn. `searchsorted_rows` is that search run on many running sums at once,
+held point-major as the columns of an (n, b) array; it counts entries on
+short sums and halves the range on longer ones, with identical results.
+Every draw in the package, the solvers' and the verifiers', is made by the
+PTAS evaluator (`ptas._inverse_cdf_rows` and its two-level form), which
+searches with `searchsorted_rows` and sends a target that rounding puts at
+or past the end of the running sum to the last positive weight.
 """
 
 from __future__ import annotations
@@ -30,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wkmeans.core import WeightedPointSet, _check_seed, _exact_sum, min_squared_distances
+from wkmeans.core import _check_seed
 
-__all__ = ["RandomSource", "sample_indices", "searchsorted_rows", "d2_weights"]
+__all__ = ["RandomSource", "searchsorted_rows"]
 
 # Running sums of at most this many entries are searched by counting, not
 # halving (see `searchsorted_rows`). Measured by
@@ -68,34 +65,6 @@ class RandomSource:
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.seed, spawn_key=self.stream)
         return np.random.Generator(np.random.Philox(seq))
-
-
-def sample_indices(values, count: int, gen: np.random.Generator) -> np.ndarray:
-    """`count` i.i.d. categorical draws (one uniform each), shape (count,).
-
-    `values` are the unnormalized masses: finite, nonnegative, not all zero
-    and with a total inside float64, or ValueError is raised.
-    """
-    vals = np.asarray(values, dtype=np.float64).ravel()
-    if vals.size == 0:
-        raise ValueError("empty weight vector")
-    if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
-        raise ValueError("weights must be finite and nonnegative")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    try:
-        total = _exact_sum(vals)
-    except OverflowError:
-        raise ValueError("the total of the sampling weights overflows float64") from None
-    if total <= 0.0:
-        raise ValueError("all sampling weights are zero")
-    u = gen.random(count)
-    cum = np.cumsum(vals)
-    idx = np.searchsorted(cum, u * total, side="right")
-    # The exact total can exceed cum[-1], so a target may pass the last entry;
-    # it lands on the last positive weight. Any other draw is at or before it.
-    last = np.flatnonzero(vals)[-1]
-    return np.minimum(idx, last).astype(np.intp)
 
 
 def searchsorted_rows(cum: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -143,8 +112,3 @@ def searchsorted_rows(cum: np.ndarray, targets: np.ndarray) -> np.ndarray:
         pos = np.where(flat[probe] <= targets, probe, pos)
         size -= half
     return (pos - start) // step + (flat[pos] <= targets)
-
-
-def d2_weights(P: WeightedPointSet, centers) -> np.ndarray:
-    """Distance-weighted masses: w_p times p's squared distance to its nearest center."""
-    return P.weights * min_squared_distances(P.coords, centers)

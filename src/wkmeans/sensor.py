@@ -74,6 +74,7 @@ from wkmeans.core import (
     WeightedPointSet,
     _check_dims,
     _check_positive_int,
+    _check_seed,
     _exact_sum,
     _nearest,
     as_center_array,
@@ -850,8 +851,8 @@ def place_sensors(
 ) -> PlacementReport:
     """Normalize, discretize, cluster, and price the resulting placement.
 
-    `wkmeans.SOLVERS[solver]` clusters the cells; k and the solver name are
-    checked before the density is normalized.
+    `wkmeans.SOLVERS[solver]` clusters the cells; k, the solver name and
+    master_seed are checked before the density is normalized.
 
     The reported coverage cost is the cell-by-cell quadrature value for the
     returned centers (not the clustering objective), so the inertia floor and
@@ -864,6 +865,7 @@ def place_sensors(
     _check_positive_int("k", k)
     if solver not in SOLVERS:
         raise ValueError(f"unsupported solver {solver!r}; known: {', '.join(SOLVERS)}")
+    _check_seed(master_seed)
     normalized = normalize_density(region)
     disc = discretize(normalized, grid_eps)
     notes = []

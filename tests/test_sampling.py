@@ -7,34 +7,10 @@ from hypothesis import given, strategies as st
 from wkmeans import sampling
 from wkmeans.core import WeightedPointSet, min_squared_distances
 from wkmeans.instances import chi6
-from wkmeans.sampling import (
-    _COUNT_MAX_TERMS,
-    RandomSource,
-    d2_weights,
-    sample_indices,
-    searchsorted_rows,
-)
+from wkmeans.oracle import _draw
+from wkmeans.sampling import _COUNT_MAX_TERMS, RandomSource, searchsorted_rows
 
 from conftest import make_points
-
-
-def test_sampling_weights_reject_negative_and_nonfinite():
-    gen = RandomSource(0).generator()
-    with pytest.raises(ValueError):
-        sample_indices(np.array([1.0, -0.5]), 1, gen)
-    with pytest.raises(ValueError):
-        sample_indices(np.array([np.inf, 1.0]), 1, gen)
-
-
-def test_zero_total_is_rejected():
-    with pytest.raises(ValueError, match="all sampling weights are zero"):
-        sample_indices(np.zeros(4), 1, RandomSource(0).generator())
-
-
-def test_total_past_float64_is_rejected():
-    """Finite masses whose total overflows: a ValueError names the total."""
-    with pytest.raises(ValueError, match="total of the sampling weights overflows float64"):
-        sample_indices(np.array([1e308, 1e308]), 1, RandomSource(0).generator())
 
 
 @pytest.mark.parametrize("seed", [-1, True, False, 1.5, 2.0, "3", None])
@@ -52,9 +28,9 @@ def test_random_source_accepts_numpy_integer_seeds():
 
 def test_identical_streams_replay_identically():
     w = np.array([1.0, 2.0, 3.0])
-    a = sample_indices(w, 100, RandomSource(9, (4,)).generator())
-    b = sample_indices(w, 100, RandomSource(9, (4,)).generator())
-    sib = sample_indices(w, 100, RandomSource(9, (5,)).generator())
+    a = _draw(w, 100, RandomSource(9, (4,)).generator())
+    b = _draw(w, 100, RandomSource(9, (4,)).generator())
+    sib = _draw(w, 100, RandomSource(9, (5,)).generator())
     assert np.array_equal(a, b)
     assert np.any(a != sib)
 
@@ -71,35 +47,32 @@ def test_derive_chains_give_distinct_streams():
 def test_each_draw_consumes_one_uniform():
     w = np.array([2.0, 1.0, 1.0])
     g1 = RandomSource(77).generator()
-    sample_indices(w, 13, g1)
+    _draw(w, 13, g1)
     g2 = RandomSource(77).generator()
     g2.random(13)
     assert g1.random() == g2.random()
 
 
+def _d2_masses(P, centers):
+    return P.weights * min_squared_distances(P.coords, centers)
+
+
 def test_d2_weights_vector_on_fixed_instance():
     P, center = chi6()
-    w = d2_weights(P, center)
-    np.testing.assert_array_equal(w, [4.0, 2.0, 0.0, 0.5, 13.5, 90.0])
-
-
-def test_d2_draw_with_zero_coverage_raises():
-    P = WeightedPointSet(np.array([[0.0, 0.0], [1.0, 1.0]]), np.ones(2))
-    with pytest.raises(ValueError, match="all sampling weights are zero"):
-        sample_indices(d2_weights(P, P.coords), 5, RandomSource(0).generator())
+    np.testing.assert_array_equal(_d2_masses(P, center), [4.0, 2.0, 0.0, 0.5, 13.5, 90.0])
 
 
 def test_d2_draws_never_pick_zero_mass_points():
     P, center = chi6()
-    idx = sample_indices(d2_weights(P, center), 5000, RandomSource(13).generator())
+    idx = _draw(_d2_masses(P, center), 5000, RandomSource(13).generator())
     assert not np.any(idx == 2)
 
 
 def test_d2_draw_frequencies_roughly_match():
     P, center = chi6()
     draws = 40_000
-    w = d2_weights(P, center)
-    idx = sample_indices(w, draws, RandomSource(99).generator())
+    w = _d2_masses(P, center)
+    idx = _draw(w, draws, RandomSource(99).generator())
     freq = np.bincount(idx, minlength=P.n) / draws
     expect = w / math.fsum(w)
     sigma = np.sqrt(np.maximum(expect * (1.0 - expect), 1e-12) / draws)
@@ -109,16 +82,16 @@ def test_d2_draw_frequencies_roughly_match():
 def test_normalized_probabilities_are_scale_invariant():
     P = make_points(21, 12, 3)
     centers = P.coords[:2] + 0.05
-    base = d2_weights(P, centers)
+    base = _d2_masses(P, centers)
     p0 = base / math.fsum(base)
 
     lam = WeightedPointSet(P.coords, P.weights * 7.5)
-    w1 = d2_weights(lam, centers)
+    w1 = _d2_masses(lam, centers)
     np.testing.assert_allclose(w1 / math.fsum(w1), p0, rtol=1e-12)
 
     s = 3.0
     scaled = WeightedPointSet(P.coords * s, P.weights)
-    w2 = d2_weights(scaled, centers * s)
+    w2 = _d2_masses(scaled, centers * s)
     np.testing.assert_allclose(w2 / math.fsum(w2), p0, rtol=1e-12)
 
 
@@ -134,29 +107,10 @@ def test_incremental_cache_matches_direct_recomputation(seed, rounds):
     np.testing.assert_array_equal(cache, min_squared_distances(P.coords, centers))
 
 
-class _StubGenerator:
-    """Returns one fixed uniform for every draw."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, count):
-        return np.full(count, self.u)
-
-
-def test_sample_indices_overshoot_lands_on_last_positive_weight():
-    """The fsum total exceeds the running sum's last entry, 1e16 here."""
-    w = np.array([1e16, 1.0, 1.0, 0.0])
-    assert math.fsum(w) > np.cumsum(w)[-1]
-    idx = sample_indices(w, 3, _StubGenerator(1.0 - 2.0**-53))
-    assert idx.tolist() == [2, 2, 2]
-    assert sample_indices(w, 1, _StubGenerator(0.0)).tolist() == [0]
-
-
 def test_sample_index_matches_inverse_cdf_partition():
     w = np.array([0.25, 0.5, 0.25])
     counts = np.bincount(
-        sample_indices(w, 20_000, RandomSource(5).generator()), minlength=3
+        _draw(w, 20_000, RandomSource(5).generator()), minlength=3
     )
     assert abs(counts[1] / 20_000 - 0.5) < 0.02
 

@@ -506,10 +506,13 @@ def test_place_sensors_rejects_bad_arguments(unit_square):
         place_sensors(
             SensorRegion(UNIT, density), 1, 0.5, 0.25, solver="agglomerative"
         )
-    # So is a k that is not a positive integer.
+    # So is a k that is not a positive integer, and a bad seed, even for a
+    # solver that would never build a random stream from it.
     for k in (0, 2.5, True):
         with pytest.raises(ValueError, match="k must be a positive integer"):
             place_sensors(SensorRegion(UNIT, density), k, 0.5, 0.25)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        place_sensors(SensorRegion(UNIT, density), 1, 0.5, 0.25, solver="oracle", master_seed=-1)
     assert density.points == 0
 
 
