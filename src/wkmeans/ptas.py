@@ -247,18 +247,19 @@ def _inverse_cdf_blocks(
 def _centroids(coords_t: np.ndarray, weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The w-weighted means of the drawn points, (d, rows); cols is (M, rows).
 
-    A mean's M products are added onto a zero in draw order, then divided
-    by the pairwise row sum of the drawn weights; the tests' reference
-    evaluator computes the same. `einsum("mr,dmr->dr")` over the (M, rows)
-    gather does that for every d, since its inner loop runs along the rows.
-    A lone row would put the draws in that inner loop, which einsum sums in
-    SIMD lanes, so it is summed beside a copy of itself.
+    A mean's M products are added onto a zero in draw order and divided by
+    its M drawn weights, also added in draw order; no sum is pairwise, and
+    the tests' reference evaluator computes the same with explicit loops.
+    `einsum("mr,dmr->dr")` and `np.add.reduce` down axis 0 of the (M, rows)
+    gather do that for every row, since their inner loops run along the
+    rows. A lone row would put the draws in that inner loop, which numpy
+    sums in SIMD lanes or pairwise, so it is summed beside a copy of itself.
     """
     rows = cols.shape[1]
     wide = cols if rows > 1 else np.repeat(cols, 2, axis=1)
     tw = weights.take(wide)
-    num = np.einsum("mr,dmr->dr", tw, coords_t.take(wide, axis=1))[:, :rows]
-    return num / np.ascontiguousarray(tw[:, :rows].T).sum(axis=1)
+    num = np.einsum("mr,dmr->dr", tw, coords_t.take(wide, axis=1))
+    return (num / np.add.reduce(tw, axis=0))[:, :rows]
 
 
 def _run_tuple_batch(

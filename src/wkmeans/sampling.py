@@ -14,7 +14,8 @@ interval of the running sum of the (unnormalized) weights holds u times the
 total, found by `searchsorted(side="right")`, so a zero weight is never
 drawn. `searchsorted_rows` is that search run on many running sums at once,
 held point-major as the columns of an (n, b) array; it counts entries on
-short sums and halves the range on longer ones, with identical results.
+short sums, with one broadcast compare and one sum per block of targets,
+and halves the range on longer ones, with identical results.
 Every draw in the package, the solvers' and the verifiers', is made by the
 PTAS evaluator (`ptas._inverse_cdf_rows` and its two-level form), which
 searches with `searchsorted_rows` and sends a target that rounding puts at
@@ -27,20 +28,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wkmeans.core import _check_seed
+from wkmeans.core import _BLOCK_VALUES, _check_seed
 
 __all__ = ["RandomSource", "searchsorted_rows"]
 
 # Running sums of at most this many entries are searched by counting, not
 # halving (see `searchsorted_rows`). Measured by
 # scripts/searchsorted_crossover.py on point-major sums of 1024 columns,
-# 2-vCPU host, count against binary search in us per call: at 8 targets per
-# column 157 vs 429 at n = 24, 271 vs 373 at 48 (380 vs 510 and 412 vs 551
-# in reruns), a tie at 64 and 756 vs 462 at 128; at 3 targets 79 vs 119 at
-# 24, 103 vs 129 at 32 and 163 vs 148 at 48. Desk-scale PTAS runs
-# (c2 = 4, epsilon = 0.5) draw 8 per column. A shared (n, 1) sum, the first
-# draw's, is counted in 253 us against 446 for np.searchsorted at n = 48.
-_COUNT_MAX_TERMS = 48
+# 2-vCPU host, count against binary search in us per call, at 8 targets per
+# column: 49-64 vs 224-248 at n = 12 and 279-341 vs 355-380 at 48; at 64
+# the count won four of six runs (363-421 vs 380-505) and lost two by under
+# 4% (396 vs 393, 398 vs 385); at 96 it lost two of three (549-654 vs
+# 431-628). At 3 targets it won at 64 (142 vs 153, 145 vs 146). Desk-scale
+# PTAS runs (c2 = 4, epsilon = 0.5) draw 8 per column. A shared (n, 1) sum,
+# the first draw's, is counted in 63-70 us against 326-347 for
+# np.searchsorted at n = 48, and in 181-219 against 361-419 at n = 64.
+_COUNT_MAX_TERMS = 64
 
 
 @dataclass(frozen=True)
@@ -78,23 +81,36 @@ def searchsorted_rows(cum: np.ndarray, targets: np.ndarray) -> np.ndarray:
     and independent of the other columns.
 
     A running sum of at most `_COUNT_MAX_TERMS` entries is searched by
-    counting the entries at or below each target: one compare-and-add
-    pass over the (m, b) targets per row of `cum`, each pass running along
-    the b columns. On a nondecreasing column that count is the side="right"
-    position. A longer shared running sum takes `np.searchsorted`, and
-    longer columns run a branchless binary search on all columns at once:
-    every column takes the same halving steps, about log2(n) small numpy
-    calls in all.
+    counting the entries at or below each target: one broadcast compare of
+    `cum` against a block of target rows into an (n, rows, b) boolean
+    block, summed down axis 0 in the narrowest unsigned type that holds n.
+    On a nondecreasing column that count is the side="right" position. A
+    block and its count take at most 2^18 bytes (one target row where a
+    row takes more), so no temporary grows with m, and numpy's iteration
+    buffers for the compare (under 136 KiB) keep a call's temporaries
+    within 2^19 bytes, `core._BLOCK_VALUES` float64s. One block holds a
+    desk-scale call of 12 x 8 x 1024. A longer shared running sum takes
+    `np.searchsorted`, and longer columns run a branchless binary search on
+    all columns at once: every column takes the same halving steps, about
+    log2(n) small numpy calls in all.
     """
     n, b = cum.shape
     if n <= _COUNT_MAX_TERMS:
+        m, width = targets.shape
+        # Target rows per block: the (n, step, width) compare block and its
+        # (step, width) count take at most half of _BLOCK_VALUES float64s'
+        # bytes; the other half is left for the compare's iteration buffers.
+        step = max(1, 4 * _BLOCK_VALUES // max(1, (n + 1) * width))
+        hit = np.empty((n, min(step, m), width), dtype=bool)
+        out = np.empty(targets.shape, dtype=np.intp)
         # The narrowest unsigned type that holds n: uint8 up to 255.
-        count = np.zeros(targets.shape, dtype=np.min_scalar_type(n))
-        hit = np.empty(targets.shape, dtype=bool)
-        for row in cum:
-            np.less_equal(row, targets, out=hit)
-            count += hit.view(np.uint8)
-        return count.astype(np.intp)
+        narrow = np.min_scalar_type(n)
+        for lo in range(0, m, step):
+            hi = min(lo + step, m)
+            block = hit[:, : hi - lo]
+            np.less_equal(cum[:, None, :], targets[None, lo:hi], out=block)
+            out[lo:hi] = np.add.reduce(block.view(np.uint8), axis=0, dtype=narrow)
+        return out
     if b == 1:
         return np.searchsorted(cum[:, 0], targets, side="right")
     # Entry (p, c) of a C-ordered cum is flat[p * b + c]; of an F-ordered

@@ -346,11 +346,14 @@ def _reference_run_tuple_batch(coords, weights, u):
                 cols, dead = _reference_inverse_cdf_rows(mass_b, ui)
             np.minimum(cols, n - 1, out=cols)
             tw = weights[cols]
-            # Each mean's D products are added onto a zero in draw order.
+            # Each mean's D products, and its D weights, are added onto a
+            # zero in draw order.
             ci = np.zeros((hi - lo, d))
+            total = np.zeros(hi - lo)
             for m in range(D):
                 ci += tw[:, m, None] * coords[cols[:, m]]
-            ci /= tw.sum(axis=1)[:, None]
+                total += tw[:, m]
+            ci /= total[:, None]
             if dead is not None and dead.any():
                 ci[dead] = blk_centers[dead, i - 1]
             blk_centers[:, i, :] = ci
@@ -377,8 +380,32 @@ def _batch_case(seed, n, D, k, d, B, kind):
 _BATCH_KINDS = st.sampled_from(["random", "few-locations", "geo"])
 
 
-# Draws per center: numpy's pairwise row sum, which the centroid's
-# denominator must keep, differs from a sequential sum from 8 terms on.
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("M", [1, 7, 8, 9, 17, 129])
+@pytest.mark.parametrize("rows", [1, 2, 1024])
+def test_centroids_sum_in_draw_order(rows, M, d):
+    """Each mean's products and weights are added onto a zero in draw order.
+
+    A per-row Python loop is the reference. M = 8 and 129 sit past numpy's
+    pairwise thresholds, and one row takes the lone-row copy.
+    """
+    coords, weights, u = _batch_case(rows * M + d, 50, M, 1, d, rows, "geo")
+    cols = np.floor(u[0].T * 50).astype(np.intp)
+    got = ptas._centroids(np.ascontiguousarray(coords.T), weights, cols)
+    want = np.empty((d, rows))
+    for r in range(rows):
+        num, total = [0.0] * d, 0.0
+        for p in cols[:, r].tolist():
+            w = float(weights[p])
+            total += w
+            num = [s + w * float(x) for s, x in zip(num, coords[p])]
+        want[:, r] = [s / total for s in num]
+    assert got.shape == (d, rows)
+    assert got.tobytes() == want.tobytes()
+
+
+# Draws per center: numpy's pairwise row sum, which the centroid's sums
+# must not take, differs from a sequential sum from 8 terms on.
 _DRAW_COUNTS = st.sampled_from([1, 2, 3, 7, 8, 9, 16])
 
 

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wkmeans import sampling
+from wkmeans import core, sampling
 from wkmeans.core import WeightedPointSet, min_squared_distances
 from wkmeans.instances import chi6
 from wkmeans.oracle import _draw
@@ -195,3 +196,50 @@ def test_searchsorted_rows_on_fixed_steps():
     np.testing.assert_array_equal(
         searchsorted_rows(cum, targets), np.array([[2, 2, 4, 4, 5], [5, 5, 5, 5, 5]]).T
     )
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "shared"])
+@pytest.mark.parametrize("n", [_COUNT_MAX_TERMS, _COUNT_MAX_TERMS + 1])
+def test_searchsorted_rows_counts_target_rows_in_blocks(n, layout):
+    """At the count's cutoff and one past it, on targets spanning many blocks.
+
+    The count compares `cum` with a block of target rows at a time; 40 rows
+    of 1024 columns take over twice the 2^19-byte budget, so the count runs
+    at least three blocks. Steps of 0, 1 and 2 give equal entries, and half
+    of the targets sit on entries.
+    """
+    b, m = 1024, 40
+    assert m * (n + 1) * b > 2 * 8 * core._BLOCK_VALUES
+    gen = RandomSource(n).generator()
+    cum = np.cumsum(np.floor(gen.random((n, 1 if layout == "shared" else b)) * 3.0), axis=0)
+    full = np.broadcast_to(cum, (n, b))
+    picks = np.floor(gen.random((m // 2, b)) * n).astype(np.intp)
+    on_entries = np.take_along_axis(full, picks, axis=0)
+    targets = np.concatenate([gen.random((m // 2, b)) * (full[-1] + 1.0), on_entries])
+    if layout == "F":
+        cum = np.asfortranarray(cum)
+    got = searchsorted_rows(cum, targets)
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, _per_column_searchsorted(full, targets))
+
+
+def test_searchsorted_rows_count_memory_is_bounded():
+    """One count at the cutoff allocates its output and one target block.
+
+    2,000 target rows of 1024 columns at n = _COUNT_MAX_TERMS would take a
+    compare block of over 100 MB in one piece; the count stays within the
+    budget of `core._BLOCK_VALUES` float64s' worth of bytes beside the
+    (m, b) output.
+    """
+    n, m, b = _COUNT_MAX_TERMS, 2000, 1024
+    gen = RandomSource(4).generator()
+    cum = np.cumsum(gen.random((n, b)), axis=0)
+    targets = gen.random((m, b)) * cum[-1]
+    tracemalloc.start()
+    try:
+        got = searchsorted_rows(cum, targets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * core._BLOCK_VALUES + got.nbytes
+    np.testing.assert_array_equal(got[:8], _per_column_searchsorted(cum, targets[:8]))
