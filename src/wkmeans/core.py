@@ -258,6 +258,23 @@ def _check_weight_total(P: WeightedPointSet) -> None:
         ) from None
 
 
+def _local_frame(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points as offsets from the first one, (n, d), and that point, (d,).
+
+    A solver that works on the offsets and adds the origin back once gives
+    the same bytes, plus the shift, for any translation that moves every
+    coordinate exactly (a dyadic input and shift, say). The offsets are
+    F-ordered, so their transpose, the (d, n) block the distance kernel
+    reads, needs no copy. Offsets that overflow float64 raise ValueError.
+    """
+    origin = coords[0].copy()
+    with np.errstate(over="ignore"):
+        local_t = np.subtract(coords.T, origin[:, None], order="C")
+    if not np.isfinite(local_t).all():
+        raise ValueError("coordinate differences overflow float64")
+    return local_t.T, origin
+
+
 def _check_positive_int(name: str, value) -> None:
     """Raise ValueError unless value is an int >= 1 (a bool or float is not)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:

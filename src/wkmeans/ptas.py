@@ -23,20 +23,27 @@ M = 1 case, since the mean of one draw is the drawn point; `baselines`
 seeds through the same candidate loop, `_best_for_trial`.
 
 Tuples are evaluated in batches of B <= 1024. A batch first draws all of
-its uniforms, k blocks of (B, M), so the random-number layout is fixed
-before any work starts. Each row draws its M points through an exact
-inverse CDF of its own. The batch evaluator, `_run_tuple_batch`, walks the
-rows in bounded memory; its docstring gives the block sizes, the memory
-layouts and the memory bound, and `searchsorted_rows`'s the search
-cutoff. No output byte depends on any block size. Per-trial random
-streams are derived from (master_seed, trial), so results are independent
-of thread scheduling.
+its uniforms, k blocks of (M, B), so the random-number layout is fixed
+before any work starts; it is the (M, rows) target layout the one-level
+draw searches. Each row draws its M points through an exact inverse CDF
+of its own, and its cost adds its masses in point order. The batch
+evaluator, `_run_tuple_batch`, walks the rows in bounded memory; its
+docstring gives the block sizes, the memory layouts and the memory bound,
+and `searchsorted_rows`'s the search cutoff. No output byte depends on any
+block size. Per-trial random streams are derived from (master_seed,
+trial), so results are independent of thread scheduling.
+
+`solve` draws, averages and prices in a local frame, the points as offsets
+from the first one (`core._local_frame`), and adds that origin to the
+centers once. A translation that moves every coordinate exactly, such as a
+dyadic shift of dyadic points, leaves the frame's bytes and so every
+output byte alone, bar the shift of the centers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,6 +53,7 @@ from wkmeans.core import (
     WeightedPointSet,
     _check_positive_int,
     _check_weight_total,
+    _local_frame,
     _sq_dist_rows,
 )
 from wkmeans.sampling import RandomSource, searchsorted_rows
@@ -269,10 +277,12 @@ def _run_tuple_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run all k iterations for B candidate tuples in bounded memory.
 
-    u is the (k, B, M) block of uniforms for the whole batch, drawn by the
-    caller before any work starts: row b of u[i] turns into the M
+    u is the (k, M, B) block of uniforms for the whole batch, drawn by the
+    caller before any work starts: column b of u[i] turns into the M
     distance-weighted draws of tuple b in iteration i, whose w-weighted
-    mean is the tuple's i-th center. Returns (costs (B,), centers (B, k, d)).
+    mean is the tuple's i-th center. An outer block reads u[i] as (M, rows)
+    targets, as it lies, and the two-level draw reads its transpose.
+    Returns (costs (B,), centers (B, k, d)).
 
     Rows are walked in two tiers. The per-point passes (the distance
     kernel `core._sq_dist_rows`, the running minimum and, on the two-level
@@ -291,8 +301,10 @@ def _run_tuple_batch(
       running sums go down axis 0 (`_inverse_cdf_rows`) and the (M, rows)
       targets are searched with no transposes. A block with more points
       than rows stores the same arrays in F order, so its passes run along
-      the points. A cost is the pairwise row sum of the masses, written
-      row-major for that sum.
+      the points. A cost adds its row's masses in point order on either
+      layout: `np.add.reduce` down axis 0 of a point-major block makes
+      whole-row adds, and an F-ordered block takes the last entry of its
+      running sum down the points, with the same bytes.
     - Longer rows: two levels. Outer blocks hold max(1, _DRAW_VALUES // n)
       rows of the cache, zero-padded to whole CDF blocks. Each per-point
       pass ends with one `einsum` read of the new cache against the
@@ -312,14 +324,12 @@ def _run_tuple_batch(
     total passes float64 has no distribution to draw from: its center is
     nan, and so is its cost.
     """
-    k, B, M = u.shape
+    k, M, B = u.shape
     n, d = coords.shape
     nb = _cdf_blocks(n, M)
     sub = max(1, _BLOCK_VALUES // n)
     outer = min(max(1, _DRAW_VALUES // n) if nb else sub, B)
     sub = min(sub, outer)
-    # (k, M, B): an iteration's uniforms are read as (M, rows) targets.
-    u_t = np.ascontiguousarray(u.transpose(0, 2, 1))
     cum0 = np.cumsum(weights)[:, None]
     costs = np.empty(B)
     centers = np.empty((B, k, d))
@@ -353,11 +363,11 @@ def _run_tuple_batch(
                 for f in flat
             )
         for i in range(k):
-            ui = u_t[i, :, lo:hi]
+            ui = u[i, :, lo:hi]
             if i == 0:
                 cols = searchsorted_rows(cum0, ui * cum0[-1])
             elif nb:
-                cols, totals = _inverse_cdf_blocks(sums, cache_blocks, w_blocks, u[i, lo:hi])
+                cols, totals = _inverse_cdf_blocks(sums, cache_blocks, w_blocks, ui.T)
                 cols = cols.T
             else:
                 np.multiply(cache, w_col, out=mass)
@@ -388,10 +398,13 @@ def _run_tuple_batch(
         if nb:
             costs[lo:hi] = sums.sum(axis=1)
         else:
-            # Each cost is the pairwise row sum of the row-major mass array.
-            mass_rows = flat[1, : n * rows].reshape(rows, n)
-            np.multiply(cache.T, weights, out=mass_rows)
-            costs[lo:hi] = mass_rows.sum(axis=1)
+            # Each cost adds its row's masses in point order: whole-row adds
+            # down a point-major block, a running sum down an F-ordered one.
+            np.multiply(cache, w_col, out=mass)
+            if rows >= n:
+                np.add.reduce(mass, axis=0, out=costs[lo:hi])
+            else:
+                costs[lo:hi] = np.cumsum(mass, axis=0, out=cum)[-1]
     return costs, centers
 
 
@@ -401,8 +414,9 @@ def _best_for_trial(
     """Minimum-cost candidate over `budget` tuples of k centers, M draws each.
 
     Returns its cost, its centers and its index in the stream of tuples
-    (the first on ties), drawing uniforms from gen in (k, rows, M) batches.
-    One tuple with M = 1 is a k-means++ seed (see the module docstring).
+    (the first on ties), drawing uniforms from gen in (k, M, rows) batches.
+    One tuple with M = 1 is a k-means++ seed (see the module docstring),
+    which draws its k uniforms in stream order.
 
     Weights near the top of float64 can overflow a candidate's sums, which
     leaves its cost inf or nan; such a candidate loses to every finite one,
@@ -413,7 +427,7 @@ def _best_for_trial(
     best_tuple = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, budget, _CHUNK):
-            u = gen.random((k, min(_CHUNK, budget - lo), M))
+            u = gen.random((k, M, min(_CHUNK, budget - lo)))
             costs, centers = _run_tuple_batch(P.coords, P.weights, u)
             # argmin would pick a nan cost over every finite one.
             j = int(np.argmin(np.where(np.isnan(costs), np.inf, costs)))
@@ -446,7 +460,9 @@ def solve(
     meta["trial_costs"] holds each trial's best candidate cost in the
     input's weight units; meta["best_trial"] is the winning trial and
     meta["best_tuple"] the winning candidate's index in that trial's tuple
-    stream. When k is at least the number of distinct points
+    stream. Candidates are drawn, averaged and priced on the points as
+    offsets from the first one, and that origin is added to the returned
+    centers once. When k is at least the number of distinct points
     the exact zero-cost placement on the distinct points is returned
     directly.
     """
@@ -462,10 +478,12 @@ def solve(
             "note": "k >= distinct points; zero-cost placement",
         }
         return ClusteringResult.from_centers(P, CenterSet(distinct), meta)
+    coords, origin = _local_frame(P.coords)
+    local = WeightedPointSet(coords, P.weights)
 
     def worker(t: int) -> tuple[float, np.ndarray, int]:
         gen = master.derive(_SAMPLE_STREAM, t).generator()
-        return _best_for_trial(P, params.k, params.M, params.tuple_budget, gen)
+        return _best_for_trial(local, params.k, params.M, params.tuple_budget, gen)
 
     if threads > 1:
         # Imported here: concurrent.futures adds about 7.5 ms to every
@@ -502,4 +520,5 @@ def solve(
         "best_trial": best_trial,
         "best_tuple": best_tuple,
     }
-    return ClusteringResult.from_centers(P, CenterSet(best_centers), meta)
+    res = ClusteringResult.from_centers(local, CenterSet(best_centers), meta)
+    return replace(res, centers=CenterSet(best_centers + origin))

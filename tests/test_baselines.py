@@ -82,11 +82,19 @@ def test_kmeanspp_lloyd_refuses_weight_totals_that_overflow():
 def test_kmeanspp_lloyd_names_overflowing_products(xs, w, cause):
     """Four equal weights with a finite total: ValueError names the overflow, no warning.
 
-    Seed 0 picks the first point first, so the masses are w * (x - xs[0])^2.
+    The seed is the first whose first draw picks the first point, so the
+    masses are w * (x - xs[0])^2.
     """
     P = WeightedPointSet(np.array(xs)[:, None], np.full(4, w))
+    seed = next(s for s in range(100) if RandomSource(s).generator().random() < 0.25)
+    # The premise: the first center, drawn by weight alone, is the first
+    # point; four equal weights draw alike at any scale.
+    u = RandomSource(seed).generator().random((1, 1, 1))
+    with np.errstate(over="ignore"):
+        _, centers = _run_tuple_batch(P.coords, np.ones(4), u)
+    assert centers[0, 0, 0] == xs[0]
     with pytest.raises(ValueError, match=f"{cause}.*scale the weights down"):
-        kmeanspp_lloyd(P, 2, RandomSource(0))
+        kmeanspp_lloyd(P, 2, RandomSource(seed))
 
 
 def test_seeding_cycles_when_support_is_exhausted():
@@ -161,12 +169,12 @@ def test_m1_evaluator_matches_sequential_kmeanspp(seed, n, k, d, B, kind):
     else:
         coords = gen.random((n, d)) * 1e3 + (5e6 if kind == "geo" else 0.0)
     weights = np.exp(2.0 * gen.standard_normal(n))
-    u = gen.random((k, B, 1))
+    u = gen.random((k, 1, B))
     _, centers = _run_tuple_batch(coords, weights, u)
     drawn = (weights[:, None] * coords) / weights[:, None]
     one_level = _cdf_blocks(n, 1) == 0
     for b in range(B):
-        picks, searches = _sequential_kmeanspp(coords, weights, u[:, b, 0])
+        picks, searches = _sequential_kmeanspp(coords, weights, u[:, 0, b])
         for i, (p, search) in enumerate(zip(picks, searches)):
             if centers[b, i].tobytes() == drawn[p].tobytes():
                 continue

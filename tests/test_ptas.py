@@ -91,7 +91,8 @@ def test_solve_rejects_bad_thread_counts(threads):
 def test_trial_streams_are_budget_tuples_of_k_rows_of_m(monkeypatch):
     """Each trial evaluates tuple_budget tuples, each k rows of M uniforms.
 
-    The tuples come in batches of at most 1024, the last one partial.
+    The tuples come in batches of at most 1024, the last one partial, and
+    a batch's uniforms are drawn as (k, M, rows), the evaluator's layout.
     """
     shapes = []
     evaluate = ptas._run_tuple_batch
@@ -104,7 +105,7 @@ def test_trial_streams_are_budget_tuples_of_k_rows_of_m(monkeypatch):
     ovr = {"c1": 8.0, "c2": 4.0, "trials": 2, "tuple_budget": 2100}
     res = solve(make_points(3, 40, 2), 2, 0.5, ovr)
     M = PtasParams(2, 0.5, **ovr).M
-    assert shapes == [(2, 1024, M), (2, 1024, M), (2, 52, M)] * 2
+    assert shapes == [(2, M, 1024), (2, M, 1024), (2, M, 52)] * 2
     assert res.meta["tuples_evaluated"] == 2 * 2100
 
 
@@ -117,7 +118,7 @@ def test_tuple_batch_single_location_collapses_to_zero_cost():
     """
     P = WeightedPointSet(np.array([[2.0, 2.0]] * 3), np.array([1.0, 2.0, 0.5]))
     params = PtasParams(1, 0.5, c1=8.0, c2=4.0)
-    u = RandomSource(2).generator().random((params.k, 1, params.M))
+    u = RandomSource(2).generator().random((params.k, params.M, 1))
     costs, centers = _run_tuple_batch(P.coords, P.weights, u)
     assert costs.tolist() == [0.0]
     np.testing.assert_array_equal(centers[0], [[2.0, 2.0]])
@@ -128,7 +129,7 @@ def test_tuple_batch_two_point_instance_lands_on_support():
     params = PtasParams(k=1, epsilon=0.5, c1=0.5, c2=1.0)  # N = M = 2
     seen = set()
     for seed in range(12):
-        u = RandomSource(seed).generator().random((params.k, 1, params.M))
+        u = RandomSource(seed).generator().random((params.k, params.M, 1))
         _, centers = _run_tuple_batch(P.coords, P.weights, u)
         c = float(centers[0, 0, 0])
         assert c in (0.0, 5.0, 10.0)
@@ -319,10 +320,11 @@ def _reference_inverse_cdf_rows(v, u):
 def _reference_run_tuple_batch(coords, weights, u):
     """The single-tier evaluator: blocks of max(1, 2^16 // n) rows.
 
-    Every iteration writes the whole mass array cache * weights and draws
-    from it, and a cost is that array's row sum.
+    u is (k, D, B), tuple b drawing with u[i, :, b] in iteration i. Every
+    iteration writes the whole mass array cache * weights and draws from
+    it, and a cost adds its row's masses in point order, one at a time.
     """
-    k, B, D = u.shape
+    k, D, B = u.shape
     n, d = coords.shape
     coords_t = np.ascontiguousarray(coords.T)
     cum0 = np.cumsum(weights)
@@ -337,7 +339,7 @@ def _reference_run_tuple_batch(coords, weights, u):
         cache_b, scratch_b, diff_b = work[:, : hi - lo, :n]
         blk_centers = centers[lo:hi]
         for i in range(k):
-            ui = u[i, lo:hi]
+            ui = u[i, :, lo:hi].T
             if i == 0:
                 cols = np.searchsorted(cum0, ui * cum0[-1], side="right")
                 dead = None
@@ -362,7 +364,10 @@ def _reference_run_tuple_batch(coords, weights, u):
             if i > 0:
                 np.minimum(cache_b, d2, out=cache_b)
         np.multiply(cache_b, weights, out=scratch_b)
-        costs[lo:hi] = scratch_b.sum(axis=1)
+        cost = np.zeros(hi - lo)
+        for p in range(n):
+            cost += scratch_b[:, p]
+        costs[lo:hi] = cost
     return costs, centers
 
 
@@ -374,7 +379,7 @@ def _batch_case(seed, n, D, k, d, B, kind):
     else:
         coords = gen.random((n, d)) * 1e3 + (5e6 if kind == "geo" else 0.0)
     weights = np.exp(2.0 * gen.standard_normal(n))
-    return coords, weights, gen.random((k, B, D))
+    return coords, weights, gen.random((k, D, B))
 
 
 _BATCH_KINDS = st.sampled_from(["random", "few-locations", "geo"])
@@ -390,7 +395,7 @@ def test_centroids_sum_in_draw_order(rows, M, d):
     pairwise thresholds, and one row takes the lone-row copy.
     """
     coords, weights, u = _batch_case(rows * M + d, 50, M, 1, d, rows, "geo")
-    cols = np.floor(u[0].T * 50).astype(np.intp)
+    cols = np.floor(u[0] * 50).astype(np.intp)
     got = ptas._centroids(np.ascontiguousarray(coords.T), weights, cols)
     want = np.empty((d, rows))
     for r in range(rows):
@@ -512,7 +517,7 @@ def test_overflowing_candidates_lose_to_finite_ones():
     """
     coords = np.concatenate([[1.0, 1.001], 2.0 + np.arange(90) * 1e-3])[:, None]
     P = WeightedPointSet(coords, np.concatenate([[4e307, 4e307], np.full(90, 1e306)]))
-    u = RandomSource(0).generator().random((2, 64, 8))
+    u = RandomSource(0).generator().random((2, 8, 64))
     with np.errstate(all="ignore"):
         costs, _ = _run_tuple_batch(P.coords, P.weights, u)
     assert 0 < np.isnan(costs).sum() < 64 and not np.isinf(costs).any()
@@ -531,11 +536,18 @@ def test_non_finite_d2_totals_give_nan_centers(n):
     """
     P = WeightedPointSet(np.linspace(0.0, 3e154, n)[:, None], np.ones(n))
     assert (_cdf_blocks(n, 1) > 0) == (n == 300)
-    u = RandomSource(n).generator().random((2, 16, 1))
+    u = RandomSource(n).generator().random((2, 1, 16))
     with np.errstate(all="ignore"):
         costs, centers = _run_tuple_batch(P.coords, P.weights, u)
     assert np.isfinite(centers[:, 0]).all()
     assert np.isnan(centers[:, 1]).all() and np.isnan(costs).all()
+
+
+def test_solve_refuses_coordinate_spreads_past_float64():
+    """Offsets from the first point that overflow: a ValueError, no warning."""
+    P = WeightedPointSet(np.array([[-1e308], [0.0], [1e308]]), np.ones(3))
+    with pytest.raises(ValueError, match="coordinate differences overflow float64"):
+        solve(P, 2, 0.5, {"c1": 8.0, "c2": 4.0})
 
 
 def test_solve_covers_distinct_points_exactly():
@@ -621,13 +633,16 @@ def test_retained_cost_is_best_over_trials():
 def test_meta_names_the_winning_trial_and_tuple():
     """best_trial is the first trial of least cost; best_tuple indexes its stream.
 
-    Replaying the winning trial's sample stream batch by batch through the
-    evaluator puts the winning candidate, with the trial's cost and the
-    returned centers, at index best_tuple of the whole stream (the first of
-    the least-cost ones). Two full batches per trial, so some winners sit
-    in the second batch.
+    Replaying the winning trial's sample stream batch by batch, as (k, M,
+    rows) draws, through the evaluator on the solver's frame (the points as
+    offsets from the first) puts the winning candidate, with the trial's
+    cost, at index best_tuple of the whole stream (the first of the
+    least-cost ones); its centers plus the first point are the returned
+    ones. Two full batches per trial, so some winners sit in the second
+    batch.
     """
     P = make_points(31, 2500, 2)
+    coords = P.coords - P.coords[0]
     ovr = {"c1": 8.0, "c2": 4.0, "trials": 2, "tuple_budget": 2 * ptas._CHUNK}
     params = PtasParams(2, 0.5, **ovr)
     winners = []
@@ -638,13 +653,13 @@ def test_meta_names_the_winning_trial_and_tuple():
         assert trial_costs.index(min(trial_costs)) == t
         gen = RandomSource(seed).derive(ptas._SAMPLE_STREAM, t).generator()
         batches = [
-            _run_tuple_batch(P.coords, P.weights, gen.random((2, ptas._CHUNK, params.M)))
+            _run_tuple_batch(coords, P.weights, gen.random((2, params.M, ptas._CHUNK)))
             for _ in range(2)
         ]
         costs = np.concatenate([c for c, _ in batches])
         centers = np.concatenate([c for _, c in batches])
         assert int(np.argmin(costs)) == j and costs[j] == trial_costs[t]
-        assert centers[j].tobytes() == res.centers.centers.tobytes()
+        assert (centers[j] + P.coords[0]).tobytes() == res.centers.centers.tobytes()
         winners.append(j)
     assert any(j >= ptas._CHUNK for j in winners)
 
@@ -712,6 +727,11 @@ def _block_invariance_cases():
     # 17 whole CDF blocks and a one-point tail: the two-level draw.
     ragged = make_points(22, 17 * _CDF_BLOCK + 1, 3)
     yield pytest.param(ragged, 4, big, id="random-2177")
+    # One level (n <= 2 * M * 128) on both layouts: a whole batch of 1024
+    # rows is point-major, and the last 76 rows and every smaller block are
+    # F-ordered.
+    wide = {"c1": 8.0, "c2": 4.0, "trials": 1, "tuple_budget": 1100}
+    yield pytest.param(make_points(23, 1000, 2), 3, wide, id="random-1000")
     # Two draws per center (N = 8, M = 2) and 1500 tuples per trial: one
     # whole batch of 1024 and a partial one.
     P = WeightedPointSet(np.array([[0.0], [1.0], [4.0], [5.0], [9.0]]), np.arange(1.0, 6.0))
@@ -742,6 +762,28 @@ def test_output_bytes_do_not_depend_on_block_size(monkeypatch, P, k, ovr):
             res = solve(P, k, 0.5, ovr, master_seed=11, threads=threads)
             outputs.append(_result_bytes(res))
     assert all(out == outputs[0] for out in outputs[1:])
+
+
+@pytest.mark.parametrize("n", [12, 500, 3000])
+def test_solve_is_exact_under_dyadic_translation(n):
+    """Shifts of 2^17, 2^22 and 2^23: every result byte, centers plus the shift.
+
+    Coordinates on a 2^-4 grid in [0, 64) move exactly under these shifts,
+    and so do their offsets from the first point, the frame the solver
+    draws, averages and prices in. n = 12 takes point-major one-level
+    blocks, 500 F-ordered ones and 3,000 the two-level draw.
+    """
+    gen = RandomSource(n).generator()
+    coords = np.floor(gen.random((n, 2)) * 1024.0) / 16.0
+    weights = np.floor(gen.random(n) * 9.0) + 1.0
+    ovr = {"c1": 8.0, "c2": 4.0, "trials": 2, "tuple_budget": 100}
+    base = solve(WeightedPointSet(coords, weights), 3, 0.5, ovr, master_seed=5)
+    for shift in (2.0**17, 2.0**22, 2.0**23):
+        moved = WeightedPointSet(coords + shift, weights)
+        assert (moved.coords - shift).tobytes() == coords.tobytes()
+        res = solve(moved, 3, 0.5, ovr, master_seed=5)
+        assert res.centers.centers.tobytes() == (base.centers.centers + shift).tobytes()
+        assert _result_bytes(res)[1:] == _result_bytes(base)[1:]
 
 
 def test_evaluator_memory_is_bounded_for_large_n():
