@@ -2,9 +2,9 @@
 
 Subcommands: cluster (weighted k-means on a CSV point set), sensor (coverage
 placement over a region file), verify (the invariant suite), bench (solver
-comparison matrix as long-format CSV). The solvers that cluster, sensor and
-bench run, and the names --solver and --solvers accept, are the entries of
-`wkmeans.SOLVERS`.
+comparison matrix as long-format CSV, over the desk and stress instances).
+The solvers that cluster, sensor and bench run, and the names --solver and
+--solvers accept, are the entries of `wkmeans.SOLVERS`.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 an instance too large for the exact oracle. All randomness flows from
@@ -222,7 +222,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     overrides.setdefault("c2", 4.0)
 
     rows = []
-    for inst in instances.oracle_instances():
+    for inst in instances.oracle_instances() + instances.stress_instances():
         for solver in solvers:
             for j in range(args.repeat):
                 seed = args.seed + j

@@ -2,9 +2,10 @@
 
 The five oracle instances are small enough for a brute-force search and have
 hand-derived optimal costs; they anchor both the test suite and the bench
-command. Optima marked "by separation" additionally rely on the two-point
-bound: any cluster containing points p, q costs at least
-w_p*w_q/(w_p+w_q) * ||p-q||^2, so well-separated groups cannot profitably mix.
+command, which also runs `stress_instances()` after them. Optima marked "by
+separation" additionally rely on the two-point bound: any cluster containing
+points p, q costs at least w_p*w_q/(w_p+w_q) * ||p-q||^2, so well-separated
+groups cannot profitably mix.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ def skew12() -> Instance:
 
     The 8/3/1 mass split keeps every sampling round dominated by a single
     uncovered group, which is what lets small-subset candidate search find
-    the group structure reliably; see skewed_vs_balanced in the success-rate
-    script for the contrast with balanced groups.
+    the group structure reliably; the stress rows of `wkmeans bench` (tri9,
+    wclust12) show the contrast with balanced groups.
     """
     big = np.array(
         [

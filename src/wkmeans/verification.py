@@ -148,7 +148,8 @@ def _check_translation(rng: RandomSource, tol: float) -> _Outcome:
         worst <= tol,
         worst,
         tol,
-        "relative cost drift under joint translation of points and centers",
+        "weighted_cost only, no solver: relative drift under joint "
+        "translation of points and centers by offsets of at most 5",
     )
 
 
@@ -203,25 +204,6 @@ def _check_reproducibility(rng: RandomSource, tol: float) -> _Outcome:
         mismatches,
         tol,
         "identical stream replays bit-identically; sibling stream differs",
-    )
-
-
-def _check_cache_coherence(rng: RandomSource, tol: float) -> _Outcome:
-    worst = 0.0
-    for i in range(25):
-        P = instances.random_instance(rng.derive(i), max_n=40, max_dim=3)
-        gen = rng.derive(i, 1).generator()
-        centers = gen.random((5, P.dim))
-        cache = np.full(P.n, np.inf)
-        for j in range(centers.shape[0]):
-            np.minimum(cache, min_squared_distances(P.coords, centers[j]), out=cache)
-            direct = min_squared_distances(P.coords, centers[: j + 1])
-            worst = max(worst, float(np.abs(cache - direct).max()))
-    return (
-        worst <= tol,
-        worst,
-        tol,
-        "incremental min-distance cache vs direct recomputation (exact)",
     )
 
 
@@ -386,7 +368,6 @@ _CHECKS: tuple[tuple[str, Callable[[RandomSource, float], _Outcome], float], ...
     ("translation-invariance", _check_translation, 1e-9),
     ("d2-distribution", _check_d2_distribution, 0.001),
     ("reproducibility", _check_reproducibility, 0.0),
-    ("cache-coherence", _check_cache_coherence, 0.0),
     ("inaba", _check_inaba, 3.0),
     ("null-sampling", _check_null_sampling, 0.5),
     ("oracle-instances", _check_oracle_instances, 1e-9),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import wkmeans
-from wkmeans import SOLVERS, cli, ptas, verification
+from wkmeans import SOLVERS, cli, instances, ptas, verification
 from wkmeans.core import WeightedPointSet, load_weighted_points, save_weighted_points
 from wkmeans.oracle import brute_force_opt
 from wkmeans.sensor import RegionFileError, load_region, place_sensors
@@ -406,7 +406,7 @@ def test_verify_subset_passes(capsys):
 
 @pytest.mark.parametrize("only", [[","], [",,", "--only", ""]])
 def test_verify_only_naming_no_check_is_a_usage_error(capsys, only):
-    """An --only that names no check is refused, not read as all 15 checks."""
+    """An --only that names no check is refused, not read as all 14 checks."""
     assert run(["verify", "--only", *only]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -417,7 +417,7 @@ def test_verify_full_suite_passes(capsys):
     """Every invariant `verify` prints as a claim holds at the default seed."""
     assert run(["verify", "--seed", "0"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 15
+    assert len(lines) == 14
     assert all(line.startswith("PASS") for line in lines)
 
 
@@ -459,7 +459,7 @@ def test_bench_matrix(tmp_path):
         "ratio_to_oracle",
         "wall_time_s",
     ]
-    assert len(rows) == 1 + 5 * 2
+    assert len(rows) == 1 + 7 * 2
     for row in rows[1:]:
         assert float(row[4]) == pytest.approx(1.0, abs=1e-12)
         assert float(row[5]) >= 0.0
@@ -473,7 +473,7 @@ def test_bench_ptas_matrix(tmp_path):
     assert code == 0
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0][4] == "ratio_to_oracle"
-    assert len(rows) == 1 + 5 * 2
+    assert len(rows) == 1 + 7 * 2
     assert {row[1] for row in rows[1:]} == {"ptas", "kmeanspp-lloyd"}
     for row in rows[1:]:
         assert float(row[4]) >= 1.0 - 1e-12
@@ -485,7 +485,7 @@ def test_bench_runs_every_solver(tmp_path, solver):
     flags = ["--repeat", "1", "--solvers", solver, "--trials", "1", "--tuple-budget", "16"]
     assert run(["bench", *flags, "--output", str(out)]) == 0
     rows = list(csv.reader(out.read_text().splitlines()))
-    assert len(rows) == 1 + 5
+    assert len(rows) == 1 + 7
     for row in rows[1:]:
         assert row[1] == solver
         assert float(row[4]) >= 1.0 - 1e-12
@@ -497,6 +497,24 @@ def test_bench_default_is_every_solver(tmp_path):
     assert run(["bench", *flags, "--output", str(out)]) == 0
     rows = list(csv.reader(out.read_text().splitlines()))
     assert [row[1] for row in rows[1:4]] == list(SOLVERS)
+
+
+def test_bench_runs_desk_then_stress_instances(tmp_path):
+    """The matrix covers the five desk instances, then the two stress ones,
+    and each ratio is a plain `ptas.solve` at the bench's c2 over the optimum."""
+    out = tmp_path / "bench.csv"
+    flags = ["--solvers", "ptas", "--repeat", "2", "--tuple-budget", "50"]
+    assert run(["bench", *flags, "--output", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    suite = instances.oracle_instances() + instances.stress_instances()
+    cells = [(inst, s) for inst in suite for s in (0, 1)]
+    assert len(cells) == 7 * 2
+    assert [(row[0], int(row[2])) for row in rows] == [(i.name, s) for i, s in cells]
+    for row, (inst, s) in zip(rows, cells):
+        cost = ptas.solve(
+            inst.points, inst.k, 0.5, {"c2": 4.0, "tuple_budget": 50}, master_seed=s
+        ).cost
+        assert float(row[4]) == cost / inst.opt_cost
 
 
 def test_bench_usage_errors():
