@@ -4,7 +4,10 @@ A candidate tuple builds k centers iteratively: draw M points by
 distance-weighted (D^2) sampling against the centers so far, with
 probability proportional to w * d^2 (to w for the first center), and add
 the w-weighted mean of those drawn points as the next center. A point's
-weight therefore counts twice, once in the draw and once in the mean. Each
+weight therefore counts twice, once in the draw and once in the mean. Inaba's
+lemma covers the plain mean of the draws instead; the double-weighted mean
+is kept because it measured better before polishing (median cost ratio 2.47
+against 3.54 on cluster-geo at 16 tuples) and equal after Lloyd. Each
 trial evaluates `tuple_budget` tuples, every one on fresh draws, and the
 best center set over all trials and tuples is returned. With
 N = c1*k/eps^2, M = c2/eps and 2^k trials the constants are the theory's;

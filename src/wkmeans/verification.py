@@ -1,12 +1,18 @@
 """Self-contained invariant checks behind the `verify` command.
 
 Each check builds its own synthetic instances from a stream derived off the
-master seed (one stream per check, so filtering with --only never shifts
-another check's randomness), computes a scalar statistic, and compares it to
-a threshold. Thresholds for the statistical checks come from binomial
-confidence intervals or chi-square significance levels; those for the
-algebraic identities are floating-point slack. Each check is named once,
-in `_CHECKS`, and `run_checks` puts that name on the `CheckResult`.
+master seed and the check's name, so filtering with --only, or adding or
+deleting a check, never shifts another check's randomness. It computes a
+scalar statistic and compares it to a threshold. Thresholds for the
+statistical checks come from binomial confidence intervals or chi-square
+significance levels; those for the algebraic identities are floating-point
+slack. Each check is named once, in `_CHECKS`, and `run_checks` puts that
+name on the `CheckResult`.
+
+The sampling checks test the code the solvers run. Every draw goes through
+the PTAS evaluator's inverse CDF (`_draw`), and `inaba` runs the evaluator
+itself, `ptas._run_tuple_batch` at k = 1, so it tests the solver's
+w-weighted mean of draws made proportional to w.
 """
 
 from __future__ import annotations
@@ -17,24 +23,17 @@ from typing import Callable
 
 import numpy as np
 
-from wkmeans import instances
+from wkmeans import instances, ptas
 from wkmeans.core import (
-    CenterSet,
     WeightedPointSet,
+    _exact_sum,
     min_squared_distances,
     parallel_axis_rhs,
     weighted_cost,
     weighted_centroid,
 )
 from wkmeans.baselines import kmeanspp_lloyd
-from wkmeans.oracle import (
-    _draw,
-    brute_force_opt,
-    partition_count,
-    verify_inaba,
-    verify_null_sampling,
-)
-from wkmeans.ptas import _best_for_trial, solve
+from wkmeans.oracle import brute_force_opt, partition_count
 from wkmeans.sampling import RandomSource
 from wkmeans.sensor import (
     GaussianMixtureDensity,
@@ -66,6 +65,104 @@ class CheckResult:
 # What a check returns: passed, statistic, threshold and detail. Each check
 # returns its own threshold, because some print a bound they compute.
 _Outcome = tuple[bool, float, float, str]
+
+
+def _draw(mass: np.ndarray, count: int, gen: np.random.Generator) -> np.ndarray:
+    """`count` i.i.d. draws from the masses, shape (count,), one uniform each.
+
+    The draw is the PTAS evaluator's: `ptas._inverse_cdf_rows` on `mass` as
+    one (n, 1) row of masses, so a draw lands on point p with probability
+    mass[p] / total and never on a zero mass. The masses must be finite,
+    nonnegative and not all zero, with a total inside float64.
+    """
+    mass = np.asarray(mass, dtype=np.float64)[:, None]
+    u = gen.random(count)[:, None]
+    cols, _ = ptas._inverse_cdf_rows(mass, u, np.empty_like(mass))
+    return cols[:, 0]
+
+
+def _inaba_rate(
+    P: WeightedPointSet, M: int, delta: float, reps: int, gen: np.random.Generator
+) -> tuple[float, float, float]:
+    """Share of `reps` one-center PTAS tuples whose cost lies in a band that
+    holds with probability at least 1 - delta, and the band's two ends as
+    multiples of the optimum.
+
+    Each tuple is `ptas._run_tuple_batch` at k = 1 on (1, M, reps)
+    uniforms: M draws x_1..x_M made with probability w / W, where
+    W = sum w, and their w-weighted mean m = sum w_i x_i / sum w_i, priced
+    as the solver prices it. That mean tends to mu2 = sum w^2 x / sum w^2,
+    not to the weighted centroid mu, so Inaba's (1 + 1/(delta M)) bound for
+    the plain mean of the draws does not cover it. The band that does:
+
+    - The numerator sum w_i (x_i - mu2) is a sum of M independent terms of
+      mean 0, each of second moment sum w^3 |x - mu2|^2 / W.
+    - The denominator is at least M w_min. So E|m - mu2|^2 <= S / M, with
+      S = sum w^3 |x - mu2|^2 / (W w_min^2), and by Markov's inequality
+      |m - mu2| < r = sqrt(S / (delta M)) with probability at least 1 - delta.
+    - The cost of m is D1 + W |m - mu|^2 (parallel axis, D1 the optimum),
+      and with a = |mu2 - mu| the triangle inequality puts |m - mu| in
+      [max(0, a - r), a + r].
+
+    So the cost lies in [D1 + W max(0, a - r)^2, D1 + W (a + r)^2]. With
+    equal weights a = 0 and S = D1 / W, and the upper end is Inaba's
+    (1 + 1/(delta M)) D1.
+    """
+    w = P.weights
+    w2 = w * w
+    W = math.fsum(w)
+    mu = weighted_centroid(P)
+    mu2 = weighted_centroid(WeightedPointSet(P.coords, w2))
+    opt = weighted_cost(P, [mu])
+    spread = weighted_cost(WeightedPointSet(P.coords, w2 * w), [mu2])
+    a = math.dist(mu, mu2)
+    r = math.sqrt(spread / (W * float(w.min()) ** 2) / (delta * M))
+    lo = opt + W * max(0.0, a - r) ** 2
+    hi = opt + W * (a + r) ** 2
+    costs, _ = ptas._run_tuple_batch(P.coords, w, gen.random((1, M, reps)))
+    rate = float(np.mean((lo <= costs) & (costs <= hi)))
+    return rate, lo / opt, hi / opt
+
+
+def _null_sampling(
+    gamma: float,
+    epsilon: float,
+    points: np.ndarray,
+    repetitions: int,
+    gen: np.random.Generator,
+) -> tuple[float, float]:
+    """Success rates of the gated uniform-sampling experiment, (count, full).
+
+    One run makes l = ceil(400 / (gamma * epsilon)) draws; each is null with
+    probability 1 - gamma, otherwise a uniform point of `points` (drawn by
+    `_draw` from unit masses). The count rate is the share of runs with at
+    least m = ceil(100 / epsilon) non-null draws. The full rate also asks
+    that the centroid of a uniformly chosen m-subset of them have a
+    single-center cost, priced with the distance kernel, within
+    (1 + epsilon/20) of optimal.
+    """
+    n_draws = math.ceil(400.0 / (gamma * epsilon))
+    m = math.ceil(100.0 / epsilon)
+    uniform = np.ones(points.shape[0])
+    threshold = (1.0 + epsilon / 20.0) * _exact_sum(
+        min_squared_distances(points, points.mean(axis=0))
+    )
+    counted = successes = 0
+    for _ in range(repetitions):
+        # Fixed three-block draw layout per run: gates, point picks, subset
+        # keys. Unused picks/keys still consume stream positions, so the
+        # layout is independent of the gate outcomes.
+        gates = gen.random(n_draws) < gamma
+        picks = _draw(uniform, n_draws, gen)
+        keys = gen.random(n_draws)
+        if np.count_nonzero(gates) < m:
+            continue
+        counted += 1
+        keys = np.where(gates, keys, np.inf)
+        g = points[picks[np.argpartition(keys, m - 1)[:m]]].mean(axis=0)
+        if _exact_sum(min_squared_distances(points, g)) <= threshold:
+            successes += 1
+    return counted / repetitions, successes / repetitions
 
 
 def _check_parallel_axis(rng: RandomSource, tol: float) -> _Outcome:
@@ -209,25 +306,31 @@ def _check_reproducibility(rng: RandomSource, tol: float) -> _Outcome:
 
 def _check_inaba(rng: RandomSource, slack_sigmas: float) -> _Outcome:
     P = instances.inaba10()
-    reps = 2000
     margin = math.inf
     details = []
-    for i, (M, delta) in enumerate(((20, 0.5), (100, 0.25))):
-        rate = verify_inaba(P, M, delta, reps, rng.derive(i))
+    configs = ((20, 0.5, 2000), (100, 0.25, 2000), (1000, 0.5, 500))
+    for i, (M, delta, reps) in enumerate(configs):
+        rate, lo, hi = _inaba_rate(P, M, delta, reps, rng.derive(i).generator())
         gate = 1.0 - delta - slack_sigmas * math.sqrt(delta * (1.0 - delta) / reps)
         margin = min(margin, rate - gate)
-        details.append(f"(M={M}, delta={delta}): rate={rate:.4f} gate={gate:.4f}")
+        details.append(
+            f"(M={M}, delta={delta}): band=[{lo:.4f}, {hi:.4f}] x opt "
+            f"rate={rate:.4f} gate={gate:.4f}"
+        )
     return (
         margin >= 0.0,
         margin,
         0.0,
-        "min(rate - gate) over " + "; ".join(details),
+        "the evaluator's w-weighted mean of M draws made proportional to w, "
+        "share of costs in its 1 - delta band; min(rate - gate) over "
+        + "; ".join(details),
     )
 
 
 def _check_null_sampling(rng: RandomSource, floor: float) -> _Outcome:
     P = instances.inaba10()
-    count_rate, full_rate = verify_null_sampling(0.5, 1.0, P.coords, 1000, rng.derive(0))
+    gen = rng.derive(0).generator()
+    count_rate, full_rate = _null_sampling(0.5, 1.0, P.coords, 1000, gen)
     ok = count_rate >= 0.99 and full_rate >= floor
     return (
         ok,
@@ -274,7 +377,8 @@ def _check_kmeanspp_quality(rng: RandomSource, tol_factor: float) -> _Outcome:
     costs = []
     for i in range(1000):
         # The seed kmeanspp_lloyd takes: one tuple with M = 1, priced by the evaluator.
-        costs.append(_best_for_trial(inst.points, inst.k, 1, 1, rng.derive(i).generator())[0])
+        gen = rng.derive(i).generator()
+        costs.append(ptas._best_for_trial(inst.points, inst.k, 1, 1, gen)[0])
     mean = float(np.mean(costs))
     bound = tol_factor * (math.log(inst.k) + 2.0) * inst.opt_cost
     return (
@@ -287,7 +391,7 @@ def _check_kmeanspp_quality(rng: RandomSource, tol_factor: float) -> _Outcome:
 
 def _check_ptas_smoke(rng: RandomSource, factor: float) -> _Outcome:
     inst = instances.line4()
-    result = solve(
+    result = ptas.solve(
         inst.points,
         inst.k,
         0.5,
@@ -390,9 +494,10 @@ def run_checks(seed: int = 0, only: tuple[str, ...] | None = None) -> list[Check
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
     results = []
-    for i, (name, fn, threshold) in enumerate(_CHECKS):
+    for name, fn, threshold in _CHECKS:
         if only and name not in only:
             continue
-        outcome = fn(RandomSource(seed).derive(100 + i), threshold)
+        stream = int.from_bytes(name.encode(), "big")
+        outcome = fn(RandomSource(seed).derive(stream), threshold)
         results.append(CheckResult(name, *outcome))
     return results

@@ -24,10 +24,11 @@ from wkmeans.core import (
     weighted_cost,
 )
 from wkmeans.instances import chi6, inaba10, oracle_instances, random_instance, skew12
-from wkmeans.oracle import _draw, brute_force_opt, verify_inaba
+from wkmeans.oracle import brute_force_opt
 from wkmeans.ptas import solve
 from wkmeans.sampling import RandomSource
 from wkmeans.sensor import SensorRegion, UniformDensity, decomposition_check, place_sensors
+from wkmeans.verification import _draw, _inaba_rate
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -71,12 +72,15 @@ def test_c2_distance_weighted_sampling_distribution():
 
 
 def test_c3_subsample_centroid_success_rate():
+    """The solver's estimator, the w-weighted mean of M draws made in
+    proportion to w, lands in its 1 - delta cost band (derived in
+    `verification._inaba_rate`); at M = 1000 the band excludes the optimum."""
     started = time.perf_counter()
     P = inaba10()
-    reps = 10_000
     results = []
-    for M, delta, seed in ((20, 0.5, 31), (100, 0.25, 32)):
-        rate = verify_inaba(P, M, delta, reps, RandomSource(seed))
+    configs = ((20, 0.5, 10_000, 31), (100, 0.25, 10_000, 32), (1000, 0.5, 1000, 33))
+    for M, delta, reps, seed in configs:
+        rate, _, _ = _inaba_rate(P, M, delta, reps, RandomSource(seed).generator())
         sigma = np.sqrt(delta * (1.0 - delta) / reps)
         results.append((M, delta, rate, 1.0 - delta - 3.0 * sigma))
     elapsed = time.perf_counter() - started

@@ -446,6 +446,39 @@ def test_verify_draws_through_the_evaluator(monkeypatch):
     assert not result.passed
 
 
+def test_verify_inaba_tests_the_solvers_mean(monkeypatch):
+    """`inaba` tests the evaluator's w-weighted mean: a mutant of
+    `ptas._centroids` that takes the plain mean of the draws makes it fail."""
+
+    def plain_mean(coords_t, weights, cols):
+        return coords_t.take(cols, axis=1).mean(axis=1)
+
+    monkeypatch.setattr(ptas, "_centroids", plain_mean)
+    [result] = verification.run_checks(0, only=("inaba",))
+    assert not result.passed
+
+
+def test_verify_kmeanspp_quality_draws_through_the_evaluator(monkeypatch):
+    """`kmeanspp-quality` seeds through the evaluator: a mutant of
+    `ptas._inverse_cdf_rows` that ignores the masses makes it fail."""
+    real = ptas._inverse_cdf_rows
+
+    def uniform(v, u, cum):
+        return real(np.ones_like(v), u, cum)
+
+    monkeypatch.setattr(ptas, "_inverse_cdf_rows", uniform)
+    [result] = verification.run_checks(0, only=("kmeanspp-quality",))
+    assert not result.passed
+
+
+def test_verify_streams_follow_check_names(monkeypatch):
+    """Each check's stream comes from its name, so deleting the first check
+    leaves every other check's line byte-identical."""
+    full = [r.line() for r in verification.run_checks(0)]
+    monkeypatch.setattr(verification, "_CHECKS", verification._CHECKS[1:])
+    assert [r.line() for r in verification.run_checks(0)] == full[1:]
+
+
 def test_bench_matrix(tmp_path):
     out = tmp_path / "bench.csv"
     code = run(["bench", "--repeat", "2", "--solvers", "oracle", "--output", str(out)])

@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
 
+from wkmeans import ptas
 from wkmeans.baselines import kmeanspp_lloyd
 from wkmeans.core import WeightedPointSet, weighted_centroid, weighted_cost
 from wkmeans.instances import inaba10, oracle_instances
-from wkmeans.oracle import (
-    InstanceTooLarge,
-    brute_force_opt,
-    partition_count,
-    verify_inaba,
-    verify_null_sampling,
-)
+from wkmeans.oracle import InstanceTooLarge, brute_force_opt, partition_count
 from wkmeans.sampling import RandomSource
+from wkmeans.verification import _inaba_rate, _null_sampling
 
 from conftest import make_points
 
@@ -74,74 +70,81 @@ def test_size_guards():
         brute_force_opt(make_points(4, 14, 2), 4)  # 10M+ partitions
 
 
+# The Monte-Carlo experiments behind `verify`'s inaba and null-sampling
+# checks, private to `wkmeans.verification`.
+
+
+def _gate(delta, reps):
+    return 1.0 - delta - 3.0 * np.sqrt(delta * (1.0 - delta) / reps)
+
+
 def test_inaba_rate_beats_bound():
+    """The solver's one-center estimator lands in its 1 - delta band, also at
+    M = 1000, where the band excludes the optimum."""
     P = inaba10()
-    rate = verify_inaba(P, 20, 0.5, 2000, RandomSource(11))
-    assert rate >= 1.0 - 0.5 - 3.0 * np.sqrt(0.25 / 2000)
+    rate, lo, _ = _inaba_rate(P, 20, 0.5, 2000, RandomSource(11).generator())
+    assert rate >= _gate(0.5, 2000)
+    assert lo == 1.0
+    rate, lo, hi = _inaba_rate(P, 1000, 0.5, 500, RandomSource(11).generator())
+    assert rate >= _gate(0.5, 500)
+    assert (round(lo, 4), round(hi, 4)) == (1.0253, 1.1025)
 
 
-def _copy_expansion_inaba(P, M, delta, repetitions, rng):
-    """The rate from uniform draws over each point repeated w_p times."""
+@pytest.mark.parametrize("M,delta", [(1, 0.5), (20, 0.5), (100, 0.25)])
+def test_inaba_band_is_inabas_for_equal_weights(M, delta):
+    """With equal weights the w-weighted mean is the plain mean, and the band
+    is Inaba's [1, 1 + 1/(delta M)]."""
+    P = WeightedPointSet(inaba10().coords, np.full(10, 3.0))
+    _, lo, hi = _inaba_rate(P, M, delta, 10, RandomSource(0).generator())
+    assert lo == 1.0
+    assert hi == pytest.approx(1.0 + 1.0 / (delta * M), rel=1e-12)
+
+
+def _copy_expansion(P, u, lo, hi):
+    """Centers and in-band rate of the w-weighted means of uniform draws over
+    each point repeated w_p times, on (1, M, reps) uniforms u."""
     copies = np.repeat(np.arange(P.n), np.rint(P.weights).astype(np.int64))
-    u = rng.generator().random((repetitions, M))
-    idx = np.minimum((u * copies.size).astype(np.intp), copies.size - 1)
-    threshold = (1.0 + 1.0 / (delta * M)) * weighted_cost(P, [weighted_centroid(P)])
-    centroids = P.coords[copies[idx]].mean(axis=1)
-    return sum(weighted_cost(P, c) <= threshold for c in centroids) / repetitions
+    drawn = copies[np.minimum((u[0].T * copies.size).astype(np.intp), copies.size - 1)]
+    w = P.weights[drawn]
+    centers = np.einsum("rm,rmd->rd", w, P.coords[drawn]) / w.sum(axis=1)[:, None]
+    opt = weighted_cost(P, [weighted_centroid(P)])
+    ratios = np.array([weighted_cost(P, [c]) / opt for c in centers])
+    return centers, float(np.mean((lo <= ratios) & (ratios <= hi)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("M,delta", [(1, 0.5), (20, 0.5), (100, 0.25)])
 def test_inaba_integer_weights_match_copy_expansion(seed, M, delta):
+    """`inaba`'s tuples draw in proportion to integer weights as uniform draws
+    over w_p copies of each point do, and center on the w-weighted mean."""
     P = inaba10()
     assert np.array_equal(P.weights, np.rint(P.weights))
-    rate = verify_inaba(P, M, delta, 500, RandomSource(seed))
-    assert rate == _copy_expansion_inaba(P, M, delta, 500, RandomSource(seed))
+    rate, lo, hi = _inaba_rate(P, M, delta, 500, RandomSource(seed).generator())
+    u = RandomSource(seed).generator().random((1, M, 500))
+    _, centers = ptas._run_tuple_batch(P.coords, P.weights, u)
+    expected, expected_rate = _copy_expansion(P, u, lo, hi)
+    np.testing.assert_allclose(centers[:, 0], expected, rtol=1e-12)
+    assert rate == expected_rate
 
 
 def test_inaba_accepts_fractional_weights():
     P = make_points(4, 30, 2)
     assert not np.array_equal(P.weights, np.rint(P.weights))
-    rate = verify_inaba(P, 20, 0.5, 2000, RandomSource(3))
-    assert 0.0 <= rate <= 1.0
-    assert rate >= 1.0 - 0.5 - 3.0 * np.sqrt(0.25 / 2000)
-
-
-def test_inaba_refuses_weight_totals_that_overflow():
-    P = WeightedPointSet(np.arange(4.0)[:, None], np.full(4, 1e308))
-    with pytest.raises(ValueError, match="overflows float64"):
-        verify_inaba(P, 5, 0.5, 10, RandomSource(0))
-
-
-def test_inaba_parameter_validation():
-    P = inaba10()
-    with pytest.raises(ValueError):
-        verify_inaba(P, 0, 0.5, 10, RandomSource(0))
-    with pytest.raises(ValueError):
-        verify_inaba(P, 5, 1.0, 10, RandomSource(0))
-    with pytest.raises(ValueError):
-        verify_inaba(P, 5, 0.5, 0, RandomSource(0))
-    with pytest.raises(ValueError, match="M must be a positive integer"):
-        verify_inaba(P, 2.5, 0.5, 10, RandomSource(0))
-    with pytest.raises(ValueError, match="repetitions must be a positive integer"):
-        verify_null_sampling(0.25, 1.0, make_points(7, 30, 2).coords, True, RandomSource(0))
+    rate, _, _ = _inaba_rate(P, 20, 0.5, 2000, RandomSource(3).generator())
+    assert rate >= _gate(0.5, 2000)
 
 
 def test_null_sampling_count_gate():
     pts = make_points(7, 30, 2).coords
-    count_rate, full_rate = verify_null_sampling(0.25, 1.0, pts, 200, RandomSource(5))
+    gen = RandomSource(5).generator()
+    count_rate, full_rate = _null_sampling(0.25, 1.0, pts, 200, gen)
     assert count_rate >= 0.99
     assert 0.0 <= full_rate <= count_rate
 
 
 def test_null_sampling_full_experiment():
     pts = make_points(8, 25, 2).coords
-    count_rate, full_rate = verify_null_sampling(0.25, 1.0, pts, 100, RandomSource(6))
+    gen = RandomSource(6).generator()
+    count_rate, full_rate = _null_sampling(0.25, 1.0, pts, 100, gen)
     assert full_rate >= 0.5
     assert full_rate <= count_rate
-
-
-def test_null_sampling_size_guard():
-    pts = make_points(9, 5, 2).coords
-    with pytest.raises(ValueError, match="too large"):
-        verify_null_sampling(1e-4, 0.01, pts, 10, RandomSource(0))

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from wkmeans import core, sampling
 from wkmeans.core import WeightedPointSet, min_squared_distances
 from wkmeans.instances import chi6
-from wkmeans.oracle import _draw
 from wkmeans.sampling import _COUNT_MAX_TERMS, RandomSource, searchsorted_rows
+from wkmeans.verification import _draw
 
 from conftest import make_points
 
