@@ -17,8 +17,8 @@ from wkmeans.core import (
     ClusteringResult,
     WeightedPointSet,
     _check_positive_int,
-    _check_weight_total,
     _cost,
+    _in_local_frame,
     _nearest,
 )
 from wkmeans.ptas import _best_for_trial
@@ -79,15 +79,18 @@ def lloyd_descend(P: WeightedPointSet, init: CenterSet) -> ClusteringResult:
 def kmeanspp_lloyd(P: WeightedPointSet, k: int, rng: RandomSource) -> ClusteringResult:
     """Seed with k-means++, refine with Lloyd descent.
 
-    The seed is one PTAS candidate tuple with M = 1, drawn from
-    rng.generator(). A seed center is (w * x) / w of its drawn point x,
-    which can sit an ulp from x; once every point lies on a center, later
-    draws repeat the previous one. Overflowing sums raise ValueError.
+    Both run in the local frame of `core._in_local_frame`. The seed is one
+    PTAS candidate tuple with M = 1, drawn from rng.generator(). A seed
+    center is (w * x) / w of its drawn point's offset x, plus the origin,
+    which can sit an ulp from the point; once every point lies on a center,
+    later draws repeat the previous one. Overflowing sums raise ValueError.
     """
     _check_positive_int("k", k)
-    _check_weight_total(P)
-    _, seed, _ = _best_for_trial(P, k, 1, 1, rng.generator())
-    result = lloyd_descend(P, CenterSet(seed))
-    meta = dict(result.meta)
-    meta["solver"] = "kmeanspp-lloyd"
-    return ClusteringResult(result.centers, result.assignment, result.cost, meta)
+
+    def seed_and_descend(local: WeightedPointSet) -> ClusteringResult:
+        _, seed, _ = _best_for_trial(local, k, 1, 1, rng.generator())
+        result = lloyd_descend(local, CenterSet(seed))
+        result.meta["solver"] = "kmeanspp-lloyd"
+        return result
+
+    return _in_local_frame(P, seed_and_descend)

@@ -13,7 +13,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -238,43 +238,6 @@ def _exact_sum(terms: np.ndarray) -> float:
     return math.fsum(x.tolist())
 
 
-def _check_weight_total(P: WeightedPointSet) -> None:
-    """Raise ValueError when the total of P's weights overflows float64.
-
-    The solvers draw, average and price with weight sums, which then turn
-    inf and every cost nan. The message gives the total, summed exactly at
-    a scale of 2^-64.
-    """
-    try:
-        P.total_weight
-    except OverflowError:
-        # Imported here: decimal adds about 1.5 ms to every interpreter
-        # that imports this module.
-        from decimal import Decimal
-
-        total = Decimal(_exact_sum(np.ldexp(P.weights, -64))) * 2**64
-        raise ValueError(
-            f"weight total {total:.3g} overflows float64; scale the weights down"
-        ) from None
-
-
-def _local_frame(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The points as offsets from the first one, (n, d), and that point, (d,).
-
-    A solver that works on the offsets and adds the origin back once gives
-    the same bytes, plus the shift, for any translation that moves every
-    coordinate exactly (a dyadic input and shift, say). The offsets are
-    F-ordered, so their transpose, the (d, n) block the distance kernel
-    reads, needs no copy. Offsets that overflow float64 raise ValueError.
-    """
-    origin = coords[0].copy()
-    with np.errstate(over="ignore"):
-        local_t = np.subtract(coords.T, origin[:, None], order="C")
-    if not np.isfinite(local_t).all():
-        raise ValueError("coordinate differences overflow float64")
-    return local_t.T, origin
-
-
 def _check_positive_int(name: str, value) -> None:
     """Raise ValueError unless value is an int >= 1 (a bool or float is not)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
@@ -354,6 +317,39 @@ class ClusteringResult:
         cs = centers if isinstance(centers, CenterSet) else CenterSet(centers)
         assignment, d2 = _nearest(P.coords, cs)
         return cls(cs, assignment, _cost(P.weights, d2), dict(meta or {}))
+
+
+def _in_local_frame(P: WeightedPointSet, solve) -> ClusteringResult:
+    """solve(P) run on P's points as offsets from its first one.
+
+    solve takes a WeightedPointSet and returns a ClusteringResult. The
+    origin is added to its centers once; the assignment, cost and meta are
+    solve's. So a translation that moves every coordinate exactly (a dyadic
+    input and shift, say) moves no output byte but the centers, by the
+    shift. The offsets are F-ordered, so their transpose, the (d, n) block
+    the distance kernel reads, needs no copy. Offsets past float64 raise
+    ValueError, and so does a weight total past float64: the solvers draw,
+    average and price with weight sums, which would turn every cost nan.
+    The message gives the total, summed exactly at a scale of 2^-64.
+    """
+    try:
+        P.total_weight
+    except OverflowError:
+        # Imported here: decimal adds about 1.5 ms to every interpreter
+        # that imports this module.
+        from decimal import Decimal
+
+        total = Decimal(_exact_sum(np.ldexp(P.weights, -64))) * 2**64
+        raise ValueError(
+            f"weight total {total:.3g} overflows float64; scale the weights down"
+        ) from None
+    origin = P.coords[0].copy()
+    with np.errstate(over="ignore"):
+        local_t = np.subtract(P.coords.T, origin[:, None], order="C")
+    if not np.isfinite(local_t).all():
+        raise ValueError("coordinate differences overflow float64")
+    res = solve(WeightedPointSet(local_t.T, P.weights))
+    return replace(res, centers=CenterSet(res.centers.centers + origin))
 
 
 class PointFileError(ValueError):

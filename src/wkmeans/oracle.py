@@ -17,6 +17,7 @@ from wkmeans.core import (
     ClusteringResult,
     WeightedPointSet,
     _check_positive_int,
+    _in_local_frame,
     weighted_centroid,
 )
 
@@ -66,7 +67,8 @@ def brute_force_opt(P: WeightedPointSet, k: int) -> ClusteringResult:
     where every point is its own center) and the winning partition as
     groups, lists of point indices in increasing order; its cost is the
     exactly rounded cost of the winning centers, and the incremental totals
-    only rank partitions.
+    only rank partitions. The walk runs in the local frame of
+    `core._in_local_frame`, where those totals do not cancel at geo offsets.
     """
     _check_positive_int("k", k)
     n = P.n
@@ -76,7 +78,12 @@ def brute_force_opt(P: WeightedPointSet, k: int) -> ClusteringResult:
         return _exact_result(P, P.coords, [[i] for i in range(n)], 0)
     if partition_count(n, k) > MAX_PARTITIONS:
         raise InstanceTooLarge("instance too large for exact oracle")
+    return _in_local_frame(P, lambda local: _enumerate(local, k))
 
+
+def _enumerate(P: WeightedPointSet, k: int) -> ClusteringResult:
+    """`brute_force_opt`'s walk over partitions of P into at most k groups."""
+    n = P.n
     coords = P.coords
     w = P.weights
     d = P.dim

@@ -36,17 +36,15 @@ and `searchsorted_rows`'s the search cutoff. No output byte depends on any
 block size. Per-trial random streams are derived from (master_seed,
 trial), so results are independent of thread scheduling.
 
-`solve` draws, averages and prices in a local frame, the points as offsets
-from the first one (`core._local_frame`), and adds that origin to the
-centers once. A translation that moves every coordinate exactly, such as a
-dyadic shift of dyadic points, leaves the frame's bytes and so every
-output byte alone, bar the shift of the centers.
+`solve` draws, averages and prices in the local frame every solver shares,
+`core._in_local_frame`, so a translation that moves every coordinate
+exactly moves no output byte but the centers, by the shift.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,8 +53,7 @@ from wkmeans.core import (
     ClusteringResult,
     WeightedPointSet,
     _check_positive_int,
-    _check_weight_total,
-    _local_frame,
+    _in_local_frame,
     _sq_dist_rows,
 )
 from wkmeans.sampling import RandomSource, searchsorted_rows
@@ -423,14 +420,21 @@ def _best_for_trial(
 
     Weights near the top of float64 can overflow a candidate's sums, which
     leaves its cost inf or nan; such a candidate loses to every finite one,
-    and a call in which none is finite raises ValueError.
+    and a call in which none is finite raises ValueError. So does a batch
+    of uniforms too large to allocate.
     """
     best_cost = math.inf
     best_centers: np.ndarray | None = None
     best_tuple = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, budget, _CHUNK):
-            u = gen.random((k, M, min(_CHUNK, budget - lo)))
+            try:
+                u = gen.random((k, M, min(_CHUNK, budget - lo)))
+            except MemoryError:
+                raise ValueError(
+                    f"M = {M} draws per center at k = {k}: a batch of uniforms is"
+                    " too large to allocate; raise epsilon or lower c2"
+                ) from None
             costs, centers = _run_tuple_batch(P.coords, P.weights, u)
             # argmin would pick a nan cost over every finite one.
             j = int(np.argmin(np.where(np.isnan(costs), np.inf, costs)))
@@ -463,15 +467,13 @@ def solve(
     meta["trial_costs"] holds each trial's best candidate cost in the
     input's weight units; meta["best_trial"] is the winning trial and
     meta["best_tuple"] the winning candidate's index in that trial's tuple
-    stream. Candidates are drawn, averaged and priced on the points as
-    offsets from the first one, and that origin is added to the returned
-    centers once. When k is at least the number of distinct points
-    the exact zero-cost placement on the distinct points is returned
-    directly.
+    stream. Candidates are drawn, averaged and priced in the local frame of
+    `core._in_local_frame`. When k is at least the number of distinct
+    points the exact zero-cost placement on the distinct points is returned
+    directly, in the input's frame.
     """
     params = PtasParams(k, epsilon, **(overrides or {}))
     _check_positive_int("threads", threads)
-    _check_weight_total(P)
     master = RandomSource(master_seed)
     distinct = _distinct_points(P.coords, k + 1)
     if k >= distinct.shape[0]:
@@ -481,12 +483,17 @@ def solve(
             "note": "k >= distinct points; zero-cost placement",
         }
         return ClusteringResult.from_centers(P, CenterSet(distinct), meta)
-    coords, origin = _local_frame(P.coords)
-    local = WeightedPointSet(coords, P.weights)
+    return _in_local_frame(P, lambda local: _search(local, params, master, threads))
+
+
+def _search(
+    P: WeightedPointSet, params: PtasParams, master: RandomSource, threads: int
+) -> ClusteringResult:
+    """`solve`'s trials on P, their reduction and the result's meta."""
 
     def worker(t: int) -> tuple[float, np.ndarray, int]:
         gen = master.derive(_SAMPLE_STREAM, t).generator()
-        return _best_for_trial(local, params.k, params.M, params.tuple_budget, gen)
+        return _best_for_trial(P, params.k, params.M, params.tuple_budget, gen)
 
     if threads > 1:
         # Imported here: concurrent.futures adds about 7.5 ms to every
@@ -518,10 +525,9 @@ def solve(
         "trials": params.trials,
         "tuple_budget": params.tuple_budget,
         "tuples_evaluated": params.trials * params.tuple_budget,
-        "master_seed": master_seed,
+        "master_seed": master.seed,
         "trial_costs": trial_costs,
         "best_trial": best_trial,
         "best_tuple": best_tuple,
     }
-    res = ClusteringResult.from_centers(local, CenterSet(best_centers), meta)
-    return replace(res, centers=CenterSet(best_centers + origin))
+    return ClusteringResult.from_centers(P, CenterSet(best_centers), meta)

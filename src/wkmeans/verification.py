@@ -12,7 +12,8 @@ name on the `CheckResult`.
 The sampling checks test the code the solvers run. Every draw goes through
 the PTAS evaluator's inverse CDF (`_draw`), and `inaba` runs the evaluator
 itself, `ptas._run_tuple_batch` at k = 1, so it tests the solver's
-w-weighted mean of draws made proportional to w.
+w-weighted mean of draws made proportional to w. `translation-invariance`
+and `weight-scaling` run every `SOLVERS` entry.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from wkmeans import instances, ptas
+from wkmeans import SOLVERS, instances, ptas
 from wkmeans.core import (
     WeightedPointSet,
     _exact_sum,
@@ -204,49 +205,49 @@ def _check_centroid_optimality(rng: RandomSource, tol: float) -> _Outcome:
     )
 
 
+def _solver_mismatches(rng: RandomSource, moves) -> float:
+    """Count the runs of SOLVERS entries that do not follow their base run.
+
+    Instance i of 20 is a random one of at most 8 points with coordinates
+    put on a 2^-4 grid in [0, 64), solved at k = 1 + i % 3 by every entry.
+    Each move (ws, cs, t) multiplies the weights by ws and the coordinates
+    by cs and adds t; solved again, it must give the base run's assignment,
+    centers times cs plus t and cost times ws cs^2, byte for byte.
+    """
+    # Epsilon, overrides, seed and threads: 2 PTAS trials of 64 tuples.
+    args = (0.5, {"c1": 8.0, "c2": 4.0, "trials": 2, "tuple_budget": 64}, 0, 1)
+    bad = 0
+    for i in range(20):
+        R = instances.random_instance(rng.derive(i), max_n=8, max_dim=3)
+        P = WeightedPointSet(np.floor(R.coords * 1024.0) / 16.0, R.weights)
+        for solve in SOLVERS.values():
+            base = solve(P, 1 + i % 3, *args)
+            for ws, cs, t in moves:
+                Q = WeightedPointSet(P.coords * cs + t, P.weights * ws)
+                res = solve(Q, 1 + i % 3, *args)
+                got = (res.centers.centers, res.assignment, np.float64(res.cost))
+                cost = np.float64(base.cost * ws * cs * cs)
+                want = (base.centers.centers * cs + t, base.assignment, cost)
+                bad += any(a.tobytes() != b.tobytes() for a, b in zip(got, want))
+    return float(bad)
+
+
 def _check_weight_scaling(rng: RandomSource, tol: float) -> _Outcome:
-    worst = 0.0
-    for i in range(50):
-        P = instances.random_instance(rng.derive(i))
-        gen = rng.derive(i, 1).generator()
-        lam = 0.25 + 4.0 * gen.random()
-        s = 0.5 + 2.0 * gen.random()
-        c = gen.random((2, P.dim))
-        scaled = WeightedPointSet(P.coords, P.weights * lam)
-        base = weighted_cost(P, c)
-        worst = max(worst, abs(weighted_cost(scaled, c) - lam * base) / (1.0 + lam * base))
-        # Distance-weighted sampling probabilities ignore both rescalings.
-        pr = P.weights * min_squared_distances(P.coords, c[:1])
-        pr_w = scaled.weights * min_squared_distances(P.coords, c[:1])
-        pr_s = P.weights * min_squared_distances(P.coords * s, c[:1] * s)
-        p0 = pr / math.fsum(pr)
-        worst = max(worst, float(np.abs(pr_w / math.fsum(pr_w) - p0).max()))
-        worst = max(worst, float(np.abs(pr_s / math.fsum(pr_s) - p0).max()))
-    return (
-        worst <= tol,
-        worst,
-        tol,
-        "cost equivariance under weight scaling and invariance of sampling "
-        "probabilities",
+    scales = [(2.0**j, 1.0, 0.0) for j in (-300, 300)] + [(1.0, 2.0**j, 0.0) for j in (-100, 100)]
+    bad = _solver_mismatches(rng, scales)
+    return bad <= tol, bad, tol, (
+        "runs of every solver on 20 instances, with weights times 2^-300 and 2^300 "
+        "or coordinates times 2^-100 and 2^100, whose assignment, centers and cost "
+        "are not the unscaled run's, scaled, byte for byte"
     )
 
 
 def _check_translation(rng: RandomSource, tol: float) -> _Outcome:
-    worst = 0.0
-    for i in range(50):
-        P = instances.random_instance(rng.derive(i))
-        gen = rng.derive(i, 1).generator()
-        t = gen.random(P.dim) * 10.0 - 5.0
-        c = gen.random((3, P.dim))
-        base = weighted_cost(P, c)
-        moved = WeightedPointSet(P.coords + t, P.weights)
-        worst = max(worst, abs(weighted_cost(moved, c + t) - base) / (1.0 + base))
-    return (
-        worst <= tol,
-        worst,
-        tol,
-        "weighted_cost only, no solver: relative drift under joint "
-        "translation of points and centers by offsets of at most 5",
+    bad = _solver_mismatches(rng, [(1.0, 1.0, 2.0**22)])
+    return bad <= tol, bad, tol, (
+        "runs of every solver on 20 dyadic instances shifted by 2^22 whose "
+        "assignment and cost are not the unshifted run's, or whose centers are "
+        "not its plus the shift, byte for byte"
     )
 
 
@@ -468,8 +469,8 @@ def _check_quadrature_convergence(rng: RandomSource, tol: float) -> _Outcome:
 _CHECKS: tuple[tuple[str, Callable[[RandomSource, float], _Outcome], float], ...] = (
     ("parallel-axis", _check_parallel_axis, 1e-9),
     ("centroid-optimality", _check_centroid_optimality, 1e-12),
-    ("weight-scaling", _check_weight_scaling, 1e-12),
-    ("translation-invariance", _check_translation, 1e-9),
+    ("weight-scaling", _check_weight_scaling, 0.0),
+    ("translation-invariance", _check_translation, 0.0),
     ("d2-distribution", _check_d2_distribution, 0.001),
     ("reproducibility", _check_reproducibility, 0.0),
     ("inaba", _check_inaba, 3.0),

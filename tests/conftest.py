@@ -25,3 +25,15 @@ def make_points(seed: int, n: int, d: int, weighted: bool = True) -> WeightedPoi
     coords = gen.random((n, d))
     weights = 0.1 + 2.9 * gen.random(n) if weighted else np.ones(n)
     return WeightedPointSet(coords, weights)
+
+
+def dyadic_points(n: int) -> WeightedPointSet:
+    """n points on a 2^-4 grid in [0, 64)^2 with integer weights 1 to 9.
+
+    Shifts of up to 2^23 move every coordinate, and every offset from the
+    first point stays, exactly.
+    """
+    gen = RandomSource(n).generator()
+    coords = np.floor(gen.random((n, 2)) * 1024.0) / 16.0
+    weights = np.floor(gen.random(n) * 9.0) + 1.0
+    return WeightedPointSet(coords, weights)

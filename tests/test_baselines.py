@@ -24,11 +24,13 @@ def _seed(P, k, rng):
 
 
 def test_seeding_picks_input_points():
-    """Each seed center is (w * x) / w of some input point x, bit for bit."""
+    """Each seed center is (w * x) / w of some input point x, bit for bit,
+    with x taken as its offset from the first point and that point added back."""
     P = make_points(1, 25, 3)
     centers = _seed(P, 4, RandomSource(2))
     assert centers.k == 4
-    drawn = (P.weights[:, None] * P.coords) / P.weights[:, None]
+    local = P.coords - P.coords[0]
+    drawn = (P.weights[:, None] * local) / P.weights[:, None] + P.coords[0]
     for c in centers.centers:
         assert np.any(np.all(drawn == c, axis=1))
 
@@ -47,52 +49,55 @@ def test_kmeanspp_lloyd_refuses_weight_totals_that_overflow():
 
 
 @pytest.mark.parametrize(
-    "xs,w,cause",
+    "xs,w,first,cause",
     [
         # One mass overflows: 4e307 * 25 at x = 5.
         pytest.param(
-            [0.0, 1.0, 4.0, 5.0], 4e307, _NO_FINITE_CANDIDATE,
+            [0.0, 1.0, 4.0, 5.0], 4e307, 0, _NO_FINITE_CANDIDATE,
             id="xs0-products of weights and squared distances",
         ),
         # Each mass is finite (at most 4e307 * 4.41), their total 4.8e308 is not.
         pytest.param(
-            [0.0, 1.9, 2.0, 2.1], 4e307, _NO_FINITE_CANDIDATE,
+            [0.0, 1.9, 2.0, 2.1], 4e307, 0, _NO_FINITE_CANDIDATE,
             id="xs1-products of weights and squared distances, or their sum",
         ),
         # The first center's w * x, 4e307 * 10, passes float64.
         pytest.param(
-            [10.0, 10.1, 10.4, 10.5], 4e307, _NO_FINITE_CANDIDATE,
+            [0.0, 10.0, 10.1, 10.4], 4e307, 1, _NO_FINITE_CANDIDATE,
             id="xs2-sums of weights times coordinates",
         ),
         # Unit weights: whichever point comes first, a squared distance to it
         # is at least (2e154)^2, past float64.
         pytest.param(
-            [0.0, 1e154, 2e154, 3e154], 1.0, _NO_FINITE_CANDIDATE,
+            [0.0, 1e154, 2e154, 3e154], 1.0, 0, _NO_FINITE_CANDIDATE,
             id="xs3-squared distances",
         ),
-        # The seed is finite (w * x is at most 4e307 * 4.3), but a Lloyd
-        # cluster of two or more points sums w * x past float64.
+        # The seed is finite (w * x is at most 4e307 * 1.7 and the masses
+        # about 1.6 sum to 4e307 * 2.58), but the Lloyd cluster {1.5, 1.6,
+        # 1.7} sums w * x past float64.
         pytest.param(
-            [4.0, 4.1, 4.2, 4.3], 4e307, "the sums of weights times coordinates",
+            [0.0, 1.5, 1.6, 1.7], 4e307, 2, "the sums of weights times coordinates",
             id="xs4-sums of weights times coordinates in Lloyd",
         ),
     ],
 )
 @pytest.mark.filterwarnings("error")
-def test_kmeanspp_lloyd_names_overflowing_products(xs, w, cause):
+def test_kmeanspp_lloyd_names_overflowing_products(xs, w, first, cause):
     """Four equal weights with a finite total: ValueError names the overflow, no warning.
 
-    The seed is the first whose first draw picks the first point, so the
-    masses are w * (x - xs[0])^2.
+    The seed is the first whose first draw picks point `first`, so the
+    masses are w * (x - xs[first])^2. The solver works on offsets from
+    xs[0] = 0, so the coordinates are the ones it sums.
     """
     P = WeightedPointSet(np.array(xs)[:, None], np.full(4, w))
-    seed = next(s for s in range(100) if RandomSource(s).generator().random() < 0.25)
-    # The premise: the first center, drawn by weight alone, is the first
-    # point; four equal weights draw alike at any scale.
+    gens = (RandomSource(s).generator() for s in range(100))
+    seed = next(s for s, g in enumerate(gens) if int(g.random() * 4) == first)
+    # The premise: the first center, drawn by weight alone, is point
+    # `first`; four equal weights draw alike at any scale.
     u = RandomSource(seed).generator().random((1, 1, 1))
     with np.errstate(over="ignore"):
         _, centers = _run_tuple_batch(P.coords, np.ones(4), u)
-    assert centers[0, 0, 0] == xs[0]
+    assert centers[0, 0, 0] == xs[first]
     with pytest.raises(ValueError, match=f"{cause}.*scale the weights down"):
         kmeanspp_lloyd(P, 2, RandomSource(seed))
 

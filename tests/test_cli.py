@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import wkmeans
-from wkmeans import SOLVERS, cli, instances, ptas, verification
+from wkmeans import SOLVERS, baselines, cli, instances, oracle, ptas, verification
 from wkmeans.core import WeightedPointSet, load_weighted_points, save_weighted_points
 from wkmeans.oracle import brute_force_opt
 from wkmeans.sensor import RegionFileError, load_region, place_sensors
@@ -145,7 +145,7 @@ def test_sensor_rejects_format_flag(capsys):
     assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("solver", ["ptas", "kmeanspp-lloyd"])
+@pytest.mark.parametrize("solver", ["ptas", "kmeanspp-lloyd", "oracle"])
 def test_cluster_refuses_weight_totals_that_overflow(tmp_path, capsys, solver):
     path = tmp_path / "huge.csv"
     save_weighted_points(path, WeightedPointSet([[0.0], [1.0], [4.0], [5.0]], [1e308] * 4))
@@ -391,6 +391,14 @@ def test_cluster_rejects_ptas_sizes_that_are_not_finite(capsys, flags, name):
     assert err.startswith(f"error: {name} ")
 
 
+def test_cluster_refuses_an_m_too_large_to_allocate(capsys):
+    """Epsilon 1e-6 makes M = 1e8, and a batch's uniforms 1.49 TiB at k = 2:
+    an error naming M and k and exit 2, not a MemoryError traceback and exit 1."""
+    assert run(["cluster", "--k", "2", "--epsilon", "1e-6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: M = 100000000 draws per center at k = 2: ")
+
+
 @pytest.mark.parametrize("grid_eps", ["nan", "inf"])
 def test_sensor_rejects_non_finite_grid_eps(capsys, grid_eps):
     assert run(["sensor", "--grid-eps", grid_eps]) == 2
@@ -443,6 +451,33 @@ def test_verify_draws_through_the_evaluator(monkeypatch):
 
     monkeypatch.setattr(ptas, "_inverse_cdf_rows", by_sqrt)
     [result] = verification.run_checks(0, only=("d2-distribution",))
+    assert not result.passed
+
+
+def test_verify_translation_runs_the_solvers_frame(monkeypatch):
+    """`translation-invariance` tests the solvers' local frame: a frame
+    helper that solves in the input's frame makes it fail."""
+
+    def input_frame(P, solve):
+        return solve(P)
+
+    for module in (ptas, baselines, oracle):
+        monkeypatch.setattr(module, "_in_local_frame", input_frame)
+    [result] = verification.run_checks(0, only=("translation-invariance",))
+    assert not result.passed
+
+
+def test_verify_weight_scaling_runs_the_solvers(monkeypatch):
+    """`weight-scaling` tests the solvers' draws: a mutant of
+    `ptas._inverse_cdf_rows` that floors every mass at 1e-12, a bound that
+    does not scale with the weights or the coordinates, makes it fail."""
+    real = ptas._inverse_cdf_rows
+
+    def floored(v, u, cum):
+        return real(np.maximum(v, 1e-12), u, cum)
+
+    monkeypatch.setattr(ptas, "_inverse_cdf_rows", floored)
+    [result] = verification.run_checks(0, only=("weight-scaling",))
     assert not result.passed
 
 

@@ -229,6 +229,22 @@ def test_parallel_axis_identity(seed, n, d):
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
+@given(st.integers(0, 10_000), st.integers(1, 50), st.integers(1, 5))
+def test_weighted_cost_follows_weight_scale_and_joint_translation(seed, n, d):
+    """Weights times lam scale the cost by lam, and moving points and centers
+    by one offset of at most 5 leaves it, up to rounding."""
+    P = make_points(seed, n, d)
+    gen = RandomSource(seed ^ 0x7A11).generator()
+    lam = 0.25 + 4.0 * gen.random()
+    t = gen.random(d) * 10.0 - 5.0
+    c = gen.random((3, d))
+    base = weighted_cost(P, c)
+    scaled = weighted_cost(WeightedPointSet(P.coords, P.weights * lam), c)
+    assert abs(scaled - lam * base) <= 1e-12 * (1.0 + lam * base)
+    moved = weighted_cost(WeightedPointSet(P.coords + t, P.weights), c + t)
+    assert abs(moved - base) <= 1e-9 * (1.0 + base)
+
+
 @given(st.integers(0, 10_000))
 def test_centroid_is_the_single_center_optimum(seed):
     P = make_points(seed, 12, 3)

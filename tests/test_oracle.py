@@ -4,12 +4,12 @@ import pytest
 from wkmeans import ptas
 from wkmeans.baselines import kmeanspp_lloyd
 from wkmeans.core import WeightedPointSet, weighted_centroid, weighted_cost
-from wkmeans.instances import inaba10, oracle_instances
+from wkmeans.instances import inaba10, oracle_instances, stress_instances
 from wkmeans.oracle import InstanceTooLarge, brute_force_opt, partition_count
 from wkmeans.sampling import RandomSource
 from wkmeans.verification import _inaba_rate, _null_sampling
 
-from conftest import make_points
+from conftest import dyadic_points, make_points
 
 
 def test_partition_count_known_values():
@@ -31,6 +31,28 @@ def test_exact_costs_on_fixed_instances():
     for inst in oracle_instances():
         res = brute_force_opt(inst.points, inst.k)
         assert res.cost == pytest.approx(inst.opt_cost, rel=5e-15)
+
+
+@pytest.mark.parametrize("shift", [5e6, 1e7, 1e8])
+@pytest.mark.parametrize(
+    "inst", oracle_instances() + stress_instances(), ids=lambda inst: inst.name
+)
+def test_exact_at_geo_referenced_offsets(inst, shift):
+    """Moved by a geo-referenced offset, every instance keeps its hand optimum.
+
+    A group's one-pass cost Q - |S|^2 / W cancels at such offsets (19.7 times
+    the optimum on skew12 at 1e8), so the oracle enumerates in the local frame.
+    """
+    moved = WeightedPointSet(inst.points.coords + shift, inst.points.weights)
+    assert brute_force_opt(moved, inst.k).cost == pytest.approx(inst.opt_cost, rel=1e-9)
+
+
+def test_exact_at_a_dyadic_offset():
+    """The 12 dyadic points shifted by 2^23 keep the unshifted optimum."""
+    P = dyadic_points(12)
+    moved = WeightedPointSet(P.coords + 2.0**23, P.weights)
+    opt = brute_force_opt(P, 3).cost
+    assert brute_force_opt(moved, 3).cost == pytest.approx(opt, rel=1e-9)
 
 
 def test_groups_form_a_partition():

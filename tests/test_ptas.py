@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wkmeans import ptas, sampling
+from wkmeans import SOLVERS, ptas, sampling
+from wkmeans.baselines import kmeanspp_lloyd
 from wkmeans.core import WeightedPointSet, _sq_dist_rows
 from wkmeans.instances import line4, oracle_instances, skew12
 from wkmeans.ptas import (
@@ -19,9 +20,10 @@ from wkmeans.ptas import (
     _run_tuple_batch,
     solve,
 )
+from wkmeans.oracle import brute_force_opt
 from wkmeans.sampling import _COUNT_MAX_TERMS, RandomSource
 
-from conftest import make_points
+from conftest import dyadic_points, make_points
 
 
 def test_params_default_to_theory_constants():
@@ -766,24 +768,35 @@ def test_output_bytes_do_not_depend_on_block_size(monkeypatch, P, k, ovr):
 
 @pytest.mark.parametrize("n", [12, 500, 3000])
 def test_solve_is_exact_under_dyadic_translation(n):
-    """Shifts of 2^17, 2^22 and 2^23: every result byte, centers plus the shift.
+    """Shifts of 2^17, 2^22 and 2^23: every result byte, centers plus the
+    shift, from every solver called directly and through SOLVERS.
 
     Coordinates on a 2^-4 grid in [0, 64) move exactly under these shifts,
-    and so do their offsets from the first point, the frame the solver
-    draws, averages and prices in. n = 12 takes point-major one-level
-    blocks, 500 F-ordered ones and 3,000 the two-level draw.
+    and so do their offsets from the first point, the frame every solver
+    works in. For the PTAS, n = 12 takes point-major one-level blocks, 500
+    F-ordered ones and 3,000 the two-level draw; the oracle runs at n = 12
+    only.
     """
-    gen = RandomSource(n).generator()
-    coords = np.floor(gen.random((n, 2)) * 1024.0) / 16.0
-    weights = np.floor(gen.random(n) * 9.0) + 1.0
+    P = dyadic_points(n)
     ovr = {"c1": 8.0, "c2": 4.0, "trials": 2, "tuple_budget": 100}
-    base = solve(WeightedPointSet(coords, weights), 3, 0.5, ovr, master_seed=5)
-    for shift in (2.0**17, 2.0**22, 2.0**23):
-        moved = WeightedPointSet(coords + shift, weights)
-        assert (moved.coords - shift).tobytes() == coords.tobytes()
-        res = solve(moved, 3, 0.5, ovr, master_seed=5)
-        assert res.centers.centers.tobytes() == (base.centers.centers + shift).tobytes()
-        assert _result_bytes(res)[1:] == _result_bytes(base)[1:]
+    direct = {
+        "ptas": lambda Q: solve(Q, 3, 0.5, ovr, master_seed=5),
+        "kmeanspp-lloyd": lambda Q: kmeanspp_lloyd(Q, 3, RandomSource(5)),
+        "oracle": lambda Q: brute_force_opt(Q, 3),
+    }
+    assert set(direct) == set(SOLVERS)
+    for name, run in direct.items():
+        if name == "oracle" and n > 12:
+            continue
+        base = run(P)
+        for shift in (2.0**17, 2.0**22, 2.0**23):
+            moved = WeightedPointSet(P.coords + shift, P.weights)
+            assert (moved.coords - shift).tobytes() == P.coords.tobytes()
+            for res in (run(moved), SOLVERS[name](moved, 3, 0.5, ovr, 5, 1)):
+                assert res.centers.centers.tobytes() == (base.centers.centers + shift).tobytes()
+                assert res.assignment.tobytes() == base.assignment.tobytes()
+                assert np.float64(res.cost).tobytes() == np.float64(base.cost).tobytes()
+                assert res.meta == base.meta
 
 
 def test_evaluator_memory_is_bounded_for_large_n():
