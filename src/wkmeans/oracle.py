@@ -69,6 +69,8 @@ def brute_force_opt(P: WeightedPointSet, k: int) -> ClusteringResult:
     exactly rounded cost of the winning centers, and the incremental totals
     only rank partitions. The walk runs in the local frame of
     `core._in_local_frame`, where those totals do not cancel at geo offsets.
+    When the sums of weights times coordinates or squared coordinates
+    overflow float64 on every partition, it raises ValueError.
     """
     _check_positive_int("k", k)
     n = P.n
@@ -89,8 +91,11 @@ def _enumerate(P: WeightedPointSet, k: int) -> ClusteringResult:
     d = P.dim
     # Per-point sufficient statistics: a group's centroid cost is
     # Q - ||S||^2 / W with W = sum w, S = sum w*p, Q = sum w*||p||^2.
-    wp = (w[:, None] * coords).tolist()
-    wq = (w * np.einsum("ij,ij->i", coords, coords)).tolist()
+    # Products past float64 are inf, and the partitions they reach cost inf
+    # or nan, which loses to every finite total.
+    with np.errstate(over="ignore"):
+        wp = (w[:, None] * coords).tolist()
+        wq = (w * np.einsum("ij,ij->i", coords, coords)).tolist()
     wl = w.tolist()
 
     group_w = [0.0] * k
@@ -146,7 +151,11 @@ def _enumerate(P: WeightedPointSet, k: int) -> ClusteringResult:
     walk(1, 1, group_cost[0] - old0)
     unplace(0, 0, old0)
 
-    assert best_assign is not None
+    if best_assign is None:
+        raise ValueError(
+            "no candidate has a finite cost: the sums of weights times coordinates"
+            " or squared coordinates overflow float64; scale the weights down"
+        )
     used = max(best_assign) + 1
     groups = [[i for i in range(n) if best_assign[i] == g] for g in range(used)]
     centers = np.array([weighted_centroid(P.subset(g)) for g in groups])

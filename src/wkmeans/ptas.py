@@ -31,8 +31,9 @@ before any work starts; it is the (M, rows) target layout the one-level
 draw searches. Each row draws its M points through an exact inverse CDF
 of its own, and its cost adds its masses in point order. The batch
 evaluator, `_run_tuple_batch`, walks the rows in bounded memory; its
-docstring gives the block sizes, the memory layouts and the memory bound,
-and `searchsorted_rows`'s the search cutoff. No output byte depends on any
+docstring gives the block sizes, the memory layouts, the memory bound and
+the float32 precision of the two-level path's per-point passes, and
+`searchsorted_rows`'s the search cutoff. No output byte depends on any
 block size. Per-trial random streams are derived from (master_seed,
 trial), so results are independent of thread scheduling.
 
@@ -68,11 +69,12 @@ DEFAULT_C2 = 100.0
 DEFAULT_TUPLE_BUDGET = 2000
 _CHUNK = 1024
 # Values per (rows, n) scratch array of the batch evaluator's per-point
-# passes: 512 KiB of float64, so a sub-block's scratch and cache rows fit
-# together in a 2 MiB per-core L2 cache.
+# passes: 512 KiB of float64 (one level) or 256 KiB of float32 (two levels),
+# so a sub-block's scratch and cache rows fit together in a 2 MiB per-core
+# L2 cache.
 _BLOCK_VALUES = 1 << 16
 # Cache values per outer row block of the two-level path, whose draws and
-# centroids run once per outer block: 2 MiB of float64.
+# centroids run once per outer block: 1 MiB of float32.
 _DRAW_VALUES = 1 << 18
 # Points per block of the evaluator's two-level inverse CDF.
 _CDF_BLOCK = 128
@@ -305,19 +307,53 @@ def _run_tuple_batch(
       layout: `np.add.reduce` down axis 0 of a point-major block makes
       whole-row adds, and an F-ordered block takes the last entry of its
       running sum down the points, with the same bytes.
-    - Longer rows: two levels. Outer blocks hold max(1, _DRAW_VALUES // n)
-      rows of the cache, zero-padded to whole CDF blocks. Each per-point
-      pass ends with one `einsum` read of the new cache against the
-      zero-padded weights, giving every row's block sums of weights * cache
-      with no mass array; `_inverse_cdf_blocks` draws from them and forms
-      only the drawn blocks' masses. A cost is the pairwise sum of its
-      row's last block sums.
+    - Longer rows: two levels, with float32 per-point passes (below).
+      Outer blocks hold max(1, _DRAW_VALUES // n) rows of the cache,
+      zero-padded to whole CDF blocks. Each per-point pass ends with one
+      `einsum` read of the new cache against the zero-padded weights,
+      giving every row's block sums of weights * cache with no mass array;
+      `_inverse_cdf_blocks` draws from them, running-summing them in
+      float64, and forms only the drawn blocks' masses. A cost is the
+      pairwise float64 sum of its row's last block sums.
 
-    The buffers hold at most max(2^18, n) cache values (2 MiB of float64
-    while n <= 2^18) plus 2 x max(2^16, n) scratch values and padding under
-    128 per row, so no array grows with B x n. Every draw and cost is
-    computed within its own row, so no value depends on either block size:
-    the output is byte-identical for any block sizes and thread count.
+    The two-level path holds the min-distance cache, the two scratch
+    buffers, the zero-padded weights and the block sums in float32. Once
+    per call it takes the points' offsets from point 0 in float64 (a no-op
+    in `solve`'s local frame, where point 0 is the origin) and scales them,
+    and the weights, by the power of two 2^-e_x or 2^-e_w, from
+    `math.frexp`, that puts the largest magnitude in [1/2, 1), before the
+    cast. Each iteration's centers take the same offset and scale, and the
+    kernel runs on the float32 copies. A cost, and a row total before the
+    dead and non-finite tests below, is multiplied back by 2^(e_w + 2 e_x).
+    Scaling by a power of two is exact, so weights times 2^j or coordinates
+    times 2^j leave the float32 copies, and with them every draw and center,
+    byte-identical, and scale every cost by 2^j or 2^2j. The offsets keep
+    the digits that a geo-referenced origin such as 5e6 would take from
+    float32; a translation that moves every coordinate exactly leaves the
+    points' float32 offsets byte-identical, and the centers' up to the
+    rounding of their float64 means. A weight below about 2^-150 of the
+    largest, or a squared distance that underflows in float32, has mass 0
+    and is never drawn.
+
+    The draws stay D^2 draws up to a constant factor. With u = 2^-24 and
+    s = 2^e_x, a float32 squared distance d_p^2 is off by at most about
+    4u sqrt(d) s d_p + (d + 2)u d_p^2, and a block sum of 128 nonnegative
+    terms by 128u of its value. So for d <= 16 a point at least 2^-12 s
+    from every center has a mass within a factor 1 +- 2^-7 of w d_p^2, and
+    nearer points hold a negligible share of any total not itself at that
+    scale. The analysis of Jaiswal, Kumar and Sen needs only that each
+    point be drawn with at least a constant times its D^2 share, and
+    Bachem, Lucic, Hassani and Krause (AAAI 2016) treat samplers close to
+    D^2. Centers are float64 means of the drawn points, and `solve` prices
+    its winner again exactly; the costs returned here are estimates.
+
+    The two-level buffers hold at most max(2^18, n) float32 cache values
+    (1 MiB while n <= 2^18), 2 x max(2^16, n) float32 scratch values, the
+    (d + 1) x n float32 offsets and weights, and padding under 128 per row;
+    the one-level path holds 3 x max(2^16, n) float64 values. So no array
+    grows with B x n. Every draw and cost is computed within its own row,
+    so no value depends on either block size: the output is byte-identical
+    for any block sizes and thread count.
 
     A row whose distribution has zero mass already sits on every point; it
     repeats its previous center, consuming the same draws. A row whose
@@ -335,13 +371,23 @@ def _run_tuple_batch(
     centers = np.empty((B, k, d))
     coords_t = np.ascontiguousarray(coords.T)
     if nb:
+        # float32 copies of the offsets from point 0 and of the weights, each
+        # scaled by the power of two that puts its largest magnitude in
+        # [1/2, 1); a float32 mass times 2^shift is in input units.
+        origin = coords_t[:, :1]
+        rel_t = coords_t - origin
+        e_x = math.frexp(max(rel_t.max(), -rel_t.min()))[1]
+        x32_t = np.ldexp(rel_t, -e_x, out=rel_t).astype(np.float32)
+        del rel_t
+        e_w = math.frexp(weights.max())[1]
+        shift = e_w + 2 * e_x
         # The cache keeps zeros past column n, padding its rows to whole blocks.
-        cache_buf = np.zeros((outer, nb * _CDF_BLOCK))
-        scratch = np.empty((2, sub, n))
-        w_blocks = np.zeros(nb * _CDF_BLOCK)
-        w_blocks[:n] = weights
+        cache_buf = np.zeros((outer, nb * _CDF_BLOCK), dtype=np.float32)
+        scratch = np.empty((2, sub, n), dtype=np.float32)
+        w_blocks = np.zeros(nb * _CDF_BLOCK, dtype=np.float32)
+        w_blocks[:n] = np.ldexp(weights, -e_w)
         w_blocks = w_blocks.reshape(nb, _CDF_BLOCK)
-        sums_buf = np.empty((outer, nb))
+        sums_buf = np.empty((outer, nb), dtype=np.float32)
     else:
         # Cache, masses and running sum, flat so that the (n, rows) views of
         # a short last block stay contiguous.
@@ -369,6 +415,7 @@ def _run_tuple_batch(
             elif nb:
                 cols, totals = _inverse_cdf_blocks(sums, cache_blocks, w_blocks, ui.T)
                 cols = cols.T
+                totals = np.ldexp(totals, shift)
             else:
                 np.multiply(cache, w_col, out=mass)
                 cols, totals = _inverse_cdf_rows(mass, ui, cum)
@@ -381,11 +428,12 @@ def _run_tuple_batch(
                 ci_t[:, ~np.isfinite(totals)] = np.nan
             blk_centers[:, i, :] = ci_t.T
             if nb:
+                c32 = np.ldexp(ci_t - origin, -e_x).astype(np.float32).T
                 for s in range(0, rows, sub):
                     e = min(s + sub, rows)
                     d2, diff = scratch[:, : e - s]
                     cache_s = cache[s:e, :n]
-                    _sq_dist_rows(coords_t, ci_t.T[s:e], cache_s if i == 0 else d2, diff)
+                    _sq_dist_rows(x32_t, c32[s:e], cache_s if i == 0 else d2, diff)
                     if i > 0:
                         np.minimum(cache_s, d2, out=cache_s)
                     np.einsum("rjp,jp->rj", cache_blocks[s:e], w_blocks, out=sums[s:e])
@@ -396,7 +444,7 @@ def _run_tuple_batch(
                 if i > 0:
                     np.minimum(cache, mass, out=cache)
         if nb:
-            costs[lo:hi] = sums.sum(axis=1)
+            costs[lo:hi] = np.ldexp(sums.sum(axis=1, dtype=np.float64), shift)
         else:
             # Each cost adds its row's masses in point order: whole-row adds
             # down a point-major block, a running sum down an F-ordered one.
@@ -468,7 +516,12 @@ def solve(
     input's weight units; meta["best_trial"] is the winning trial and
     meta["best_tuple"] the winning candidate's index in that trial's tuple
     stream. Candidates are drawn, averaged and priced in the local frame of
-    `core._in_local_frame`. When k is at least the number of distinct
+    `core._in_local_frame`. On the evaluator's two-level path (more than
+    2 * M * 128 points) trial_costs are its float32 estimates, within
+    (131 + d) 2^-24 of the exact cost, relatively, plus 2^-22 s
+    sqrt(d W cost), where W is the total weight and s the power of two just
+    above every offset from the first point; the returned cost is always
+    the winning centers' exact cost. When k is at least the number of distinct
     points the exact zero-cost placement on the distinct points is returned
     directly, in the input's frame.
     """

@@ -153,23 +153,38 @@ def test_cluster_refuses_weight_totals_that_overflow(tmp_path, capsys, solver):
     assert "error: weight total 4.00e+308 overflows float64" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+def test_oracle_names_overflowing_weight_products():
+    """Four weights of 4e307 at x = 0, 1, 4, 5 have a finite total, but the
+    oracle's sums of weights times squared coordinates do not, so no
+    partition has a finite cost: the evaluator's ValueError, with no
+    RuntimeWarning, directly and through SOLVERS.
+    """
+    P = WeightedPointSet([[0.0], [1.0], [4.0], [5.0]], [4e307] * 4)
+    for solve in (lambda: brute_force_opt(P, 2), lambda: SOLVERS["oracle"](P, 2, 0.5, None, 0, 1)):
+        with pytest.raises(ValueError, match="^no candidate has a finite cost.*scale the weights down$"):
+            solve()
+
+
 @pytest.mark.parametrize(
     "solver,xs,w",
     [
         ("ptas", [0.0, 1.0, 4.0, 5.0], 4e307),
         ("kmeanspp-lloyd", [0.0, 1.0, 4.0, 5.0], 4e307),
+        ("oracle", [0.0, 1.0, 4.0, 5.0], 4e307),
         ("ptas", [0.0, 1e154, 2e154, 3e154], 1.0),
         ("kmeanspp-lloyd", [0.0, 1e154, 2e154, 3e154], 1.0),
     ],
-    ids=["ptas", "kmeanspp-lloyd", "ptas-spread", "kmeanspp-lloyd-spread"],
+    ids=["ptas", "kmeanspp-lloyd", "oracle", "ptas-spread", "kmeanspp-lloyd-spread"],
 )
 @pytest.mark.filterwarnings("error")
 def test_cluster_names_overflowing_weight_products(tmp_path, capsys, solver, xs, w):
-    """Both solvers name one overflow, the candidate evaluator's, on one error line.
+    """Every solver names one overflow, the candidate evaluator's, on one error line.
 
     Four weights of 4e307 have a finite total, but sums of drawn weights
-    or of weights times squared distances do not. Unit weights 1e154 apart
-    give D^2 totals past float64. Warnings are errors here, so a numpy
+    or of weights times squared distances do not, nor the oracle's sums of
+    weights times squared coordinates. Unit weights 1e154 apart give D^2
+    totals past float64. Warnings are errors here, so a numpy
     RuntimeWarning on the way fails the test.
     """
     path = tmp_path / "heavy.csv"

@@ -275,17 +275,17 @@ def test_inverse_cdf_one_level_overshoot_skips_trailing_zeros():
     assert cols.tolist() == [[2]] and not dead[0]
 
 
-def _reference_inverse_cdf_rows(v, u):
+def _reference_inverse_cdf_rows(v, u, sums):
     """The single-pass evaluator's draw: masses v padded to whole blocks.
 
-    One-level rows search each row's own running sum with np.searchsorted;
-    a target past its end lands on the last positive mass (the last point
-    of an all-zero row). Two-level rows take block sums of the mass array
-    by a pairwise reshape-sum and running-sum the drawn blocks of it.
+    One-level rows (sums None) search each row's own running sum with
+    np.searchsorted; a target past its end lands on the last positive mass
+    (the last point of an all-zero row). Two-level rows take the block sums
+    `sums` of the mass array, running-sum them in float64 and running-sum
+    the drawn blocks of the mass array itself.
     """
     rows, w = v.shape
-    nb = _cdf_blocks(w, u.shape[1])
-    if nb == 0:
+    if sums is None:
         cols = np.empty(u.shape, dtype=np.intp)
         totals = np.empty(rows)
         for r in range(rows):
@@ -296,10 +296,10 @@ def _reference_inverse_cdf_rows(v, u):
             found = np.searchsorted(cum, u[r] * cum[-1], side="right")
             cols[r] = np.minimum(found, last)
         return cols, totals <= 0.0
+    nb = sums.shape[1]
     blocks = v.reshape(rows, nb, _CDF_BLOCK)
-    sums = blocks.sum(axis=2)
     bcum = np.zeros((rows, nb + 1))
-    np.cumsum(sums, axis=1, out=bcum[:, 1:])
+    bcum[:, 1:] = np.cumsum(sums.astype(np.float64), axis=1)
     totals = bcum[:, -1]
     target = u * totals[:, None]
     blk = (bcum[:, None, 1:] <= target[:, :, None]).sum(axis=2)
@@ -324,17 +324,37 @@ def _reference_run_tuple_batch(coords, weights, u):
 
     u is (k, D, B), tuple b drawing with u[i, :, b] in iteration i. Every
     iteration writes the whole mass array cache * weights and draws from
-    it, and a cost adds its row's masses in point order, one at a time.
+    it, and a cost adds its row's masses in point order, one at a time, in
+    float64. One-level rows work in float64 throughout. Two-level rows hold
+    the cache and masses in float32, over the offsets from point 0 divided
+    by 2^e_x and the weights divided by 2^e_w, each exponent the one that
+    puts the largest magnitude in [1/2, 1); a cost is scaled back by
+    2^(e_w + 2 e_x). Their block sums are the evaluator's einsum of the
+    cache against the weights, so every draw sees the evaluator's bytes.
     """
     k, D, B = u.shape
     n, d = coords.shape
-    coords_t = np.ascontiguousarray(coords.T)
+    nb = _cdf_blocks(n, D)
+    origin = coords[0]
+    if nb:
+        e_x = math.frexp(float(np.abs(coords - origin).max()))[1]
+        e_w = math.frexp(float(weights.max()))[1]
+        points_t = np.ascontiguousarray(np.ldexp(coords - origin, -e_x).T, dtype=np.float32)
+        w = np.ldexp(weights, -e_w).astype(np.float32)
+        w_blocks = np.zeros(nb * _CDF_BLOCK, dtype=np.float32)
+        w_blocks[:n] = w
+        w_blocks = w_blocks.reshape(nb, _CDF_BLOCK)
+        dtype = np.float32
+    else:
+        points_t = np.ascontiguousarray(coords.T)
+        w = weights
+        dtype = np.float64
     cum0 = np.cumsum(weights)
     rows = max(1, 2**16 // n)
-    width = _cdf_blocks(n, D) * _CDF_BLOCK or n
+    width = nb * _CDF_BLOCK or n
     costs = np.empty(B)
     centers = np.empty((B, k, d))
-    work = np.zeros((3, min(rows, B), width))
+    work = np.zeros((3, min(rows, B), width), dtype=dtype)
     for lo in range(0, B, rows):
         hi = min(lo + rows, B)
         mass_b = work[1, : hi - lo]
@@ -346,8 +366,12 @@ def _reference_run_tuple_batch(coords, weights, u):
                 cols = np.searchsorted(cum0, ui * cum0[-1], side="right")
                 dead = None
             else:
-                np.multiply(cache_b, weights, out=scratch_b)
-                cols, dead = _reference_inverse_cdf_rows(mass_b, ui)
+                sums = None
+                if nb:
+                    cache_blocks = work[0, : hi - lo].reshape(hi - lo, nb, _CDF_BLOCK)
+                    sums = np.einsum("rjp,jp->rj", cache_blocks, w_blocks)
+                np.multiply(cache_b, w, out=scratch_b)
+                cols, dead = _reference_inverse_cdf_rows(mass_b, ui, sums)
             np.minimum(cols, n - 1, out=cols)
             tw = weights[cols]
             # Each mean's D products, and its D weights, are added onto a
@@ -361,15 +385,17 @@ def _reference_run_tuple_batch(coords, weights, u):
             if dead is not None and dead.any():
                 ci[dead] = blk_centers[dead, i - 1]
             blk_centers[:, i, :] = ci
+            if nb:
+                ci = np.ldexp(ci - origin, -e_x).astype(np.float32)
             d2 = cache_b if i == 0 else scratch_b
-            _sq_dist_rows(coords_t, ci, d2, diff_b)
+            _sq_dist_rows(points_t, ci, d2, diff_b)
             if i > 0:
                 np.minimum(cache_b, d2, out=cache_b)
-        np.multiply(cache_b, weights, out=scratch_b)
+        np.multiply(cache_b, w, out=scratch_b)
         cost = np.zeros(hi - lo)
         for p in range(n):
             cost += scratch_b[:, p]
-        costs[lo:hi] = cost
+        costs[lo:hi] = np.ldexp(cost, e_w + 2 * e_x) if nb else cost
     return costs, centers
 
 
@@ -428,22 +454,36 @@ _DRAW_COUNTS = st.sampled_from([1, 2, 3, 7, 8, 9, 16])
     _BATCH_KINDS,
 )
 def test_run_tuple_batch_matches_reference(seed, D, extra, tail, k, d, B, kind):
-    """Two-level rows: the same centers bytewise, costs to summation rounding.
+    """Two-level rows: the same centers bytewise, costs within float32 rounding.
 
-    n > 2 * D * 128, so every row draws in two levels. The evaluator forms
-    block sums by einsum and costs from them; the reference sums the mass
-    array pairwise. Only a target within rounding of a block boundary could
-    draw differently, so the centers agree bytewise, and each cost agrees
-    within 4 n 2^-53 of the reference (a bound on both summation errors).
-    Points on a few locations give rows whose mass runs out (dead rows).
+    n > 2 * D * 128, so every row draws in two levels, on float32 caches
+    of scaled offsets from point 0 (so the geo kind keeps its digits). The
+    reference draws from whole mass arrays in one tier; its block sums are
+    the evaluator's einsum, so the centers agree bytewise.
+
+    The costs differ in summation only. Write m_p for the exact product of
+    the float32 cache entry and weight, u = 2^-24 and v = 2^-53. The
+    reference rounds each m_p to float32 (one u) and adds the n results in
+    float64 (n - 1 roundings of v). The evaluator adds each block's 128
+    products in float32, in any order, with or without fused multiply-adds
+    (at most 128 roundings of u per term, gamma_128 = 128u / (1 - 128u)),
+    and adds the nb block sums pairwise in float64 (at most nb - 1
+    roundings of v). Both scale back by the same power of two, exactly. All
+    terms are nonnegative, so relative to the sum of m_p the reference is
+    within u + (n - 1)v and the evaluator within gamma_128 + (nb - 1)v, up
+    to products of these; their difference over the reference's cost stays
+    under 130u + 2(n + nb)v. Points on a few locations give rows whose mass
+    runs out (dead rows).
     """
     n = (2 * D + extra) * _CDF_BLOCK + tail
-    assert _cdf_blocks(n, D) > 0
+    nb = _cdf_blocks(n, D)
+    assert nb > 0
     coords, weights, u = _batch_case(seed, n, D, k, d, B, kind)
     costs, centers = _run_tuple_batch(coords, weights, u)
     ref_costs, ref_centers = _reference_run_tuple_batch(coords, weights, u)
     assert centers.tobytes() == ref_centers.tobytes()
-    np.testing.assert_allclose(costs, ref_costs, rtol=4 * n * 2.0**-53, atol=0.0)
+    rtol = 130 * 2.0**-24 + 2 * (n + nb) * 2.0**-53
+    np.testing.assert_allclose(costs, ref_costs, rtol=rtol, atol=0.0)
 
 
 @st.composite
@@ -680,6 +720,54 @@ def test_trial_costs_are_in_input_weight_units():
     assert min(res.meta["trial_costs"]) == pytest.approx(res.cost, rel=1e-12)
 
 
+def test_two_level_costs_are_exact_and_trial_costs_within_float32_rounding():
+    """On a two-level solve the cost is exact and trial_costs are estimates.
+
+    The reported cost matches a float64 numpy recomputation within 1e-12.
+    The winning trial's cost is the evaluator's float32 estimate of the same
+    centers. With u = 2^-24, scaled offsets below 1 in magnitude and
+    centers in the points' box, each scaled coordinate difference a is off
+    by at most 2u + u|a|, so a float32 squared distance is within 4u|a|_1 +
+    (d + 2)u|a|^2 of the exact one (squares and d - 1 adds), to first order
+    in u, and so is the running minimum over centers. Weights cast to
+    float32 add u, and the block sums gamma_128 (see
+    `test_run_tuple_batch_matches_reference`); the float64 adds and the
+    exact cost's own rounding are below 2^-40. Summed with weights, by
+    Cauchy-Schwarz on sum w |a|, and scaled back to input units by the
+    coordinate scale s (a power of two above every offset from point 0):
+    |trial - cost| <= (131 + d)u cost + 4u sqrt(d) s sqrt(W cost), here with
+    a slack of 2^-10 for the second-order terms.
+    """
+    P = _lognormal_points(4, 3000, 2)
+    ovr = {"c1": 8.0, "c2": 4.0, "trials": 2, "tuple_budget": 100}
+    assert _cdf_blocks(P.n, PtasParams(3, 0.5, **ovr).M) > 0
+    res = solve(P, 3, 0.5, ovr, master_seed=2)
+    c = res.centers.centers
+    d2 = ((P.coords[:, None, :] - c[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+    assert res.cost == pytest.approx(float((P.weights * d2).sum()), rel=1e-12)
+    u, d = 2.0**-24, P.dim
+    s = 2.0 ** math.frexp(float(np.abs(P.coords - P.coords[0]).max()))[1]
+    W = float(P.weights.sum())
+    bound = (131 + d) * u * res.cost + 4 * u * math.sqrt(d) * s * math.sqrt(W * res.cost)
+    assert abs(min(res.meta["trial_costs"]) - res.cost) <= bound * (1 + 2.0**-10)
+
+
+def _assert_scale_equivariant(P, k, ovr, seed, j_w, j_x):
+    """solve on weights times 2^j_w and coordinates times 2^j_x, against P.
+
+    Centers times 2^j_x and the same assignment, the cost and every
+    trial_costs entry times 2^(j_w + 2 j_x), byte for byte.
+    """
+    scaled = WeightedPointSet(np.ldexp(P.coords, j_x), np.ldexp(P.weights, j_w))
+    base = solve(P, k, 0.5, ovr, master_seed=seed)
+    res = solve(scaled, k, 0.5, ovr, master_seed=seed)
+    assert res.centers.centers.tobytes() == np.ldexp(base.centers.centers, j_x).tobytes()
+    assert res.assignment.tobytes() == base.assignment.tobytes()
+    factor = 2.0 ** (j_w + 2 * j_x)
+    assert res.cost == base.cost * factor
+    assert res.meta["trial_costs"] == [c * factor for c in base.meta["trial_costs"]]
+
+
 def _weight_scaling_cases():
     for inst in oracle_instances():
         yield pytest.param(inst.points, inst.k, id=inst.name)
@@ -690,15 +778,37 @@ def _weight_scaling_cases():
 @pytest.mark.parametrize("P,k", list(_weight_scaling_cases()))
 def test_solve_is_weight_scale_equivariant(P, k, j):
     """Weights times 2^j: the same centers and assignment, cost times 2^j."""
-    scaled = WeightedPointSet(P.coords, P.weights * 2.0**j)
     ovr = {"c1": 8.0, "c2": 4.0, "trials": 4, "tuple_budget": 200}
     for seed in range(3):
-        base = solve(P, k, 0.5, ovr, master_seed=seed)
-        res = solve(scaled, k, 0.5, ovr, master_seed=seed)
-        assert res.centers.centers.tobytes() == base.centers.centers.tobytes()
-        np.testing.assert_array_equal(res.assignment, base.assignment)
-        assert res.cost == base.cost * 2.0**j
-        assert res.meta["trial_costs"] == [c * 2.0**j for c in base.meta["trial_costs"]]
+        _assert_scale_equivariant(P, k, ovr, seed, j, 0)
+
+
+@pytest.mark.parametrize("j_w,j_x", [(-300, 0), (300, 0), (0, -100), (0, 100)])
+def test_two_level_solve_is_exact_under_power_of_two_scaling(j_w, j_x):
+    """The float32 passes scale by powers of two, so no output byte moves.
+
+    n = 3,000 draws in two levels. Weights times 2^+-300 and coordinates
+    times 2^+-100 give the float32 copies the same bytes, since each is
+    scaled by the power of two that puts its largest entry in [1/2, 1).
+    """
+    P = dyadic_points(3000)
+    ovr = {"c1": 8.0, "c2": 4.0, "trials": 2, "tuple_budget": 100}
+    assert _cdf_blocks(P.n, PtasParams(3, 0.5, **ovr).M) > 0
+    _assert_scale_equivariant(P, 3, ovr, 5, j_w, j_x)
+
+
+@pytest.mark.deep
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2 * 8 * _CDF_BLOCK + 1, 4000),
+    st.integers(-300, 300),
+    st.integers(-100, 100),
+)
+def test_two_level_solve_scaling_property(seed, n, j_w, j_x):
+    """Random two-level n, weights times 2^j_w and coordinates times 2^j_x."""
+    P = make_points(seed, n, 2)
+    ovr = {"c1": 8.0, "c2": 4.0, "trials": 1, "tuple_budget": 32}
+    _assert_scale_equivariant(P, 3, ovr, seed, j_w, j_x)
 
 
 def test_centers_stay_in_the_coordinate_box():
@@ -797,6 +907,32 @@ def test_solve_is_exact_under_dyadic_translation(n):
                 assert res.assignment.tobytes() == base.assignment.tobytes()
                 assert np.float64(res.cost).tobytes() == np.float64(base.cost).tobytes()
                 assert res.meta == base.meta
+
+
+def test_two_level_draws_do_not_depend_on_an_offset(monkeypatch):
+    """The evaluator re-centres its float32 copies on point 0.
+
+    Points at offset 2^22 (float32 spacing 0.5 there) draw the same points
+    as the unshifted ones, tuple for tuple; the costs agree to float32
+    rounding, since the centers' offsets round differently in float64.
+    """
+    P = dyadic_points(3000)
+    u = RandomSource(7).generator().random((3, 8, 64))
+    assert _cdf_blocks(P.n, 8) > 0
+    draws = []
+    centroids = ptas._centroids
+
+    def spy(coords_t, weights, cols):
+        draws.append(cols.copy())
+        return centroids(coords_t, weights, cols)
+
+    monkeypatch.setattr(ptas, "_centroids", spy)
+    costs, _ = _run_tuple_batch(P.coords, P.weights, u)
+    moved_costs, _ = _run_tuple_batch(P.coords + 2.0**22, P.weights, u)
+    assert len(draws) == 6
+    for base, moved in zip(draws[:3], draws[3:]):
+        np.testing.assert_array_equal(moved, base)
+    np.testing.assert_allclose(moved_costs, costs, rtol=2.0**-16, atol=0.0)
 
 
 def test_evaluator_memory_is_bounded_for_large_n():
