@@ -32,6 +32,21 @@ _MAX_ITERS = 200
 _REL_TOL = 1e-9
 
 
+def _lloyd_centers(
+    assignment: np.ndarray, weighted_t: np.ndarray, weights: np.ndarray, centers: np.ndarray
+) -> np.ndarray:
+    """Each cluster's weighted centroid from weighted_t, the (d, n) weights
+    times coordinates; a cluster with no points keeps its center."""
+    k = centers.shape[0]
+    mass = np.bincount(assignment, weights=weights, minlength=k)
+    live = mass > 0.0
+    out = centers.copy()
+    for j, column in enumerate(weighted_t):
+        sums = np.bincount(assignment, weights=column, minlength=k)
+        out[live, j] = sums[live] / mass[live]
+    return out
+
+
 def lloyd_descend(P: WeightedPointSet, init: CenterSet) -> ClusteringResult:
     """Alternate nearest-center assignment and weighted centroid updates.
 
@@ -46,19 +61,13 @@ def lloyd_descend(P: WeightedPointSet, init: CenterSet) -> ClusteringResult:
     of weights times coordinates past float64 raise ValueError.
     """
     centers = init.centers.copy()
-    k = centers.shape[0]
     with np.errstate(over="ignore"):
         weighted_t = (P.coords * P.weights[:, None]).T.copy()
     assignment, d2 = _nearest(P.coords, centers)
     history = [_cost(P.weights, d2)]
     iterations = 0
     for _ in range(_MAX_ITERS):
-        mass = np.bincount(assignment, weights=P.weights, minlength=k)
-        live = mass > 0.0
-        new_centers = centers.copy()
-        for j, column in enumerate(weighted_t):
-            sums = np.bincount(assignment, weights=column, minlength=k)
-            new_centers[live, j] = sums[live] / mass[live]
+        new_centers = _lloyd_centers(assignment, weighted_t, P.weights, centers)
         if not np.isfinite(new_centers).all():
             raise ValueError(
                 "the sums of weights times coordinates overflow float64;"

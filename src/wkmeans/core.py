@@ -27,7 +27,6 @@ __all__ = [
     "min_squared_distances",
     "weighted_cost",
     "weighted_centroid",
-    "parallel_axis_rhs",
     "load_weighted_points",
     "save_weighted_points",
 ]
@@ -275,24 +274,6 @@ def weighted_centroid(P: WeightedPointSet) -> np.ndarray:
     coords, w = P.coords, P.weights
     sums = [math.fsum((w * coords[:, j]).tolist()) for j in range(P.dim)]
     return np.array(sums) / math.fsum(w.tolist())
-
-
-def parallel_axis_rhs(P: WeightedPointSet, c) -> float:
-    """Spread about the centroid plus total weight times centroid-to-c shift.
-
-    Equals the single-center cost about `c`; used to cross-check
-    `weighted_cost` rather than to compute costs.
-    """
-    point = np.asarray(c, dtype=np.float64).ravel()
-    g = weighted_centroid(P)
-    if point.shape[0] != g.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: points are {g.shape[0]}-d, c is {point.shape[0]}-d"
-        )
-    diffs = P.coords - g
-    spread = math.fsum((P.weights * np.einsum("ij,ij->i", diffs, diffs)).tolist())
-    shift = P.total_weight * float(np.dot(point - g, point - g))
-    return spread + shift
 
 
 @dataclass(frozen=True)

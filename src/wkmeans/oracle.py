@@ -68,9 +68,9 @@ def brute_force_opt(P: WeightedPointSet, k: int) -> ClusteringResult:
     groups, lists of point indices in increasing order; its cost is the
     exactly rounded cost of the winning centers, and the incremental totals
     only rank partitions. The walk runs in the local frame of
-    `core._in_local_frame`, where those totals do not cancel at geo offsets.
-    When the sums of weights times coordinates or squared coordinates
-    overflow float64 on every partition, it raises ValueError.
+    `core._in_local_frame`. When every partition's total overflows float64,
+    or the winning centroids' sums of weights times coordinates do, it
+    raises ValueError.
     """
     _check_positive_int("k", k)
     n = P.n
@@ -83,49 +83,35 @@ def brute_force_opt(P: WeightedPointSet, k: int) -> ClusteringResult:
     return _in_local_frame(P, lambda local: _enumerate(local, k))
 
 
-def _enumerate(P: WeightedPointSet, k: int) -> ClusteringResult:
-    """`brute_force_opt`'s walk over partitions of P into at most k groups."""
-    n = P.n
-    coords = P.coords
-    w = P.weights
-    d = P.dim
-    # Per-point sufficient statistics: a group's centroid cost is
-    # Q - ||S||^2 / W with W = sum w, S = sum w*p, Q = sum w*||p||^2.
-    # Products past float64 are inf, and the partitions they reach cost inf
-    # or nan, which loses to every finite total.
-    with np.errstate(over="ignore"):
-        wp = (w[:, None] * coords).tolist()
-        wq = (w * np.einsum("ij,ij->i", coords, coords)).tolist()
-    wl = w.tolist()
+def _centroid(G: WeightedPointSet) -> np.ndarray:
+    """G's weighted centroid about its heaviest point, whose own term is 0:
+    a weight that dwarfs the rest keeps the center on its point, where the
+    rounded product of that weight and coordinate could move it an ulp."""
+    ref = G.coords[int(np.argmax(G.weights))]
+    return ref + weighted_centroid(WeightedPointSet(G.coords - ref, G.weights))
 
+
+def _enumerate(P: WeightedPointSet, k: int) -> ClusteringResult:
+    """`brute_force_opt`'s walk over partitions of P into at most k groups.
+
+    Each group keeps its weight W and mean, and a point p of weight w joining
+    it adds w W / (W + w) |p - mean|^2 to its cost (Welford's update). A
+    partition's total adds these nonnegative terms, so no sum cancels
+    however far the weights spread. Leaving a group restores the (W, mean) saved when the point
+    joined it. Scaling the weights or the coordinates by a power of two
+    scales every term exactly. A term past float64 is inf, or nan, and its
+    partitions lose to every finite total.
+    """
+    n = P.n
+    pts = P.coords.tolist()
+    wl = P.weights.tolist()
     group_w = [0.0] * k
-    group_s = [[0.0] * d for _ in range(k)]
-    group_q = [0.0] * k
-    group_cost = [0.0] * k
+    group_mean: list[list[float]] = [[] for _ in range(k)]
     assign = [0] * n
 
     best_cost = math.inf
     best_assign: list[int] | None = None
     leaves = 0
-
-    def place(i: int, g: int) -> float:
-        group_w[g] += wl[i]
-        sg = group_s[g]
-        for j in range(d):
-            sg[j] += wp[i][j]
-        group_q[g] += wq[i]
-        old = group_cost[g]
-        new = group_q[g] - sum(v * v for v in sg) / group_w[g]
-        group_cost[g] = new
-        return old
-
-    def unplace(i: int, g: int, old_cost: float) -> None:
-        group_w[g] -= wl[i]
-        sg = group_s[g]
-        for j in range(d):
-            sg[j] -= wp[i][j]
-        group_q[g] -= wq[i]
-        group_cost[g] = old_cost
 
     def walk(i: int, used: int, total: float) -> None:
         nonlocal best_cost, best_assign, leaves
@@ -135,28 +121,39 @@ def _enumerate(P: WeightedPointSet, k: int) -> ClusteringResult:
                 best_cost = total
                 best_assign = assign.copy()
             return
+        w, p = wl[i], pts[i]
         # Restricted growth: point i may join an existing group or open the
         # next one; opening beyond k groups is not allowed.
-        limit = min(used + 1, k)
-        for g in range(limit):
-            old = place(i, g)
+        for g in range(min(used + 1, k)):
+            W, mean = group_w[g], group_mean[g]
+            if W:
+                grown = W + w
+                share = w / grown
+                delta = [a - b for a, b in zip(p, mean)]
+                group_w[g] = grown
+                group_mean[g] = [b + share * a for a, b in zip(delta, mean)]
+                added = w * (W / grown) * sum([a * a for a in delta])
+            else:
+                group_w[g], group_mean[g] = w, p
+                added = 0.0
             assign[i] = g
-            walk(i + 1, max(used, g + 1), total + group_cost[g] - old)
-            unplace(i, g, old)
+            walk(i + 1, max(used, g + 1), total + added)
+            group_w[g], group_mean[g] = W, mean
 
     # Point 0 always opens group 0; skipping its relabelings keeps the count
     # at the partition count rather than k times it.
-    old0 = place(0, 0)
-    assign[0] = 0
-    walk(1, 1, group_cost[0] - old0)
-    unplace(0, 0, old0)
+    group_w[0], group_mean[0] = wl[0], pts[0]
+    walk(1, 1, 0.0)
 
-    if best_assign is None:
+    centers = np.array([np.nan])
+    if best_assign is not None:
+        used = max(best_assign) + 1
+        groups = [[i for i in range(n) if best_assign[i] == g] for g in range(used)]
+        with np.errstate(over="ignore"):
+            centers = np.array([_centroid(P.subset(g)) for g in groups])
+    if not np.isfinite(centers).all():
         raise ValueError(
-            "no candidate has a finite cost: the sums of weights times coordinates"
-            " or squared coordinates overflow float64; scale the weights down"
+            "no candidate has a finite cost: weights times coordinates or squared"
+            " distances overflow float64; scale the weights down"
         )
-    used = max(best_assign) + 1
-    groups = [[i for i in range(n) if best_assign[i] == g] for g in range(used)]
-    centers = np.array([weighted_centroid(P.subset(g)) for g in groups])
     return _exact_result(P, centers, groups, leaves)

@@ -44,8 +44,8 @@ formulation.
 
 From clipping to coverage, cell polygons live in one (V, 2) vertex array,
 cell i at vertices[starts[i]:starts[i + 1]]; a `Discretization` holds them
-with weight, center-of-mass and inertia arrays. `coverage_cost` on a mesh
-integrates only the cells that a Voronoi boundary cuts. It assigns every
+with weight, center-of-mass and inertia arrays. `coverage_cost` prices a mesh:
+it integrates only the cells that a Voronoi boundary cuts. It assigns every
 cell vertex to its nearest center in one kernel call. A cell whose vertices
 all go to one center c lies inside c's closed Voronoi cell, because both
 are convex, so c is a nearest center of every quadrature node in it. The
@@ -495,7 +495,6 @@ def _integrate_cells(
     the squared distance to the nearest of `centers`) stays zero unless
     centers are given.
     """
-    _check_positive_int("order", order)
     n = first.shape[0]
     mass, inertia, cost = np.zeros((3, n))
     com = np.zeros((2, n))
@@ -753,47 +752,34 @@ def discretize(region: SensorRegion, grid_eps: float) -> Discretization:
     )
 
 
-def coverage_cost(
-    region: SensorRegion,
-    centers,
-    quad_order: int | None = None,
-    mesh: Discretization | None = None,
-) -> float:
+def coverage_cost(region: SensorRegion, centers, mesh: Discretization) -> float:
     """Integral of phi(z) * squared distance from z to the nearest center.
 
-    Without a mesh, integrates over the whole polygon with the fan of
-    triangle rules of quad_order (6 when None). With a mesh, integrates cell
-    by cell with the rules of the fixed order the mesh was built with, so
-    quadrature nodes never straddle cell boundaries and grid-aligned center
-    configurations are exact; passing quad_order with a mesh raises
-    ValueError. Every cell vertex is assigned to its nearest center in one
-    pass. A cell whose vertices all go to center c lies inside c's closed
-    Voronoi cell (both are convex), so its quadrature value is exactly
-    w |x - c|^2 + J and is taken from the mesh arrays; only cells with vertices on more than one
+    Integrates cell by cell on the mesh with the rules of the fixed order
+    the mesh was built with, so quadrature nodes never straddle cell
+    boundaries and grid-aligned center configurations are exact. Every cell
+    vertex is assigned to its nearest center in one pass. A cell whose
+    vertices all go to center c lies inside c's closed Voronoi cell (both
+    are convex), so its quadrature value is exactly w |x - c|^2 + J and is
+    taken from the mesh arrays; only cells with vertices on more than one
     center are integrated, a whole square with the product rule and a
     clipped piece with the fan, as when the mesh was built, since that
     identity holds only for the rule that gave w, x and J. All terms go into
-    one exactly rounded sum. A mesh must come from discretizing this region
-    or its local view.
+    one exactly rounded sum. The mesh must come from discretizing this
+    region or its local view.
     """
     c = as_center_array(centers)
     if c.shape[0] == 0:
         raise ValueError("no centers")
     _check_dims(2, c)
-    c, local = c - region.origin, region.local
-    if mesh is None:
-        order = 6 if quad_order is None else quad_order
-        one_cell = np.array([0]), np.array([len(local.polygon)])
-        return float(_integrate_cells(local, local.polygon, *one_cell, order, c)[3][0])
-    if quad_order is not None:
-        raise ValueError("quad_order applies only without a mesh")
+    c = c - region.origin
     verts, first, counts = mesh.vertices, mesh.starts[:-1], np.diff(mesh.starts)
     owner = _nearest(verts, c)[0]
     cut = np.minimum.reduceat(owner, first) != np.maximum.reduceat(owner, first)
     d = mesh.coms.compress(~cut, axis=0) - c.take(owner[first[~cut]], axis=0)
     uncut = mesh.weights[~cut] * (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
     split = _integrate_cells(
-        local, verts, first[cut], counts[cut], _QUAD_ORDER, c, ~mesh.clipped[cut]
+        region.local, verts, first[cut], counts[cut], _QUAD_ORDER, c, ~mesh.clipped[cut]
     )
     return _exact_sum(np.concatenate([uncut, mesh.inertias[~cut], split[3]]))
 

@@ -13,7 +13,13 @@ The sampling checks test the code the solvers run. Every draw goes through
 the PTAS evaluator's inverse CDF (`_draw`), and `inaba` runs the evaluator
 itself, `ptas._run_tuple_batch` at k = 1, so it tests the solver's
 w-weighted mean of draws made proportional to w. `translation-invariance`
-and `weight-scaling` run every `SOLVERS` entry.
+and `weight-scaling` run every `SOLVERS` entry. `parallel-axis` prices
+single centers with `weighted_cost`, the solvers' pricing, against
+`_parallel_axis_rhs`, a reference built on the oracle's `weighted_centroid`.
+The sensor checks price on meshes as `place_sensors` does:
+`sensor-decomposition` reads the costs and the decomposition gap that
+`place_sensors` reports, and `quadrature-convergence` runs `coverage_cost`
+on meshes of shrinking grid step.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from wkmeans.core import (
     WeightedPointSet,
     _exact_sum,
     min_squared_distances,
-    parallel_axis_rhs,
     weighted_cost,
     weighted_centroid,
 )
@@ -41,7 +46,8 @@ from wkmeans.sensor import (
     SensorRegion,
     UniformDensity,
     coverage_cost,
-    decomposition_check,
+    discretize,
+    place_sensors,
 )
 
 __all__ = ["CheckResult", "run_checks", "check_names"]
@@ -166,6 +172,16 @@ def _null_sampling(
     return counted / repetitions, successes / repetitions
 
 
+def _parallel_axis_rhs(P: WeightedPointSet, c: np.ndarray) -> float:
+    """Spread about the weighted centroid plus total weight times the squared
+    centroid-to-c shift: the single-center cost about c, by another route
+    than `weighted_cost` takes."""
+    g = weighted_centroid(P)
+    diffs = P.coords - g
+    spread = math.fsum((P.weights * np.einsum("ij,ij->i", diffs, diffs)).tolist())
+    return spread + P.total_weight * float(np.dot(c - g, c - g))
+
+
 def _check_parallel_axis(rng: RandomSource, tol: float) -> _Outcome:
     gen_src = rng.derive(0)
     worst = 0.0
@@ -176,7 +192,7 @@ def _check_parallel_axis(rng: RandomSource, tol: float) -> _Outcome:
         gen = gen_src.derive(i, 1).generator()
         c = gen.random(P.dim) * 4.0 - 2.0
         lhs = weighted_cost(P, [c])
-        rhs = parallel_axis_rhs(P, c)
+        rhs = _parallel_axis_rhs(P, c)
         worst = max(worst, abs(lhs - rhs) / (1.0 + lhs))
     return (
         worst <= tol,
@@ -415,54 +431,63 @@ def _unit_square_region(shift: float = 0.0) -> SensorRegion:
 
 
 def _check_sensor_decomposition(rng: RandomSource, tol: float) -> _Outcome:
+    # On a 0.5 grid the oracle puts one sensor at the center, or two at the
+    # centers of two halves, so no Voronoi boundary cuts a cell: the gap is
+    # 0, and k = 1 gives 1/6 = 1/8 + 1/24 and k = 2 gives 5/48 = 1/16 + 1/24.
     worst = 0.0
     for shift in (0.0, 1e6):
-        region = _unit_square_region(shift)
-        rep1 = decomposition_check(region, 0.5, np.array([[0.5, 0.5]]) + shift)
-        rep2 = decomposition_check(
-            region, 0.5, np.array([[0.25, 0.5], [0.75, 0.5]]) + shift
-        )
-        worst = max(
-            worst,
-            rep1.gap,
-            rep2.gap,
-            abs(rep1.lhs - 1.0 / 6.0),
-            abs(rep1.quantization_cost - 0.125),
-            abs(rep1.inertia_sum - 1.0 / 24.0),
-        )
+        for k, quantization in ((1, 1.0 / 8.0), (2, 1.0 / 16.0)):
+            rep = place_sensors(_unit_square_region(shift), k, 0.5, 0.5, solver="oracle")
+            worst = max(
+                worst,
+                abs(rep.result.meta["decomposition_gap"]),
+                abs(rep.coverage - quantization - 1.0 / 24.0),
+                abs(rep.quantization_cost - quantization),
+                abs(rep.inertia_sum - 1.0 / 24.0),
+            )
     return (
         worst <= tol,
         worst,
         tol,
-        "aligned-boundary gaps and the analytic 1/6 = 1/8 + 1/24 split, on "
-        "the unit square and on it shifted by 1e6",
+        "place_sensors with the oracle at k = 1 and 2 on a 0.5 grid: its "
+        "decomposition gap and the analytic 1/6 = 1/8 + 1/24 and 5/48 = 1/16 + "
+        "1/24 splits, on the unit square and on it shifted by 1e6",
     )
 
 
 def _check_quadrature_convergence(rng: RandomSource, tol: float) -> _Outcome:
-    # A Gaussian bump: no fixed-order rule integrates it exactly, so order 2
-    # must show a real error. Each order is compared with a high-order
-    # reference rather than with the next order.
+    # A Gaussian bump: no fixed-order rule integrates it exactly, so a coarse
+    # mesh must show a real error. Each grid is compared with a fine mesh
+    # rather than with the next grid. One center cuts no cell, so every cell
+    # is priced from the mesh arrays: whole squares on the unit square, and
+    # clipped pieces along the hexagon's sides.
     bump = GaussianMixtureDensity(
         np.array([[0.6, 0.4]]), np.eye(2) * 0.25**2, np.array([1.0])
     )
-    region = SensorRegion(_unit_square_region().polygon, bump)
+    angles = np.pi + np.arange(6) * np.pi / 3.0
+    hexagon = 0.5 + 0.5 * np.column_stack([np.cos(angles), np.sin(angles)])
     centers = np.array([[0.31, 0.47]])
-    reference = coverage_cost(region, centers, quad_order=32)
-    errs = [
-        abs(coverage_cost(region, centers, quad_order=q) - reference)
-        for q in (2, 4, 8, 16)
-    ]
-    ok = errs[0] > tol and errs[-1] <= tol and all(
-        hi > lo for hi, lo in zip(errs, errs[1:])
+    errs = []
+    for polygon in (_unit_square_region().polygon, hexagon):
+        region = SensorRegion(polygon, bump)
+        reference = coverage_cost(region, centers, discretize(region, 1.0 / 128.0))
+        errs.append([
+            abs(coverage_cost(region, centers, discretize(region, 1.0 / m)) - reference)
+            for m in (2, 4, 8, 16)
+        ])
+    ok = all(
+        e[0] > tol and e[-1] <= tol and all(hi > lo for hi, lo in zip(e, e[1:]))
+        for e in errs
     )
     return (
         ok,
-        errs[-1],
+        max(e[-1] for e in errs),
         tol,
-        "Gaussian-bump coverage cost at orders 2, 4, 8, 16 against order 32: "
-        f"order-2 error {errs[0]:.3g} exceeds tolerance, error falls with each "
-        "doubling and order 16 lands under tolerance",
+        "Gaussian-bump coverage cost on meshes of grid 1/2, 1/4, 1/8, 1/16 "
+        "against a 1/128 mesh, on the unit square and a regular hexagon: the "
+        f"1/2 errors {errs[0][0]:.3g} and {errs[1][0]:.3g} exceed tolerance, "
+        "the error falls with each halving and the 1/16 errors land under "
+        "tolerance",
     )
 
 

@@ -19,7 +19,6 @@ from wkmeans.baselines import kmeanspp_lloyd
 from wkmeans.core import (
     WeightedPointSet,
     min_squared_distances,
-    parallel_axis_rhs,
     save_weighted_points,
     weighted_cost,
 )
@@ -28,7 +27,7 @@ from wkmeans.oracle import brute_force_opt
 from wkmeans.ptas import solve
 from wkmeans.sampling import RandomSource
 from wkmeans.sensor import SensorRegion, UniformDensity, decomposition_check, place_sensors
-from wkmeans.verification import _draw, _inaba_rate
+from wkmeans.verification import _draw, _inaba_rate, _parallel_axis_rhs
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -46,7 +45,7 @@ def test_c1_parallel_axis_identity():
         P = random_instance(rng.derive(i))
         c = rng.derive(i, 1).generator().random(P.dim) * 2.0 - 0.5
         lhs = weighted_cost(P, [c])
-        rhs = parallel_axis_rhs(P, c)
+        rhs = _parallel_axis_rhs(P, c)
         worst = max(worst, abs(lhs - rhs) / max(lhs, 1e-300))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-9 and elapsed < 1.0

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from wkmeans import baselines
 from wkmeans.baselines import kmeanspp_lloyd, lloyd_descend
 from wkmeans.core import CenterSet, WeightedPointSet, _nearest, weighted_cost
 from wkmeans.instances import kpp20, line4, oracle_instances, random_instance
-from wkmeans.ptas import _cdf_blocks, _run_tuple_batch
+from wkmeans.ptas import _CDF_BLOCK, _cdf_blocks, _run_tuple_batch
 from wkmeans.sampling import RandomSource
 
 from conftest import make_points
@@ -122,31 +123,73 @@ def test_seeding_is_reproducible():
 def _sequential_kmeanspp(coords, weights, u):
     """k-means++ picks for the k uniforms u, by np.cumsum and np.searchsorted.
 
-    The first pick is drawn by weight, each later one by w * d^2 to the
-    centers so far, a center being (w * x) / w of its pick as in the
-    evaluator. A target past the end of the running sum lands on the last
-    positive mass, and a draw with zero mass repeats the previous pick.
-    Returns the picks and, per pick, the running sum and target searched
-    (None for a repeat).
+    The first pick is drawn by weight from the running sum of the weights,
+    each later one by w * d^2 to the centers so far, a center being
+    (w * x) / w of its pick as in the evaluator. A target past the end of a
+    running sum lands on the last positive mass there, and a draw with zero
+    mass repeats the previous pick.
+
+    Up to 256 points the masses and their running sum are float64. Past it
+    they are the evaluator's two-level float32 masses, as in
+    `test_ptas._reference_run_tuple_batch`: the offsets from point 0 and the
+    weights are scaled by the powers of two that put their largest
+    magnitudes in [1/2, 1) and cast to float32, and each center's offset
+    takes the same scale. A draw then finds its block of 128 points in the
+    float64 running sum of the block sums, taken by the evaluator's einsum,
+    and its point in the float32 running sum of that block's masses.
     """
-    picks, searches = [], []
-    mass, d2 = weights, None
-    for ui in u:
-        cum = np.cumsum(mass)
-        if cum[-1] == 0.0:
-            picks.append(picks[-1])
-            searches.append(None)
-            continue
-        target = ui * cum[-1]
-        found = int(np.searchsorted(cum, target, side="right"))
-        p = min(found, int(np.flatnonzero(mass)[-1]))
+    n, d = coords.shape
+    nb = _cdf_blocks(n, 1)
+    if nb:
+        origin = coords[0]
+        e_x = math.frexp(float(np.abs(coords - origin).max()))[1]
+        e_w = math.frexp(float(weights.max()))[1]
+        x = np.ldexp(coords - origin, -e_x).astype(np.float32)
+        w = np.zeros(nb * _CDF_BLOCK, dtype=np.float32)
+        w[:n] = np.ldexp(weights, -e_w)
+        w = w.reshape(nb, _CDF_BLOCK)
+        cache = np.zeros((1, nb, _CDF_BLOCK), dtype=np.float32)
+    else:
+        x, w, cache = coords, weights, np.empty(n)
+    flat = cache.reshape(-1)[:n]
+    picks = []
+    for i, ui in enumerate(u):
+        if i == 0:
+            cum = np.cumsum(weights)
+            p = min(int(np.searchsorted(cum, ui * cum[-1], side="right")), n - 1)
+        elif not nb:
+            mass = weights * flat
+            cum = np.cumsum(mass)
+            if cum[-1] == 0.0:
+                picks.append(picks[-1])
+                continue
+            found = int(np.searchsorted(cum, ui * cum[-1], side="right"))
+            p = min(found, int(np.flatnonzero(mass)[-1]))
+        else:
+            sums = np.einsum("rjp,jp->rj", cache, w)[0]
+            bcum = np.cumsum(sums.astype(np.float64))
+            if bcum[-1] == 0.0:
+                picks.append(picks[-1])
+                continue
+            target = ui * bcum[-1]
+            blk = int(np.searchsorted(bcum, target, side="right"))
+            if blk == nb:
+                blk, target = int(np.flatnonzero(sums)[-1]), np.inf
+            elif blk > 0:
+                target -= bcum[blk - 1]
+            mass = cache[0, blk] * w[blk]
+            inner = np.cumsum(mass).astype(np.float64)
+            pos = int(np.searchsorted(inner, target, side="right"))
+            p = blk * _CDF_BLOCK + min(pos, int(np.flatnonzero(mass)[-1]))
         picks.append(p)
-        searches.append((cum, target))
         c = (weights[p] * coords[p]) / weights[p]
-        d = ((coords - c) ** 2).sum(axis=1)
-        d2 = d if d2 is None else np.minimum(d2, d)
-        mass = weights * d2
-    return picks, searches
+        if nb:
+            c = np.ldexp(c - origin, -e_x).astype(np.float32)
+        d2 = (x[:, 0] - c[0]) ** 2
+        for j in range(1, d):
+            d2 += (x[:, j] - c[j]) ** 2
+        flat[:] = d2 if i == 0 else np.minimum(flat, d2)
+    return picks
 
 
 @pytest.mark.deep
@@ -161,12 +204,9 @@ def _sequential_kmeanspp(coords, weights, u):
 def test_m1_evaluator_matches_sequential_kmeanspp(seed, n, k, d, B, kind):
     """The evaluator's one-draw tuples are k-means++ seeds, pick for pick.
 
-    Up to n = 256 the evaluator draws in one level from the same running
-    sum, so every pick agrees. Past it, the two-level draw's block sums may
-    put a target within summation rounding of an interval boundary on the
-    other side; such a pick is allowed, and the tuple's later picks, which
-    then draw from another distribution, are not compared. Points on a few
-    locations run out of mass, so draws repeat.
+    Past n = 256 the evaluator draws in two levels from float32 masses, and
+    so does the reference, on the same bytes, so every pick agrees at every
+    n. Points on a few locations run out of mass, so draws repeat.
     """
     gen = RandomSource(seed).generator()
     if kind == "few-locations":
@@ -177,20 +217,9 @@ def test_m1_evaluator_matches_sequential_kmeanspp(seed, n, k, d, B, kind):
     u = gen.random((k, 1, B))
     _, centers = _run_tuple_batch(coords, weights, u)
     drawn = (weights[:, None] * coords) / weights[:, None]
-    one_level = _cdf_blocks(n, 1) == 0
     for b in range(B):
-        picks, searches = _sequential_kmeanspp(coords, weights, u[:, 0, b])
-        for i, (p, search) in enumerate(zip(picks, searches)):
-            if centers[b, i].tobytes() == drawn[p].tobytes():
-                continue
-            assert not one_level and search is not None
-            got = np.flatnonzero((drawn == centers[b, i]).all(axis=1))
-            assert got.size > 0
-            cum, target = search
-            lo, hi = sorted((int(got[0]), p))
-            tol = 4.0 * n * 2.0**-53 * cum[-1]
-            assert np.all(np.abs(cum[lo:hi] - target) <= tol)
-            break
+        picks = _sequential_kmeanspp(coords, weights, u[:, 0, b])
+        assert centers[b].tobytes() == drawn[picks].tobytes()
 
 
 def test_lloyd_keeps_optimal_centers_fixed():

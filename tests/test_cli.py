@@ -3,15 +3,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wkmeans
-from wkmeans import SOLVERS, baselines, cli, instances, oracle, ptas, verification
+from wkmeans import SOLVERS, baselines, cli, core, instances, oracle, ptas, sensor, verification
 from wkmeans.core import WeightedPointSet, load_weighted_points, save_weighted_points
 from wkmeans.oracle import brute_force_opt
+from wkmeans.sampling import RandomSource
 from wkmeans.sensor import RegionFileError, load_region, place_sensors
 
 
@@ -155,12 +157,15 @@ def test_cluster_refuses_weight_totals_that_overflow(tmp_path, capsys, solver):
 
 @pytest.mark.filterwarnings("error")
 def test_oracle_names_overflowing_weight_products():
-    """Four weights of 4e307 at x = 0, 1, 4, 5 have a finite total, but the
-    oracle's sums of weights times squared coordinates do not, so no
-    partition has a finite cost: the evaluator's ValueError, with no
-    RuntimeWarning, directly and through SOLVERS.
+    """Four weights of 4e307 at x = 0, 1, 4, 5 have finite group costs: the
+    oracle returns the optimum. 1e10 apart, every group of two costs past
+    float64, so no partition has a finite cost: the oracle's ValueError,
+    with no RuntimeWarning, directly and through SOLVERS.
     """
     P = WeightedPointSet([[0.0], [1.0], [4.0], [5.0]], [4e307] * 4)
+    res = brute_force_opt(P, 2)
+    assert res.meta["groups"] == [[0, 1], [2, 3]] and res.cost == 4e307
+    P = WeightedPointSet([[0.0], [1e10], [4e10], [5e10]], [4e307] * 4)
     for solve in (lambda: brute_force_opt(P, 2), lambda: SOLVERS["oracle"](P, 2, 0.5, None, 0, 1)):
         with pytest.raises(ValueError, match="^no candidate has a finite cost.*scale the weights down$"):
             solve()
@@ -171,7 +176,7 @@ def test_oracle_names_overflowing_weight_products():
     [
         ("ptas", [0.0, 1.0, 4.0, 5.0], 4e307),
         ("kmeanspp-lloyd", [0.0, 1.0, 4.0, 5.0], 4e307),
-        ("oracle", [0.0, 1.0, 4.0, 5.0], 4e307),
+        ("oracle", [0.0, 1e10, 4e10, 5e10], 4e307),
         ("ptas", [0.0, 1e154, 2e154, 3e154], 1.0),
         ("kmeanspp-lloyd", [0.0, 1e154, 2e154, 3e154], 1.0),
     ],
@@ -182,9 +187,9 @@ def test_cluster_names_overflowing_weight_products(tmp_path, capsys, solver, xs,
     """Every solver names one overflow, the candidate evaluator's, on one error line.
 
     Four weights of 4e307 have a finite total, but sums of drawn weights
-    or of weights times squared distances do not, nor the oracle's sums of
-    weights times squared coordinates. Unit weights 1e154 apart give D^2
-    totals past float64. Warnings are errors here, so a numpy
+    or of weights times squared distances do not, nor, 1e10 apart, the
+    oracle's group costs. Unit weights 1e154 apart give D^2 totals past
+    float64. Warnings are errors here, so a numpy
     RuntimeWarning on the way fails the test.
     """
     path = tmp_path / "heavy.csv"
@@ -518,6 +523,94 @@ def test_verify_kmeanspp_quality_draws_through_the_evaluator(monkeypatch):
 
     monkeypatch.setattr(ptas, "_inverse_cdf_rows", uniform)
     [result] = verification.run_checks(0, only=("kmeanspp-quality",))
+    assert not result.passed
+
+
+def test_verify_parallel_axis_prices_through_the_kernel(monkeypatch):
+    """`parallel-axis` tests the solvers' pricing: a `core._nearest` that
+    drops the last coordinate makes it fail."""
+    real = core._nearest
+
+    def drops_one(points, centers, index=True):
+        pts, c = np.atleast_2d(points), core.as_center_array(centers)
+        if pts.shape[1] > 1:
+            pts, c = pts[:, :-1], c[:, :-1]
+        return real(pts, c, index)
+
+    monkeypatch.setattr(core, "_nearest", drops_one)
+    [result] = verification.run_checks(0, only=("parallel-axis",))
+    assert not result.passed
+
+
+def test_verify_quadrature_convergence_prices_the_mesh(monkeypatch):
+    """`quadrature-convergence` runs the mesh pricing: a `coverage_cost`
+    that leaves out the cells' inertias makes it fail."""
+    real = sensor.coverage_cost
+
+    def without_inertias(region, centers, mesh):
+        return real(region, centers, replace(mesh, inertias=np.zeros_like(mesh.inertias)))
+
+    monkeypatch.setattr(verification, "coverage_cost", without_inertias)
+    [result] = verification.run_checks(0, only=("quadrature-convergence",))
+    assert not result.passed
+
+
+def test_verify_sensor_decomposition_runs_place_sensors(monkeypatch):
+    """`sensor-decomposition` reads what `place_sensors` reports: an
+    inertia sum off by 1e-3 relative makes it fail."""
+    monkeypatch.setattr(
+        sensor.Discretization,
+        "inertia_sum",
+        property(lambda self: core._exact_sum(self.inertias) * (1.0 + 1e-3)),
+    )
+    [result] = verification.run_checks(0, only=("sensor-decomposition",))
+    assert not result.passed
+
+
+def test_verify_centroid_optimality_tests_the_centroid(monkeypatch):
+    """A `weighted_centroid` that takes the plain mean fails `centroid-optimality`."""
+    monkeypatch.setattr(verification, "weighted_centroid", lambda P: P.coords.mean(axis=0))
+    [result] = verification.run_checks(0, only=("centroid-optimality",))
+    assert not result.passed
+
+
+def test_verify_reproducibility_tests_the_streams(monkeypatch):
+    """A `RandomSource.generator` that ignores the stream fails `reproducibility`."""
+
+    def seed_only(self):
+        return np.random.Generator(np.random.PCG64(self.seed))
+
+    monkeypatch.setattr(RandomSource, "generator", seed_only)
+    [result] = verification.run_checks(0, only=("reproducibility",))
+    assert not result.passed
+
+
+def test_verify_oracle_instances_runs_the_oracle(monkeypatch):
+    """An `oracle._enumerate` that never opens the k-th group fails `oracle-instances`."""
+    real = oracle._enumerate
+    monkeypatch.setattr(oracle, "_enumerate", lambda P, k: real(P, max(1, k - 1)))
+    [result] = verification.run_checks(0, only=("oracle-instances",))
+    assert not result.passed
+
+
+def test_verify_lloyd_monotone_runs_lloyd(monkeypatch):
+    """A Lloyd step that takes the plain mean of each cluster fails `lloyd-monotone`."""
+    real = baselines._lloyd_centers
+
+    def plain_mean(assignment, weighted_t, weights, centers):
+        return real(assignment, weighted_t / weights, np.ones_like(weights), centers)
+
+    monkeypatch.setattr(baselines, "_lloyd_centers", plain_mean)
+    [result] = verification.run_checks(0, only=("lloyd-monotone",))
+    assert not result.passed
+
+
+def test_verify_ptas_smoke_runs_the_solver(monkeypatch):
+    """A `ptas._centroids` that returns each tuple's first draw fails `ptas-smoke`."""
+    monkeypatch.setattr(
+        ptas, "_centroids", lambda coords_t, weights, cols: coords_t.take(cols[0], axis=1)
+    )
+    [result] = verification.run_checks(0, only=("ptas-smoke",))
     assert not result.passed
 
 

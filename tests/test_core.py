@@ -11,13 +11,13 @@ from wkmeans.core import (
     WeightedPointSet,
     load_weighted_points,
     min_squared_distances,
-    parallel_axis_rhs,
     save_weighted_points,
     weighted_centroid,
     weighted_cost,
 )
 from wkmeans import core
 from wkmeans.sampling import RandomSource
+from wkmeans.verification import _parallel_axis_rhs
 
 from conftest import make_points
 
@@ -225,7 +225,7 @@ def test_parallel_axis_identity(seed, n, d):
     gen = RandomSource(seed ^ 0x5BD1).generator()
     c = gen.random(d) * 4.0 - 2.0
     lhs = weighted_cost(P, c[None, :])
-    rhs = parallel_axis_rhs(P, c)
+    rhs = _parallel_axis_rhs(P, c)
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 

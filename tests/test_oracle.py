@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from wkmeans import ptas
 from wkmeans.baselines import kmeanspp_lloyd
-from wkmeans.core import WeightedPointSet, weighted_centroid, weighted_cost
+from wkmeans.core import ClusteringResult, WeightedPointSet, weighted_centroid, weighted_cost
 from wkmeans.instances import inaba10, oracle_instances, stress_instances
 from wkmeans.oracle import InstanceTooLarge, brute_force_opt, partition_count
 from wkmeans.sampling import RandomSource
@@ -53,6 +55,33 @@ def test_exact_at_a_dyadic_offset():
     moved = WeightedPointSet(P.coords + 2.0**23, P.weights)
     opt = brute_force_opt(P, 3).cost
     assert brute_force_opt(moved, 3).cost == pytest.approx(opt, rel=1e-9)
+
+
+def test_exact_when_weights_span_past_two_to_the_53():
+    """Five unit weights and one of 1e20 to 1e304 on the line: the oracle's
+    cost is that of the best two-group partition.
+
+    Each partition is priced by `ClusteringResult.from_centers` at its
+    groups' correctly rounded centroids, computed in rationals. An oracle
+    that ranks groups by Q - |S|^2 / W, with running sums it also subtracts,
+    returned a costlier partition or divided by a group weight cancelled to
+    0 on most of these instances.
+    """
+    for seed in range(300):
+        gen = RandomSource(seed).generator()
+        x = gen.random(6)
+        w = np.ones(6)
+        w[gen.integers(6)] = 10.0 ** gen.uniform(20, 304)
+        P = WeightedPointSet(x[:, None], w)
+        best = np.inf
+        for mask in range(1, 2**6 - 1):
+            centers = []
+            for side in (0, 1):
+                g = [i for i in range(6) if (mask >> i) & 1 == side]
+                total = sum(Fraction(float(x[i])) * Fraction(float(w[i])) for i in g)
+                centers.append([float(total / sum(Fraction(float(w[i])) for i in g))])
+            best = min(best, ClusteringResult.from_centers(P, centers).cost)
+        assert brute_force_opt(P, 2).cost <= best * (1.0 + 1e-12), seed
 
 
 def test_groups_form_a_partition():

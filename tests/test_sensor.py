@@ -111,34 +111,22 @@ def test_discretize_unit_square_half_grid(unit_square):
         discretize(unit_square, 0.0)
 
 
-def test_coverage_cost_low_order_exact(unit_square):
-    # Integrand is quadratic for one center, and a 2-point Gauss rule is
-    # already exact through degree 2.
-    val = coverage_cost(unit_square, np.array([[0.5, 0.5]]), quad_order=2)
-    assert val == pytest.approx(1.0 / 6.0, abs=1e-14)
+def test_coverage_cost_one_center_exact_on_mesh(unit_square):
+    # The integrand is quadratic for one center, and no cell is cut: every
+    # cell is priced as w |x - c|^2 + J from moments that are exact for
+    # uniform density.
     mesh = discretize(unit_square, 0.5)
-    val_mesh = coverage_cost(unit_square, np.array([[0.5, 0.5]]), mesh=mesh)
-    assert val_mesh == pytest.approx(1.0 / 6.0, abs=1e-14)
+    val = coverage_cost(unit_square, np.array([[0.5, 0.5]]), mesh)
+    assert val == pytest.approx(1.0 / 6.0, abs=1e-14)
 
 
 def test_coverage_cost_mesh_uses_the_mesh_quadrature_order(unit_square):
-    """A mesh is priced with the fixed order its moments were taken with;
-    a quad_order passed with a mesh, even that order, is refused. Without a
-    mesh an order that is not a positive integer is refused before the
-    density is evaluated."""
+    """A mesh is priced with the fixed order its moments were taken with."""
     centers = np.array([[0.31, 0.47], [0.69, 0.58]])
     mesh = discretize(unit_square, 0.25)
     assert coverage_cost(unit_square, centers, mesh=mesh) == pytest.approx(
         _integrated_coverage(unit_square, mesh, centers), rel=1e-12
     )
-    for order in (3, sensor._QUAD_ORDER):
-        with pytest.raises(ValueError, match="quad_order applies only without a mesh"):
-            coverage_cost(unit_square, centers, quad_order=order, mesh=mesh)
-    density = _CountingDensity()
-    for order in (0, 2.5):
-        with pytest.raises(ValueError, match="order must be a positive integer"):
-            coverage_cost(SensorRegion(UNIT, density), centers, quad_order=order)
-    assert density.points == 0
 
 
 def test_coverage_cost_split_pair_exact_on_mesh(unit_square):
@@ -152,7 +140,7 @@ def test_coverage_cost_split_pair_exact_on_mesh(unit_square):
 
 def test_coverage_cost_requires_centers(unit_square):
     with pytest.raises(ValueError, match="centers"):
-        coverage_cost(unit_square, np.empty((0, 2)))
+        coverage_cost(unit_square, np.empty((0, 2)), discretize(unit_square, 0.5))
 
 
 def test_discretize_rejects_non_finite_grid_eps(unit_square):
@@ -360,10 +348,11 @@ def test_densities_refuse_points_of_another_dimension():
 def test_pricing_refuses_centers_of_another_dimension():
     """Centers are checked against the plane before they are moved to the local frame."""
     region = SensorRegion(UNIT + 3.0, UniformDensity())
+    mesh = discretize(region, 0.5)
     for centers, d in (([], 0), ([[3.5, 3.5, 3.5]], 3)):
         message = f"points are 2-d, centers are {d}-d"
         with pytest.raises(ValueError, match=message):
-            coverage_cost(region, centers)
+            coverage_cost(region, centers, mesh)
         with pytest.raises(ValueError, match=message):
             decomposition_check(region, 0.5, centers)
 
@@ -384,10 +373,9 @@ def test_coverage_cost_matches_scipy_backed_density():
     assert ours.density_scale == pytest.approx(theirs.density_scale, rel=1e-12)
     centers = np.array([[0.3, 0.3], [0.7, 0.6]])
     mesh = discretize(ours, 0.05)
-    for kwargs in ({}, {"mesh": mesh}):
-        assert coverage_cost(ours, centers, **kwargs) == pytest.approx(
-            coverage_cost(theirs, centers, **kwargs), rel=1e-12
-        )
+    assert coverage_cost(ours, centers, mesh) == pytest.approx(
+        coverage_cost(theirs, centers, mesh), rel=1e-12
+    )
 
 
 def test_raster_density_lookup():
@@ -876,7 +864,7 @@ _BLOCK_SIZES = (1, 7, 100, 1 << 12, 1 << 14, 1 << 40)
 )
 @example(None, 0.05, 0.0, [(0.3, 0.3), (0.7, 0.6)])
 def test_output_bytes_do_not_depend_on_block_size(points, grid_eps, shift, centers):
-    """The density scale, every mesh array and both coverage forms agree
+    """The density scale, every mesh array and the mesh coverage agree
     bytewise at any block size.
 
     points None stands for the bump hexagon; otherwise their convex hull
@@ -905,7 +893,7 @@ def test_output_bytes_do_not_depend_on_block_size(points, grid_eps, shift, cente
         for block in _BLOCK_SIZES:
             mp.setattr(sensor, "_BLOCK_NODES", block)
             normalized = normalize_density(region)
-            out = [normalized.density_scale, coverage_cost(normalized, centers)]
+            out = [normalized.density_scale]
             try:
                 mesh = discretize(normalized, grid_eps)
             except ValueError as exc:  # no cell above DROP_WEIGHT, at every size alike
