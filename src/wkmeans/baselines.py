@@ -92,7 +92,7 @@ def kmeanspp_lloyd(P: WeightedPointSet, k: int, rng: RandomSource) -> Clustering
     PTAS candidate tuple with M = 1, drawn from rng.generator(). A seed
     center is (w * x) / w of its drawn point's offset x, plus the origin,
     which can sit an ulp from the point; once every point lies on a center,
-    later draws repeat the previous one. Overflowing sums raise ValueError.
+    later draws repeat the previous one.
     """
     _check_positive_int("k", k)
 

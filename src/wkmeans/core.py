@@ -301,36 +301,61 @@ class ClusteringResult:
 
 
 def _in_local_frame(P: WeightedPointSet, solve) -> ClusteringResult:
-    """solve(P) run on P's points as offsets from its first one.
+    """solve(P) run on P in the one frame every solver shares.
 
     solve takes a WeightedPointSet and returns a ClusteringResult. The
-    origin is added to its centers once; the assignment, cost and meta are
-    solve's. So a translation that moves every coordinate exactly (a dyadic
-    input and shift, say) moves no output byte but the centers, by the
-    shift. The offsets are F-ordered, so their transpose, the (d, n) block
-    the distance kernel reads, needs no copy. Offsets past float64 raise
-    ValueError, and so does a weight total past float64: the solvers draw,
-    average and price with weight sums, which would turn every cost nan.
-    The message gives the total, summed exactly at a scale of 2^-64.
-    """
-    try:
-        P.total_weight
-    except OverflowError:
-        # Imported here: decimal adds about 1.5 ms to every interpreter
-        # that imports this module.
-        from decimal import Decimal
+    frame holds P's offsets from its first point divided by 2^e_x, and its
+    weights divided by 2^e_w, the powers of two that put the largest
+    magnitude of each in [1/2, 1). So no sum a solver forms comes near the
+    top of float64, and float32 copies keep their digits at any offset. The
+    centers are multiplied back and the origin added once; the cost,
+    meta["trial_costs"] and meta["cost_history"] are multiplied by
+    2^(e_w + 2 e_x). The assignment and the rest of meta are solve's.
+    Powers of two, and a translation that moves every coordinate exactly,
+    commute with every operation the solvers make, so weights or
+    coordinates times 2^j, or such a shift, move no output byte but the
+    centers and the cost, by the same factor or shift.
 
-        total = Decimal(_exact_sum(np.ldexp(P.weights, -64))) * 2**64
-        raise ValueError(
-            f"weight total {total:.3g} overflows float64; scale the weights down"
-        ) from None
+    The cost is exact for the centers as the frame holds them; the returned
+    centers are those mapped back and rounded, so at a geo-referenced
+    offset their own cost can differ from it in the last digits (6e-11
+    relative at an offset of 5e6). The offsets are F-ordered, so their
+    transpose, the (d, n) block the distance kernel reads, needs no copy.
+    ValueError names offsets past float64, a weight that the scaling would
+    flush to 0, and a cost that passes float64 when scaled back.
+    """
     origin = P.coords[0].copy()
     with np.errstate(over="ignore"):
         local_t = np.subtract(P.coords.T, origin[:, None], order="C")
     if not np.isfinite(local_t).all():
         raise ValueError("coordinate differences overflow float64")
-    res = solve(WeightedPointSet(local_t.T, P.weights))
-    return replace(res, centers=CenterSet(res.centers.centers + origin))
+    e_x = math.frexp(max(local_t.max(), -local_t.min()))[1]
+    e_w = math.frexp(P.weights.max())[1]
+    np.ldexp(local_t, -e_x, out=local_t)
+    weights = np.ldexp(P.weights, -e_w)
+    if not weights.min() > 0.0:
+        raise ValueError(
+            f"weight {float(P.weights.min())!r} underflows to 0 beside the largest"
+            f" weight, {float(P.weights.max())!r}; drop it or scale it up"
+        )
+    res = solve(WeightedPointSet(local_t.T, weights))
+    shift = e_w + 2 * e_x
+    try:
+        cost = math.ldexp(res.cost, shift)
+    except OverflowError:
+        exp10 = math.log10(res.cost) + shift * math.log10(2.0)
+        whole = math.floor(exp10)
+        raise ValueError(
+            f"cost {10.0 ** (exp10 - whole):.2f}e+{whole} overflows float64;"
+            " scale the weights down"
+        ) from None
+    meta = dict(res.meta)
+    with np.errstate(over="ignore"):
+        for key in ("trial_costs", "cost_history"):
+            if key in meta:
+                meta[key] = np.ldexp(meta[key], shift).tolist()
+    centers = CenterSet(np.ldexp(res.centers.centers, e_x) + origin)
+    return replace(res, centers=centers, cost=cost, meta=meta)
 
 
 class PointFileError(ValueError):

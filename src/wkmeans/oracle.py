@@ -68,9 +68,7 @@ def brute_force_opt(P: WeightedPointSet, k: int) -> ClusteringResult:
     groups, lists of point indices in increasing order; its cost is the
     exactly rounded cost of the winning centers, and the incremental totals
     only rank partitions. The walk runs in the local frame of
-    `core._in_local_frame`. When every partition's total overflows float64,
-    or the winning centroids' sums of weights times coordinates do, it
-    raises ValueError.
+    `core._in_local_frame`.
     """
     _check_positive_int("k", k)
     n = P.n
@@ -99,8 +97,7 @@ def _enumerate(P: WeightedPointSet, k: int) -> ClusteringResult:
     partition's total adds these nonnegative terms, so no sum cancels
     however far the weights spread. Leaving a group restores the (W, mean) saved when the point
     joined it. Scaling the weights or the coordinates by a power of two
-    scales every term exactly. A term past float64 is inf, or nan, and its
-    partitions lose to every finite total.
+    scales every term exactly.
     """
     n = P.n
     pts = P.coords.tolist()
@@ -145,15 +142,7 @@ def _enumerate(P: WeightedPointSet, k: int) -> ClusteringResult:
     group_w[0], group_mean[0] = wl[0], pts[0]
     walk(1, 1, 0.0)
 
-    centers = np.array([np.nan])
-    if best_assign is not None:
-        used = max(best_assign) + 1
-        groups = [[i for i in range(n) if best_assign[i] == g] for g in range(used)]
-        with np.errstate(over="ignore"):
-            centers = np.array([_centroid(P.subset(g)) for g in groups])
-    if not np.isfinite(centers).all():
-        raise ValueError(
-            "no candidate has a finite cost: weights times coordinates or squared"
-            " distances overflow float64; scale the weights down"
-        )
+    used = max(best_assign) + 1
+    groups = [[i for i in range(n) if best_assign[i] == g] for g in range(used)]
+    centers = np.array([_centroid(P.subset(g)) for g in groups])
     return _exact_result(P, centers, groups, leaves)

@@ -38,8 +38,10 @@ block size. Per-trial random streams are derived from (master_seed,
 trial), so results are independent of thread scheduling.
 
 `solve` draws, averages and prices in the local frame every solver shares,
-`core._in_local_frame`, so a translation that moves every coordinate
-exactly moves no output byte but the centers, by the shift.
+`core._in_local_frame`, which also scales the coordinates and weights by
+powers of two. So a translation that moves every coordinate exactly moves
+no output byte but the centers, by the shift, and no weight's scale can
+overflow a sum the evaluator forms.
 """
 
 from __future__ import annotations
@@ -316,29 +318,25 @@ def _run_tuple_batch(
       float64, and forms only the drawn blocks' masses. A cost is the
       pairwise float64 sum of its row's last block sums.
 
-    The two-level path holds the min-distance cache, the two scratch
-    buffers, the zero-padded weights and the block sums in float32. Once
-    per call it takes the points' offsets from point 0 in float64 (a no-op
-    in `solve`'s local frame, where point 0 is the origin) and scales them,
-    and the weights, by the power of two 2^-e_x or 2^-e_w, from
-    `math.frexp`, that puts the largest magnitude in [1/2, 1), before the
-    cast. Each iteration's centers take the same offset and scale, and the
-    kernel runs on the float32 copies. A cost, and a row total before the
-    dead and non-finite tests below, is multiplied back by 2^(e_w + 2 e_x).
-    Scaling by a power of two is exact, so weights times 2^j or coordinates
-    times 2^j leave the float32 copies, and with them every draw and center,
-    byte-identical, and scale every cost by 2^j or 2^2j. The offsets keep
-    the digits that a geo-referenced origin such as 5e6 would take from
-    float32; a translation that moves every coordinate exactly leaves the
-    points' float32 offsets byte-identical, and the centers' up to the
-    rounding of their float64 means. A weight below about 2^-150 of the
-    largest, or a squared distance that underflows in float32, has mass 0
-    and is never drawn.
+    The inputs are in the local frame of `core._in_local_frame`, as
+    `_best_for_trial` gets them: point 0 at the origin, every coordinate in
+    (-1, 1) and every weight in (0, 1]. So no sum either path forms comes
+    near the top of float64. Direct callers (the tests, and `verify`'s
+    `inaba` on one-level rows) pass such inputs or keep their sums inside
+    float64 themselves. The two-level path holds the min-distance cache,
+    the two scratch buffers, the zero-padded weights and the block sums in
+    float32, and runs the kernel on float32 copies of the coordinates and
+    of each iteration's centers. In the frame those copies keep the digits
+    that a geo-referenced origin such as 5e6 would take from float32, and
+    scaling the input's weights or coordinates by 2^j leaves them, and
+    with them every draw and center, byte-identical. A weight below about
+    2^-150 of the largest, or a squared distance that underflows in
+    float32, has mass 0 and is never drawn.
 
-    The draws stay D^2 draws up to a constant factor. With u = 2^-24 and
-    s = 2^e_x, a float32 squared distance d_p^2 is off by at most about
-    4u sqrt(d) s d_p + (d + 2)u d_p^2, and a block sum of 128 nonnegative
-    terms by 128u of its value. So for d <= 16 a point at least 2^-12 s
+    The draws stay D^2 draws up to a constant factor. With u = 2^-24, a
+    float32 squared distance d_p^2 is off by at most about
+    4u sqrt(d) d_p + (d + 2)u d_p^2, and a block sum of 128 nonnegative
+    terms by 128u of its value. So for d <= 16 a point at least 2^-12
     from every center has a mass within a factor 1 +- 2^-7 of w d_p^2, and
     nearer points hold a negligible share of any total not itself at that
     scale. The analysis of Jaiswal, Kumar and Sen needs only that each
@@ -349,16 +347,14 @@ def _run_tuple_batch(
 
     The two-level buffers hold at most max(2^18, n) float32 cache values
     (1 MiB while n <= 2^18), 2 x max(2^16, n) float32 scratch values, the
-    (d + 1) x n float32 offsets and weights, and padding under 128 per row;
-    the one-level path holds 3 x max(2^16, n) float64 values. So no array
+    (d + 1) x n float32 coordinates and weights, and padding under 128 per
+    row; the one-level path holds 3 x max(2^16, n) float64 values. So no array
     grows with B x n. Every draw and cost is computed within its own row,
     so no value depends on either block size: the output is byte-identical
     for any block sizes and thread count.
 
     A row whose distribution has zero mass already sits on every point; it
-    repeats its previous center, consuming the same draws. A row whose
-    total passes float64 has no distribution to draw from: its center is
-    nan, and so is its cost.
+    repeats its previous center, consuming the same draws.
     """
     k, M, B = u.shape
     n, d = coords.shape
@@ -371,21 +367,12 @@ def _run_tuple_batch(
     centers = np.empty((B, k, d))
     coords_t = np.ascontiguousarray(coords.T)
     if nb:
-        # float32 copies of the offsets from point 0 and of the weights, each
-        # scaled by the power of two that puts its largest magnitude in
-        # [1/2, 1); a float32 mass times 2^shift is in input units.
-        origin = coords_t[:, :1]
-        rel_t = coords_t - origin
-        e_x = math.frexp(max(rel_t.max(), -rel_t.min()))[1]
-        x32_t = np.ldexp(rel_t, -e_x, out=rel_t).astype(np.float32)
-        del rel_t
-        e_w = math.frexp(weights.max())[1]
-        shift = e_w + 2 * e_x
+        x32_t = coords_t.astype(np.float32)
         # The cache keeps zeros past column n, padding its rows to whole blocks.
         cache_buf = np.zeros((outer, nb * _CDF_BLOCK), dtype=np.float32)
         scratch = np.empty((2, sub, n), dtype=np.float32)
         w_blocks = np.zeros(nb * _CDF_BLOCK, dtype=np.float32)
-        w_blocks[:n] = np.ldexp(weights, -e_w)
+        w_blocks[:n] = weights
         w_blocks = w_blocks.reshape(nb, _CDF_BLOCK)
         sums_buf = np.empty((outer, nb), dtype=np.float32)
     else:
@@ -415,20 +402,18 @@ def _run_tuple_batch(
             elif nb:
                 cols, totals = _inverse_cdf_blocks(sums, cache_blocks, w_blocks, ui.T)
                 cols = cols.T
-                totals = np.ldexp(totals, shift)
             else:
                 np.multiply(cache, w_col, out=mass)
                 cols, totals = _inverse_cdf_rows(mass, ui, cum)
             # Only a zero-mass row, whose draw is discarded, lands past n - 1.
             np.minimum(cols, n - 1, out=cols)
             ci_t = _centroids(coords_t, weights, cols)
-            if i > 0 and not (np.isfinite(totals) & (totals > 0.0)).all():
+            if i > 0 and not (totals > 0.0).all():
                 dead = totals <= 0.0
                 ci_t[:, dead] = blk_centers[dead, i - 1].T
-                ci_t[:, ~np.isfinite(totals)] = np.nan
             blk_centers[:, i, :] = ci_t.T
             if nb:
-                c32 = np.ldexp(ci_t - origin, -e_x).astype(np.float32).T
+                c32 = ci_t.astype(np.float32).T
                 for s in range(0, rows, sub):
                     e = min(s + sub, rows)
                     d2, diff = scratch[:, : e - s]
@@ -444,7 +429,7 @@ def _run_tuple_batch(
                 if i > 0:
                     np.minimum(cache, mass, out=cache)
         if nb:
-            costs[lo:hi] = np.ldexp(sums.sum(axis=1, dtype=np.float64), shift)
+            costs[lo:hi] = sums.sum(axis=1, dtype=np.float64)
         else:
             # Each cost adds its row's masses in point order: whole-row adds
             # down a point-major block, a running sum down an F-ordered one.
@@ -466,36 +451,27 @@ def _best_for_trial(
     One tuple with M = 1 is a k-means++ seed (see the module docstring),
     which draws its k uniforms in stream order.
 
-    Weights near the top of float64 can overflow a candidate's sums, which
-    leaves its cost inf or nan; such a candidate loses to every finite one,
-    and a call in which none is finite raises ValueError. So does a batch
-    of uniforms too large to allocate.
+    P is in the local frame of `core._in_local_frame`, which
+    `_run_tuple_batch` needs. A batch of uniforms too large to allocate
+    raises ValueError.
     """
     best_cost = math.inf
     best_centers: np.ndarray | None = None
     best_tuple = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, budget, _CHUNK):
-            try:
-                u = gen.random((k, M, min(_CHUNK, budget - lo)))
-            except MemoryError:
-                raise ValueError(
-                    f"M = {M} draws per center at k = {k}: a batch of uniforms is"
-                    " too large to allocate; raise epsilon or lower c2"
-                ) from None
-            costs, centers = _run_tuple_batch(P.coords, P.weights, u)
-            # argmin would pick a nan cost over every finite one.
-            j = int(np.argmin(np.where(np.isnan(costs), np.inf, costs)))
-            if float(costs[j]) < best_cost:
-                best_cost = float(costs[j])
-                best_centers = centers[j].copy()
-                best_tuple = lo + j
-    if best_centers is None:
-        raise ValueError(
-            "no candidate has a finite cost: the sums of drawn weights, or of"
-            " weights times coordinates or squared distances, overflow float64;"
-            " scale the weights down"
-        )
+    for lo in range(0, budget, _CHUNK):
+        try:
+            u = gen.random((k, M, min(_CHUNK, budget - lo)))
+        except MemoryError:
+            raise ValueError(
+                f"M = {M} draws per center at k = {k}: a batch of uniforms is"
+                " too large to allocate; raise epsilon or lower c2"
+            ) from None
+        costs, centers = _run_tuple_batch(P.coords, P.weights, u)
+        j = int(np.argmin(costs))
+        if float(costs[j]) < best_cost:
+            best_cost = float(costs[j])
+            best_centers = centers[j].copy()
+            best_tuple = lo + j
     return best_cost, best_centers, best_tuple
 
 
@@ -520,10 +496,13 @@ def solve(
     2 * M * 128 points) trial_costs are its float32 estimates, within
     (131 + d) 2^-24 of the exact cost, relatively, plus 2^-22 s
     sqrt(d W cost), where W is the total weight and s the power of two just
-    above every offset from the first point; the returned cost is always
-    the winning centers' exact cost. When k is at least the number of distinct
-    points the exact zero-cost placement on the distinct points is returned
-    directly, in the input's frame.
+    above every offset from the first point. The returned cost is the exact
+    cost of the winning centers as the frame holds them; the returned
+    centers are those mapped back to the input's frame and rounded, so at a
+    geo-referenced offset their own cost can differ from it in the last
+    digits (6e-11 relative at an offset of 5e6). When k is at least the
+    number of distinct points the exact zero-cost placement on the
+    distinct points is returned directly, in the input's frame.
     """
     params = PtasParams(k, epsilon, **(overrides or {}))
     _check_positive_int("threads", threads)

@@ -1,11 +1,12 @@
 """Continuous coverage over a convex region via weighted clustering.
 
-Pipeline: normalize an importance density over a convex polygon, overlay a
-square grid, clip each square to the region, and integrate per cell to get a
-weighted point set of cell centers of mass. A weighted k-means solver places
-the sensors; the coverage cost (integral of density times squared distance
-to the nearest sensor) then splits into the discrete clustering cost plus the
-cells' moments of inertia about their centers of mass. That identity is exact
+Pipeline: overlay a square grid on a convex polygon, clip each square to the
+region, and integrate an importance density per cell, normalized by the
+exact total of the cell masses, to get a weighted point set of cell centers
+of mass. A weighted k-means solver places the sensors; the coverage cost
+(integral of density times squared distance to the nearest sensor) then
+splits into the discrete clustering cost plus the cells' moments of inertia
+about their centers of mass. That identity is exact
 when no Voronoi boundary cuts through a cell, and the residual gap is
 reported, never hidden.
 
@@ -25,11 +26,10 @@ clipping left unchanged is flagged a whole square. All integrals go through
 one batched function, `_integrate_cells`, with two rules of one order q
 (`_QUAD_ORDER`, 4): a whole grid square takes the q x q Gauss-Legendre
 product rule on its own sides (q^2 density nodes, exact to degree 2q-1 in
-each variable), and every other convex polygon, a clipped piece or a whole
-region, a fan of collapsed Gauss rules on the triangles from its first
-vertex (q^2 nodes per triangle, exact to total degree 2q-2). Either way
-cell masses, centers of mass and, from q = 2 on, inertias are
-quadrature-exact for uniform density. Node offsets are built one coordinate
+each variable), and a clipped piece a fan of collapsed Gauss rules on the
+triangles from its first vertex (q^2 nodes per triangle, exact to total
+degree 2q-2). Either way cell masses, centers of mass and, from q = 2 on,
+inertias are quadrature-exact for uniform density. Node offsets are built one coordinate
 at a time, the density is evaluated in blocks of at most `_BLOCK_NODES`
 nodes, and each cell's moments are taken about its own first vertex. On
 sensor-fine (6,652 cells, 6,332 of them whole squares, q = 4) a
@@ -60,7 +60,6 @@ import copy
 import functools
 import json
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -91,7 +90,6 @@ __all__ = [
     "DecompositionReport",
     "PlacementReport",
     "RegionFileError",
-    "normalize_density",
     "discretize",
     "coverage_cost",
     "decomposition_check",
@@ -101,7 +99,7 @@ __all__ = [
 
 DROP_WEIGHT = 1e-12
 INERTIA_WARN_FRACTION = 0.10
-# Gauss order of normalization, the cell moments and the mesh coverage.
+# Gauss order of the cell moments and the mesh coverage.
 # q = 4 keeps cell masses, centers of mass and inertias exact for uniform
 # density; grid_eps, not q, sets the accuracy.
 _QUAD_ORDER = 4
@@ -295,11 +293,11 @@ def _inside_slack(polygon: np.ndarray, side) -> np.ndarray:
 class SensorRegion:
     """Convex region (CCW polygon) with an importance density over it.
 
-    density_scale carries the normalization factor so that densities stay
-    reusable across regions; phi() is the scaled density. origin is the
-    first vertex; local, built once with `_shifted`, is the region as
-    offsets from it (the region itself when its origin is (0, 0)). Both are
-    derived here and nowhere else, so a copy with another field, such as
+    density_scale multiplies the density, so that densities stay reusable
+    across regions; phi() is the scaled density. origin is the first
+    vertex; local, built once with `_shifted`, is the region as offsets from
+    it (the region itself when its origin is (0, 0)). Both are derived here
+    and nowhere else, so a copy with another field, such as
     `replace(region, density_scale=s)`, is checked and shifted again.
     """
 
@@ -472,8 +470,8 @@ def _integrate_cells(
     first: np.ndarray,
     count: np.ndarray,
     order: int,
+    square: np.ndarray,
     centers: np.ndarray | None = None,
-    square: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per convex polygon: mass, center of mass, inertia and coverage cost.
 
@@ -486,9 +484,8 @@ def _integrate_cells(
     2q - 1 in each variable). Every other polygon is grouped by vertex count
     and each group is fan-triangulated from its first vertex at once
     (`_fan_nodes`: q^2 nodes per triangle, exact to total degree 2q - 2).
-    Square is None means no polygon is a square. Whole polygons are taken in
-    blocks of about _BLOCK_NODES nodes, phi is evaluated once per block, and
-    every sum runs over one polygon's nodes in a fixed order, so no result
+    Whole polygons are taken in blocks of about _BLOCK_NODES nodes, phi is
+    evaluated once per block, and every sum runs over one polygon's nodes in a fixed order, so no result
     depends on the block size. Moments are taken about the anchor, the first
     vertex: the center of mass is the anchor plus the mean node offset, and
     the inertia is the second moment about it. The coverage cost (phi times
@@ -498,13 +495,12 @@ def _integrate_cells(
     n = first.shape[0]
     mass, inertia, cost = np.zeros((3, n))
     com = np.zeros((2, n))
-    fan = np.ones(n, dtype=bool) if square is None else ~square
+    fan = ~square
     # (polygons, vertex count) per group; count 0 marks the squares.
     groups = [
         (np.flatnonzero(fan & (count == m)), m) for m in np.unique(count[fan]).tolist()
     ]
-    if square is not None:
-        groups.append((np.flatnonzero(square), 0))
+    groups.append((np.flatnonzero(square), 0))
     for index, m in groups:
         per_poly = (m - 2 if m else 1) * order * order
         step = max(1, _BLOCK_NODES // per_poly)
@@ -531,26 +527,6 @@ def _integrate_cells(
                 d2 = min_squared_distances(pts.reshape(-1, 2), centers)
                 cost[idx] = (node_mass * d2.reshape(-1, per_poly)).sum(axis=1)
     return mass, com.T, inertia, cost
-
-
-def normalize_density(region: SensorRegion) -> SensorRegion:
-    """Rescale the density so its integral over the region is one.
-
-    The result is the region rebuilt with density_scale divided by the
-    mass, its local view included.
-    """
-    local = region.local
-    one_cell = np.array([0]), np.array([len(local.polygon)])
-    mass = float(_integrate_cells(local, local.polygon, *one_cell, _QUAD_ORDER)[0][0])
-    if mass <= 0.0:
-        raise ValueError("density has zero mass on the region")
-    if mass < 1e-9:
-        warnings.warn(
-            "density mass inside the region is negligible; rescale is "
-            "ill-conditioned",
-            stacklevel=2,
-        )
-    return replace(region, density_scale=region.density_scale / mass)
 
 
 def _clip_squares(
@@ -728,18 +704,21 @@ def discretize(region: SensorRegion, grid_eps: float) -> Discretization:
     Works on region.local: the grid anchors at the lower-left corner of the
     local polygon's bounding box. Cells are emitted in row-major order (y
     rows, then x), each with mass w_i, center of mass x_i and inertia J_i
-    about x_i. Cells with mass under the drop threshold are discarded.
+    about x_i. Cells with mass under DROP_WEIGHT times the exact total of
+    every cell's mass are discarded; a density with no mass on the region
+    raises ValueError.
     """
     if not (math.isfinite(grid_eps) and grid_eps > 0.0):
         raise ValueError("grid_eps must be positive and finite")
     verts, counts, clipped = _clip_grid(region.local.polygon, grid_eps)
     first = np.cumsum(counts) - counts
     mass, com, inertia, _ = _integrate_cells(
-        region.local, verts, first, counts, _QUAD_ORDER, square=~clipped
+        region.local, verts, first, counts, _QUAD_ORDER, ~clipped
     )
-    keep = mass >= DROP_WEIGHT
-    if not keep.any():
-        raise ValueError("grid too coarse or density degenerate")
+    total = _exact_sum(mass)
+    if not total > 0.0:
+        raise ValueError("density has zero mass on the region")
+    keep = mass >= DROP_WEIGHT * total
     # compress, not a boolean index: it moves the (V, 2) rows whole.
     return Discretization(
         verts.compress(np.repeat(keep, counts), axis=0),
@@ -779,7 +758,7 @@ def coverage_cost(region: SensorRegion, centers, mesh: Discretization) -> float:
     d = mesh.coms.compress(~cut, axis=0) - c.take(owner[first[~cut]], axis=0)
     uncut = mesh.weights[~cut] * (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
     split = _integrate_cells(
-        region.local, verts, first[cut], counts[cut], _QUAD_ORDER, c, ~mesh.clipped[cut]
+        region.local, verts, first[cut], counts[cut], _QUAD_ORDER, ~mesh.clipped[cut], c
     )
     return _exact_sum(np.concatenate([uncut, mesh.inertias[~cut], split[3]]))
 
@@ -835,10 +814,13 @@ def place_sensors(
     overrides: dict | None = None,
     threads: int = 1,
 ) -> PlacementReport:
-    """Normalize, discretize, cluster, and price the resulting placement.
+    """Discretize, normalize, cluster, and price the resulting placement.
 
+    The density is normalized on the mesh itself: the cell masses, the
+    inertias and the coverage are divided by the exact sum of the mesh's
+    cell masses, so the reported mesh has unit mass to rounding.
     `wkmeans.SOLVERS[solver]` clusters the cells; k, the solver name and
-    master_seed are checked before the density is normalized.
+    master_seed are checked before the region is discretized.
 
     The reported coverage cost is the cell-by-cell quadrature value for the
     returned centers (not the clustering objective), so the inertia floor and
@@ -852,15 +834,16 @@ def place_sensors(
     if solver not in SOLVERS:
         raise ValueError(f"unsupported solver {solver!r}; known: {', '.join(SOLVERS)}")
     _check_seed(master_seed)
-    normalized = normalize_density(region)
-    disc = discretize(normalized, grid_eps)
+    mesh = discretize(region, grid_eps)
+    mass = _exact_sum(mesh.weights)
+    disc = replace(mesh, weights=mesh.weights / mass, inertias=mesh.inertias / mass)
     notes = []
     if disc.weights.shape[0] == 1:
         notes.append("grid coarser than region: single-cell discretization")
     X = WeightedPointSet(disc.coms, disc.weights)
     result = SOLVERS[solver](X, k, epsilon, overrides, master_seed, threads)
     inertia = disc.inertia_sum
-    coverage = coverage_cost(normalized.local, result.centers, mesh=disc)
+    coverage = coverage_cost(region.local, result.centers, mesh=mesh) / mass
     if coverage > 0.0 and inertia > INERTIA_WARN_FRACTION * coverage:
         notes.append(
             f"cell inertia is {inertia / coverage:.1%} of the coverage cost; "

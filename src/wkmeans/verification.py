@@ -137,8 +137,8 @@ def _null_sampling(
     points: np.ndarray,
     repetitions: int,
     gen: np.random.Generator,
-) -> tuple[float, float]:
-    """Success rates of the gated uniform-sampling experiment, (count, full).
+) -> tuple[float, float, np.ndarray]:
+    """Success rates of the gated uniform-sampling experiment, and its picks.
 
     One run makes l = ceil(400 / (gamma * epsilon)) draws; each is null with
     probability 1 - gamma, otherwise a uniform point of `points` (drawn by
@@ -146,7 +146,8 @@ def _null_sampling(
     least m = ceil(100 / epsilon) non-null draws. The full rate also asks
     that the centroid of a uniformly chosen m-subset of them have a
     single-center cost, priced with the distance kernel, within
-    (1 + epsilon/20) of optimal.
+    (1 + epsilon/20) of optimal. Returns (count rate, full rate, picks per
+    point), the last pooled over every run's l uniform picks.
     """
     n_draws = math.ceil(400.0 / (gamma * epsilon))
     m = math.ceil(100.0 / epsilon)
@@ -155,12 +156,14 @@ def _null_sampling(
         min_squared_distances(points, points.mean(axis=0))
     )
     counted = successes = 0
+    picked = np.zeros(points.shape[0], dtype=np.intp)
     for _ in range(repetitions):
         # Fixed three-block draw layout per run: gates, point picks, subset
         # keys. Unused picks/keys still consume stream positions, so the
         # layout is independent of the gate outcomes.
         gates = gen.random(n_draws) < gamma
         picks = _draw(uniform, n_draws, gen)
+        picked += np.bincount(picks, minlength=points.shape[0])
         keys = gen.random(n_draws)
         if np.count_nonzero(gates) < m:
             continue
@@ -169,7 +172,7 @@ def _null_sampling(
         g = points[picks[np.argpartition(keys, m - 1)[:m]]].mean(axis=0)
         if _exact_sum(min_squared_distances(points, g)) <= threshold:
             successes += 1
-    return counted / repetitions, successes / repetitions
+    return counted / repetitions, successes / repetitions, picked
 
 
 def _parallel_axis_rhs(P: WeightedPointSet, c: np.ndarray) -> float:
@@ -345,15 +348,23 @@ def _check_inaba(rng: RandomSource, slack_sigmas: float) -> _Outcome:
 
 
 def _check_null_sampling(rng: RandomSource, floor: float) -> _Outcome:
+    # The rates pass under a sampler that puts most draws on one point, since
+    # a mean of 100 draws stays near the optimum; the picks' chi-square
+    # against uniform, at d2-distribution's alpha, does not.
+    from scipy import stats
+
     P = instances.inaba10()
     gen = rng.derive(0).generator()
-    count_rate, full_rate = _null_sampling(0.5, 1.0, P.coords, 1000, gen)
-    ok = count_rate >= 0.99 and full_rate >= floor
+    count_rate, full_rate, picked = _null_sampling(0.5, 1.0, P.coords, 1000, gen)
+    p_value = float(stats.chisquare(picked).pvalue)
+    ok = count_rate >= 0.99 and full_rate >= floor and p_value >= 0.001
     return (
         ok,
         full_rate,
         floor,
-        f"full success rate (count-only rate={count_rate:.3f}, gate 0.99)",
+        f"full success rate (count-only rate={count_rate:.3f}, gate 0.99; "
+        f"chi-square p-value of the {picked.sum():.0f} pooled picks against "
+        f"uniform={p_value:.3g}, gate 0.001)",
     )
 
 

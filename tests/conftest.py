@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -37,3 +38,16 @@ def dyadic_points(n: int) -> WeightedPointSet:
     coords = np.floor(gen.random((n, 2)) * 1024.0) / 16.0
     weights = np.floor(gen.random(n) * 9.0) + 1.0
     return WeightedPointSet(coords, weights)
+
+
+def in_local_frame(coords: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """coords and weights as `core._in_local_frame` hands them to a solver.
+
+    The offsets from point 0 and the weights are divided by the powers of
+    two that put their largest magnitudes in [1/2, 1): the inputs the
+    candidate evaluator is written for.
+    """
+    local = coords - coords[0]
+    e_x = math.frexp(float(np.abs(local).max()))[1]
+    e_w = math.frexp(float(weights.max()))[1]
+    return np.ldexp(local, -e_x), np.ldexp(weights, -e_w)

@@ -1,4 +1,3 @@
-import math
 from unittest import mock
 
 import numpy as np
@@ -9,14 +8,11 @@ from wkmeans import baselines
 from wkmeans.baselines import kmeanspp_lloyd, lloyd_descend
 from wkmeans.core import CenterSet, WeightedPointSet, _nearest, weighted_cost
 from wkmeans.instances import kpp20, line4, oracle_instances, random_instance
+from wkmeans.oracle import brute_force_opt
 from wkmeans.ptas import _CDF_BLOCK, _cdf_blocks, _run_tuple_batch
 from wkmeans.sampling import RandomSource
 
-from conftest import make_points
-
-# The PTAS evaluator's error, which k-means++ seeding raises too.
-_NO_FINITE_CANDIDATE = "no candidate has a finite cost"
-
+from conftest import in_local_frame, make_points
 
 def _seed(P, k, rng):
     """kmeanspp_lloyd's k-means++ seed: its result when Lloyd runs no round."""
@@ -42,65 +38,51 @@ def test_seeding_rejects_bad_k():
             kmeanspp_lloyd(make_points(0, 5, 2), k, RandomSource(0))
 
 
-def test_kmeanspp_lloyd_refuses_weight_totals_that_overflow():
-    """Four weights of 1e308 sum past float64: a ValueError names the total."""
+@pytest.mark.filterwarnings("error")
+def test_kmeanspp_lloyd_solves_weight_totals_past_float64():
+    """Four weights of 1e308 sum past float64: solved at the optimum, 1e308."""
     P = WeightedPointSet(np.array([[0.0], [1.0], [4.0], [5.0]]), np.full(4, 1e308))
-    with pytest.raises(ValueError, match=r"weight total 4\.00e\+308 overflows float64"):
-        kmeanspp_lloyd(P, 2, RandomSource(0))
+    for seed in range(4):
+        res = kmeanspp_lloyd(P, 2, RandomSource(seed))
+        assert res.cost == 1e308
+        assert sorted(res.centers.centers[:, 0].tolist()) == [0.5, 4.5]
 
 
 @pytest.mark.parametrize(
-    "xs,w,first,cause",
+    "xs,w",
     [
-        # One mass overflows: 4e307 * 25 at x = 5.
+        # Each id names the sums that passed float64 in the input's units.
         pytest.param(
-            [0.0, 1.0, 4.0, 5.0], 4e307, 0, _NO_FINITE_CANDIDATE,
-            id="xs0-products of weights and squared distances",
+            [0.0, 1.0, 4.0, 5.0], 4e307, id="xs0-products of weights and squared distances"
         ),
-        # Each mass is finite (at most 4e307 * 4.41), their total 4.8e308 is not.
         pytest.param(
-            [0.0, 1.9, 2.0, 2.1], 4e307, 0, _NO_FINITE_CANDIDATE,
+            [0.0, 1.9, 2.0, 2.1], 4e307,
             id="xs1-products of weights and squared distances, or their sum",
         ),
-        # The first center's w * x, 4e307 * 10, passes float64.
+        pytest.param([0.0, 10.0, 10.1, 10.4], 4e307, id="xs2-sums of weights times coordinates"),
+        pytest.param([0.0, 1e154, 2e154, 3e154], 1.0, id="xs3-squared distances"),
         pytest.param(
-            [0.0, 10.0, 10.1, 10.4], 4e307, 1, _NO_FINITE_CANDIDATE,
-            id="xs2-sums of weights times coordinates",
-        ),
-        # Unit weights: whichever point comes first, a squared distance to it
-        # is at least (2e154)^2, past float64.
-        pytest.param(
-            [0.0, 1e154, 2e154, 3e154], 1.0, 0, _NO_FINITE_CANDIDATE,
-            id="xs3-squared distances",
-        ),
-        # The seed is finite (w * x is at most 4e307 * 1.7 and the masses
-        # about 1.6 sum to 4e307 * 2.58), but the Lloyd cluster {1.5, 1.6,
-        # 1.7} sums w * x past float64.
-        pytest.param(
-            [0.0, 1.5, 1.6, 1.7], 4e307, 2, "the sums of weights times coordinates",
-            id="xs4-sums of weights times coordinates in Lloyd",
+            [0.0, 1.5, 1.6, 1.7], 4e307, id="xs4-sums of weights times coordinates in Lloyd"
         ),
     ],
 )
 @pytest.mark.filterwarnings("error")
-def test_kmeanspp_lloyd_names_overflowing_products(xs, w, first, cause):
-    """Four equal weights with a finite total: ValueError names the overflow, no warning.
+def test_kmeanspp_lloyd_solves_sums_past_float64(xs, w):
+    """Four equal weights whose sums pass float64 in the input's units.
 
-    The seed is the first whose first draw picks point `first`, so the
-    masses are w * (x - xs[first])^2. The solver works on offsets from
-    xs[0] = 0, so the coordinates are the ones it sums.
+    The frame's powers of two keep every sum of the seeding and of Lloyd
+    inside float64, so k-means++ and Lloyd reach the oracle's optimum at
+    every seed, with no warning. Unit weights 1e154 apart may stop in the
+    spread's local optimum instead, whose cost 2e308 is refused by name.
     """
     P = WeightedPointSet(np.array(xs)[:, None], np.full(4, w))
-    gens = (RandomSource(s).generator() for s in range(100))
-    seed = next(s for s, g in enumerate(gens) if int(g.random() * 4) == first)
-    # The premise: the first center, drawn by weight alone, is point
-    # `first`; four equal weights draw alike at any scale.
-    u = RandomSource(seed).generator().random((1, 1, 1))
-    with np.errstate(over="ignore"):
-        _, centers = _run_tuple_batch(P.coords, np.ones(4), u)
-    assert centers[0, 0, 0] == xs[first]
-    with pytest.raises(ValueError, match=f"{cause}.*scale the weights down"):
-        kmeanspp_lloyd(P, 2, RandomSource(seed))
+    opt = brute_force_opt(P, 2).cost
+    for seed in range(8):
+        try:
+            assert kmeanspp_lloyd(P, 2, RandomSource(seed)).cost == opt
+        except ValueError as exc:
+            assert w == 1.0
+            assert str(exc) == "cost 2.00e+308 overflows float64; scale the weights down"
 
 
 def test_seeding_cycles_when_support_is_exhausted():
@@ -131,22 +113,18 @@ def _sequential_kmeanspp(coords, weights, u):
 
     Up to 256 points the masses and their running sum are float64. Past it
     they are the evaluator's two-level float32 masses, as in
-    `test_ptas._reference_run_tuple_batch`: the offsets from point 0 and the
-    weights are scaled by the powers of two that put their largest
-    magnitudes in [1/2, 1) and cast to float32, and each center's offset
-    takes the same scale. A draw then finds its block of 128 points in the
-    float64 running sum of the block sums, taken by the evaluator's einsum,
-    and its point in the float32 running sum of that block's masses.
+    `test_ptas._reference_run_tuple_batch`: the coordinates, the weights
+    and each center are cast to float32. A draw then finds its block of 128
+    points in the float64 running sum of the block sums, taken by the
+    evaluator's einsum, and its point in the float32 running sum of that
+    block's masses.
     """
     n, d = coords.shape
     nb = _cdf_blocks(n, 1)
     if nb:
-        origin = coords[0]
-        e_x = math.frexp(float(np.abs(coords - origin).max()))[1]
-        e_w = math.frexp(float(weights.max()))[1]
-        x = np.ldexp(coords - origin, -e_x).astype(np.float32)
+        x = coords.astype(np.float32)
         w = np.zeros(nb * _CDF_BLOCK, dtype=np.float32)
-        w[:n] = np.ldexp(weights, -e_w)
+        w[:n] = weights
         w = w.reshape(nb, _CDF_BLOCK)
         cache = np.zeros((1, nb, _CDF_BLOCK), dtype=np.float32)
     else:
@@ -184,7 +162,7 @@ def _sequential_kmeanspp(coords, weights, u):
         picks.append(p)
         c = (weights[p] * coords[p]) / weights[p]
         if nb:
-            c = np.ldexp(c - origin, -e_x).astype(np.float32)
+            c = c.astype(np.float32)
         d2 = (x[:, 0] - c[0]) ** 2
         for j in range(1, d):
             d2 += (x[:, j] - c[j]) ** 2
@@ -204,9 +182,10 @@ def _sequential_kmeanspp(coords, weights, u):
 def test_m1_evaluator_matches_sequential_kmeanspp(seed, n, k, d, B, kind):
     """The evaluator's one-draw tuples are k-means++ seeds, pick for pick.
 
-    Past n = 256 the evaluator draws in two levels from float32 masses, and
-    so does the reference, on the same bytes, so every pick agrees at every
-    n. Points on a few locations run out of mass, so draws repeat.
+    Both run on the inputs as the solvers' local frame gives them. Past
+    n = 256 the evaluator draws in two levels from float32 masses, and so
+    does the reference, on the same bytes, so every pick agrees at every n.
+    Points on a few locations run out of mass, so draws repeat.
     """
     gen = RandomSource(seed).generator()
     if kind == "few-locations":
@@ -214,6 +193,7 @@ def test_m1_evaluator_matches_sequential_kmeanspp(seed, n, k, d, B, kind):
     else:
         coords = gen.random((n, d)) * 1e3 + (5e6 if kind == "geo" else 0.0)
     weights = np.exp(2.0 * gen.standard_normal(n))
+    coords, weights = in_local_frame(coords, weights)
     u = gen.random((k, 1, B))
     _, centers = _run_tuple_batch(coords, weights, u)
     drawn = (weights[:, None] * coords) / weights[:, None]

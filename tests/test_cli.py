@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -148,56 +149,63 @@ def test_sensor_rejects_format_flag(capsys):
 
 
 @pytest.mark.parametrize("solver", ["ptas", "kmeanspp-lloyd", "oracle"])
-def test_cluster_refuses_weight_totals_that_overflow(tmp_path, capsys, solver):
-    path = tmp_path / "huge.csv"
-    save_weighted_points(path, WeightedPointSet([[0.0], [1.0], [4.0], [5.0]], [1e308] * 4))
-    assert run(["cluster", "--input", str(path), "--solver", solver]) == 2
-    assert "error: weight total 4.00e+308 overflows float64" in capsys.readouterr().err
+@pytest.mark.filterwarnings("error")
+def test_cluster_solves_weight_totals_past_float64(tmp_path, solver):
+    """Four weights of 4e307 or 1e308 at x = 0, 1, 4, 5, whose total and
+    sums of weights times squared distances pass float64: every solver
+    returns the optimum, cost w, and `cluster` exits 0."""
+    for w in (4e307, 1e308):
+        path, out = tmp_path / "huge.csv", tmp_path / "out.json"
+        save_weighted_points(path, WeightedPointSet([[0.0], [1.0], [4.0], [5.0]], [w] * 4))
+        argv = ["cluster", "--input", str(path), "--solver", solver, "--c2", "4"]
+        assert run([*argv, "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["cost"] == w
 
 
 @pytest.mark.filterwarnings("error")
 def test_oracle_names_overflowing_weight_products():
     """Four weights of 4e307 at x = 0, 1, 4, 5 have finite group costs: the
-    oracle returns the optimum. 1e10 apart, every group of two costs past
-    float64, so no partition has a finite cost: the oracle's ValueError,
-    with no RuntimeWarning, directly and through SOLVERS.
+    oracle returns the optimum. 1e10 apart, the optimum costs 4e327, past
+    float64: the frame's ValueError names that cost, with no
+    RuntimeWarning, directly and through SOLVERS.
     """
     P = WeightedPointSet([[0.0], [1.0], [4.0], [5.0]], [4e307] * 4)
     res = brute_force_opt(P, 2)
     assert res.meta["groups"] == [[0, 1], [2, 3]] and res.cost == 4e307
     P = WeightedPointSet([[0.0], [1e10], [4e10], [5e10]], [4e307] * 4)
     for solve in (lambda: brute_force_opt(P, 2), lambda: SOLVERS["oracle"](P, 2, 0.5, None, 0, 1)):
-        with pytest.raises(ValueError, match="^no candidate has a finite cost.*scale the weights down$"):
+        with pytest.raises(
+            ValueError, match=r"^cost 4\.00e\+327 overflows float64; scale the weights down$"
+        ):
             solve()
 
 
 @pytest.mark.parametrize(
     "solver,xs,w",
     [
-        ("ptas", [0.0, 1.0, 4.0, 5.0], 4e307),
-        ("kmeanspp-lloyd", [0.0, 1.0, 4.0, 5.0], 4e307),
+        ("ptas", [0.0, 1e10, 4e10, 5e10], 4e307),
+        ("kmeanspp-lloyd", [0.0, 1e10, 4e10, 5e10], 4e307),
         ("oracle", [0.0, 1e10, 4e10, 5e10], 4e307),
-        ("ptas", [0.0, 1e154, 2e154, 3e154], 1.0),
-        ("kmeanspp-lloyd", [0.0, 1e154, 2e154, 3e154], 1.0),
+        ("ptas", [0.0, 1e155, 2e155, 3e155], 1.0),
+        ("kmeanspp-lloyd", [0.0, 1e155, 2e155, 3e155], 1.0),
     ],
     ids=["ptas", "kmeanspp-lloyd", "oracle", "ptas-spread", "kmeanspp-lloyd-spread"],
 )
 @pytest.mark.filterwarnings("error")
 def test_cluster_names_overflowing_weight_products(tmp_path, capsys, solver, xs, w):
-    """Every solver names one overflow, the candidate evaluator's, on one error line.
+    """Every solver names one overflow, the frame's, on one error line.
 
-    Four weights of 4e307 have a finite total, but sums of drawn weights
-    or of weights times squared distances do not, nor, 1e10 apart, the
-    oracle's group costs. Unit weights 1e154 apart give D^2 totals past
-    float64. Warnings are errors here, so a numpy
-    RuntimeWarning on the way fails the test.
+    Four weights of 4e307 1e10 apart, and unit weights 1e155 apart, have
+    optima whose sums of weights times squared distances pass float64
+    (4e327 and 1e310). Warnings are errors here, so a numpy RuntimeWarning
+    on the way fails the test.
     """
     path = tmp_path / "heavy.csv"
     save_weighted_points(path, WeightedPointSet([[x] for x in xs], [w] * 4))
     assert run(["cluster", "--input", str(path), "--solver", solver, "--c2", "4"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: no candidate has a finite cost")
-    assert err[0].endswith("scale the weights down")
+    assert len(err) == 1 and err[0].startswith("error: cost ")
+    assert err[0].endswith("overflows float64; scale the weights down")
 
 
 @pytest.mark.parametrize("solver", list(SOLVERS))
@@ -488,17 +496,37 @@ def test_verify_translation_runs_the_solvers_frame(monkeypatch):
 
 
 def test_verify_weight_scaling_runs_the_solvers(monkeypatch):
-    """`weight-scaling` tests the solvers' draws: a mutant of
-    `ptas._inverse_cdf_rows` that floors every mass at 1e-12, a bound that
-    does not scale with the weights or the coordinates, makes it fail."""
-    real = ptas._inverse_cdf_rows
+    """`weight-scaling` tests the frame every solver runs in, which owns the
+    scale: a frame that multiplies the cost back by 2^(e_w + e_x), as if a
+    cost were linear in the coordinates, makes it fail."""
+    real = core._in_local_frame
 
-    def floored(v, u, cum):
-        return real(np.maximum(v, 1e-12), u, cum)
+    def linear_cost(P, solve):
+        res = real(P, solve)
+        e_x = math.frexp(float(np.abs(P.coords - P.coords[0]).max()))[1]
+        return replace(res, cost=math.ldexp(res.cost, -e_x))
 
-    monkeypatch.setattr(ptas, "_inverse_cdf_rows", floored)
+    for module in (ptas, baselines, oracle):
+        monkeypatch.setattr(module, "_in_local_frame", linear_cost)
     [result] = verification.run_checks(0, only=("weight-scaling",))
     assert not result.passed
+
+
+def test_verify_null_sampling_needs_uniform_picks(monkeypatch):
+    """`null-sampling` tests the evaluator's uniform draws: a mutant of
+    `ptas._inverse_cdf_rows` that adds ten times the row total to point 0
+    makes it fail, though its success rates pass (full rate 0.87 at seed 0,
+    over the 0.5 floor)."""
+    real = ptas._inverse_cdf_rows
+
+    def first_heavy(v, u, cum):
+        v = v.copy()
+        v[0] += 10.0 * v.sum(axis=0)
+        return real(v, u, cum)
+
+    monkeypatch.setattr(ptas, "_inverse_cdf_rows", first_heavy)
+    [result] = verification.run_checks(0, only=("null-sampling",))
+    assert not result.passed and result.statistic >= result.threshold
 
 
 def test_verify_inaba_tests_the_solvers_mean(monkeypatch):

@@ -15,7 +15,7 @@ from wkmeans.core import (
     weighted_centroid,
     weighted_cost,
 )
-from wkmeans import core
+from wkmeans import SOLVERS, core
 from wkmeans.sampling import RandomSource
 from wkmeans.verification import _parallel_axis_rhs
 
@@ -263,6 +263,91 @@ def test_clustering_result_recomputes_assignment_and_cost():
     assert res.cost == weighted_cost(P, centers)
     assert np.array_equal(res.assignment, core._nearest(P.coords, centers.centers)[0])
     assert res.meta["solver"] == "test"
+
+
+def test_local_frame_scales_by_powers_of_two():
+    """The frame hands the solver offsets from point 0 and weights, each
+    divided by the power of two that puts its largest magnitude in
+    [1/2, 1), and multiplies back the centers, the cost and the cost-valued
+    meta; the assignment and the rest of meta are the solver's.
+    """
+    P = WeightedPointSet(
+        [[5e6, 1.0], [5e6 + 3.0, -2.0], [5e6 - 1.5, 0.5]], [1e300, 3e299, 2e300]
+    )
+    seen = []
+
+    def solve(local):
+        seen.append(local)
+        meta = {"trial_costs": [1.0, 0.75], "cost_history": [2.0, 1.0], "tuple": 3}
+        return ClusteringResult.from_centers(local, local.coords[1:], meta)
+
+    res = core._in_local_frame(P, solve)
+    [local] = seen
+    e_x, e_w = 2, math.frexp(2e300)[1]
+    assert np.ldexp(local.coords, e_x).tobytes() == (P.coords - P.coords[0]).tobytes()
+    assert np.ldexp(local.weights, e_w).tobytes() == P.weights.tobytes()
+    assert 0.5 <= np.abs(local.coords).max() < 1.0 and 0.5 <= local.weights.max() < 1.0
+    frame = ClusteringResult.from_centers(local, local.coords[1:])
+    shift = e_w + 2 * e_x
+    assert res.centers.centers.tobytes() == P.coords[1:].tobytes()
+    assert res.assignment.tolist() == frame.assignment.tolist() == [1, 0, 1]
+    assert res.cost == math.ldexp(frame.cost, shift)
+    assert res.meta == {
+        "trial_costs": [math.ldexp(1.0, shift), math.ldexp(0.75, shift)],
+        "cost_history": [math.ldexp(2.0, shift), math.ldexp(1.0, shift)],
+        "tuple": 3,
+    }
+
+
+def test_local_frame_refuses_weights_that_vanish_beside_the_largest():
+    """A weight that the frame's power of two would flush to 0 is named."""
+    P = WeightedPointSet([[0.0], [1.0]], [1e-300, 1e300])
+    with pytest.raises(ValueError, match=r"^weight 1e-300 underflows to 0 beside the largest"):
+        SOLVERS["ptas"](P, 1, 0.5, None, 0, 1)
+
+
+# Four points on a line at k = 2, with equal weights, and the optimum.
+_HEAVY_CASES = [
+    pytest.param([0.0, 1.0, 4.0, 5.0], 4e307, 4e307, id="w4e307"),
+    pytest.param([0.0, 1.0, 4.0, 5.0], 1e308, 1e308, id="w1e308"),
+    pytest.param([0.0, 1e154, 2e154, 3e154], 1.0, 1.0000000000000002e308, id="spread"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", list(SOLVERS))
+def test_every_solver_solves_sums_past_float64(name):
+    """Sums that pass float64 in the input's units stay inside it in the frame.
+
+    Four weights of 4e307 or 1e308 at x = 0, 1, 4, 5 sum, and weigh their
+    squared distances, past float64; unit weights 1e154 apart have squared
+    distances and D^2 totals past it. Every solver returns the optimum
+    there, with finite centers and no warning. k-means++ and Lloyd may stop
+    in the local optimum of the spread, whose cost 2e308 is refused by
+    name. So are the 4e307 weights 1e10 apart, whose optimum costs 4e327.
+    Past 256 points the evaluator draws in two levels: unit weights over
+    [0, 3e153] have D^2 totals past float64 there too.
+    """
+    solver = SOLVERS[name]
+    ovr = {"c1": 8.0, "c2": 4.0}
+    for case in _HEAVY_CASES:
+        xs, w, opt = case.values
+        P = WeightedPointSet([[x] for x in xs], [w] * 4)
+        try:
+            res = solver(P, 2, 0.5, ovr, 0, 1)
+        except ValueError as exc:
+            assert name == "kmeanspp-lloyd" and case.id == "spread"
+            assert str(exc) == "cost 2.00e+308 overflows float64; scale the weights down"
+            continue
+        assert res.cost == opt and np.isfinite(res.centers.centers).all()
+    far = WeightedPointSet([[0.0], [1e10], [4e10], [5e10]], [4e307] * 4)
+    message = r"^cost 4\.00e\+327 overflows float64; scale the weights down$"
+    with pytest.raises(ValueError, match=message):
+        solver(far, 2, 0.5, ovr, 0, 1)
+    if name != "oracle":
+        line = WeightedPointSet(np.linspace(0.0, 3e153, 300)[:, None], np.ones(300))
+        res = solver(line, 2, 0.5, {"c1": 8.0, "c2": 0.5, "tuple_budget": 50}, 0, 1)
+        assert math.isfinite(res.cost) and np.isfinite(res.centers.centers).all()
 
 
 def test_point_file_roundtrip(tmp_path):

@@ -188,7 +188,7 @@ def test_inaba_accepts_fractional_weights():
 def test_null_sampling_count_gate():
     pts = make_points(7, 30, 2).coords
     gen = RandomSource(5).generator()
-    count_rate, full_rate = _null_sampling(0.25, 1.0, pts, 200, gen)
+    count_rate, full_rate, _ = _null_sampling(0.25, 1.0, pts, 200, gen)
     assert count_rate >= 0.99
     assert 0.0 <= full_rate <= count_rate
 
@@ -196,6 +196,6 @@ def test_null_sampling_count_gate():
 def test_null_sampling_full_experiment():
     pts = make_points(8, 25, 2).coords
     gen = RandomSource(6).generator()
-    count_rate, full_rate = _null_sampling(0.25, 1.0, pts, 100, gen)
+    count_rate, full_rate, _ = _null_sampling(0.25, 1.0, pts, 100, gen)
     assert full_rate >= 0.5
     assert full_rate <= count_rate

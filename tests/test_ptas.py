@@ -23,7 +23,7 @@ from wkmeans.ptas import (
 from wkmeans.oracle import brute_force_opt
 from wkmeans.sampling import _COUNT_MAX_TERMS, RandomSource
 
-from conftest import dyadic_points, make_points
+from conftest import dyadic_points, in_local_frame, make_points
 
 
 def test_params_default_to_theory_constants():
@@ -326,21 +326,17 @@ def _reference_run_tuple_batch(coords, weights, u):
     iteration writes the whole mass array cache * weights and draws from
     it, and a cost adds its row's masses in point order, one at a time, in
     float64. One-level rows work in float64 throughout. Two-level rows hold
-    the cache and masses in float32, over the offsets from point 0 divided
-    by 2^e_x and the weights divided by 2^e_w, each exponent the one that
-    puts the largest magnitude in [1/2, 1); a cost is scaled back by
-    2^(e_w + 2 e_x). Their block sums are the evaluator's einsum of the
-    cache against the weights, so every draw sees the evaluator's bytes.
+    the cache and masses in float32, over float32 copies of the coordinates,
+    the weights and each center. Their block sums are the evaluator's
+    einsum of the cache against the weights, so every draw sees the
+    evaluator's bytes.
     """
     k, D, B = u.shape
     n, d = coords.shape
     nb = _cdf_blocks(n, D)
-    origin = coords[0]
     if nb:
-        e_x = math.frexp(float(np.abs(coords - origin).max()))[1]
-        e_w = math.frexp(float(weights.max()))[1]
-        points_t = np.ascontiguousarray(np.ldexp(coords - origin, -e_x).T, dtype=np.float32)
-        w = np.ldexp(weights, -e_w).astype(np.float32)
+        points_t = np.ascontiguousarray(coords.T, dtype=np.float32)
+        w = weights.astype(np.float32)
         w_blocks = np.zeros(nb * _CDF_BLOCK, dtype=np.float32)
         w_blocks[:n] = w
         w_blocks = w_blocks.reshape(nb, _CDF_BLOCK)
@@ -386,7 +382,7 @@ def _reference_run_tuple_batch(coords, weights, u):
                 ci[dead] = blk_centers[dead, i - 1]
             blk_centers[:, i, :] = ci
             if nb:
-                ci = np.ldexp(ci - origin, -e_x).astype(np.float32)
+                ci = ci.astype(np.float32)
             d2 = cache_b if i == 0 else scratch_b
             _sq_dist_rows(points_t, ci, d2, diff_b)
             if i > 0:
@@ -395,7 +391,7 @@ def _reference_run_tuple_batch(coords, weights, u):
         cost = np.zeros(hi - lo)
         for p in range(n):
             cost += scratch_b[:, p]
-        costs[lo:hi] = np.ldexp(cost, e_w + 2 * e_x) if nb else cost
+        costs[lo:hi] = cost
     return costs, centers
 
 
@@ -457,8 +453,8 @@ def test_run_tuple_batch_matches_reference(seed, D, extra, tail, k, d, B, kind):
     """Two-level rows: the same centers bytewise, costs within float32 rounding.
 
     n > 2 * D * 128, so every row draws in two levels, on float32 caches
-    of scaled offsets from point 0 (so the geo kind keeps its digits). The
-    reference draws from whole mass arrays in one tier; its block sums are
+    of the inputs as the solvers' local frame gives them (so the geo kind
+    keeps its digits). The reference draws from whole mass arrays in one tier; its block sums are
     the evaluator's einsum, so the centers agree bytewise.
 
     The costs differ in summation only. Write m_p for the exact product of
@@ -468,8 +464,7 @@ def test_run_tuple_batch_matches_reference(seed, D, extra, tail, k, d, B, kind):
     products in float32, in any order, with or without fused multiply-adds
     (at most 128 roundings of u per term, gamma_128 = 128u / (1 - 128u)),
     and adds the nb block sums pairwise in float64 (at most nb - 1
-    roundings of v). Both scale back by the same power of two, exactly. All
-    terms are nonnegative, so relative to the sum of m_p the reference is
+    roundings of v). All terms are nonnegative, so relative to the sum of m_p the reference is
     within u + (n - 1)v and the evaluator within gamma_128 + (nb - 1)v, up
     to products of these; their difference over the reference's cost stays
     under 130u + 2(n + nb)v. Points on a few locations give rows whose mass
@@ -479,6 +474,7 @@ def test_run_tuple_batch_matches_reference(seed, D, extra, tail, k, d, B, kind):
     nb = _cdf_blocks(n, D)
     assert nb > 0
     coords, weights, u = _batch_case(seed, n, D, k, d, B, kind)
+    coords, weights = in_local_frame(coords, weights)
     costs, centers = _run_tuple_batch(coords, weights, u)
     ref_costs, ref_centers = _reference_run_tuple_batch(coords, weights, u)
     assert centers.tobytes() == ref_centers.tobytes()
@@ -528,61 +524,42 @@ def test_solve_rejects_nonpositive_k():
 
 
 @pytest.mark.filterwarnings("error")
-def test_solve_refuses_weight_totals_that_overflow():
-    """Four weights of 1e308 sum past float64: a ValueError names the total.
+def test_solve_solves_weight_totals_past_float64():
+    """Weights and D^2 totals past float64 in the input's units are solved.
 
-    Weights of 4e307 have a finite total, but every candidate's sum of 8
-    drawn weights overflows, so no cost is finite: the ValueError names the
-    sums, with no RuntimeWarning on the way. So does a D^2 total past
-    float64, with unit weights. 1e300 solves.
+    Four weights of 1e308 sum past float64, and every sum of 8 drawn
+    weights of 4e307 does; unit weights 1e154 apart have D^2 totals past
+    it. In the frame none of these sums overflows: each case returns its
+    optimum, with no warning.
     """
     coords = [[0.0], [1.0], [4.0], [5.0]]
-    overrides = {"c1": 8, "c2": 4, "tuple_budget": 50}
-    with pytest.raises(ValueError, match=r"weight total 4\.00e\+308 overflows float64"):
-        solve(WeightedPointSet(coords, [1e308] * 4), 2, 0.5, overrides)
-    with pytest.raises(ValueError, match="sums of drawn weights.*scale the weights down"):
-        solve(WeightedPointSet(coords, [4e307] * 4), 2, 0.5, overrides)
-    # Unit weights 1e154 apart: every D^2 total passes float64.
-    spread = [[0.0], [1e154], [2e154], [3e154]]
-    with pytest.raises(ValueError, match="no candidate has a finite cost"):
-        solve(WeightedPointSet(spread, [1.0] * 4), 2, 0.5, overrides)
-    assert math.isfinite(solve(WeightedPointSet(coords, [1e300] * 4), 2, 0.5, overrides).cost)
+    overrides = {"c1": 8.0, "c2": 4.0}
+    for w in (1e308, 4e307, 1e300):
+        assert solve(WeightedPointSet(coords, [w] * 4), 2, 0.5, overrides).cost == w
+    spread = WeightedPointSet([[0.0], [1e154], [2e154], [3e154]], [1.0] * 4)
+    assert solve(spread, 2, 0.5, overrides).cost == 1.0000000000000002e308
 
 
 @pytest.mark.filterwarnings("error")
-def test_overflowing_candidates_lose_to_finite_ones():
-    """A batch whose overflowing candidates cost nan keeps its finite ones.
-
-    Two heavy points at x = 1 and 1.001 hold 8e307 of the weight; a tuple
-    that draws five of them sums its weights past float64, and its centroid
-    and cost turn nan. About 40% of a batch does; the rest compete as usual.
+@pytest.mark.parametrize(
+    "n,span,ovr",
+    [
+        (4, 3e154, {"c1": 8.0, "c2": 4.0}),
+        (300, 3e153, {"c1": 8.0, "c2": 0.5, "tuple_budget": 50}),
+    ],
+    ids=["4", "300"],
+)
+def test_d2_totals_past_float64_leave_finite_centers(n, span, ovr):
+    """Unit weights over [0, span]: the D^2 total from the point at 0 passes
+    float64 in the input's units, but no total does in the frame, so the
+    centers and the cost are finite. n = 4 draws in one level, n = 300 in two.
     """
-    coords = np.concatenate([[1.0, 1.001], 2.0 + np.arange(90) * 1e-3])[:, None]
-    P = WeightedPointSet(coords, np.concatenate([[4e307, 4e307], np.full(90, 1e306)]))
-    u = RandomSource(0).generator().random((2, 8, 64))
-    with np.errstate(all="ignore"):
-        costs, _ = _run_tuple_batch(P.coords, P.weights, u)
-    assert 0 < np.isnan(costs).sum() < 64 and not np.isinf(costs).any()
-    res = solve(P, 2, 0.5, {"c1": 8.0, "c2": 4.0, "tuple_budget": 50})
-    assert math.isfinite(res.cost)
-    assert all(math.isfinite(c) for c in res.meta["trial_costs"])
-
-
-@pytest.mark.parametrize("n", [4, 300])
-def test_non_finite_d2_totals_give_nan_centers(n):
-    """A D^2 total past float64 leaves nothing to draw from: nan center, nan cost.
-
-    Unit weights spread over [0, 3e154] put a point at least 1.5e154 from
-    any first center, so every second draw's total is inf. n = 4 draws in
-    one level, n = 300 in two at M = 1.
-    """
-    P = WeightedPointSet(np.linspace(0.0, 3e154, n)[:, None], np.ones(n))
+    P = WeightedPointSet(np.linspace(0.0, span, n)[:, None], np.ones(n))
     assert (_cdf_blocks(n, 1) > 0) == (n == 300)
-    u = RandomSource(n).generator().random((2, 1, 16))
-    with np.errstate(all="ignore"):
-        costs, centers = _run_tuple_batch(P.coords, P.weights, u)
-    assert np.isfinite(centers[:, 0]).all()
-    assert np.isnan(centers[:, 1]).all() and np.isnan(costs).all()
+    with np.errstate(over="ignore"):
+        assert not np.isfinite((P.coords[:, 0] ** 2).sum())
+    res = solve(P, 2, 0.5, ovr)
+    assert math.isfinite(res.cost) and np.isfinite(res.centers.centers).all()
 
 
 def test_solve_refuses_coordinate_spreads_past_float64():
@@ -676,9 +653,10 @@ def test_meta_names_the_winning_trial_and_tuple():
     """best_trial is the first trial of least cost; best_tuple indexes its stream.
 
     Replaying the winning trial's sample stream batch by batch, as (k, M,
-    rows) draws, through the evaluator on the solver's frame (the points as
-    offsets from the first) puts the winning candidate, with the trial's
-    cost, at index best_tuple of the whole stream (the first of the
+    rows) draws, through the evaluator on the points as offsets from the
+    first (the solver's frame up to its powers of two, which change no draw
+    and scale the costs exactly) puts the winning candidate, with the
+    trial's cost, at index best_tuple of the whole stream (the first of the
     least-cost ones); its centers plus the first point are the returned
     ones. Two full batches per trial, so some winners sit in the second
     batch.
@@ -910,29 +888,38 @@ def test_solve_is_exact_under_dyadic_translation(n):
 
 
 def test_two_level_draws_do_not_depend_on_an_offset(monkeypatch):
-    """The evaluator re-centres its float32 copies on point 0.
+    """The solvers' frame, not the evaluator, re-centres and scales the points.
 
-    Points at offset 2^22 (float32 spacing 0.5 there) draw the same points
-    as the unshifted ones, tuple for tuple; the costs agree to float32
-    rounding, since the centers' offsets round differently in float64.
+    `solve` hands `_run_tuple_batch` the frame's inputs: point 0 at the
+    origin, and the largest coordinate and weight magnitudes in [1/2, 1).
+    Points at offset 2^22, where float32 spacing is 0.5, so reach it as the
+    unshifted points' bytes and draw the same points, tuple for tuple.
     """
     P = dyadic_points(3000)
-    u = RandomSource(7).generator().random((3, 8, 64))
     assert _cdf_blocks(P.n, 8) > 0
-    draws = []
-    centroids = ptas._centroids
+    inputs, draws = [], []
+    run, centroids = ptas._run_tuple_batch, ptas._centroids
 
-    def spy(coords_t, weights, cols):
+    def spy_run(coords, weights, u):
+        inputs.append((coords.copy(), weights.copy()))
+        return run(coords, weights, u)
+
+    def spy_centroids(coords_t, weights, cols):
         draws.append(cols.copy())
         return centroids(coords_t, weights, cols)
 
-    monkeypatch.setattr(ptas, "_centroids", spy)
-    costs, _ = _run_tuple_batch(P.coords, P.weights, u)
-    moved_costs, _ = _run_tuple_batch(P.coords + 2.0**22, P.weights, u)
+    monkeypatch.setattr(ptas, "_run_tuple_batch", spy_run)
+    monkeypatch.setattr(ptas, "_centroids", spy_centroids)
+    ovr = {"c1": 8.0, "c2": 4.0, "trials": 1, "tuple_budget": 64}
+    for Q in (P, WeightedPointSet(P.coords + 2.0**22, P.weights)):
+        solve(Q, 3, 0.5, ovr, master_seed=7)
+    (coords, weights), moved = inputs
+    assert not coords[0].any()
+    assert 0.5 <= np.abs(coords).max() < 1.0 and 0.5 <= weights.max() < 1.0
+    assert moved[0].tobytes() == coords.tobytes() and moved[1].tobytes() == weights.tobytes()
     assert len(draws) == 6
-    for base, moved in zip(draws[:3], draws[3:]):
-        np.testing.assert_array_equal(moved, base)
-    np.testing.assert_allclose(moved_costs, costs, rtol=2.0**-16, atol=0.0)
+    for base, shifted in zip(draws[:3], draws[3:]):
+        np.testing.assert_array_equal(shifted, base)
 
 
 def test_evaluator_memory_is_bounded_for_large_n():

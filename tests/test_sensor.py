@@ -1,6 +1,6 @@
 import json
 import math
-import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +21,6 @@ from wkmeans.sensor import (
     decomposition_check,
     discretize,
     load_region,
-    normalize_density,
     place_sensors,
 )
 
@@ -83,16 +82,31 @@ def test_clip_cell_cases():
 
 
 def test_normalize_density_unit_mass():
-    region = normalize_density(SensorRegion(TRI, UniformDensity()))
-    assert region.density_scale == pytest.approx(2.0, rel=1e-12)
-    disc = discretize(region, 1.0)
-    assert disc.as_point_set.total_weight == pytest.approx(1.0, rel=1e-12)
+    """place_sensors normalizes the density by the exact mass of the mesh it
+    builds: the reported cells weigh 1 in all, to 1e-12, and their masses,
+    inertias and coverage are the unnormalized mesh's over that mass. On the
+    bump hexagon a 64-node rule over the whole region, the normalization
+    this replaced, left the mesh weighing 0.9779."""
+    for region, grid in ((SensorRegion(TRI, UniformDensity()), 1.0), (_bumps_region(), 0.05)):
+        report = place_sensors(region, 2, 0.5, grid, solver="kmeanspp-lloyd", master_seed=3)
+        mesh = discretize(region, grid)
+        mass = math.fsum(mesh.weights.tolist())
+        assert abs(report.discretization.as_point_set.total_weight - 1.0) <= 1e-12
+        assert report.discretization.vertices.tobytes() == mesh.vertices.tobytes()
+        assert report.discretization.weights.tobytes() == (mesh.weights / mass).tobytes()
+        assert report.inertia_sum == pytest.approx(mesh.inertia_sum / mass, rel=1e-15)
+        raw = coverage_cost(region, report.centers, mesh)
+        assert report.coverage == raw / mass
 
 
 def test_normalize_density_zero_mass():
     flat = RasterDensity((0.0, 0.0), 1.0, np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="zero mass"):
-        normalize_density(SensorRegion(UNIT, flat))
+    for place in (
+        lambda: discretize(SensorRegion(UNIT, flat), 0.5),
+        lambda: place_sensors(SensorRegion(UNIT, flat), 1, 0.5, 0.5),
+    ):
+        with pytest.raises(ValueError, match="^density has zero mass on the region$"):
+            place()
 
 
 def test_discretize_unit_square_half_grid(unit_square):
@@ -358,7 +372,7 @@ def test_pricing_refuses_centers_of_another_dimension():
 
 
 def test_coverage_cost_matches_scipy_backed_density():
-    """Normalising and pricing the bump hexagon agree with a scipy density to 1e-12."""
+    """Meshing and pricing the bump hexagon agree with a scipy density to 1e-12."""
 
     class ScipyMixture:
         def __init__(self, density):
@@ -369,10 +383,9 @@ def test_coverage_cost_matches_scipy_backed_density():
 
     ours = _bumps_region()
     theirs = SensorRegion(ours.polygon, ScipyMixture(ours.density))
-    ours, theirs = normalize_density(ours), normalize_density(theirs)
-    assert ours.density_scale == pytest.approx(theirs.density_scale, rel=1e-12)
-    centers = np.array([[0.3, 0.3], [0.7, 0.6]])
     mesh = discretize(ours, 0.05)
+    assert discretize(theirs, 0.05).inertia_sum == pytest.approx(mesh.inertia_sum, rel=1e-12)
+    centers = np.array([[0.3, 0.3], [0.7, 0.6]])
     assert coverage_cost(ours, centers, mesh) == pytest.approx(
         coverage_cost(theirs, centers, mesh), rel=1e-12
     )
@@ -834,7 +847,7 @@ def test_clip_squares_matches_reference_clip(points, corners, shift):
 
 def test_place_sensors_counts_clipped_cells():
     """meta's n_clipped_cells is the oracle's count of cells clipping changed."""
-    region = normalize_density(_bumps_region())
+    region = _bumps_region()
     grid = 0.05
     report = place_sensors(region, 3, 0.5, grid, solver="kmeanspp-lloyd", master_seed=2)
     pairs = _clip_every_square(region.polygon, grid)
@@ -864,8 +877,8 @@ _BLOCK_SIZES = (1, 7, 100, 1 << 12, 1 << 14, 1 << 40)
 )
 @example(None, 0.05, 0.0, [(0.3, 0.3), (0.7, 0.6)])
 def test_output_bytes_do_not_depend_on_block_size(points, grid_eps, shift, centers):
-    """The density scale, every mesh array and the mesh coverage agree
-    bytewise at any block size.
+    """Every mesh array and the mesh coverage agree bytewise at any block
+    size.
 
     points None stands for the bump hexagon; otherwise their convex hull
     carries the same three bumps. Blocks of 1 and 7 nodes hold one polygon
@@ -887,21 +900,13 @@ def test_output_bytes_do_not_depend_on_block_size(points, grid_eps, shift, cente
     region = SensorRegion(poly + shift, density)
     centers = np.array(centers) + shift
     outputs = []
-    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-        # A hull far from the bumps has negligible mass; its rescale warns.
-        warnings.simplefilter("ignore")
+    with pytest.MonkeyPatch.context() as mp:
         for block in _BLOCK_SIZES:
             mp.setattr(sensor, "_BLOCK_NODES", block)
-            normalized = normalize_density(region)
-            out = [normalized.density_scale]
-            try:
-                mesh = discretize(normalized, grid_eps)
-            except ValueError as exc:  # no cell above DROP_WEIGHT, at every size alike
-                outputs.append(out + [str(exc)])
-                continue
-            cost = coverage_cost(normalized, centers, mesh=mesh)
+            mesh = discretize(region, grid_eps)
+            cost = coverage_cost(region, centers, mesh=mesh)
             bytes_ = _discretization_bytes(mesh) + mesh.starts.tobytes()
-            outputs.append(out + [bytes_, mesh.n_clipped, cost])
+            outputs.append([bytes_, mesh.n_clipped, cost])
     assert all(out == outputs[0] for out in outputs[1:])
 
 
@@ -911,7 +916,7 @@ def test_cell_moments_match_long_double_recomputation():
     Whole grid squares take the product rule on their own sides, clipped
     pieces the fan of triangle rules.
     """
-    region = normalize_density(_bumps_region())
+    region = _bumps_region()
     disc = discretize(region, 0.02)
     assert 0 < disc.n_clipped < disc.weights.shape[0]
     nodes, ref_w = sensor._tri_rule(4)
@@ -1003,7 +1008,7 @@ def _integrated_coverage(region, mesh, centers) -> float:
     priced in closed form."""
     cost = sensor._integrate_cells(
         region.local, mesh.vertices, mesh.starts[:-1], np.diff(mesh.starts), sensor._QUAD_ORDER,
-        centers - mesh.origin, ~mesh.clipped,
+        ~mesh.clipped, centers - mesh.origin,
     )[3]
     return math.fsum(cost.tolist())
 
@@ -1176,7 +1181,6 @@ def _placement_bytes(report, region) -> tuple:
         disc.weights.tobytes(),
         disc.coms.tobytes(),
         disc.inertias.tobytes(),
-        normalize_density(region).density_scale.hex(),
         report.quantization_cost.hex(),
         report.coverage.hex(),
         report.inertia_sum.hex(),
@@ -1283,17 +1287,18 @@ def test_patching_after_the_region_is_built_sees_every_call(monkeypatch):
 
 
 @pytest.mark.parametrize("poly, shift", [(UNIT, 0.0), (HEXAGON, 1e5 + 0.37)])
-def test_normalize_density_shares_the_region_geometry(poly, shift):
-    """Normalizing sets density_scale on the region and its local view, and nothing else.
+def test_region_copy_with_a_new_scale_shares_the_geometry(poly, shift):
+    """A copy with another density_scale sets it on the region and its local
+    view, and nothing else.
 
-    The result places sensors bytewise as the region built again from the
+    The copy places sensors bytewise as the region built again from the
     input's polygon and density at the same scale. The unit square is its
     own local view, the hexagon is not.
     """
     bumps = _bumps_region().density
     density = GaussianMixtureDensity(bumps.means + shift, bumps.covariances, bumps.mixing)
     region = SensorRegion(poly + shift, density)
-    normalized = normalize_density(region)
+    normalized = replace(region, density_scale=0.3)
     assert normalized.polygon.tobytes() == region.polygon.tobytes()
     assert normalized.local.local is normalized.local
     assert (normalized.local is normalized) == (region.local is region)
