@@ -8,9 +8,9 @@ The solvers that cluster, sensor and bench run, and the names --solver and
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 an instance too large for the exact oracle. All randomness flows from
---seed (default 0); result payloads contain no timestamps or thread counts,
-so identical configurations produce byte-identical files regardless of
---threads.
+--seed (default 0) and result payloads contain no timestamps, so identical
+configurations produce byte-identical files. JSON is written without NaN or
+Infinity tokens; a value that would need one is an error.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def _ptas_overrides(args: argparse.Namespace) -> dict:
 
 
 def _add_ptas_flags(p: argparse.ArgumentParser) -> None:
-    """The PTAS, seed, thread and output flags of cluster, sensor and bench."""
+    """The PTAS, seed and output flags of cluster, sensor and bench."""
     p.add_argument("--epsilon", type=float, default=0.5, help="target accuracy")
     p.add_argument(
         "--c1",
@@ -90,7 +90,6 @@ def _add_ptas_flags(p: argparse.ArgumentParser) -> None:
         help="derive N, M from the reduced accuracy eps/((1+eps/2)k)",
     )
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--threads", type=_positive_int, default=1, help="worker thread cap")
     p.add_argument("--output", type=Path, default=None, help="result file (default stdout)")
 
 
@@ -108,15 +107,13 @@ def _emit(text: str, output: Path | None) -> None:
 
 
 def _json_document(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     P = load_weighted_points(args.input)
     started = time.perf_counter()
-    result = SOLVERS[args.solver](
-        P, args.k, args.epsilon, _ptas_overrides(args), args.seed, args.threads
-    )
+    result = SOLVERS[args.solver](P, args.k, args.epsilon, _ptas_overrides(args), args.seed)
     elapsed = time.perf_counter() - started
 
     if args.format == "csv":
@@ -162,7 +159,6 @@ def cmd_sensor(args: argparse.Namespace) -> int:
         solver=args.solver,
         master_seed=args.seed,
         overrides=_ptas_overrides(args),
-        threads=args.threads,
     )
     elapsed = time.perf_counter() - started
     payload = {
@@ -227,9 +223,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for j in range(args.repeat):
                 seed = args.seed + j
                 started = time.perf_counter()
-                cost = SOLVERS[solver](
-                    inst.points, inst.k, args.epsilon, overrides, seed, args.threads
-                ).cost
+                cost = SOLVERS[solver](inst.points, inst.k, args.epsilon, overrides, seed).cost
                 elapsed = time.perf_counter() - started
                 rows.append(
                     (inst.name, solver, seed, cost, cost / inst.opt_cost, elapsed)

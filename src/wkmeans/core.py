@@ -300,6 +300,14 @@ class ClusteringResult:
         return cls(cs, assignment, _cost(P.weights, d2), dict(meta or {}))
 
 
+def _scaled_back(cost: float, shift: int) -> float | None:
+    """cost * 2^shift, or None when that passes float64."""
+    try:
+        return math.ldexp(cost, shift)
+    except OverflowError:
+        return None
+
+
 def _in_local_frame(P: WeightedPointSet, solve) -> ClusteringResult:
     """solve(P) run on P in the one frame every solver shares.
 
@@ -310,7 +318,10 @@ def _in_local_frame(P: WeightedPointSet, solve) -> ClusteringResult:
     top of float64, and float32 copies keep their digits at any offset. The
     centers are multiplied back and the origin added once; the cost,
     meta["trial_costs"] and meta["cost_history"] are multiplied by
-    2^(e_w + 2 e_x). The assignment and the rest of meta are solve's.
+    2^(e_w + 2 e_x). A meta entry that this takes past float64 becomes None
+    (JSON null), never inf: with four weights of 1e308, the k-means++ seed
+    that Lloyd polishes to the finite optimum costs more than float64
+    holds. The assignment and the rest of meta are solve's.
     Powers of two, and a translation that moves every coordinate exactly,
     commute with every operation the solvers make, so weights or
     coordinates times 2^j, or such a shift, move no output byte but the
@@ -340,20 +351,18 @@ def _in_local_frame(P: WeightedPointSet, solve) -> ClusteringResult:
         )
     res = solve(WeightedPointSet(local_t.T, weights))
     shift = e_w + 2 * e_x
-    try:
-        cost = math.ldexp(res.cost, shift)
-    except OverflowError:
+    cost = _scaled_back(res.cost, shift)
+    if cost is None:
         exp10 = math.log10(res.cost) + shift * math.log10(2.0)
         whole = math.floor(exp10)
         raise ValueError(
             f"cost {10.0 ** (exp10 - whole):.2f}e+{whole} overflows float64;"
             " scale the weights down"
-        ) from None
+        )
     meta = dict(res.meta)
-    with np.errstate(over="ignore"):
-        for key in ("trial_costs", "cost_history"):
-            if key in meta:
-                meta[key] = np.ldexp(meta[key], shift).tolist()
+    for key in ("trial_costs", "cost_history"):
+        if key in meta:
+            meta[key] = [_scaled_back(c, shift) for c in meta[key]]
     centers = CenterSet(np.ldexp(res.centers.centers, e_x) + origin)
     return replace(res, centers=centers, cost=cost, meta=meta)
 

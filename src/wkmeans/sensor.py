@@ -293,17 +293,15 @@ def _inside_slack(polygon: np.ndarray, side) -> np.ndarray:
 class SensorRegion:
     """Convex region (CCW polygon) with an importance density over it.
 
-    density_scale multiplies the density, so that densities stay reusable
-    across regions; phi() is the scaled density. origin is the first
-    vertex; local, built once with `_shifted`, is the region as offsets from
-    it (the region itself when its origin is (0, 0)). Both are derived here
-    and nowhere else, so a copy with another field, such as
-    `replace(region, density_scale=s)`, is checked and shifted again.
+    origin is the first vertex; local, built once with `_shifted`, is the
+    region as offsets from it (the region itself when its origin is
+    (0, 0)). Both are derived here and nowhere else, so a copy with another
+    field, such as `replace(region, density=other)`, is checked and shifted
+    again.
     """
 
     polygon: np.ndarray
     density: Density
-    density_scale: float = 1.0
     origin: np.ndarray = field(init=False, repr=False)
     local: SensorRegion = field(init=False, repr=False, compare=False)
 
@@ -323,8 +321,6 @@ class SensorRegion:
         cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
         if np.any(cross < -1e-12 * _extent(poly) ** 2):
             raise ValueError("region must be convex")
-        if self.density_scale <= 0.0:
-            raise ValueError("density_scale must be positive")
         poly = poly.copy()
         poly.setflags(write=False)
         object.__setattr__(self, "polygon", poly)
@@ -332,11 +328,8 @@ class SensorRegion:
         local = self
         if poly[0].any():
             shifted = _shifted(self.density, poly[0])
-            local = SensorRegion(poly - poly[0], shifted, self.density_scale)
+            local = SensorRegion(poly - poly[0], shifted)
         object.__setattr__(self, "local", local)
-
-    def phi(self, pts: np.ndarray) -> np.ndarray:
-        return self.density.evaluate(pts) * self.density_scale
 
 
 class RegionFileError(ValueError):
@@ -477,18 +470,19 @@ def _integrate_cells(
 
     Every integral of the module goes through here, with one of two rules
     of order q = `order`. Polygon i is vertices[first[i]:first[i] + count[i]];
-    the vertices, the centers and region.phi share one frame, which every
+    the vertices, the centers and region.density share one frame, which every
     caller takes local. Where square[i] is set, polygon i is a whole grid
     square listed CCW from its lower-left corner, and takes the q x q
     Gauss-Legendre product rule (`_square_nodes`: q^2 nodes, exact to degree
     2q - 1 in each variable). Every other polygon is grouped by vertex count
     and each group is fan-triangulated from its first vertex at once
     (`_fan_nodes`: q^2 nodes per triangle, exact to total degree 2q - 2).
-    Whole polygons are taken in blocks of about _BLOCK_NODES nodes, phi is
-    evaluated once per block, and every sum runs over one polygon's nodes in a fixed order, so no result
-    depends on the block size. Moments are taken about the anchor, the first
-    vertex: the center of mass is the anchor plus the mean node offset, and
-    the inertia is the second moment about it. The coverage cost (phi times
+    Whole polygons are taken in blocks of about _BLOCK_NODES nodes, the
+    density is evaluated once per block, and every sum runs over one
+    polygon's nodes in a fixed order, so no result depends on the block
+    size. Moments are taken about the anchor, the first vertex: the center
+    of mass is the anchor plus the mean node offset, and the inertia is the
+    second moment about it. The coverage cost (the density times
     the squared distance to the nearest of `centers`) stays zero unless
     centers are given.
     """
@@ -513,7 +507,7 @@ def _integrate_cells(
             pts = np.empty((idx.shape[0], per_poly, 2))
             for j in range(2):
                 np.add(anchor[j][:, None], local[j], out=pts[..., j])
-            node_mass *= region.phi(pts.reshape(-1, 2)).reshape(-1, per_poly)
+            node_mass *= region.density.evaluate(pts.reshape(-1, 2)).reshape(-1, per_poly)
             w = node_mass.sum(axis=1)
             safe = np.where(w > 0.0, w, 1.0)
             off = []
@@ -829,8 +823,14 @@ def place_sensors(
     quantization cost minus inertia sum) and decomposition_gap_rel (the gap
     over the coverage). Notes on a grid too coarse for the region or for
     the accuracy go to the report's warnings, not to the warnings module.
+
+    threads changes nothing and must be a positive int, checked with k. It
+    stays only because the benchmark's workloads (`bench/workloads.py`)
+    pass it, 1 in the closed loop and 2 in the traced byte check; it goes
+    once they stop.
     """
     _check_positive_int("k", k)
+    _check_positive_int("threads", threads)
     if solver not in SOLVERS:
         raise ValueError(f"unsupported solver {solver!r}; known: {', '.join(SOLVERS)}")
     _check_seed(master_seed)
@@ -841,7 +841,7 @@ def place_sensors(
     if disc.weights.shape[0] == 1:
         notes.append("grid coarser than region: single-cell discretization")
     X = WeightedPointSet(disc.coms, disc.weights)
-    result = SOLVERS[solver](X, k, epsilon, overrides, master_seed, threads)
+    result = SOLVERS[solver](X, k, epsilon, overrides, master_seed)
     inertia = disc.inertia_sum
     coverage = coverage_cost(region.local, result.centers, mesh=mesh) / mass
     if coverage > 0.0 and inertia > INERTIA_WARN_FRACTION * coverage:

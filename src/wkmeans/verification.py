@@ -233,8 +233,8 @@ def _solver_mismatches(rng: RandomSource, moves) -> float:
     by cs and adds t; solved again, it must give the base run's assignment,
     centers times cs plus t and cost times ws cs^2, byte for byte.
     """
-    # Epsilon, overrides, seed and threads: 2 PTAS trials of 64 tuples.
-    args = (0.5, {"c1": 8.0, "c2": 4.0, "trials": 2, "tuple_budget": 64}, 0, 1)
+    # Epsilon, overrides and seed: 2 PTAS trials of 64 tuples.
+    args = (0.5, {"c1": 8.0, "c2": 4.0, "trials": 2, "tuple_budget": 64}, 0)
     bad = 0
     for i in range(20):
         R = instances.random_instance(rng.derive(i), max_n=8, max_dim=3)

@@ -22,10 +22,19 @@ def run(argv):
     return cli.main(argv)
 
 
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def load_json(path):
+    """A JSON file the CLI wrote, refusing NaN, Infinity and -Infinity."""
+    return json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
 def test_cluster_default_json(tmp_path):
     out = tmp_path / "result.json"
     assert run(["cluster", "--seed", "7", "--output", str(out)]) == 0
-    payload = json.loads(out.read_text())
+    payload = load_json(out)
     assert payload["command"] == "cluster"
     assert payload["k"] == 2
     assert payload["solver"] == "ptas"
@@ -34,8 +43,8 @@ def test_cluster_default_json(tmp_path):
     assert len(payload["centers"]) == 2
     assert len(payload["assignment"]) == 4
     assert payload["meta"]["master_seed"] == 7
-    # Byte-determinism across thread counts depends on payloads carrying no
-    # timing or machine facts.
+    # Byte-determinism depends on payloads carrying no timing or machine
+    # facts.
     flat = json.dumps(payload)
     assert "wall" not in flat and "thread" not in flat
 
@@ -46,7 +55,7 @@ def test_cluster_desk_constants_near_optimal(tmp_path):
     out = tmp_path / "desk.json"
     args = ["cluster", "--c1", "8", "--c2", "4", "--seed", "7", "--output", str(out)]
     assert run(args) == 0
-    payload = json.loads(out.read_text())
+    payload = load_json(out)
     assert 1.0 - 1e-12 <= payload["cost"] <= 1.5
 
 
@@ -75,7 +84,7 @@ def test_cluster_csv_format(tmp_path):
 def test_cluster_oracle_solver(tmp_path):
     out = tmp_path / "oracle.json"
     assert run(["cluster", "--solver", "oracle", "--output", str(out)]) == 0
-    payload = json.loads(out.read_text())
+    payload = load_json(out)
     assert payload["cost"] == 1.0
     assert payload["meta"]["groups"] == [[0, 1], [2, 3]]
 
@@ -97,8 +106,6 @@ def test_cluster_usage_errors(tmp_path):
         ["--tuple-budget", "2.5"],
         ["--tuple-budget", "0"],
         ["--trials", "2.5"],
-        ["--threads", "-3"],
-        ["--threads", "0"],
         ["--k", "0"],
         ["--k", "2.5"],
         ["--repeat", "0"],
@@ -159,7 +166,7 @@ def test_cluster_solves_weight_totals_past_float64(tmp_path, solver):
         save_weighted_points(path, WeightedPointSet([[0.0], [1.0], [4.0], [5.0]], [w] * 4))
         argv = ["cluster", "--input", str(path), "--solver", solver, "--c2", "4"]
         assert run([*argv, "--output", str(out)]) == 0
-        assert json.loads(out.read_text())["cost"] == w
+        assert load_json(out)["cost"] == w
 
 
 @pytest.mark.filterwarnings("error")
@@ -173,7 +180,7 @@ def test_oracle_names_overflowing_weight_products():
     res = brute_force_opt(P, 2)
     assert res.meta["groups"] == [[0, 1], [2, 3]] and res.cost == 4e307
     P = WeightedPointSet([[0.0], [1e10], [4e10], [5e10]], [4e307] * 4)
-    for solve in (lambda: brute_force_opt(P, 2), lambda: SOLVERS["oracle"](P, 2, 0.5, None, 0, 1)):
+    for solve in (lambda: brute_force_opt(P, 2), lambda: SOLVERS["oracle"](P, 2, 0.5, None, 0)):
         with pytest.raises(
             ValueError, match=r"^cost 4\.00e\+327 overflows float64; scale the weights down$"
         ):
@@ -208,11 +215,42 @@ def test_cluster_names_overflowing_weight_products(tmp_path, capsys, solver, xs,
     assert err[0].endswith("overflows float64; scale the weights down")
 
 
+@pytest.mark.filterwarnings("error")
+def test_cluster_writes_null_for_a_cost_history_past_float64(tmp_path, capsys):
+    """Unit weights at x = 0, 1e154, 2e154, 3e154, seed 2: k-means++ seeds
+    a placement costing 2e308, past float64, and Lloyd then reaches the
+    optimum, 1e308. kmeanspp-lloyd writes that optimum with null for the
+    seed's cost, where the JSON once held Infinity; the PTAS's own cost
+    passes float64, so it exits 2 naming it and writes no file.
+    """
+    path, out = tmp_path / "spread.csv", tmp_path / "out.json"
+    xs = [0.0, 1e154, 2e154, 3e154]
+    save_weighted_points(path, WeightedPointSet([[x] for x in xs], [1.0] * 4))
+    argv = ["cluster", "--input", str(path), "--seed", "2", "--output", str(out)]
+    assert run([*argv, "--solver", "kmeanspp-lloyd"]) == 0
+    payload = load_json(out)
+    assert payload["cost"] == 1.0000000000000002e308
+    assert payload["meta"]["cost_history"] == [None, payload["cost"], payload["cost"]]
+    out.unlink()
+    capsys.readouterr()
+    assert run([*argv, "--solver", "ptas"]) == 2
+    assert not out.exists()
+    want = "error: cost 2.20e+308 overflows float64; scale the weights down"
+    assert capsys.readouterr().err.splitlines() == [want]
+
+
+def test_json_document_refuses_non_finite_values():
+    """No NaN or Infinity token reaches a result file."""
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._json_document({"cost": value})
+
+
 @pytest.mark.parametrize("solver", list(SOLVERS))
 def test_cluster_runs_every_solver(tmp_path, solver):
     out = tmp_path / "result.json"
     assert run(["cluster", "--solver", solver, "--output", str(out)]) == 0
-    payload = json.loads(out.read_text())
+    payload = load_json(out)
     assert payload["solver"] == payload["meta"]["solver"] == solver
     # The bundled points have optimal cost 1 at k = 2.
     assert payload["cost"] >= 1.0 - 1e-12
@@ -256,7 +294,7 @@ def test_sensor_default_region(tmp_path):
         ]
     )
     assert code == 0
-    payload = json.loads(out.read_text())
+    payload = load_json(out)
     assert payload["command"] == "sensor"
     assert payload["k"] == 1
     assert payload["grid_eps"] == 0.25
@@ -288,7 +326,7 @@ def test_sensor_runs_every_solver(tmp_path, capsys, solver):
     assert run(argv) == 0
     # The coarse-grid note is printed once, from the report.
     assert capsys.readouterr().err.count("too coarse") == 1
-    payload = json.loads(out.read_text())
+    payload = load_json(out)
     assert payload["solver"] == payload["meta"]["solver"] == solver
     assert payload["n_cells"] == 4
     # Four cells of mass 1/4 at the quarter points, paired along one side.
@@ -300,7 +338,7 @@ def test_sensor_oracle_is_brute_force_on_the_cells(tmp_path, capsys):
     argv = ["sensor", "--solver", "oracle", "--k", "2", "--grid-eps", "0.5",
             "--output", str(out), "--points-output", str(cells)]
     assert run(argv) == 0
-    payload = json.loads(out.read_text())
+    payload = load_json(out)
     exact = brute_force_opt(load_weighted_points(cells), 2)
     assert payload["centers"] == exact.centers.centers.tolist()
     assert payload["meta"]["groups"] == exact.meta["groups"]
@@ -728,25 +766,6 @@ def test_bench_usage_errors():
     assert run(["bench", "--solvers", "ptas,magic"]) == 2
 
 
-def test_threads_do_not_change_bytes(tmp_path):
-    args = [
-        "cluster",
-        "--c1",
-        "2",
-        "--c2",
-        "1",
-        "--tuple-budget",
-        "50",
-        "--seed",
-        "5",
-    ]
-    one = tmp_path / "t1.json"
-    eight = tmp_path / "t8.json"
-    assert run(args + ["--threads", "1", "--output", str(one)]) == 0
-    assert run(args + ["--threads", "8", "--output", str(eight)]) == 0
-    assert one.read_bytes() == eight.read_bytes()
-
-
 def _fresh_import(imports: str, check: str) -> None:
     """Run `import <imports>` in a new interpreter on this checkout, then `assert <check>`."""
     src = str(Path(wkmeans.__file__).resolve().parents[1])
@@ -770,8 +789,13 @@ def test_import_does_not_load_scipy_stats():
 
 
 def test_import_does_not_load_the_thread_pool():
-    """concurrent.futures costs every fresh interpreter ~7.5 ms; only threads > 1 needs it."""
-    _fresh_import("wkmeans.ptas, wkmeans.sensor", "'concurrent.futures' not in sys.modules")
+    """Trials run in one thread: no module imports concurrent.futures, not
+    even a solve at the threads=2 the benchmark's byte check passes."""
+    _fresh_import(
+        "wkmeans.cli, wkmeans.instances, wkmeans.ptas, wkmeans.verification",
+        "wkmeans.ptas.solve(wkmeans.instances.line4().points, 2, 0.5, {'c2': 4.0},"
+        " threads=2).cost > 0 and 'concurrent.futures' not in sys.modules",
+    )
 
 
 def test_import_loads_no_solver_module():
@@ -796,7 +820,7 @@ def test_sensor_writes_outputs_in_the_region_files_frame(tmp_path):
     argv = ["sensor", "--region", str(region_path), "--k", "2", "--grid-eps", "0.125",
             "--solver", "kmeanspp-lloyd", "--seed", "4", "--output", str(out)]
     assert run(argv) == 0
-    payload = json.loads(out.read_text())
+    payload = load_json(out)
     region, _ = load_region(region_path)
     report = place_sensors(region, 2, 0.5, 0.125, solver="kmeanspp-lloyd", master_seed=4)
     assert payload["centers"] == report.centers.centers.tolist()

@@ -299,11 +299,26 @@ def test_local_frame_scales_by_powers_of_two():
     }
 
 
+def test_local_frame_writes_none_for_a_meta_cost_past_float64():
+    """A cost_history entry that passes float64 when scaled back becomes
+    None, never inf, beside a final cost, 0, that fits. The frame scales
+    costs by 2^(1 + 2 * 512) here, so 2.0 would come back as 2^1026."""
+    P = WeightedPointSet([[0.0], [1e154]], [1.0, 1.0])
+
+    def solve(local):
+        meta = {"cost_history": [2.0, 2.0**-1025, 0.0]}
+        return ClusteringResult.from_centers(local, local.coords, meta)
+
+    res = core._in_local_frame(P, solve)
+    assert res.cost == 0.0
+    assert res.meta["cost_history"] == [None, 1.0, 0.0]
+
+
 def test_local_frame_refuses_weights_that_vanish_beside_the_largest():
     """A weight that the frame's power of two would flush to 0 is named."""
     P = WeightedPointSet([[0.0], [1.0]], [1e-300, 1e300])
     with pytest.raises(ValueError, match=r"^weight 1e-300 underflows to 0 beside the largest"):
-        SOLVERS["ptas"](P, 1, 0.5, None, 0, 1)
+        SOLVERS["ptas"](P, 1, 0.5, None, 0)
 
 
 # Four points on a line at k = 2, with equal weights, and the optimum.
@@ -334,7 +349,7 @@ def test_every_solver_solves_sums_past_float64(name):
         xs, w, opt = case.values
         P = WeightedPointSet([[x] for x in xs], [w] * 4)
         try:
-            res = solver(P, 2, 0.5, ovr, 0, 1)
+            res = solver(P, 2, 0.5, ovr, 0)
         except ValueError as exc:
             assert name == "kmeanspp-lloyd" and case.id == "spread"
             assert str(exc) == "cost 2.00e+308 overflows float64; scale the weights down"
@@ -343,10 +358,10 @@ def test_every_solver_solves_sums_past_float64(name):
     far = WeightedPointSet([[0.0], [1e10], [4e10], [5e10]], [4e307] * 4)
     message = r"^cost 4\.00e\+327 overflows float64; scale the weights down$"
     with pytest.raises(ValueError, match=message):
-        solver(far, 2, 0.5, ovr, 0, 1)
+        solver(far, 2, 0.5, ovr, 0)
     if name != "oracle":
         line = WeightedPointSet(np.linspace(0.0, 3e153, 300)[:, None], np.ones(300))
-        res = solver(line, 2, 0.5, {"c1": 8.0, "c2": 0.5, "tuple_budget": 50}, 0, 1)
+        res = solver(line, 2, 0.5, {"c1": 8.0, "c2": 0.5, "tuple_budget": 50}, 0)
         assert math.isfinite(res.cost) and np.isfinite(res.centers.centers).all()
 
 

@@ -848,9 +848,7 @@ def test_output_bytes_do_not_depend_on_block_size(monkeypatch, P, k, ovr):
         monkeypatch.setattr(ptas, "_BLOCK_VALUES", sub * P.n)
         monkeypatch.setattr(ptas, "_DRAW_VALUES", outer * P.n)
         monkeypatch.setattr(sampling, "_COUNT_MAX_TERMS", cutoff)
-        for threads in (1, 2):
-            res = solve(P, k, 0.5, ovr, master_seed=11, threads=threads)
-            outputs.append(_result_bytes(res))
+        outputs.append(_result_bytes(solve(P, k, 0.5, ovr, master_seed=11)))
     assert all(out == outputs[0] for out in outputs[1:])
 
 
@@ -880,7 +878,7 @@ def test_solve_is_exact_under_dyadic_translation(n):
         for shift in (2.0**17, 2.0**22, 2.0**23):
             moved = WeightedPointSet(P.coords + shift, P.weights)
             assert (moved.coords - shift).tobytes() == P.coords.tobytes()
-            for res in (run(moved), SOLVERS[name](moved, 3, 0.5, ovr, 5, 1)):
+            for res in (run(moved), SOLVERS[name](moved, 3, 0.5, ovr, 5)):
                 assert res.centers.centers.tobytes() == (base.centers.centers + shift).tobytes()
                 assert res.assignment.tobytes() == base.assignment.tobytes()
                 assert np.float64(res.cost).tobytes() == np.float64(base.cost).tobytes()

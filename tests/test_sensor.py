@@ -512,6 +512,11 @@ def test_place_sensors_rejects_bad_arguments(unit_square):
     for k in (0, 2.5, True):
         with pytest.raises(ValueError, match="k must be a positive integer"):
             place_sensors(SensorRegion(UNIT, density), k, 0.5, 0.25)
+    # threads changes nothing, but a count that is not a positive int is
+    # still refused, whatever the solver.
+    for threads in (0, 2.5, True):
+        with pytest.raises(ValueError, match="threads must be a positive integer"):
+            place_sensors(SensorRegion(UNIT, density), 1, 0.5, 0.25, "oracle", threads=threads)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
         place_sensors(SensorRegion(UNIT, density), 1, 0.5, 0.25, solver="oracle", master_seed=-1)
     assert density.points == 0
@@ -938,7 +943,7 @@ def test_cell_moments_match_long_double_recomputation():
             side = poly[2] - a
             pts, wts = [a + square_nodes * side], [square_w * (side[0] * side[1])]
         pts = np.vstack(pts)
-        node_mass = np.concatenate(wts).astype(np.longdouble) * region.phi(pts)
+        node_mass = np.concatenate(wts).astype(np.longdouble) * region.density.evaluate(pts)
         pts = pts.astype(np.longdouble)
         mass = node_mass.sum()
         com = (node_mass[:, None] * pts).sum(axis=0) / mass
@@ -1288,23 +1293,26 @@ def test_patching_after_the_region_is_built_sees_every_call(monkeypatch):
 
 @pytest.mark.parametrize("poly, shift", [(UNIT, 0.0), (HEXAGON, 1e5 + 0.37)])
 def test_region_copy_with_a_new_scale_shares_the_geometry(poly, shift):
-    """A copy with another density_scale sets it on the region and its local
-    view, and nothing else.
+    """A copy with another density, the mixture scaled by 0.3, shifts it
+    into its local view, and changes nothing else.
 
     The copy places sensors bytewise as the region built again from the
-    input's polygon and density at the same scale. The unit square is its
-    own local view, the hexagon is not.
+    input's polygon and the new density. The unit square is its own local
+    view, the hexagon is not.
     """
     bumps = _bumps_region().density
     density = GaussianMixtureDensity(bumps.means + shift, bumps.covariances, bumps.mixing)
+    scaled = GaussianMixtureDensity(density.means, density.covariances, density.mixing * 0.3)
     region = SensorRegion(poly + shift, density)
-    normalized = replace(region, density_scale=0.3)
+    normalized = replace(region, density=scaled)
     assert normalized.polygon.tobytes() == region.polygon.tobytes()
     assert normalized.local.local is normalized.local
     assert (normalized.local is normalized) == (region.local is region)
-    assert normalized.local.density_scale == normalized.density_scale
-    assert region.density_scale == region.local.density_scale == 1.0
-    rebuilt = SensorRegion(region.polygon, region.density, normalized.density_scale)
+    assert normalized.local.density.mixing.tobytes() == scaled.mixing.tobytes()
+    assert region.local.density.mixing.tobytes() == density.mixing.tobytes()
+    local_means = normalized.local.density.means
+    assert local_means.tobytes() == (scaled.means - normalized.origin).tobytes()
+    rebuilt = SensorRegion(region.polygon, scaled)
     for solver in ("ptas", "kmeanspp-lloyd"):
         reports = [
             place_sensors(
